@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from repro import AngelConfig, initialize
+from repro.api import AngelConfig, initialize
 from repro.lockfree import LockFreeTrainer
 from repro.nn import MixedPrecisionAdam, TinyTransformerLM, lm_synthetic_batches
 from repro.units import KiB, MiB

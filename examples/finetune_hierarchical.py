@@ -14,7 +14,7 @@ Run::
 
 import numpy as np
 
-from repro import AngelConfig, initialize
+from repro.api import AngelConfig, initialize
 from repro.hardware.device import DeviceKind
 from repro.nn import MixedPrecisionAdam, TinyTransformerLM, copy_task_batches
 from repro.units import KiB, MiB

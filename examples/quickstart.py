@@ -12,7 +12,7 @@ Run::
 
 import numpy as np
 
-from repro import AngelConfig, initialize
+from repro.api import AngelConfig, initialize
 from repro.nn import MixedPrecisionAdam, TinyTransformerLM, lm_synthetic_batches
 from repro.units import KiB, MiB
 

@@ -28,27 +28,4 @@ from repro import api, errors, units
 
 __version__ = "1.0.0"
 
-#: Legacy top-level names, kept working behind a deprecation shim;
-#: ``repro.api`` (or ``repro.engine``) is the supported address.
-_DEPRECATED_EXPORTS = ("AngelConfig", "AngelModel", "initialize")
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_EXPORTS:
-        import warnings
-
-        warnings.warn(
-            f"'repro.{name}' is deprecated; import it from 'repro.api' "
-            "(or 'repro.engine') instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(api, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(list(globals()) + list(_DEPRECATED_EXPORTS))
-
-
-__all__ = ["api", "errors", "units", "__version__", *_DEPRECATED_EXPORTS]
+__all__ = ["api", "errors", "units", "__version__"]

@@ -67,7 +67,6 @@ _ANGEL_CONFIG_FIELDS = (
     "ssd_path",
     "pipeline",
     "prefetch_window",
-    "writeback",
     "io_workers",
     "owner",
 )
@@ -92,9 +91,6 @@ class AngelConfig:
     #: How many triggers ahead of the compute horizon the prefetch worker
     #: may run (the bounded in-flight window).
     prefetch_window: int = 2
-    #: Flush FP32 states through the async writeback queue instead of
-    #: synchronously inside the update sweep (pipeline mode only).
-    writeback: bool = True
     #: Where the page-copy data plane runs. ``"thread"`` keeps every byte
     #: copy in-process (the PR 5 behaviour); ``"process"`` backs the GPU
     #: and CPU pools with named shared-memory arenas and routes coalesced
@@ -274,14 +270,13 @@ class AngelModel:
         self._buffers = GradientBuffers([m.param for m in self._managed])
         self._install_hooks()
 
-        # Tracer-informed prefetch: training is iterative, so the module
-        # access order recorded in the first iteration predicts every
-        # later one (Section 4.2). While module k computes, module k+1's
-        # pages are staged if the pool has room.
-        self._module_order: list[int] = []      # module ids, first iteration
-        self._module_cursor = 0
+        # Training is iterative, so the module access order recorded in
+        # the first iteration predicts every later one (Section 4.2); the
+        # pipelined runtime plans its prefetch schedule from it.
+        self._module_order: list[Module] = []
         self._order_recorded = False
-        self._module_of_id: dict[int, Module] = {}
+        #: Parameters found already GPU-resident at touch / fetched on
+        #: demand (the watchdog's cache_thrash ratio).
         self.prefetch_hits = 0
         self.demand_fetches = 0
         # GPU-cache and eviction counters, fetched once (identity-stable).
@@ -346,7 +341,8 @@ class AngelModel:
 
     def _on_module_forward(self, module: Module) -> None:
         """Fetch (sync) or await (pipelined) the module's parameter pages."""
-        self._record_access(module)
+        if not self._order_recorded:
+            self._module_order.append(module)
         needed = [self._by_param[id(p)] for p in module._parameters.values()]
         pinned = {m.index for m in needed}
         if self._pipeline is not None:
@@ -360,8 +356,6 @@ class AngelModel:
                     self.demand_fetches += 1
                     self._demand_counter.inc()
                 self._fetch(managed, pinned=pinned)
-        if self._pipeline is None:
-            self._prefetch_next(pinned=pinned)
 
     def _await_module(self, module: Module) -> None:
         """Release due schedule triggers and wait for this layer's fetch.
@@ -381,40 +375,8 @@ class AngelModel:
             self.telemetry.record_stall("cpu->gpu", stalled)
 
     # ------------------------------------------------------------------
-    # Tracer-informed prefetch
+    # Demand fetch + LRU eviction
     # ------------------------------------------------------------------
-    def _record_access(self, module: Module) -> None:
-        if not self._order_recorded:
-            self._module_order.append(id(module))
-            self._module_of_id[id(module)] = module
-            return
-        # Keep the replay cursor aligned with the recorded order; the
-        # order can repeat within an iteration (e.g. recompute), so we
-        # resynchronize by searching forward.
-        order = self._module_order
-        cursor = self._module_cursor
-        for offset in range(len(order)):
-            if order[(cursor + offset) % len(order)] == id(module):
-                self._module_cursor = (cursor + offset + 1) % len(order)
-                return
-
-    def _prefetch_next(self, pinned: set[int]) -> None:
-        """Best-effort staging of the next module's parameters."""
-        if not self._order_recorded or not self._module_order:
-            return
-        next_id = self._module_order[self._module_cursor % len(self._module_order)]
-        next_module = self._module_of_id.get(next_id)
-        if next_module is None:
-            return
-        for param in next_module._parameters.values():
-            managed = self._by_param[id(param)]
-            if managed.fp16.device_kind == DeviceKind.GPU:
-                continue
-            try:
-                self.allocator.move_pages([managed.fp16], DeviceKind.GPU)
-            except OutOfMemoryError:
-                return  # best effort: never evict for a prefetch
-
     def _fetch(self, managed: _Managed, pinned: set[int]) -> None:
         self._clock += 1
         if managed.first_access < 0:
@@ -492,9 +454,8 @@ class AngelModel:
             for m in modules
         ]
         self._install_cache(plan)
-        if self.config.writeback:
-            self._writeback = WritebackQueue(self._io, telemetry=self.telemetry)
-            self._writeback.start()
+        self._writeback = WritebackQueue(self._io, telemetry=self.telemetry)
+        self._writeback.start()
         worker = PrefetchWorker(
             coalesce_schedule(plan.schedule),
             self._pipeline_fetch,
@@ -615,9 +576,8 @@ class AngelModel:
         self._pending += 1
         if not self._order_recorded and self._module_order:
             # The first iteration's access pattern is now complete; later
-            # iterations replay it, enabling prefetch (Section 4.2).
+            # iterations replay it (Section 4.2).
             self._order_recorded = True
-            self._module_cursor = 0
         interval = self.config.update_interval if self.config.lock_free else 1
         self.telemetry.counter("engine.steps").inc()
         if self._pipeline is not None:

@@ -31,11 +31,11 @@ def live_layer_modules(engine) -> list:
     """Distinct parameterized modules in first-touch order (the layers)."""
     seen: set[int] = set()
     modules = []
-    for module_id in engine._module_order:
-        if module_id in seen:
+    for module in engine._module_order:
+        if id(module) in seen:
             continue  # recompute revisits keep the first-touch slot
-        seen.add(module_id)
-        modules.append(engine._module_of_id[module_id])
+        seen.add(id(module))
+        modules.append(module)
     return modules
 
 

@@ -13,10 +13,10 @@ TensorFlow-style best-fit-with-coalescing (BFC), PatrickStar-style chunks,
 and a PyTorch-style caching allocator.
 """
 
-from repro.memory.arena import ArenaPoolBackend, LegacyBackendAdapter
+from repro.memory.arena import ArenaPoolBackend
 from repro.memory.page import DEFAULT_PAGE_BYTES, Page, PageState
 from repro.memory.pool import DevicePool, FilePoolBackend, NullPoolBackend
-from repro.memory.allocator import MovePlan, MoveReport, PageAllocator, PageQuota
+from repro.memory.allocator import MoveReport, PageAllocator, PageQuota
 from repro.memory.tensor import PagedTensor
 from repro.memory.fragmentation import FragmentationStats
 
@@ -24,37 +24,13 @@ __all__ = [
     "ArenaPoolBackend",
     "PageQuota",
     "DEFAULT_PAGE_BYTES",
-    "LegacyBackendAdapter",
-    "MovePlan",
     "MoveReport",
     "Page",
     "PageState",
     "DevicePool",
-    "RamPoolBackend",
     "FilePoolBackend",
     "NullPoolBackend",
     "PageAllocator",
     "PagedTensor",
     "FragmentationStats",
 ]
-
-_DEPRECATED = {
-    # PEP 562: imported lazily so the warning fires at first use, not at
-    # package import (the pattern established in repro/__init__.py).
-    "RamPoolBackend": "repro.memory.pool",
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        import importlib
-        import warnings
-
-        warnings.warn(
-            f"repro.memory.{name} is deprecated; pools allocate one "
-            "contiguous arena via repro.memory.arena.ArenaPoolBackend",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(importlib.import_module(_DEPRECATED[name]), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,8 +21,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,25 +30,6 @@ from repro.hardware.device import DeviceKind
 from repro.memory.page import Page, PageState
 from repro.memory.pool import DevicePool
 from repro.memory.tensor import PagedTensor
-
-
-@dataclass
-class MovePlan:
-    """The pages a move will actually transfer, deduplicated.
-
-    Built by :meth:`PageAllocator.plan_move`: pages already resident on
-    ``device`` are skipped and a page shared by two tensors (tail
-    sharing, §4.1) appears exactly once. A plan is immediate — execute it
-    with :meth:`PageAllocator.move_pages` before releasing or moving the
-    tensors it covers.
-    """
-
-    device: DeviceKind
-    pages: list[Page] = field(default_factory=list)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(page.total_bytes for page in self.pages)
 
 
 @dataclass
@@ -445,34 +425,14 @@ class PageAllocator:
         tensor._released = True
         del self._tensors[tensor.tensor_id]
 
-    def move(self, tensor: PagedTensor, device: DeviceKind) -> None:
-        """Deprecated: use :meth:`move_pages` (``move_pages([tensor], device)``)."""
-        warnings.warn(
-            "PageAllocator.move is deprecated; use move_pages([tensor], device)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.move_pages([tensor], device)
+    def _pages_to_move(self, tensors, target: DevicePool) -> list[Page]:
+        """``tensors``' pages that ``target`` lacks, each exactly once.
 
-    def move_many(self, tensors, device: DeviceKind) -> int:
-        """Deprecated: use :meth:`move_pages`; returns bytes moved."""
-        warnings.warn(
-            "PageAllocator.move_many is deprecated; use move_pages(tensors, "
-            "device) and read .bytes_moved off the returned MoveReport",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.move_pages(tensors, device).bytes_moved
-
-    def plan_move(self, tensors, device: DeviceKind) -> MovePlan:
-        """Deduplicate ``tensors``' pages into the set ``device`` lacks.
-
-        Pages already resident on ``device`` are skipped and a page
-        shared by two tensors' tails appears exactly once, so executing
-        the plan moves each physical page at most once.
+        Pages already resident on the target are skipped and a page
+        shared by two tensors' tails (§4.1) appears once, so a move
+        transfers each physical page at most once.
         """
-        target = self.pool(device)
-        plan = MovePlan(device=device)
+        pages: list[Page] = []
         seen: set[int] = set()
         for tensor in tensors:
             tensor._check_live()
@@ -480,61 +440,43 @@ class PageAllocator:
                 if page.pool is target or id(page) in seen:
                     continue
                 seen.add(id(page))
-                plan.pages.append(page)
-        return plan
+                pages.append(page)
+        return pages
 
-    def move_pages(self, tensors, device: DeviceKind | None = None) -> MoveReport:
-        """The one move entry point: transfer a batch of pages to a tier.
+    def move_pages(self, tensors, device: DeviceKind) -> MoveReport:
+        """The one move entry point: transfer ``tensors``' pages to a tier.
 
-        ``tensors`` is either an iterable of :class:`PagedTensor` (with
-        ``device``) or a prebuilt :class:`MovePlan`. Pages are grouped by
-        source pool, sorted by arena slot, paired with the lowest free
-        destination slots and coalesced into contiguous runs — each run
-        is ONE gather/scatter slice copy between arenas (O(runs) copy
-        calls for an N-page MoveGroup, the §5 PCIe-burst behaviour),
-        executed under the retry policy and recorded per (src, dst) edge
-        as ``pages.copy_calls`` / ``pages.bytes_per_copy_call`` /
-        ``pages.moved_per_sec``.
+        Pages are grouped by source pool, sorted by arena slot, paired
+        with the lowest free destination slots and coalesced into
+        contiguous runs — each run is ONE gather/scatter slice copy
+        between arenas (O(runs) copy calls for an N-page MoveGroup, the
+        §5 PCIe-burst behaviour), executed under the retry policy and
+        recorded per (src, dst) edge as ``pages.copy_calls`` /
+        ``pages.bytes_per_copy_call`` / ``pages.moved_per_sec``.
 
-        Failure semantics match the old per-page path: pages of
-        already-completed runs stay moved; the failing run and everything
-        after it roll back to RESIDENT on the source tier before the
-        error propagates.
+        On failure, pages of already-completed runs stay moved; the
+        failing run and everything after it roll back to RESIDENT on the
+        source tier before the error propagates.
         """
-        if isinstance(tensors, MovePlan):
-            plan = tensors
-            if device is not None and device is not plan.device:
-                raise AllocationError(
-                    f"plan targets {plan.device.name}, call asked {device.name}"
-                )
-        else:
-            if device is None:
-                raise AllocationError("move_pages needs a target device")
-            plan = self.plan_move(tensors, device)
-        device = plan.device
         target = self.pool(device)
         report = MoveReport()
-        if not plan.pages:
+        moving = self._pages_to_move(tensors, target)
+        if not moving:
             return report
         telemetry = self.telemetry
         # Group by source pool: each (src, dst) edge coalesces separately.
-        by_pool: dict[int, list[Page]] = {}
-        pools: dict[int, DevicePool] = {}
-        for page in plan.pages:
-            key = id(page.pool)
-            pools[key] = page.pool
-            by_pool.setdefault(key, []).append(page)
+        by_pool: dict[DevicePool, list[Page]] = {}
+        for page in moving:
+            by_pool.setdefault(page.pool, []).append(page)
         dst_name = device.name.lower()
         with telemetry.span(
-            f"movebatch.to_{dst_name}", track="pcie", pages=len(plan.pages)
+            f"movebatch.to_{dst_name}", track="pcie", pages=len(moving)
         ):
-            for key, pages in by_pool.items():
-                src_pool = pools[key]
-                edge = self._move_group(src_pool, target, pages)
-                report.merge(edge)
+            for src_pool, pages in by_pool.items():
+                report.merge(self._move_group(src_pool, target, pages))
         if telemetry.enabled:
             telemetry.counter("pipeline.move_batches").inc()
-            telemetry.counter("pipeline.coalesced_pages").inc(len(plan.pages))
+            telemetry.counter("pipeline.coalesced_pages").inc(len(moving))
         return report
 
     def _move_group(self, src_pool: DevicePool, target: DevicePool,

@@ -21,10 +21,6 @@ Named shared-memory arenas (``shared=True``) plus arena files are also
 :class:`~repro.runtime.ioproc.PageCopyService` worker process attaches by
 name, so prefetch/writeback copies run outside this process's GIL
 entirely.
-
-:class:`LegacyBackendAdapter` keeps the pre-arena bytes-based backends
-(``read``/``write``/``close``) working for one release behind a
-``DeprecationWarning``.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ import mmap
 import os
 import secrets
 import tempfile
-import warnings
 
 from repro.errors import AllocationError
 
@@ -253,62 +248,3 @@ class FilePoolBackend:
         os.close(self._fd)
         if self._owns_file and os.path.exists(self._path):
             os.unlink(self._path)
-
-
-class LegacyBackendAdapter:
-    """One-release shim: a bytes-based backend behind the new API.
-
-    Third-party and test backends that predate the arena rework implement
-    ``read(index, offset, nbytes) -> bytes`` / ``write(index, offset,
-    data)``. The adapter funnels the buffer-protocol calls through those
-    methods — paying the copy the new API exists to avoid, hence the
-    :class:`DeprecationWarning` at wrap time — so they keep working while
-    they migrate. ``read`` short-reads are checked here too: a backend
-    returning fewer bytes than asked is an error.
-    """
-
-    def __init__(self, inner):
-        warnings.warn(
-            f"pool backend {type(inner).__name__} implements the deprecated "
-            "bytes-based read/write API; implement readinto/write_from "
-            "(repro.protocols.PoolBackend) for zero-copy moves",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        self._inner = inner
-
-    def readinto(self, index: int, offset: int, buf) -> int:
-        target = memoryview(buf).cast("B")
-        data = self._inner.read(index, offset, len(target))
-        if len(data) != len(target):
-            raise AllocationError(
-                f"legacy backend {type(self._inner).__name__} short read: "
-                f"asked {len(target)} bytes, got {len(data)}"
-            )
-        target[:] = data
-        return len(target)
-
-    def write_from(self, index: int, offset: int, buf) -> int:
-        source = memoryview(buf).cast("B")
-        self._inner.write(index, offset, source.tobytes())
-        return len(source)
-
-    def close(self) -> None:
-        self._inner.close()
-
-    def __getattr__(self, name):
-        # Pass through accounting surfaces (e.g. FilePoolBackend.path).
-        return getattr(self._inner, name)
-
-
-def adapt_backend(backend):
-    """Return ``backend`` speaking the buffer-protocol API, adapting
-    legacy bytes-based backends through :class:`LegacyBackendAdapter`."""
-    if hasattr(backend, "readinto") and hasattr(backend, "write_from"):
-        return backend
-    if hasattr(backend, "read") and hasattr(backend, "write"):
-        return LegacyBackendAdapter(backend)
-    raise AllocationError(
-        f"{type(backend).__name__} implements neither the PoolBackend "
-        "protocol (readinto/write_from) nor the legacy read/write API"
-    )

@@ -28,43 +28,6 @@ MAX_TENSORS_PER_PAGE = 2
 _page_ids = itertools.count()
 
 
-def copy_storage(src, dst, nbytes: int) -> None:
-    """Copy ``nbytes`` between two page storages, copy-minimally.
-
-    Arena→arena is a single slice copy between ``memoryview`` windows —
-    one C-level ``memcpy`` that releases the GIL, no intermediate
-    object. One view-less endpoint degrades to a single ``readinto``/
-    ``write_from`` against the other's view; only two view-less
-    endpoints stage through a scratch buffer. Telemetry accounting
-    matches the legacy read+write pair: the source tier records a read,
-    the destination a write.
-    """
-    src_view = src.try_view(0, nbytes)
-    dst_view = dst.try_view(0, nbytes)
-    if src_view is not None and dst_view is not None:
-        read_counter = src.pool._read_bytes
-        if read_counter is not None:
-            read_counter.inc(nbytes)
-        write_counter = dst.pool._write_bytes
-        if write_counter is not None:
-            write_counter.inc(nbytes)
-        dst_view[:] = src_view
-    elif dst_view is not None:
-        src.readinto(0, dst_view)
-        write_counter = dst.pool._write_bytes
-        if write_counter is not None:
-            write_counter.inc(nbytes)
-    elif src_view is not None:
-        read_counter = src.pool._read_bytes
-        if read_counter is not None:
-            read_counter.inc(nbytes)
-        dst.write_from(0, src_view)
-    else:
-        staging = bytearray(nbytes)
-        src.readinto(0, staging)
-        dst.write_from(0, staging)
-
-
 class PageState(enum.Enum):
     """Lifecycle of a page within a device pool."""
 
@@ -92,7 +55,8 @@ class Page:
     The physical bytes live in a storage handle owned by a
     :class:`~repro.memory.pool.DevicePool`; moving a page swaps its storage
     while the page object (and therefore every tensor referencing it) stays
-    stable, exactly like the paper's ``move(target_device_index)``.
+    stable, exactly like the paper's ``move(target_device_index)``
+    (:meth:`~repro.memory.allocator.PageAllocator.move_pages` here).
     """
 
     def __init__(self, total_bytes: int = DEFAULT_PAGE_BYTES):
@@ -216,32 +180,6 @@ class Page:
         storage, self._storage = self._storage, None
         self.state = PageState.FREE
         return storage
-
-    def move(self, target_pool) -> None:
-        """Move this page's bytes into ``target_pool``.
-
-        Implements the paper's ``move(target_device_index)`` interface: the
-        page object survives, its storage is re-homed and the bytes are
-        copied across the tiers.
-        """
-        source = self.storage
-        if target_pool is source.pool:
-            return
-        self.state = PageState.MOVING
-        try:
-            destination = target_pool.acquire_storage(self.total_bytes)
-        except Exception:
-            self.state = PageState.RESIDENT
-            raise
-        try:
-            copy_storage(source, destination, self.total_bytes)
-        except Exception:
-            target_pool.release_storage(destination)
-            self.state = PageState.RESIDENT
-            raise
-        source.pool.release_storage(source)
-        self._storage = destination
-        self.state = PageState.RESIDENT
 
     # ------------------------------------------------------------------
     # Data access (delegates to storage)

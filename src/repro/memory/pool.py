@@ -19,26 +19,23 @@ decides where the bytes physically live:
 Backends speak the buffer-protocol storage API
 (:class:`repro.protocols.PoolBackend`): ``readinto``/``write_from`` move
 bytes through caller-supplied buffers, RAM-like arenas add zero-copy
-``view`` windows, and legacy bytes-based backends are adapted through a
-one-release :class:`~repro.memory.arena.LegacyBackendAdapter` shim.
+``view`` windows.
 """
 
 from __future__ import annotations
 
 import heapq
-import warnings
 
 from repro.errors import AllocationError, OutOfMemoryError, PageStateError
 from repro.hardware.device import DeviceKind
-from repro.memory.arena import ArenaPoolBackend, FilePoolBackend, adapt_backend
-from repro.memory.page import DEFAULT_PAGE_BYTES, Page, copy_storage
+from repro.memory.arena import ArenaPoolBackend, FilePoolBackend
+from repro.memory.page import DEFAULT_PAGE_BYTES, Page
+from repro.protocols import PoolBackend
 
 __all__ = [
     "DevicePool",
     "FilePoolBackend",
     "NullPoolBackend",
-    "RamPoolBackend",
-    "copy_storage",
 ]
 
 
@@ -55,14 +52,6 @@ class _Storage:
     # ------------------------------------------------------------------
     # Buffer-protocol access (the hot path)
     # ------------------------------------------------------------------
-    def try_view(self, offset: int, nbytes: int) -> memoryview | None:
-        """Zero-copy window into the page, or None on view-less tiers."""
-        self._check_range(offset, nbytes)
-        backend = self.pool._backend
-        if not hasattr(backend, "view"):
-            return None
-        return backend.view(self.index, offset, nbytes)
-
     def readinto(self, offset: int, buf) -> int:
         nbytes = memoryview(buf).nbytes
         self._check_range(offset, nbytes)
@@ -122,27 +111,20 @@ class NullPoolBackend:
         pass
 
 
-class RamPoolBackend(ArenaPoolBackend):
-    """Deprecated name for the private-RAM arena backend.
-
-    Pages no longer live in a list of numpy buffers; construct
-    :class:`~repro.memory.arena.ArenaPoolBackend` (or pass
-    ``backend="ram"`` to :class:`DevicePool`) instead.
-    """
-
-    def __init__(self, num_pages: int, page_bytes: int):
-        warnings.warn(
-            "RamPoolBackend is deprecated; use repro.memory.arena."
-            "ArenaPoolBackend (or DevicePool(backend='ram'))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(num_pages, page_bytes, shared=False)
+def _checked_backend(backend):
+    """Reject a custom backend or wrapper (outside input) that lacks the
+    buffer-protocol API where it is installed, not inside a page copy."""
+    if isinstance(backend, PoolBackend):
+        return backend
+    raise AllocationError(
+        f"{type(backend).__name__} does not implement the PoolBackend "
+        "protocol (readinto/write_from/close)"
+    )
 
 
 def _build_backend(backend, num_pages: int, page_bytes: int, file_path, name):
     if not isinstance(backend, str):
-        return adapt_backend(backend)
+        return _checked_backend(backend)
     if backend == "ram":
         return ArenaPoolBackend(num_pages, page_bytes, shared=False)
     if backend == "shm":
@@ -211,13 +193,13 @@ class DevicePool:
 
         Used by ``repro.resilience`` to inject faults into a tier without
         the pool, pages or tensors knowing; the wrapper must expose the
-        backend protocol (:class:`repro.protocols.PoolBackend`, or the
-        legacy ``read``/``write``/``close`` surface, which is adapted
-        with a :class:`DeprecationWarning`). A wrapper that does not
-        re-export ``view``/``descriptor`` forces every copy through its
-        ``readinto``/``write_from`` — exactly what fault injection wants.
+        backend protocol (:class:`repro.protocols.PoolBackend`) and is
+        rejected with :class:`~repro.errors.AllocationError` otherwise.
+        A wrapper that does not re-export ``view``/``descriptor`` forces
+        every copy through its ``readinto``/``write_from`` — exactly
+        what fault injection wants.
         """
-        self._backend = adapt_backend(wrapper(self._backend))
+        self._backend = _checked_backend(wrapper(self._backend))
 
     def backend_descriptor(self) -> tuple[str, str] | None:
         """(kind, address) the page copy service can attach, or None."""

@@ -99,18 +99,6 @@ class PagedTensor:
         """Free this tensor's space in every page (via the allocator)."""
         self._require_allocator().release(self)
 
-    def move(self, target: DeviceKind) -> None:
-        """Deprecated: use ``allocator.move_pages([tensor], target)``."""
-        import warnings
-
-        warnings.warn(
-            "PagedTensor.move is deprecated; use "
-            "PageAllocator.move_pages([tensor], device)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._require_allocator().move_pages([self], target)
-
     def merge(self) -> None:
         """Re-pack into exclusively-owned pages so the data is contiguous."""
         self._require_allocator().merge(self)

@@ -156,8 +156,8 @@ class StalenessLagRule(Rule):
 class CacheThrashRule(Rule):
     """Windowed GPU-cache hit-rate collapse.
 
-    The engine counts ``cache.prefetch_hits`` / ``cache.demand_fetches``;
-    a healthy steady state replays the recorded access order and hits. A
+    The engine counts ``cache.prefetch_hits`` (already GPU-resident at
+    touch) / ``cache.demand_fetches``; a healthy steady state hits. A
     collapse means the working set no longer fits — every fetch pays a
     PCIe round trip.
     """

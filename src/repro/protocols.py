@@ -15,9 +15,7 @@ The physical storage contract of the page pools lives here too:
 implements (``readinto``/``write_from`` operate on caller-supplied
 buffers, never intermediate ``bytes``), and :class:`ArenaBackendLike`
 extends it with ``view`` for RAM-like tiers whose arena can hand out
-zero-copy ``memoryview`` windows. :class:`LegacyPoolBackendLike` is the
-pre-arena bytes-based duck type; :class:`repro.memory.pool.DevicePool`
-adapts such backends through a one-release deprecation shim.
+zero-copy ``memoryview`` windows.
 """
 
 from __future__ import annotations
@@ -60,24 +58,6 @@ class ArenaBackendLike(PoolBackend, Protocol):
     """
 
     def view(self, index: int, offset: int, nbytes: int) -> memoryview: ...
-
-
-@runtime_checkable
-class LegacyPoolBackendLike(Protocol):
-    """The deprecated bytes-based backend duck type (pre-arena API).
-
-    ``read`` returns freshly-allocated ``bytes`` and ``write`` consumes
-    them — one avoidable copy per call. Backends implementing only this
-    surface still work for one release:
-    :class:`repro.memory.pool.DevicePool` wraps them in a
-    ``LegacyBackendAdapter`` (copy + ``DeprecationWarning``).
-    """
-
-    def read(self, index: int, offset: int, nbytes: int) -> bytes: ...
-
-    def write(self, index: int, offset: int, data: bytes) -> None: ...
-
-    def close(self) -> None: ...
 
 
 @runtime_checkable
@@ -138,7 +118,6 @@ class TelemetryLike(Protocol):
 __all__ = [
     "ArenaBackendLike",
     "FaultPlanLike",
-    "LegacyPoolBackendLike",
     "PoolBackend",
     "RetryPolicyLike",
     "TelemetryLike",

@@ -59,7 +59,7 @@ def coalesce_schedule(schedule: Schedule) -> list[MoveGroup]:
 
     The lifetime scheduler emits per-page tasks in non-decreasing trigger
     order; merging same-edge neighbours turns dozens of page-sized
-    transfers into one batched ``move_many`` per layer per trigger,
+    transfers into one batched ``move_pages`` per layer per trigger,
     mirroring the coalescing the simulator already applies.
     """
     groups: list[MoveGroup] = []
@@ -86,6 +86,17 @@ def coalesce_schedule(schedule: Schedule) -> list[MoveGroup]:
             nbytes=nbytes, pages=pages,
         ))
     return groups
+
+
+def _join_or_raise(thread: threading.Thread, timeout: float, hint: str) -> None:
+    """Join a worker told to exit; one that outlives the wait is an error."""
+    if thread.is_alive():
+        thread.join(timeout=timeout)
+        if thread.is_alive():
+            raise SchedulingError(
+                f"thread {thread.name!r} still alive {timeout:g}s after "
+                f"being told to exit ({hint})"
+            )
 
 
 class PrefetchWorker:
@@ -123,7 +134,7 @@ class PrefetchWorker:
         self._cond = threading.Condition()
         self._cursor = len(self._groups)  # idle until begin_iteration()
         self._horizon = 0
-        self._inflight: int | None = None  # layer being moved right now
+        self._executing: MoveGroup | None = None  # picked, not yet done
         #: layer -> triggers of its unfinished fetch groups, in order.
         self._undone: dict[int, list[int]] = {}
         self._stopping = False
@@ -150,7 +161,7 @@ class PrefetchWorker:
         except BaseException as exc:  # re-raised at the step boundary
             with self._cond:
                 self._error = exc
-                self._inflight = None
+                self._executing = None
                 self._undone.clear()
                 self._cond.notify_all()
 
@@ -166,9 +177,7 @@ class PrefetchWorker:
                     limit = self.window if group.fetch else 0
                     if ahead <= limit:
                         self._cursor += 1
-                        self._inflight = (
-                            group.layer_index if group.fetch else None
-                        )
+                        self._executing = group
                         return group
                 self._cond.wait()
 
@@ -178,6 +187,10 @@ class PrefetchWorker:
             started = clock.perf()
             self._evict_fn(group.layer_index)
             self._io_histogram.observe(clock.perf() - started)
+            # finish_iteration may be waiting on exactly this group.
+            with self._cond:
+                self._executing = None
+                self._cond.notify_all()
             return
         moved = self._try_fetch(group)
         if not moved:
@@ -192,7 +205,7 @@ class PrefetchWorker:
                     self._cond.wait()
             moved = self._try_fetch(group)
         with self._cond:
-            self._inflight = None
+            self._executing = None
             triggers = self._undone.get(group.layer_index, [])
             if group.trigger_id in triggers:
                 triggers.remove(group.trigger_id)
@@ -267,7 +280,8 @@ class PrefetchWorker:
             return clock.perf() - started
 
     def _relevant(self, layer_index: int, op_id: int) -> bool:
-        if self._inflight == layer_index:
+        group = self._executing
+        if group is not None and group.fetch and group.layer_index == layer_index:
             return True
         triggers = self._undone.get(layer_index)
         return bool(triggers) and triggers[0] <= op_id
@@ -279,7 +293,7 @@ class PrefetchWorker:
             drained = self._cond.wait_for(
                 lambda: (
                     self._cursor >= len(self._groups)
-                    and self._inflight is None
+                    and self._executing is None
                 ) or self._error is not None or self._stopping,
                 timeout=timeout,
             )
@@ -300,8 +314,7 @@ class PrefetchWorker:
         with self._cond:
             self._stopping = True
             self._cond.notify_all()
-        if self._thread.is_alive():
-            self._thread.join(timeout=timeout)
+        _join_or_raise(self._thread, timeout, "stuck page move?")
 
     # ------------------------------------------------------------------
     # Introspection
@@ -440,8 +453,7 @@ class WritebackQueue:
 
     def close(self, timeout: float = 30.0) -> None:
         self._queue.close()
-        if self._thread.is_alive():
-            self._thread.join(timeout=timeout)
+        _join_or_raise(self._thread, timeout, "stuck state flush?")
 
     def stats(self) -> dict:
         with self._cond:

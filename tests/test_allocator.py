@@ -92,7 +92,7 @@ class TestDataPaths:
         data = np.arange(5000, dtype=np.float32)
         t.write_array(data)
         for device in (DeviceKind.SSD, DeviceKind.GPU, DeviceKind.CPU):
-            t.move(device)
+            alloc.move_pages([t], device)
             assert t.device_kind == device
             assert np.array_equal(t.read_array(), data)
 
@@ -101,7 +101,7 @@ class TestDataPaths:
         a = alloc.allocate((nelems,), np.float32, DeviceKind.CPU)
         b = alloc.allocate((nelems,), np.float32, DeviceKind.CPU)
         assert a.page_list[-1] is b.page_list[-1]
-        a.move(DeviceKind.SSD)
+        alloc.move_pages([a], DeviceKind.SSD)
         # The shared tail page moved once; b now spans two devices.
         assert b.device_index == -1
         assert a.device_kind == DeviceKind.SSD

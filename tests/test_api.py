@@ -1,7 +1,7 @@
-"""The unified ``repro.api`` facade and the legacy-import shims.
+"""The unified ``repro.api`` facade.
 
-``repro.api`` is the supported address for the whole toolkit; the old
-top-level names (``repro.AngelConfig`` etc.) must keep working but warn.
+``repro.api`` is the supported address for the whole toolkit; the engine
+names are not re-exported at the top level.
 """
 
 import warnings
@@ -111,20 +111,12 @@ class TestFacade:
             assert hasattr(api, name), name
 
 
-class TestLegacyShims:
-    def test_old_imports_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            config_cls = repro.AngelConfig
-        assert config_cls is api.AngelConfig
-        with pytest.warns(DeprecationWarning):
-            assert repro.AngelModel is api.AngelModel
-        with pytest.warns(DeprecationWarning):
-            assert repro.initialize is api.initialize
-
-    def test_from_import_still_works(self):
-        with pytest.warns(DeprecationWarning):
-            from repro import AngelConfig
-        assert AngelConfig is api.AngelConfig
+class TestTopLevelNamespace:
+    def test_engine_names_live_in_api_only(self):
+        for name in ("AngelConfig", "AngelModel", "initialize"):
+            with pytest.raises(AttributeError):
+                getattr(repro, name)
+            assert hasattr(api, name)
 
     def test_supported_names_do_not_warn(self):
         with warnings.catch_warnings():
@@ -136,7 +128,3 @@ class TestLegacyShims:
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no attribute"):
             repro.does_not_exist
-
-    def test_dir_lists_deprecated_names(self):
-        names = dir(repro)
-        assert "AngelConfig" in names and "api" in names

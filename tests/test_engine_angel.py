@@ -7,6 +7,7 @@ from repro.engine import AngelConfig, initialize
 from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.hardware.device import DeviceKind
 from repro.nn import Adam, MixedPrecisionAdam, TinyTransformerLM, lm_synthetic_batches
+from repro.telemetry import Telemetry
 from repro.units import KiB, MiB
 
 
@@ -179,28 +180,28 @@ class TestAngelConfigValidation:
             ))
 
 
-class TestTracerInformedPrefetch:
-    def test_prefetch_hits_after_first_iteration(self):
-        """Iteration 1 records the access pattern; from iteration 2 the
-        engine stages the next module ahead of its use."""
+class TestGpuResidency:
+    def test_resident_hits_after_first_iteration(self):
+        """Iteration 1 demand-fetches every parameter; with room to keep
+        them, later iterations find them already GPU-resident."""
         with make_engine(gpu_memory_bytes=4 * MiB) as engine:
             batches = list(lm_synthetic_batches(16, 8, 4, 4, seed=30))
             for batch in batches[:1]:
                 loss = engine(batch)
                 engine.backward(loss)
                 engine.step()
-            assert engine._order_recorded
-            warm_hits = engine.prefetch_hits
+            warm_hits, cold_fetches = engine.prefetch_hits, engine.demand_fetches
+            assert cold_fetches > 0
             for batch in batches[1:]:
                 loss = engine(batch)
                 engine.backward(loss)
                 engine.step()
-            # Later iterations find parameters already resident.
             assert engine.prefetch_hits > warm_hits
+            assert engine.demand_fetches == cold_fetches
 
-    def test_prefetch_never_evicts(self):
-        """Under a tiny pool, prefetch is best-effort and the demand path
-        still works (training keeps learning)."""
+    def test_tiny_pool_demand_path_still_learns(self):
+        """Under a pool that forces eviction every access, demand fetch +
+        LRU eviction alone carry training (it keeps learning)."""
         model = tiny_model(num_layers=4)
         with make_engine(model=model, gpu_memory_bytes=256 * KiB) as engine:
             losses = []
@@ -211,6 +212,33 @@ class TestTracerInformedPrefetch:
                 losses.append(loss.item())
             assert engine.demand_fetches > 0
             assert np.mean(losses[-4:]) < np.mean(losses[:4])
+
+    def test_every_oom_is_answered_by_one_eviction(self):
+        """Synchronous mode moves a page only on demand: each pool OOM is
+        the demand path asking for room, and is answered by exactly one
+        LRU eviction — nothing speculative hits a full pool."""
+        telemetry = Telemetry()
+        model = tiny_model(num_layers=4)
+        with make_engine(
+            model=model, gpu_memory_bytes=256 * KiB, telemetry=telemetry,
+        ) as engine:
+            ooms = []
+            for pool in engine.allocator.pools.values():
+                forensic = pool.oom_observer
+
+                def observer(exc, forensic=forensic):
+                    ooms.append(exc)
+                    forensic(exc)
+
+                pool.oom_observer = observer
+            evictions = lambda: telemetry.registry.value("pages.evictions")
+            for batch in lm_synthetic_batches(16, 8, 8, 3, seed=33):
+                ooms_before, evictions_before = len(ooms), evictions()
+                loss = engine(batch)
+                engine.backward(loss)
+                engine.step()
+                assert len(ooms) > ooms_before
+                assert evictions() - evictions_before == len(ooms) - ooms_before
 
     def test_roomy_pool_mostly_hits(self):
         """With everything resident, steady-state accesses are all hits."""

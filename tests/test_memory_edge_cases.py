@@ -60,7 +60,7 @@ class TestMergeEdgeCases:
             nelems = PAGE + PAGE // 4
             a = alloc.allocate((nelems,), np.uint8, DeviceKind.CPU)
             b = alloc.allocate((nelems,), np.uint8, DeviceKind.CPU)
-            a.move(DeviceKind.GPU)  # carries the shared tail page along
+            alloc.move_pages([a], DeviceKind.GPU)  # carries the shared tail page along
             assert b.device_index == -1
             with pytest.raises(TensorStateError):
                 b.merge()
@@ -88,7 +88,7 @@ class TestAllocatorRegistry:
         with small_allocator() as alloc:
             tensor = alloc.allocate((10,), np.uint8, DeviceKind.CPU)
             with pytest.raises(AllocationError):
-                tensor.move(DeviceKind.SSD)
+                alloc.move_pages([tensor], DeviceKind.SSD)
 
 
 class TestTraceEventHelpers:
@@ -172,49 +172,29 @@ class TestArenaBackends:
         finally:
             backend.close()
 
-    def test_legacy_bytes_backend_adapted_with_warning(self):
+    def test_bytes_only_backend_rejected(self):
+        """A backend (or wrapper) without readinto/write_from is refused
+        where it is installed, not on the first page move."""
         class BytesBackend:
-            def __init__(self):
-                self.store = {}
-
             def read(self, index, offset, nbytes):
-                return self.store.get((index, offset), bytes(nbytes))
+                return bytes(nbytes)
 
             def write(self, index, offset, data):
-                self.store[(index, offset)] = bytes(data)
+                pass
 
             def close(self):
                 pass
 
-        with pytest.warns(DeprecationWarning, match="bytes-based"):
-            pool = DevicePool(
+        with pytest.raises(AllocationError, match="readinto/write_from"):
+            DevicePool(
                 DeviceKind.CPU, 4 * PAGE, page_bytes=PAGE,
                 backend=BytesBackend(),
             )
-        alloc = PageAllocator({DeviceKind.CPU: pool})
-        with alloc:
-            tensor = alloc.allocate((PAGE,), np.uint8, DeviceKind.CPU)
-            data = np.arange(PAGE, dtype=np.uint8)
-            tensor.write_array(data)
-            np.testing.assert_array_equal(tensor.read_array(), data)
-
-    def test_legacy_short_read_rejected(self):
-        from repro.memory.arena import LegacyBackendAdapter
-
-        class ShortReader:
-            def read(self, index, offset, nbytes):
-                return b"\x00" * (nbytes // 2)
-
-            def write(self, index, offset, data):
-                pass
-
-            def close(self):
-                pass
-
-        with pytest.warns(DeprecationWarning):
-            adapted = LegacyBackendAdapter(ShortReader())
-        with pytest.raises(AllocationError, match="short read"):
-            adapted.readinto(0, 0, bytearray(32))
+        with DevicePool(DeviceKind.CPU, 4 * PAGE, page_bytes=PAGE) as pool:
+            inner = pool._backend
+            with pytest.raises(AllocationError, match="readinto/write_from"):
+                pool.wrap_backend(lambda backend: BytesBackend())
+            assert pool._backend is inner
 
 
 class TestMovePagesApi:
@@ -251,29 +231,6 @@ class TestMovePagesApi:
             assert report.bytes_moved == 3 * PAGE
             np.testing.assert_array_equal(a.read_array(), data_a)
             np.testing.assert_array_equal(b.read_array(), data_b)
-
-    def test_move_plan_skips_resident_pages(self):
-        from repro.memory import MovePlan
-
-        with self.three_tier() as alloc:
-            tensor = alloc.allocate((PAGE,), np.uint8, DeviceKind.GPU)
-            plan = alloc.plan_move([tensor], DeviceKind.GPU)
-            assert isinstance(plan, MovePlan) and not plan.pages
-            report = alloc.move_pages(plan)
-            assert report.pages_moved == 0
-
-    def test_deprecated_move_names_warn_and_delegate(self):
-        with self.three_tier() as alloc:
-            tensor = alloc.allocate((PAGE,), np.uint8, DeviceKind.CPU)
-            data = np.arange(PAGE, dtype=np.uint8)
-            tensor.write_array(data)
-            with pytest.warns(DeprecationWarning, match="move_pages"):
-                tensor.move(DeviceKind.GPU)
-            assert tensor.device_kind is DeviceKind.GPU
-            with pytest.warns(DeprecationWarning, match="move_pages"):
-                moved = alloc.move_many([tensor], DeviceKind.SSD)
-            assert moved == PAGE  # old name returns bytes moved
-            np.testing.assert_array_equal(tensor.read_array(), data)
 
 
 # Interleaved-churn property: which tensor, and what to do with it.

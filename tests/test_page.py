@@ -5,7 +5,13 @@ import pytest
 
 from repro.errors import AllocationError, OutOfMemoryError, PageStateError
 from repro.hardware.device import DeviceKind
-from repro.memory import DEFAULT_PAGE_BYTES, DevicePool, Page, PageState
+from repro.memory import (
+    DEFAULT_PAGE_BYTES,
+    DevicePool,
+    Page,
+    PageAllocator,
+    PageState,
+)
 from repro.units import MiB
 
 
@@ -16,6 +22,12 @@ def pools():
     yield gpu, cpu
     gpu.close()
     cpu.close()
+
+
+@pytest.fixture
+def alloc(pools):
+    gpu, cpu = pools
+    return PageAllocator({DeviceKind.GPU: gpu, DeviceKind.CPU: cpu})
 
 
 class TestPageSlots:
@@ -94,30 +106,36 @@ class TestPagePlacement:
         assert page.device_index == int(DeviceKind.GPU)
         assert page.state == PageState.RESIDENT
 
-    def test_move_changes_device_and_preserves_bytes(self, pools):
+    def test_move_changes_device_and_preserves_bytes(self, pools, alloc):
         gpu, cpu = pools
-        page = cpu.acquire()
-        page.allocate(100, 1)
+        tensor = alloc.allocate((100,), np.uint8, DeviceKind.CPU)
+        (page,) = tensor.page_list
         payload = np.random.default_rng(0).bytes(100)
         page.write(0, payload)
-        page.move(gpu)
+        alloc.move_pages([tensor], DeviceKind.GPU)
+        # The page object survives the move; only its storage is re-homed.
+        assert tensor.page_list == [page]
         assert page.device_index == int(DeviceKind.GPU)
         assert page.read(0, 100) == payload
         assert cpu.pages_in_use == 0
         assert gpu.pages_in_use == 1
 
-    def test_move_to_same_pool_is_noop(self, pools):
+    def test_move_to_same_pool_is_noop(self, pools, alloc):
         gpu, _ = pools
-        page = gpu.acquire()
-        page.move(gpu)
+        tensor = alloc.allocate((100,), np.uint8, DeviceKind.GPU)
+        storage = tensor.page_list[0].storage
+        report = alloc.move_pages([tensor], DeviceKind.GPU)
+        assert report.pages_moved == 0 and report.copy_calls == 0
+        assert tensor.page_list[0].storage is storage
         assert gpu.pages_in_use == 1
 
-    def test_move_fails_cleanly_when_target_full(self, pools):
-        gpu, cpu = pools
+    def test_move_fails_cleanly_when_target_full(self, pools, alloc):
+        gpu, _ = pools
         fillers = [gpu.acquire() for _ in range(gpu.num_pages)]
-        page = cpu.acquire()
+        tensor = alloc.allocate((100,), np.uint8, DeviceKind.CPU)
+        (page,) = tensor.page_list
         with pytest.raises(OutOfMemoryError):
-            page.move(gpu)
+            alloc.move_pages([tensor], DeviceKind.GPU)
         # Source residency is unchanged after the failed move.
         assert page.device_index == int(DeviceKind.CPU)
         assert page.state == PageState.RESIDENT

@@ -295,7 +295,7 @@ class TestCoalescing:
         ] == [(0, 0, True, 2), (0, 1, True, 1), (2, 0, False, 1)]
         assert groups[0].nbytes == 20
 
-    def test_move_many_coalesces_and_dedups(self):
+    def test_move_pages_coalesces_and_dedups(self):
         from repro.memory.allocator import PageAllocator
         from repro.memory.pool import DevicePool
 
@@ -311,7 +311,7 @@ class TestCoalescing:
         assert shared, "expected a tail-shared page"
         first.write_array(np.arange(first.size, dtype=np.float32))
         second.write_array(np.arange(second.size, dtype=np.float32) * 2)
-        moved = allocator.move_many([first, second], DeviceKind.GPU)
+        moved = allocator.move_pages([first, second], DeviceKind.GPU).bytes_moved
         unique_pages = {id(p) for t in (first, second) for p in t.page_list}
         assert moved == len(unique_pages) * 32 * KiB
         assert first.device_kind == DeviceKind.GPU
@@ -320,7 +320,8 @@ class TestCoalescing:
             first.read_array(), np.arange(first.size, dtype=np.float32)
         )
         # Idempotent: nothing left to move.
-        assert allocator.move_many([first, second], DeviceKind.GPU) == 0
+        report = allocator.move_pages([first, second], DeviceKind.GPU)
+        assert report.bytes_moved == 0
 
 
 class TestWorkQueue:
@@ -442,6 +443,18 @@ class TestWritebackQueue:
         queue.wait("x", timeout=5)
         queue.close()
 
+    def test_close_raises_when_the_thread_outlives_the_timeout(self):
+        gate = threading.Event()
+        queue = WritebackQueue(lambda fn: gate.wait(timeout=5) and fn())
+        queue.start()
+        queue.submit("x", lambda: None)
+        try:
+            with pytest.raises(SchedulingError, match="'writeback'"):
+                queue.close(timeout=0.05)
+        finally:
+            gate.set()
+            queue.close(timeout=5)
+
     def test_worker_error_surfaces_on_next_submit(self):
         def explode(fn):
             raise SchedulingError("tier on fire")
@@ -492,6 +505,51 @@ class TestPrefetchWorker:
             assert sorted(fetched) == [0, 0, 1, 1]
         finally:
             worker.stop()
+
+    def test_finish_iteration_waits_for_the_last_eviction(self):
+        """Drain means the tail eviction *ran*, not merely got picked —
+        and the worker wakes the drain when it has (no lost wakeup)."""
+        evicted = []
+
+        def slow_evict(layer):
+            time.sleep(0.05)
+            evicted.append(layer)
+
+        worker = PrefetchWorker(
+            self.groups(), lambda layer: None, slow_evict,
+            num_ops=6, window=2,
+        )
+        worker.start()
+        try:
+            for iteration in (1, 2):
+                worker.begin_iteration()
+                started = time.perf_counter()
+                worker.finish_iteration(timeout=5)
+                assert time.perf_counter() - started < 1.0
+                assert evicted == [0] * iteration
+        finally:
+            worker.stop()
+
+    def test_stop_raises_when_the_thread_outlives_the_timeout(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def stuck_fetch(layer):
+            entered.set()
+            release.wait(timeout=5)
+
+        worker = PrefetchWorker(
+            self.groups()[:1], stuck_fetch, lambda layer: None,
+            num_ops=6, window=2,
+        )
+        worker.start()
+        try:
+            worker.begin_iteration()
+            assert entered.wait(timeout=5)
+            with pytest.raises(SchedulingError, match="'prefetch'"):
+                worker.stop(timeout=0.05)
+        finally:
+            release.set()
+            worker.stop(timeout=5)
 
     def test_await_returns_stall_seconds(self):
         release = threading.Event()

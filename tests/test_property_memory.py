@@ -96,7 +96,7 @@ def test_moves_preserve_accounting(actions):
             tensor = live[abs(action) % len(live)]
             target = DeviceKind.GPU if i % 2 else DeviceKind.CPU
             try:
-                tensor.move(target)
+                alloc.move_pages([tensor], target)
             except OutOfMemoryError:
                 continue
         total_pages = len({

@@ -68,7 +68,7 @@ def test_random_op_sequences_preserve_data(ops, tmp_path_factory):
             elif op == "move":
                 tensor, _ = live[arg % len(live)]
                 try:
-                    tensor.move(devices[arg % 3])
+                    allocator.move_pages([tensor], devices[arg % 3])
                 except OutOfMemoryError:
                     continue
             elif op == "merge":

@@ -202,7 +202,7 @@ class TestAllocatorRetry:
             tensor = allocator.allocate((PAGE // 4,), np.float32, DeviceKind.CPU)
             data = np.arange(PAGE // 4, dtype=np.float32)
             tensor.write_array(data)
-            tensor.move(DeviceKind.SSD)
+            allocator.move_pages([tensor], DeviceKind.SSD)
             np.testing.assert_array_equal(tensor.read_array(), data)
         assert policy.retries >= 1
 
@@ -211,7 +211,7 @@ class TestAllocatorRetry:
         with PageAllocator(self._pools(plan)) as allocator:
             tensor = allocator.allocate((PAGE // 4,), np.float32, DeviceKind.CPU)
             with pytest.raises(TransientIOError):
-                tensor.move(DeviceKind.SSD)
+                allocator.move_pages([tensor], DeviceKind.SSD)
 
     def test_drop_pool_refuses_while_occupied(self):
         plan = FaultPlan(seed=0)
