@@ -31,12 +31,13 @@ The training loop is exactly the paper's:
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import ConfigurationError, OutOfMemoryError
+from repro.errors import ConfigurationError
 from repro.hardware.device import DeviceKind
 from repro.lockfree.buffers import GradientBuffers
 from repro.memory.allocator import PageAllocator, PageQuota
@@ -257,6 +258,10 @@ class AngelModel:
 
         self._managed: list[_Managed] = []
         self._by_param: dict[int, _Managed] = {}
+        #: FP16 parameters staged on the GPU pool, least recently used
+        #: first (index -> _Managed): the eviction order. Mutated only
+        #: under _move_lock.
+        self._lru: OrderedDict[int, _Managed] = OrderedDict()
         try:
             self._register_parameters()
         except Exception:
@@ -344,18 +349,23 @@ class AngelModel:
         if not self._order_recorded:
             self._module_order.append(module)
         needed = [self._by_param[id(p)] for p in module._parameters.values()]
-        pinned = {m.index for m in needed}
         if self._pipeline is not None:
             self._await_module(module)
         with self._move_lock:
+            missing = [
+                m for m in needed if m.fp16.device_kind != DeviceKind.GPU
+            ]
+            hits = len(needed) - len(missing)
+            self.prefetch_hits += hits
+            self._hits_counter.inc(hits)
+            if missing:
+                self.demand_fetches += len(missing)
+                self._demand_counter.inc(len(missing))
+                started = self.telemetry.clock.perf()
+                self._demand_fetch(missing, pinned={m.index for m in needed})
+                self._demand_seconds += self.telemetry.clock.perf() - started
             for managed in needed:
-                if managed.fp16.device_kind == DeviceKind.GPU:
-                    self.prefetch_hits += 1
-                    self._hits_counter.inc()
-                else:
-                    self.demand_fetches += 1
-                    self._demand_counter.inc()
-                self._fetch(managed, pinned=pinned)
+                self._fetch(managed)
 
     def _await_module(self, module: Module) -> None:
         """Release due schedule triggers and wait for this layer's fetch.
@@ -377,43 +387,51 @@ class AngelModel:
     # ------------------------------------------------------------------
     # Demand fetch + LRU eviction
     # ------------------------------------------------------------------
-    def _fetch(self, managed: _Managed, pinned: set[int]) -> None:
+    def _fetch(self, managed: _Managed) -> None:
+        """Touch a GPU-staged parameter and hand its bytes to compute."""
         self._clock += 1
         if managed.first_access < 0:
             managed.first_access = self._clock
         managed.last_access = self._clock
-        if managed.fp16.device_kind != DeviceKind.GPU:
-            started = self.telemetry.clock.perf()
-            self._move_with_eviction(managed, pinned)
-            self._demand_seconds += self.telemetry.clock.perf() - started
+        self._lru[managed.index] = managed
+        self._lru.move_to_end(managed.index)
         # The compute path reads the buffered FP16 parameters.
         managed.param.data[...] = managed.fp16.read_array().astype(np.float32)
 
-    def _move_with_eviction(self, managed: _Managed, pinned: set[int]) -> None:
-        # An OOM here is the interesting kind: record what could not move.
-        self.forensics.set_context(
-            pinned=sorted(self._managed[i].name for i in pinned)
-        )
-        while True:
-            try:
-                self.allocator.move_pages([managed.fp16], DeviceKind.GPU)
-                return
-            except OutOfMemoryError:
-                victim = self._pick_victim(pinned)
-                if victim is None:
-                    raise
-                self._evict_counter.inc()
-                self.allocator.move_pages([victim.fp16], DeviceKind.CPU)
+    def _demand_fetch(self, missing: list[_Managed], pinned: set[int]) -> None:
+        """Stage ``missing`` on the GPU: ask, evict until it fits, move.
 
-    def _pick_victim(self, pinned: set[int]) -> _Managed | None:
-        """Least-recently-used GPU-resident parameter outside ``pinned``."""
-        candidates = [
-            m for m in self._managed
-            if m.index not in pinned and m.fp16.device_kind == DeviceKind.GPU
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda m: m.last_access)
+        The pool is never asked for room it does not have: victims leave
+        in ONE batched move, least recently used first, never from
+        ``pinned``. Only when nothing evictable is left and the pages
+        still do not fit does the GPU move raise — an OutOfMemoryError
+        that reaches the caller, with the pinned set in its forensics.
+        """
+        tensors = [m.fp16 for m in missing]
+        pages_to_move = self.allocator.pages_to_move
+        gpu_pool = self.allocator.pool(DeviceKind.GPU)
+        # Asked again after an eviction: a victim's tail page may be
+        # shared with a tensor being fetched and leave with it.
+        while (short := len(pages_to_move(tensors, DeviceKind.GPU))
+               - gpu_pool.free_pages) > 0:
+            victims: list[_Managed] = []
+            for index, candidate in self._lru.items():
+                if index not in pinned:
+                    victims.append(candidate)
+                    short -= len(pages_to_move([candidate.fp16], DeviceKind.CPU))
+                    if short <= 0:
+                        break
+            if not victims:
+                # About to fail: record what could not move.
+                self.forensics.set_context(
+                    pinned=sorted(self._managed[i].name for i in pinned)
+                )
+                break
+            for victim in victims:
+                del self._lru[victim.index]
+            self._evict_counter.inc(len(victims))
+            self.allocator.move_pages([v.fp16 for v in victims], DeviceKind.CPU)
+        self.allocator.move_pages(tensors, DeviceKind.GPU)
 
     # ------------------------------------------------------------------
     # Pipelined runtime (schedule-driven, Section 4.3 live)
@@ -478,7 +496,7 @@ class AngelModel:
         admission) while the pool keeps a reserve large enough to stage
         the two largest FP16 working sets — the demand path must never be
         starved by the cache. Cached states are invisible to LRU eviction
-        (``_pick_victim`` only considers FP16 pages), so they stay
+        (``_lru`` only holds FP16 parameters), so they stay
         resident for the run.
         """
         cached = sorted(plan.cache.cached_layers)
@@ -505,29 +523,42 @@ class AngelModel:
             }
             if gpu_pool.free_bytes - len(pending) * page_bytes < reserve:
                 break
-            try:
-                with self._move_lock:
-                    self.allocator.move_pages(tensors, DeviceKind.GPU)
-            except OutOfMemoryError:
-                break
+            with self._move_lock:
+                self.allocator.move_pages(tensors, DeviceKind.GPU)
             self._cache_resident.add(layer)
             installed += 1
         self.telemetry.gauge("cache.live_layers").set(installed)
         return installed
 
-    def _pipeline_fetch(self, layer: int) -> None:
-        """Worker callback: stage one layer's FP16 pages onto the GPU."""
+    def _pipeline_fetch(self, layer: int) -> bool:
+        """Worker callback: stage one layer's FP16 pages onto the GPU.
+
+        Never evicts: returns False, moving nothing, when they do not fit.
+        """
+        group = self._layer_managed[layer]
+        tensors = [m.fp16 for m in group]
         with self._move_lock:
-            self.allocator.move_pages(
-                [m.fp16 for m in self._layer_managed[layer]], DeviceKind.GPU
-            )
+            free_pages = self.allocator.pool(DeviceKind.GPU).free_pages
+            if len(self.allocator.pages_to_move(tensors, DeviceKind.GPU)) > free_pages:
+                return False
+            self.allocator.move_pages(tensors, DeviceKind.GPU)
+            # A staged layer keeps its place in access order: eviction
+            # stays least-recently-*used*, not least-recently-staged
+            # (never-accessed parameters tie; lowest index leaves first).
+            self._lru.update((m.index, m) for m in group)
+            self._lru = OrderedDict(sorted(
+                self._lru.items(),
+                key=lambda item: (item[1].last_access, item[0]),
+            ))
+        return True
 
     def _pipeline_evict(self, layer: int) -> None:
         """Worker callback: return one layer's FP16 pages to the CPU."""
+        group = self._layer_managed[layer]
         with self._move_lock:
-            self.allocator.move_pages(
-                [m.fp16 for m in self._layer_managed[layer]], DeviceKind.CPU
-            )
+            self.allocator.move_pages([m.fp16 for m in group], DeviceKind.CPU)
+            for managed in group:
+                self._lru.pop(managed.index, None)
 
     def executed_plan(self) -> "IterationPlan | None":
         """The plan the live pipeline executes (None before it starts)."""

@@ -22,6 +22,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -48,26 +49,8 @@ class MoveReport:
         self.copy_calls += other.copy_calls
 
 
-def _coalesce_runs(pairs):
-    """Group (page, src_index, dst_storage) triples into contiguous runs.
-
-    ``pairs`` is sorted by source arena index; a run extends while BOTH
-    the source and destination indices advance by exactly one page, so
-    each run is a single gather/scatter slice copy on both arenas.
-    """
-    runs = []
-    current = [pairs[0]]
-    for prev, item in zip(pairs, pairs[1:]):
-        if (
-            item[1] == prev[1] + 1
-            and item[2].index == prev[2].index + 1
-        ):
-            current.append(item)
-        else:
-            runs.append(current)
-            current = [item]
-    runs.append(current)
-    return runs
+#: Sort key: a page's arena slot in its current pool.
+_arena_slot = attrgetter("_storage.index")
 
 
 def _copy_page_run(src_pool, dst_pool, src_start, dst_start, npages,
@@ -417,21 +400,21 @@ class PageAllocator:
             raise TensorStateError(f"tensor {tensor.tensor_id} already released")
         if tensor.tensor_id not in self._tensors:
             raise TensorStateError(f"tensor {tensor.tensor_id} is not managed here")
-        for page in tensor.page_list:
-            page.release(tensor.tensor_id)
-            if page.is_empty and page.has_storage:
-                self._retire_page(page)
-        tensor.page_list.clear()
+        self._rollback(tensor)
         tensor._released = True
         del self._tensors[tensor.tensor_id]
 
-    def _pages_to_move(self, tensors, target: DevicePool) -> list[Page]:
-        """``tensors``' pages that ``target`` lacks, each exactly once.
+    def pages_to_move(self, tensors, device: DeviceKind) -> list[Page]:
+        """``tensors``' pages that ``device`` lacks, each exactly once.
 
         Pages already resident on the target are skipped and a page
         shared by two tensors' tails (§4.1) appears once, so a move
-        transfers each physical page at most once.
+        transfers each physical page at most once — and its length is
+        how many free target pages :meth:`move_pages` will take, which
+        is what a caller compares with ``pool(device).free_pages``
+        before deciding to evict.
         """
+        target = self.pool(device)
         pages: list[Page] = []
         seen: set[int] = set()
         for tensor in tensors:
@@ -458,21 +441,21 @@ class PageAllocator:
         failing run and everything after it roll back to RESIDENT on the
         source tier before the error propagates.
         """
-        target = self.pool(device)
         report = MoveReport()
-        moving = self._pages_to_move(tensors, target)
+        moving = self.pages_to_move(tensors, device)
         if not moving:
             return report
+        target = self.pool(device)
         telemetry = self.telemetry
-        # Group by source pool: each (src, dst) edge coalesces separately.
-        by_pool: dict[DevicePool, list[Page]] = {}
-        for page in moving:
-            by_pool.setdefault(page.pool, []).append(page)
-        dst_name = device.name.lower()
+        # Each (src, dst) edge coalesces separately, in first-seen order.
+        sources = dict.fromkeys(page._storage.pool for page in moving)
         with telemetry.span(
-            f"movebatch.to_{dst_name}", track="pcie", pages=len(moving)
+            f"movebatch.to_{device.name.lower()}", track="pcie", pages=len(moving)
         ):
-            for src_pool, pages in by_pool.items():
+            for src_pool in sources:
+                pages = moving if len(sources) == 1 else [
+                    page for page in moving if page._storage.pool is src_pool
+                ]
                 report.merge(self._move_group(src_pool, target, pages))
         if telemetry.enabled:
             telemetry.counter("pipeline.move_batches").inc()
@@ -482,69 +465,72 @@ class PageAllocator:
     def _move_group(self, src_pool: DevicePool, target: DevicePool,
                     pages: list[Page]) -> MoveReport:
         """Move one source pool's pages to ``target`` in coalesced runs."""
+        # Ascending source slots paired with the lowest free destination
+        # slots (both ascending) maximizes run length on both arenas. An
+        # OutOfMemoryError leaves here before any page changed state.
+        dst = target.acquire_storage_run(len(pages))
+        pages.sort(key=_arena_slot)
+        slots = [page._storage.index for page in pages]
+        for page in pages:
+            page.state = PageState.MOVING
+        # A tail page that is leaving its tier stops being open for sharing.
+        for device, candidate in self._open_shared.items():
+            if candidate is not None and candidate.state is PageState.MOVING:
+                self._open_shared[device] = None
+        telemetry = self.telemetry
+        live = telemetry.enabled  # keeps the per-page no-op call off the loop
         src_name = src_pool.device_kind.name.lower()
         dst_name = target.device_kind.name.lower()
-        telemetry = self.telemetry
-        for page in pages:
-            self._forget_shared(page)
-            page.state = PageState.MOVING
-        # Ascending source slots paired with the lowest free destination
-        # slots (both sorted) maximizes run length on both arenas.
-        pairs = sorted(
-            ((page, page.storage.index) for page in pages),
-            key=lambda item: item[1],
-        )
-        try:
-            dst_storages = target.acquire_storage_run(len(pages))
-        except Exception:
-            for page in pages:
-                page.state = PageState.RESIDENT
-            raise
-        triples = [
-            (page, src_index, dst)
-            for (page, src_index), dst in zip(pairs, dst_storages)
-        ]
-        runs = _coalesce_runs(triples)
         report = MoveReport()
         started = time.perf_counter()
-        for run_index, run in enumerate(runs):
-            src_start = run[0][1]
-            dst_start = run[0][2].index
+        count, start = len(pages), 0
+        for stop in range(1, count + 1):
+            # A run extends while BOTH the source and the destination slot
+            # advance by exactly one page: one slice copy on both arenas.
+            if (
+                stop < count
+                and slots[stop] == slots[stop - 1] + 1
+                and dst[stop].index == dst[stop - 1].index + 1
+            ):
+                continue
             try:
-                if self.retry_policy is not None:
-                    self.retry_policy.run(
-                        lambda s=src_start, d=dst_start, n=len(run):
-                        _copy_page_run(src_pool, target, s, d, n,
-                                       io_service=self.io_service)
-                    )
-                else:
-                    _copy_page_run(src_pool, target, src_start, dst_start,
-                                   len(run), io_service=self.io_service)
+                self._copy_run(src_pool, target, slots[start],
+                               dst[start].index, stop - start)
             except Exception:
                 # This run and every later one roll back; earlier runs
                 # were already re-homed and stay moved.
-                for pending in runs[run_index:]:
-                    for page, _, dst in pending:
-                        target.release_storage(dst)
-                        page.state = PageState.RESIDENT
+                for page, storage in zip(pages[start:], dst[start:]):
+                    target.release_storage(storage)
+                    page.state = PageState.RESIDENT
                 raise
             # Re-home the run's pages: release the source slots, attach
             # the destination storages.
-            for page, _, dst in run:
+            for page, storage in zip(pages[start:stop], dst[start:stop]):
                 src_pool.release_storage(page._storage)
-                page._storage = dst
+                page._storage = storage
                 page.state = PageState.RESIDENT
-                telemetry.record_page_move(src_name, dst_name,
-                                           page.total_bytes)
-                report.pages_moved += 1
                 report.bytes_moved += page.total_bytes
+                if live:
+                    telemetry.record_page_move(src_name, dst_name,
+                                               page.total_bytes)
+            report.pages_moved += stop - start
             report.copy_calls += 1
-        elapsed = time.perf_counter() - started
+            start = stop
         telemetry.record_copy_batch(
             src_name, dst_name, report.pages_moved, report.bytes_moved,
-            report.copy_calls, elapsed,
+            report.copy_calls, time.perf_counter() - started,
         )
         return report
+
+    def _copy_run(self, src_pool, target, src_start, dst_start, npages) -> None:
+        if self.retry_policy is None:
+            _copy_page_run(src_pool, target, src_start, dst_start, npages,
+                           io_service=self.io_service)
+        else:
+            self.retry_policy.run(lambda: _copy_page_run(
+                src_pool, target, src_start, dst_start, npages,
+                io_service=self.io_service,
+            ))
 
     def drop_pool(self, device: DeviceKind) -> None:
         """Remove a (dead) tier's pool; no live tensor may still use it.

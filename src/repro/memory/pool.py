@@ -4,7 +4,7 @@ Angel-PTM's Allocator "pre-allocate[s] space from the hierarchical memory of
 the system, including GPU memory, CPU pinned memory, and SSD memory" and
 divides it into fixed-size pages (Section 5). A :class:`DevicePool` does the
 same: capacity is reserved at construction as **one contiguous arena**,
-pages are acquired from and returned to a free list, and the backend
+pages are acquired from and returned to sorted free runs, and the backend
 decides where the bytes physically live:
 
 - :class:`~repro.memory.arena.ArenaPoolBackend` — an anonymous ``mmap``
@@ -24,7 +24,7 @@ bytes through caller-supplied buffers, RAM-like arenas add zero-copy
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_right
 
 from repro.errors import AllocationError, OutOfMemoryError, PageStateError
 from repro.hardware.device import DeviceKind
@@ -122,7 +122,7 @@ def _checked_backend(backend):
     )
 
 
-def _build_backend(backend, num_pages: int, page_bytes: int, file_path, name):
+def _build_backend(backend, num_pages: int, page_bytes: int, file_path):
     if not isinstance(backend, str):
         return _checked_backend(backend)
     if backend == "ram":
@@ -173,15 +173,16 @@ class DevicePool:
             if owner is not None:
                 name = f"{owner}/{name}"
         self.name = name
-        self._backend = _build_backend(
-            backend, self.num_pages, page_bytes, file_path, name
-        )
-        # Min-heap of free page indices: sequential acquires hand out
-        # ascending, physically-consecutive arena slots, so a tensor's
-        # pages form contiguous runs that move_pages coalesces into
-        # single slice copies.
-        self._free_indices: list[int] = list(range(self.num_pages))
-        self._in_use = 0
+        self._backend = _build_backend(backend, self.num_pages, page_bytes, file_path)
+        # Free arena slots as sorted disjoint runs [start, stop), kept
+        # coalesced: acquires hand out the lowest slots ascending, so a
+        # tensor's pages form contiguous runs that move_pages turns into
+        # single slice copies, and "is slot i free" is one bisect.
+        self._free_starts: list[int] = [0]
+        self._free_stops: list[int] = [self.num_pages]
+        #: Free slots right now; eviction asks this instead of provoking
+        #: an OutOfMemoryError (``free_bytes`` derives from it).
+        self.free_pages = self.num_pages
         self.peak_in_use = 0
         #: Called with the OutOfMemoryError about to be raised; the page
         #: allocator points this at its ForensicRecorder so every OOM —
@@ -226,12 +227,7 @@ class DevicePool:
             raise AllocationError(
                 f"{self.name}: page of {nbytes} bytes exceeds pool page size"
             )
-        if not self._free_indices:
-            raise self._oom(self.page_bytes)
-        index = heapq.heappop(self._free_indices)
-        self._in_use += 1
-        self.peak_in_use = max(self.peak_in_use, self._in_use)
-        return _Storage(self, index, self.page_bytes)
+        return self.acquire_storage_run(1)[0]
 
     def acquire_storage_run(self, count: int) -> list[_Storage]:
         """Acquire ``count`` pages at the lowest free arena slots.
@@ -244,23 +240,45 @@ class DevicePool:
         """
         if count <= 0:
             return []
-        if len(self._free_indices) < count:
+        if self.free_pages < count:
             raise self._oom(count * self.page_bytes)
-        taken = sorted(self._free_indices)[:count]
-        cut = set(taken)
-        self._free_indices = [i for i in self._free_indices if i not in cut]
-        heapq.heapify(self._free_indices)
-        self._in_use += count
-        self.peak_in_use = max(self.peak_in_use, self._in_use)
-        return [_Storage(self, index, self.page_bytes) for index in taken]
+        starts, stops = self._free_starts, self._free_stops
+        taken: list[int] = []
+        spent = 0  # leading runs consumed whole
+        while (want := count - len(taken)) > 0:
+            start, stop = starts[spent], stops[spent]
+            if stop - start <= want:
+                spent += 1
+            else:
+                stop = starts[spent] = start + want
+            taken.extend(range(start, stop))
+        del starts[:spent], stops[:spent]
+        self.free_pages -= count
+        self.peak_in_use = max(self.peak_in_use, self.pages_in_use)
+        page_bytes = self.page_bytes
+        return [_Storage(self, index, page_bytes) for index in taken]
 
     def release_storage(self, storage: _Storage) -> None:
         if storage.pool is not self:
             raise PageStateError("storage released to the wrong pool")
-        if storage.index in self._free_indices:
-            raise PageStateError(f"double free of page index {storage.index}")
-        heapq.heappush(self._free_indices, storage.index)
-        self._in_use -= 1
+        index = storage.index
+        starts, stops = self._free_starts, self._free_stops
+        at = bisect_right(starts, index)  # runs before ``at`` start <= index
+        if at and index < stops[at - 1]:
+            raise PageStateError(f"double free of page index {index}")
+        joins_left = at > 0 and stops[at - 1] == index
+        joins_right = at < len(starts) and starts[at] == index + 1
+        if joins_left and joins_right:
+            stops[at - 1] = stops[at]
+            del starts[at], stops[at]
+        elif joins_left:
+            stops[at - 1] = index + 1
+        elif joins_right:
+            starts[at] = index
+        else:
+            starts.insert(at, index)
+            stops.insert(at, index + 1)
+        self.free_pages += 1
 
     # ------------------------------------------------------------------
     # Page lifecycle
@@ -284,15 +302,15 @@ class DevicePool:
     # ------------------------------------------------------------------
     @property
     def pages_in_use(self) -> int:
-        return self._in_use
+        return self.num_pages - self.free_pages
 
     @property
     def used_bytes(self) -> int:
-        return self._in_use * self.page_bytes
+        return self.pages_in_use * self.page_bytes
 
     @property
     def free_bytes(self) -> int:
-        return len(self._free_indices) * self.page_bytes
+        return self.free_pages * self.page_bytes
 
     def close(self) -> None:
         self._backend.close()
@@ -305,6 +323,6 @@ class DevicePool:
 
     def __repr__(self) -> str:
         return (
-            f"DevicePool({self.name}, {self._in_use}/{self.num_pages} pages, "
+            f"DevicePool({self.name}, {self.pages_in_use}/{self.num_pages} pages, "
             f"page={self.page_bytes}B)"
         )

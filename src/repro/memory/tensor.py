@@ -9,6 +9,8 @@ for computation).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import TensorStateError
@@ -29,6 +31,8 @@ class PagedTensor:
         self.tensor_id = tensor_id
         self.shape = tuple(int(dim) for dim in shape)
         self.dtype = np.dtype(dtype)
+        self.size = math.prod(self.shape)
+        self.nbytes = self.size * self.dtype.itemsize
         self.page_list: list[Page] = []
         self._allocator = allocator
         self._released = False
@@ -36,17 +40,6 @@ class PagedTensor:
     # ------------------------------------------------------------------
     # Shape / placement
     # ------------------------------------------------------------------
-    @property
-    def size(self) -> int:
-        count = 1
-        for dim in self.shape:
-            count *= dim
-        return count
-
-    @property
-    def nbytes(self) -> int:
-        return self.size * self.dtype.itemsize
-
     @property
     def is_released(self) -> bool:
         return self._released

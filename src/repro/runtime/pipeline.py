@@ -37,7 +37,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError, OutOfMemoryError, SchedulingError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.lockfree.queues import WorkQueue
 from repro.scheduler.tasks import Operation, Schedule
 
@@ -102,11 +102,11 @@ def _join_or_raise(thread: threading.Thread, timeout: float, hint: str) -> None:
 class PrefetchWorker:
     """Background executor of a planned iteration's page movements.
 
-    ``fetch_fn(layer_index)`` stages a layer's pages on the GPU (raising
-    :class:`~repro.errors.OutOfMemoryError` when the pool is full, never
-    evicting); ``evict_fn(layer_index)`` returns them to the CPU. Both
-    run on the worker thread — the engine serializes them against its
-    demand path with its own move lock.
+    ``fetch_fn(layer_index)`` stages a layer's pages on the GPU and
+    returns True, or — never evicting — returns False without moving
+    anything when they do not fit; ``evict_fn(layer_index)`` returns
+    them to the CPU. Both run on the worker thread — the engine
+    serializes them against its demand path with its own move lock.
     """
 
     def __init__(
@@ -222,9 +222,7 @@ class PrefetchWorker:
     def _try_fetch(self, group: MoveGroup) -> bool:
         clock = self.telemetry.clock
         started = clock.perf()
-        try:
-            self._fetch_fn(group.layer_index)
-        except OutOfMemoryError:
+        if not self._fetch_fn(group.layer_index):
             return False
         self._io_histogram.observe(clock.perf() - started)
         return True

@@ -213,32 +213,158 @@ class TestGpuResidency:
             assert engine.demand_fetches > 0
             assert np.mean(losses[-4:]) < np.mean(losses[:4])
 
-    def test_every_oom_is_answered_by_one_eviction(self):
-        """Synchronous mode moves a page only on demand: each pool OOM is
-        the demand path asking for room, and is answered by exactly one
-        LRU eviction — nothing speculative hits a full pool."""
-        telemetry = Telemetry()
-        model = tiny_model(num_layers=4)
-        with make_engine(
-            model=model, gpu_memory_bytes=256 * KiB, telemetry=telemetry,
-        ) as engine:
-            ooms = []
-            for pool in engine.allocator.pools.values():
-                forensic = pool.oom_observer
+    def test_demand_path_raises_no_oom_at_all(self):
+        """The demand path asks ``free_pages`` and evicts until the fetch
+        fits: under a pool that forces eviction on every access no pool
+        raises OutOfMemoryError, evictions still happen every step, and
+        the numerics match a pool with room for everything."""
+        batches = list(lm_synthetic_batches(16, 8, 8, 3, seed=33))
 
-                def observer(exc, forensic=forensic):
-                    ooms.append(exc)
-                    forensic(exc)
+        def run(gpu_memory_bytes):
+            telemetry = Telemetry()
+            ooms, losses, evictions = [], [], []
+            with make_engine(
+                model=tiny_model(num_layers=4), telemetry=telemetry,
+                gpu_memory_bytes=gpu_memory_bytes,
+            ) as engine:
+                for pool in engine.allocator.pools.values():
+                    forensic = pool.oom_observer
 
-                pool.oom_observer = observer
-            evictions = lambda: telemetry.registry.value("pages.evictions")
-            for batch in lm_synthetic_batches(16, 8, 8, 3, seed=33):
-                ooms_before, evictions_before = len(ooms), evictions()
-                loss = engine(batch)
-                engine.backward(loss)
-                engine.step()
-                assert len(ooms) > ooms_before
-                assert evictions() - evictions_before == len(ooms) - ooms_before
+                    def observer(exc, forensic=forensic):
+                        ooms.append(exc)
+                        forensic(exc)
+
+                    pool.oom_observer = observer
+                for batch in batches:
+                    loss = engine(batch)
+                    engine.backward(loss)
+                    engine.step()
+                    losses.append(loss.item())
+                    evictions.append(
+                        telemetry.registry.value("pages.evictions"))
+                assert engine.forensics.last_dump is None
+            return ooms, losses, evictions
+
+        ooms, losses, evictions = run(256 * KiB)
+        assert ooms == []
+        assert 0 < evictions[0] < evictions[1] < evictions[2]
+        roomy_ooms, roomy_losses, roomy_evictions = run(8 * MiB)
+        assert roomy_ooms == [] and roomy_evictions == [0, 0, 0]
+        assert losses == roomy_losses
+
+    def test_shared_tail_pages_do_not_starve_the_demand_path(self):
+        """With the FP32 states on SSD, consecutive FP16 tensors share
+        tail pages, so evicting a victim can take a page of the tensor
+        being fetched along. The demand path asks again instead of
+        trusting its first count: no OOM even at eight pages."""
+        def run(gpu_pages, page=384):
+            ooms, losses = [], []
+            with make_engine(
+                model=tiny_model(num_layers=3), page_bytes=page,
+                gpu_memory_bytes=gpu_pages * page,
+                cpu_memory_bytes=4096 * page, ssd_bytes=8192 * page,
+            ) as engine:
+                assert any(
+                    len(page.tensor_ids) == 2
+                    for m in engine._managed for page in m.fp16.page_list
+                )
+                for pool in engine.allocator.pools.values():
+                    pool.oom_observer = ooms.append
+                for batch in lm_synthetic_batches(16, 8, 4, 3, seed=5):
+                    loss = engine(batch)
+                    engine.backward(loss)
+                    engine.step()
+                    losses.append(loss.item())
+            return ooms, losses
+
+        assert run(8) == ([], run(4000)[1])
+
+    def test_escaping_oom_names_the_pinned_module(self):
+        """A module whose parameters cannot fit even with everything else
+        evicted: the pool's OOM reaches the caller, and its forensics name
+        exactly that module's parameters as the pinned set."""
+        engine = make_engine(gpu_memory_bytes=32 * KiB)  # one page
+        try:
+            batch = next(lm_synthetic_batches(16, 8, 4, 1, seed=6))
+            with pytest.raises(OutOfMemoryError) as err:
+                engine(batch)
+            culprit = engine._module_order[-1]
+            names = sorted(
+                engine._by_param[id(p)].name
+                for p in culprit._parameters.values()
+            )
+            assert len(names) == 2  # two one-page parameters, one page
+            assert err.value.forensics.pinned == names
+            assert engine.forensics.last_dump is err.value.forensics
+            # Everything evictable was evicted before giving up.
+            assert not engine._lru
+        finally:
+            engine.close()
+
+    def test_lru_order_picks_the_min_last_access_victims(self):
+        """The access-ordered dict evicts exactly what a scan for
+        ``min(last_access)`` over GPU-resident, non-pinned parameters
+        would — also after the pipeline thread's fetch/evict callbacks —
+        and never one victim more than the fetch needs."""
+        rng = np.random.default_rng(7)
+        engine = make_engine(
+            model=tiny_model(num_layers=4), gpu_memory_bytes=256 * KiB,
+        )
+        try:
+            modules = [m for m in engine.module.modules() if m._parameters]
+            engine._layer_managed = [
+                [engine._by_param[id(p)] for p in m._parameters.values()]
+                for m in modules
+            ]
+            gpu = engine.allocator.pool(DeviceKind.GPU)
+            pinned_now, checked = [], []
+            demand_fetch = engine._demand_fetch
+            move_pages = engine.allocator.move_pages
+
+            def spy_fetch(missing, pinned):
+                pinned_now.append((pinned, sum(
+                    len(m.fp16.page_list) for m in missing)))
+                try:
+                    demand_fetch(missing, pinned)
+                finally:
+                    pinned_now.pop()
+
+            def spy_move(tensors, device):
+                if device == DeviceKind.CPU and pinned_now:
+                    pinned, need = pinned_now[-1]
+                    by_age = sorted(
+                        (m for m in engine._managed
+                         if m.index not in pinned
+                         and m.fp16.device_kind == DeviceKind.GPU),
+                        key=lambda m: m.last_access,
+                    )
+                    assert tensors == [m.fp16 for m in by_age[:len(tensors)]]
+                    freed = sum(len(t.page_list) for t in tensors)
+                    assert gpu.free_pages + freed >= need
+                    assert gpu.free_pages + freed - len(
+                        tensors[-1].page_list) < need
+                    checked.append(len(tensors))
+                return move_pages(tensors, device)
+
+            engine._demand_fetch = spy_fetch
+            engine.allocator.move_pages = spy_move
+            for _ in range(400):
+                roll = rng.random()
+                layer = int(rng.integers(len(modules)))
+                if roll < 0.7:
+                    engine._on_module_forward(modules[layer])
+                elif roll < 0.85:
+                    engine._pipeline_fetch(layer)
+                else:
+                    engine._pipeline_evict(layer)
+                resident = {
+                    m.index for m in engine._managed
+                    if m.fp16.device_kind == DeviceKind.GPU
+                }
+                assert set(engine._lru) == resident
+            assert len(checked) > 50 and max(checked) > 1
+        finally:
+            engine.close()
 
     def test_roomy_pool_mostly_hits(self):
         """With everything resident, steady-state accesses are all hits."""

@@ -485,8 +485,8 @@ class TestPrefetchWorker:
     def test_window_gates_fetches_and_eviction_waits_for_trigger(self):
         fetched, evicted = [], []
         worker = PrefetchWorker(
-            self.groups(), fetched.append, evicted.append,
-            num_ops=6, window=2,
+            self.groups(), lambda layer: fetched.append(layer) or True,
+            evicted.append, num_ops=6, window=2,
         )
         worker.start()
         try:
@@ -516,7 +516,7 @@ class TestPrefetchWorker:
             evicted.append(layer)
 
         worker = PrefetchWorker(
-            self.groups(), lambda layer: None, slow_evict,
+            self.groups(), lambda layer: True, slow_evict,
             num_ops=6, window=2,
         )
         worker.start()
@@ -535,7 +535,7 @@ class TestPrefetchWorker:
 
         def stuck_fetch(layer):
             entered.set()
-            release.wait(timeout=5)
+            return release.wait(timeout=5)
 
         worker = PrefetchWorker(
             self.groups()[:1], stuck_fetch, lambda layer: None,
@@ -555,7 +555,7 @@ class TestPrefetchWorker:
         release = threading.Event()
 
         def slow_fetch(layer):
-            release.wait(timeout=5)
+            return release.wait(timeout=5)
 
         worker = PrefetchWorker(
             self.groups()[:1], slow_fetch, lambda layer: None,
@@ -570,6 +570,45 @@ class TestPrefetchWorker:
             assert stalled > 0.0
         finally:
             worker.stop()
+
+    def test_fetch_that_does_not_fit_is_deferred_then_abandoned(self):
+        """The engine's fetch callback answers "does not fit" from the
+        pool's free-page count: the worker defers, retries at the group's
+        own trigger, abandons — and nothing raises or captures a dump."""
+        model = tiny_model()
+        opt = MixedPrecisionAdam(model.parameters(), lr=2e-3)
+        engine = initialize(model, opt, AngelConfig(
+            gpu_memory_bytes=32 * KiB, cpu_memory_bytes=16 * MiB,
+            page_bytes=32 * KiB,
+        ))
+        captures = []
+        capture = engine.forensics.capture
+        engine.forensics.capture = (
+            lambda *args: captures.append(args) or capture(*args))
+        two_params = next(
+            [engine._by_param[id(p)] for p in m._parameters.values()]
+            for m in model.modules() if len(m._parameters) == 2
+        )
+        engine._layer_managed = [two_params]  # two pages, one-page pool
+        worker = PrefetchWorker(
+            [MoveGroup(trigger_id=1, layer_index=0, fetch=True,
+                       nbytes=64 * KiB, pages=2)],
+            engine._pipeline_fetch, engine._pipeline_evict,
+            num_ops=4, window=2,
+        )
+        worker.start()
+        try:
+            worker.begin_iteration()
+            worker.finish_iteration(timeout=5)
+            stats = worker.stats()
+            assert (stats["deferred"], stats["abandoned"]) == (1, 1)
+            assert stats["prefetched_groups"] == 0
+            worker.raise_if_failed()
+            assert captures == [] and engine.forensics.last_dump is None
+            assert engine.allocator.pool(DeviceKind.GPU).pages_in_use == 0
+        finally:
+            worker.stop()
+            engine.close()
 
     def test_worker_error_raised_at_step_boundary(self):
         def explode(layer):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import OutOfMemoryError
+from repro.errors import OutOfMemoryError, PageStateError
 from repro.hardware.device import DeviceKind
 from repro.memory import DevicePool, PageAllocator
 from repro.memory.bfc import BfcAllocator
@@ -24,6 +24,86 @@ def fresh_allocator(capacity_pages=64):
         ),
     }
     return PageAllocator(pools)
+
+
+SLOTS = 24
+
+# (operation, argument) pairs driving one pool's free-slot structure.
+pool_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("run"), st.integers(min_value=0, max_value=SLOTS + 2)),
+        st.tuples(st.just("one"), st.just(0)),
+        st.tuples(st.just("free"), st.integers(min_value=0, max_value=10**6)),
+        st.tuples(st.just("refree"), st.integers(min_value=0, max_value=10**6)),
+        st.tuples(st.just("foreign"), st.just(0)),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=pool_ops)
+def test_free_runs_match_a_set_model(ops):
+    """The pool's sorted free runs against a plain ``set`` of free slots:
+
+    - a run acquire returns exactly the ``count`` lowest free slots,
+      ascending, or raises OutOfMemoryError having taken nothing,
+    - double free and wrong-pool release raise PageStateError,
+    - the counters agree with the model after every operation,
+    - the runs stay sorted, disjoint and coalesced, and a full release
+      returns the structure to one run.
+    """
+    pool = DevicePool(DeviceKind.CPU, SLOTS * PAGE, page_bytes=PAGE, backend="null")
+    other = DevicePool(DeviceKind.CPU, SLOTS * PAGE, page_bytes=PAGE, backend="null")
+    foreign = other.acquire_storage_run(1)[0]
+    free = set(range(SLOTS))
+    held, released, peak = {}, [], 0
+
+    def check():
+        assert pool.free_pages == len(free)
+        assert pool.free_bytes == len(free) * PAGE
+        assert pool.pages_in_use == SLOTS - len(free)
+        assert pool.peak_in_use == peak
+        runs = list(zip(pool._free_starts, pool._free_stops))
+        assert all(start < stop for start, stop in runs)
+        assert all(a[1] < b[0] for a, b in zip(runs, runs[1:]))  # coalesced
+        assert {i for start, stop in runs for i in range(start, stop)} == free
+
+    for kind, arg in ops:
+        if kind in ("run", "one"):
+            count = arg if kind == "run" else 1
+            if count > len(free):
+                with pytest.raises(OutOfMemoryError) as err:
+                    pool.acquire_storage_run(count)
+                assert err.value.available_bytes == len(free) * PAGE
+            else:
+                got = (pool.acquire_storage_run(count) if kind == "run"
+                       else [pool.acquire_storage(PAGE)])
+                assert [s.index for s in got] == sorted(free)[:count]
+                assert all(s.pool is pool and s.nbytes == PAGE for s in got)
+                for storage in got:
+                    free.remove(storage.index)
+                    held[storage.index] = storage
+                peak = max(peak, SLOTS - len(free))
+        elif kind == "free" and held:
+            storage = held.pop(sorted(held)[arg % len(held)])
+            pool.release_storage(storage)
+            free.add(storage.index)
+            released.append(storage)
+        elif kind == "refree":
+            stale = [s for s in released if s.index in free]
+            if stale:
+                with pytest.raises(PageStateError, match="double free"):
+                    pool.release_storage(stale[arg % len(stale)])
+        elif kind == "foreign":
+            with pytest.raises(PageStateError, match="wrong pool"):
+                pool.release_storage(foreign)
+        check()
+    for storage in held.values():
+        pool.release_storage(storage)
+    assert (pool._free_starts, pool._free_stops) == ([0], [SLOTS])
+    assert pool.free_pages == SLOTS and pool.pages_in_use == 0
 
 
 # Each action: (nbytes to allocate) or (index of live tensor to free,
