@@ -9,8 +9,9 @@ Four prongs behind ``repro check``:
   provenance).
 - :mod:`repro.analysis.lint` AST-scans the repo for cross-thread
   shared-state races (SA001), lock-order cycles (SA002), spawn-boundary
-  pickling hazards (SA003), shared-memory lifecycle leaks (SA004) and
-  unbounded blocking receives (SA005), gated by a checked-in baseline
+  pickling hazards (SA003), shared-memory lifecycle leaks (SA004),
+  unbounded blocking receives (SA005) and discarded timeout results
+  (SA006), gated by a checked-in baseline
   (:mod:`repro.analysis.baseline`).
 - :mod:`repro.analysis.protocol` model-checks the cluster coordinator's
   membership protocol — exhaustive bounded-depth exploration of the

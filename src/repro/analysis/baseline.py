@@ -18,8 +18,8 @@ into three deliberate classes, each explained in its ``reason``:
   supervisor builds ``replace(config, telemetry=None, sink=sink_spec)``
   in ``run_cluster()`` and only the stripped copy ever reaches
   ``_spawn_worker()``'s ``Process()`` call (SA003);
-- **ownership-by-protocol** — shared-memory attachers never unlink
-  because the creating rank does, after the drain barrier (SA004);
+- **ownership-by-protocol** — the one attach helper never unlinks
+  because the arena's creator does, in its ``close()`` (SA004);
 - **bounded-by-someone-else blocking** — worker/coordinator ``recv()``
   calls whose wait is bounded by pipe EOF on peer death, the
   coordinator's heartbeat eviction, and ultimately the supervisor's

@@ -41,6 +41,7 @@ LOCK_ORDER_CYCLE = "SA002"   # inconsistent nested lock-acquisition order
 SPAWN_PICKLE = "SA003"       # thread/lock/telemetry state crossing a spawn
 SHM_LIFECYCLE = "SA004"      # shared_memory created, never close+unlink'd
 UNBOUNDED_RECV = "SA005"     # cross-process recv/wait with no timeout
+DISCARDED_TIMEOUT = "SA006"  # join/wait(timeout) whose outcome nobody reads
 
 LINT_RULES = (
     SHARED_STATE_RACE,
@@ -48,6 +49,7 @@ LINT_RULES = (
     SPAWN_PICKLE,
     SHM_LIFECYCLE,
     UNBOUNDED_RECV,
+    DISCARDED_TIMEOUT,
 )
 
 #: Membership-protocol invariants (prong 3, the coordinator model

@@ -32,6 +32,9 @@ shared memory and blocking pipes:
   with no ``poll()`` guard in the same method, or a ``wait()``/
   ``wait_for()``/``join()`` with no timeout: one lost peer turns it
   into a distributed deadlock.
+- ``SA006`` *timeout result discarded* — a ``join(timeout)`` /
+  ``wait(timeout)`` whose outcome nobody reads: both return normally
+  when the time runs out, so the bounded hang becomes a silent one.
 
 Classes that never start a thread are single-threaded by construction
 and are skipped by SA001. Findings carry a stable fingerprint
@@ -47,6 +50,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.invariants import (
+    DISCARDED_TIMEOUT,
     LOCK_ORDER_CYCLE,
     SHARED_STATE_RACE,
     SHM_LIFECYCLE,
@@ -597,18 +601,50 @@ def _shm_findings(path: str, tree: ast.Module) -> list[LintFinding]:
     return findings
 
 
-def _recv_findings(path: str, tree: ast.Module) -> list[LintFinding]:
-    """SA005: cross-process receive/wait with no bound on blocking.
+def _timed(call: ast.Call, name: str) -> bool:
+    """Does this ``join``/``wait`` pass a timeout? ``join`` takes nothing
+    else; a positional ``wait`` argument counts only as a numeric literal
+    (``queue.wait(key)`` passes a key, not a bound)."""
+    if any(keyword.arg == "timeout" for keyword in call.keywords):
+        return True
+    if not call.args:
+        return False
+    first = call.args[0]
+    return name == "join" or (
+        isinstance(first, ast.Constant)
+        and isinstance(first.value, (int, float))
+    )
 
-    Flags ``*.recv()`` / ``*.recv_bytes()`` in a method with no
+
+def _blocking_findings(path: str, tree: ast.Module) -> list[LintFinding]:
+    """SA005 and SA006: blocking calls nobody bounds, or nobody checks.
+
+    SA005 flags ``*.recv()`` / ``*.recv_bytes()`` in a method with no
     ``poll(...)`` guard, plus zero-argument ``wait()`` / ``join()`` /
     ``get()`` and ``wait_for(pred)`` with no timeout. One lost peer
     turns any of these into a process that can never be re-scheduled.
+
+    SA006 flags ``join(timeout)`` / ``wait(timeout)`` as a bare
+    statement. A scope is clean when it reads the outcome another way —
+    ``is_alive()`` or ``exitcode`` anywhere in it (``join_or_raise``).
+    A ``wait`` is also clean inside a ``while`` loop (a tick: the loop
+    re-reads its condition) or a ``try`` with handlers (barrier-style
+    waits signal the timeout by raising).
     """
     findings = []
     seen: set = set()
 
-    def scan(scope_name: str, func) -> None:
+    def report(rule: str, scope_name: str, name: str, line: int,
+               problem: str) -> None:
+        subject = f"{scope_name}.{name}"
+        if (rule, subject) not in seen:
+            seen.add((rule, subject))
+            findings.append(LintFinding(
+                rule=rule, path=path, subject=subject,
+                message=f"{scope_name} {problem}", lines=(line,),
+            ))
+
+    def unbounded(scope_name: str, func) -> None:
         calls = [n for n in ast.walk(func) if isinstance(n, ast.Call)]
         has_poll = any(_call_name(c.func) == "poll" for c in calls)
         for call in calls:
@@ -628,28 +664,42 @@ def _recv_findings(path: str, tree: ast.Module) -> list[LintFinding]:
                 reason = "with no timeout argument"
             else:
                 continue
-            subject = f"{scope_name}.{name}"
-            if (path, subject) in seen:
-                continue
-            seen.add((path, subject))
-            findings.append(LintFinding(
-                rule=UNBOUNDED_RECV,
-                path=path,
-                subject=subject,
-                message=(
-                    f"{scope_name} blocks on {name}() {reason} — if the "
-                    f"peer dies this call never returns"
-                ),
-                lines=(call.lineno,),
-            ))
+            report(UNBOUNDED_RECV, scope_name, name, call.lineno,
+                   f"blocks on {name}() {reason} — if the peer dies this "
+                   f"call never returns")
+
+    def discarded(scope_name: str, node, guarded: bool) -> None:
+        call = node.value if isinstance(node, ast.Expr) else None
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute):
+            name = call.func.attr
+            if (
+                name in {"join", "wait"}
+                and _timed(call, name)
+                and not (guarded and name == "wait")
+            ):
+                report(DISCARDED_TIMEOUT, scope_name, name, node.lineno,
+                       f"discards the result of a timed {name}() and never "
+                       f"reads is_alive()/exitcode — when the timeout "
+                       f"expires nothing notices")
+        guarded = guarded or isinstance(node, ast.While) or (
+            isinstance(node, ast.Try) and bool(node.handlers)
+        )
+        for child in ast.iter_child_nodes(node):
+            discarded(scope_name, child, guarded)
 
     for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    scan(f"{node.name}.{item.name}", item)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scan(node.name, node)
+        is_class = isinstance(node, ast.ClassDef)
+        for func in node.body if is_class else [node]:
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            scope_name = f"{node.name}.{func.name}" if is_class else func.name
+            unbounded(scope_name, func)
+            if not any(
+                isinstance(n, ast.Attribute)
+                and n.attr in {"is_alive", "exitcode"}
+                for n in ast.walk(func)
+            ):
+                discarded(scope_name, func, False)
     return findings
 
 
@@ -697,7 +747,7 @@ class ConcurrencyLinter:
                     )
             findings.extend(_spawn_findings(rel, tree, class_fields))
             findings.extend(_shm_findings(rel, tree))
-            findings.extend(_recv_findings(rel, tree))
+            findings.extend(_blocking_findings(rel, tree))
         findings.extend(_cycle_findings(lock_edges))
         findings.sort(key=lambda f: (f.rule, f.path, f.subject))
         return findings

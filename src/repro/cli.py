@@ -540,23 +540,40 @@ def _cmd_report_compare(args: argparse.Namespace) -> int:
     return 0 if result["ok"] else 1
 
 
-def _run_cluster_scenario(config, workdir: str | None, tolerance: float,
-                          report_path: str | None = None,
-                          prog: str = "cluster") -> int:
+def _run_cluster_scenario(args: argparse.Namespace, prog: str,
+                          **membership) -> int:
     """Run an elastic process-cluster scenario and gate on the outcome.
 
     Shared by ``repro cluster`` and ``repro chaos --kill-rank``: runs the
     fault-free sequential reference, then the real multi-process run, and
-    returns non-zero unless the run completed every step and its losses
-    track the reference within ``tolerance``.
+    returns non-zero unless the run completed every step, its losses
+    track the reference within ``--tolerance``, every child exited on its
+    own and no shared-memory segment of the run is left behind.
     """
     import json
     import tempfile
 
-    from repro.cluster import run_cluster, run_cluster_reference
+    from repro.cluster import ClusterConfig, run_cluster, run_cluster_reference
+    from repro.memory.arena import segment_names, session_token
     from repro.telemetry import Telemetry
 
-    workdir = workdir or tempfile.mkdtemp(prefix="repro-cluster-")
+    if args.kill_rank is not None and not 0 <= args.kill_rank < args.workers:
+        print(f"{prog}: --kill-rank must name a worker slot", file=sys.stderr)
+        return 2
+    config = ClusterConfig(
+        world_size=args.workers,
+        steps=args.steps,
+        checkpoint_every=args.ckpt_every,
+        seed=args.seed,
+        layers=args.layers,
+        kill_rank=args.kill_rank,
+        kill_at_step=args.at_step if args.at_step is not None
+        else args.steps // 2,
+        **membership,
+    )
+    tolerance = args.tolerance
+    report_path = getattr(args, "report", None)
+    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-cluster-")
     reference = run_cluster_reference(config)
     telemetry = Telemetry()
     report = run_cluster(config, workdir, telemetry=telemetry)
@@ -599,9 +616,17 @@ def _run_cluster_scenario(config, workdir: str | None, tolerance: float,
             )
     elif not failures:
         failures.append("no losses reported")
+    if report.unclean_exits:
+        failures.append(
+            f"killed after shutdown: {', '.join(report.unclean_exits)}"
+        )
+    leaked = segment_names(session_token(workdir))
+    if leaked:
+        failures.append(f"leaked shared memory: {', '.join(leaked)}")
 
     if report_path:
         payload = report.to_dict()
+        payload["leaked_segments"] = leaked
         payload["reference"] = reference
         payload["tolerance"] = tolerance
         payload["max_delta"] = delta
@@ -619,32 +644,15 @@ def _run_cluster_scenario(config, workdir: str | None, tolerance: float,
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster import ClusterConfig
-
     if args.steps < 1:
         print("cluster: --steps must be >= 1", file=sys.stderr)
         return 2
     if args.workers < 1:
         print("cluster: --workers must be >= 1", file=sys.stderr)
         return 2
-    if args.kill_rank is not None and not 0 <= args.kill_rank < args.workers:
-        print("cluster: --kill-rank must name a worker slot", file=sys.stderr)
-        return 2
-    config = ClusterConfig(
-        world_size=args.workers,
-        steps=args.steps,
-        checkpoint_every=args.ckpt_every,
-        seed=args.seed,
-        layers=args.layers,
-        kill_rank=args.kill_rank,
-        kill_at_step=args.at_step if args.at_step is not None
-        else args.steps // 2,
-        step_delay=args.step_delay,
-        rendezvous_grace=args.grace,
-        run_timeout=args.timeout,
-    )
     return _run_cluster_scenario(
-        config, args.workdir, args.tolerance, report_path=args.report
+        args, "cluster", step_delay=args.step_delay,
+        rendezvous_grace=args.grace, run_timeout=args.timeout,
     )
 
 
@@ -663,25 +671,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.kill_rank is not None:
         # Process-cluster chaos: SIGKILL a real worker mid-step and
         # demand full recovery (the elastic rendezvous path).
-        from repro.cluster import ClusterConfig
-
-        if not 0 <= args.kill_rank < args.workers:
-            print("chaos: --kill-rank must name a worker slot",
-                  file=sys.stderr)
-            return 2
-        config = ClusterConfig(
-            world_size=args.workers,
-            steps=args.steps,
-            checkpoint_every=args.ckpt_every,
-            seed=args.seed,
-            layers=args.layers,
-            kill_rank=args.kill_rank,
-            kill_at_step=args.at_step if args.at_step is not None
-            else args.steps // 2,
-        )
-        return _run_cluster_scenario(
-            config, args.workdir, args.tolerance, prog="chaos"
-        )
+        return _run_cluster_scenario(args, "chaos")
     config = ChaosConfig(
         steps=args.steps,
         checkpoint_every=args.ckpt_every,

@@ -37,11 +37,10 @@ import json
 import os
 import threading
 import time
-from multiprocessing.connection import Listener
+from multiprocessing.connection import Client, Listener
 
 from repro.cluster import rules as membership_rules
 from repro.cluster.protocol import (
-    EVENT_REPORT,
     EVENTS_FILENAME,
     OP_BARRIER,
     OP_DONE,
@@ -54,7 +53,8 @@ from repro.cluster.protocol import (
     OP_STATS,
     ClusterConfig,
 )
-from repro.cluster.rules import MembershipState
+from repro.cluster.rules import EVENT_REPORT, MembershipState
+from repro.errors import join_or_raise
 
 _CLOSE = object()
 
@@ -78,7 +78,8 @@ class Coordinator:
         self._closing = False
         self._reports: dict[str, dict] = {}
         self._events: list[dict] = []
-        self._listener: Listener | None = None
+        #: (address, authkey) while serving; OP_SHUTDOWN dials it.
+        self._endpoint: tuple | None = None
         # Line-buffered append handle held for the coordinator's
         # lifetime: one write of a complete line + flush per event.
         self._events_file = open(self.events_path, "a", encoding="utf-8")
@@ -90,7 +91,7 @@ class Coordinator:
         """Accept connections until :data:`OP_SHUTDOWN`; blocks."""
         listener = Listener(address, authkey=authkey)
         with self._cond:
-            self._listener = listener
+            self._endpoint = (address, authkey)
         monitor = threading.Thread(
             target=self._monitor, name="cluster-monitor", daemon=True
         )
@@ -100,19 +101,25 @@ class Coordinator:
                 try:
                     conn = listener.accept()
                 except (OSError, EOFError):
-                    break  # listener closed by shutdown
+                    break  # the listening socket is unusable
+                with self._cond:
+                    closing = self._closing
+                if closing:
+                    conn.close()  # the shutdown handler's wake-up dial
+                    break
                 threading.Thread(
                     target=self._serve_connection, args=(conn,), daemon=True
                 ).start()
         finally:
             with self._cond:
                 self._closing = True
+                self._endpoint = None
                 self._cond.notify_all()
             try:
                 listener.close()
             except OSError:
                 pass
-            monitor.join(timeout=2.0)
+            join_or_raise(monitor, 2.0, "monitor holding the lock?")
             with self._cond:
                 try:
                     self._events_file.close()
@@ -307,15 +314,18 @@ class Coordinator:
             }
 
     def _op_shutdown(self) -> None:
+        """Make :meth:`serve` return: closing the listener from this
+        handler thread would not interrupt the accept loop's blocked
+        ``accept()``; one dial does, and the loop sees ``_closing``."""
         with self._cond:
             self._closing = True
-            listener = self._listener
+            endpoint = self._endpoint
             self._cond.notify_all()
-        if listener is not None:
+        if endpoint is not None:
             try:
-                listener.close()
-            except OSError:
-                pass
+                Client(endpoint[0], authkey=endpoint[1]).close()
+            except (OSError, EOFError):
+                pass  # the accept loop is already gone
 
     def _on_disconnect(self, worker: str) -> None:
         """Control EOF: a SIGKILLed worker is evicted without a deadline."""

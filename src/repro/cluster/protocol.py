@@ -21,6 +21,7 @@ honest:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from multiprocessing.connection import Client
 
 from repro.protocols import TelemetryLike
 from repro.telemetry.export import SinkSpec
@@ -109,26 +110,27 @@ OP_LEAVE = "leave"          # close the control session
 OP_STATS = "stats"          # supervisor: observability snapshot
 OP_SHUTDOWN = "shutdown"    # supervisor: stop serving
 
-# Membership event types (the JSONL audit log / CI artifact). Defined
-# in the transition-rule table so the coordinator and the protocol
-# model checker literally share them; re-exported here for the wire.
-from repro.cluster.rules import (  # noqa: E402
-    EVENT_COMPLETE,
-    EVENT_EVICTED,
-    EVENT_FENCED,
-    EVENT_GENERATION,
-    EVENT_JOIN,
-    EVENT_REPORT,
-    EVENT_RETIRED,
-    EVENT_SUSPECT,
-)
+#: The hello ack is immediate; a peer silent this long is wedged.
+HELLO_TIMEOUT = 5.0
 
-__all__ = [
-    "ClusterConfig", "worker_id", "EVENTS_FILENAME",
-    "OP_HELLO", "OP_JOIN", "OP_BARRIER", "OP_HEARTBEAT", "OP_RETIRE",
-    "OP_REPORT", "OP_DONE", "OP_LEAVE", "OP_STATS", "OP_SHUTDOWN",
-    "EVENT_JOIN", "EVENT_GENERATION", "EVENT_SUSPECT", "EVENT_EVICTED",
-    "EVENT_FENCED", "EVENT_RETIRED", "EVENT_REPORT", "EVENT_COMPLETE",
-]
 
+def dial(address, authkey: bytes, worker: str, kind: str):
+    """Connect to the coordinator and complete the hello handshake
+    (``kind``: ``control`` / ``heartbeat`` / ``supervisor``). ``OSError``
+    or ``EOFError`` if it is not there; callers decide whether to retry."""
+    conn = Client(address, authkey=authkey)
+    try:
+        conn.send({"op": OP_HELLO, "worker": worker, "kind": kind})
+        if not conn.poll(HELLO_TIMEOUT):
+            raise ConnectionError(
+                f"no hello ack from the coordinator in {HELLO_TIMEOUT:g}s"
+            )
+        conn.recv()
+    except (EOFError, OSError):
+        conn.close()
+        raise
+    return conn
+
+
+#: The membership audit log (event types: :mod:`repro.cluster.rules`).
 EVENTS_FILENAME = "membership_events.jsonl"

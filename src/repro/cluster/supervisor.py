@@ -15,6 +15,12 @@ coordinator's ``stats`` RPC to:
 - enforce ``run_timeout`` as a hard stop so a protocol bug can never
   hang a test or CI job.
 
+Shutdown is a protocol step: ``OP_SHUTDOWN`` makes the coordinator
+exit, workers exit when the workload completes, and the supervisor waits
+on every child's sentinel at once. A healthy run kills nobody; a child
+alive after :data:`EXIT_GRACE` is killed *and named* in
+:attr:`ClusterReport.unclean_exits`.
+
 The returned :class:`ClusterReport` bundles the converged losses, the
 membership event log (the CI artifact), generation/eviction/respawn
 counts and any watchdog alerts.
@@ -22,25 +28,28 @@ counts and any watchdog alerts.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from multiprocessing.connection import Client
+from multiprocessing import connection
 
 from repro.cluster.coordinator import coordinator_main
 from repro.cluster.protocol import (
-    EVENTS_FILENAME,
-    OP_HELLO,
     OP_SHUTDOWN,
     OP_STATS,
     ClusterConfig,
+    dial,
 )
-from repro.cluster.worker import session_token, worker_entry
+from repro.cluster.worker import worker_entry
 from repro.errors import ClusterError, ConfigurationError
+from repro.memory.arena import session_token
 from repro.telemetry.export import SinkSpec, telemetry_dir
+
+#: How long children get to exit on their own once shutdown was asked
+#: for. A constant, not a knob: a healthy run exits in well under it.
+EXIT_GRACE = 5.0
 
 
 @dataclass
@@ -64,6 +73,9 @@ class ClusterReport:
     #: Trace lanes contributed by rank streams — one per incarnation,
     #: so a kill-and-respawn run shows both ``w1i0`` and ``w1i1``.
     rank_lanes: list[str] = field(default_factory=list)
+    #: Children that outlived :data:`EXIT_GRACE` after shutdown and had
+    #: to be killed, by process name. Empty on every healthy run.
+    unclean_exits: list[str] = field(default_factory=list)
 
     @property
     def final_loss(self) -> float:
@@ -72,23 +84,12 @@ class ClusterReport:
         return self.losses[-1]
 
     def to_dict(self) -> dict:
-        return {
-            "complete": self.complete,
-            "losses": self.losses,
-            "steps_completed": self.steps_completed,
-            "generations": self.generations,
-            "evictions": self.evictions,
-            "respawns": self.respawns,
-            "final_world": self.final_world,
-            "events": self.events,
-            "alerts": [
-                alert.to_dict() if hasattr(alert, "to_dict") else alert
-                for alert in self.alerts
-            ],
-            "workdir": self.workdir,
-            "rollup": self.rollup,
-            "rank_lanes": self.rank_lanes,
-        }
+        payload = dict(vars(self))
+        payload["alerts"] = [
+            alert.to_dict() if hasattr(alert, "to_dict") else alert
+            for alert in self.alerts
+        ]
+        return payload
 
 
 def _bounded_recv(conn, timeout: float):
@@ -106,16 +107,8 @@ def _connect(address, authkey: bytes, deadline: float):
     last_error = None
     while time.monotonic() < deadline:
         try:
-            conn = Client(address, authkey=authkey)
-            conn.send({"op": OP_HELLO, "worker": "supervisor",
-                       "kind": "supervisor"})
-            remaining = max(0.05, min(1.0, deadline - time.monotonic()))
-            if not conn.poll(remaining):
-                conn.close()
-                raise ConnectionError("no hello ack before deadline")
-            conn.recv()
-            return conn
-        except (ConnectionError, FileNotFoundError, OSError) as exc:
+            return dial(address, authkey, "supervisor", "supervisor")
+        except (EOFError, OSError) as exc:
             last_error = exc
             time.sleep(0.02)
     raise ClusterError(f"coordinator never came up: {last_error}")
@@ -131,20 +124,6 @@ def _spawn_worker(ctx, config: ClusterConfig, address, authkey: bytes,
     )
     process.start()
     return process
-
-
-def _read_events(workdir: str) -> list[dict]:
-    path = os.path.join(workdir, EVENTS_FILENAME)
-    events = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    events.append(json.loads(line))
-    except FileNotFoundError:
-        pass
-    return events
 
 
 def run_cluster(config: ClusterConfig, workdir: str | None = None,
@@ -245,7 +224,7 @@ def run_cluster(config: ClusterConfig, workdir: str | None = None,
             supervisor_conn.close()
         except OSError:
             pass
-        _reap(coordinator, workers)
+        report.unclean_exits = _reap([coordinator, *workers.values()])
 
     report.complete = bool(stats.get("complete"))
     report.generations = int(stats.get("generation", 0))
@@ -257,7 +236,6 @@ def run_cluster(config: ClusterConfig, workdir: str | None = None,
             report.losses = [float(x) for x in losses]
             break
     report.steps_completed = len(report.losses)
-    report.events = _read_events(workdir)
     if supervisor_sink is not None:
         supervisor_sink.close()
     _collect_telemetry(workdir, report, watchdog)
@@ -276,8 +254,13 @@ def _collect_telemetry(workdir: str, report: ClusterReport,
     ones.
     """
     from repro.observe.watchdog import Watchdog
-    from repro.telemetry.collect import TraceCollector, replay_watchdog
+    from repro.telemetry.collect import (
+        TraceCollector,
+        load_membership,
+        replay_watchdog,
+    )
 
+    report.events = load_membership(workdir)
     collected = TraceCollector(workdir).collect()
     report.rollup = collected.rollup
     report.rank_lanes = collected.rank_lanes
@@ -317,16 +300,19 @@ def _respawn_dead(ctx, config: ClusterConfig, address, authkey: bytes,
         )
 
 
-def _reap(coordinator, workers: dict) -> None:
-    """Best-effort teardown: join briefly, then terminate, then kill."""
-    processes = [coordinator] + list(workers.values())
-    for process in processes:
-        process.join(timeout=2.0)
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=1.0)
-    for process in processes:
-        if process.is_alive():
-            process.kill()
-            process.join(timeout=1.0)
+def _reap(processes: list) -> list[str]:
+    """One wait over every child's sentinel, bounded by
+    :data:`EXIT_GRACE`; what is still alive then is killed and returned
+    by name — reported, never silently cleaned up."""
+    deadline = time.monotonic() + EXIT_GRACE
+    alive = [p for p in processes if p.is_alive()]
+    while alive and time.monotonic() < deadline:
+        connection.wait(
+            [p.sentinel for p in alive],
+            timeout=max(0.0, deadline - time.monotonic()),
+        )
+        alive = [p for p in alive if p.is_alive()]
+    for process in alive:
+        process.kill()
+        process.join(timeout=EXIT_GRACE)
+    return [process.name for process in alive]

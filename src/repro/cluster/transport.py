@@ -1,188 +1,113 @@
-"""Page-granularity collectives over ``multiprocessing.shared_memory``.
+"""Page-granularity collectives over one shared arena per rank.
 
-Each collective call is one exchange round: every rank creates its own
-shared-memory segment, writes its contribution page by page, meets the
-group at a coordinator barrier ("everyone has published"), reads its
-peers' segments in ascending rank order (so floating-point reductions
-are bit-reproducible), meets a second barrier ("everyone has read"),
-then unlinks its own segment. Segments therefore live for exactly one
-collective; a clean run leaks nothing.
+A rank's transport lives for one membership generation and owns one
+named :class:`~repro.memory.arena.ArenaPoolBackend`, sized up front for
+the largest vector the rank will publish. A collective is one exchange
+round on those long-lived arenas: write the contribution page by page,
+meet the group at a coordinator barrier ("everyone has published"), read
+the peers' arenas in ascending rank order (so reductions are
+bit-reproducible), meet a second barrier ("everyone has read"). Peers
+are attached once, after the first publish barrier, by the deterministic
+name ``session·g<generation>·r<rank>``: concurrent runs and successive
+generations never collide, and nothing is created or unlinked per step.
 
-Fencing is how death propagates: the barrier callable raises
+Fencing is how death propagates: a barrier raises
 :class:`~repro.errors.GenerationFencedError` when the coordinator has
-evicted a member, and the transport responds by best-effort unlinking
-every segment of the aborted round (including the dead peer's, if it got
-far enough to create one) before re-raising. Survivors then re-join the
-next generation with a fresh transport.
-
-Segment names are scoped by session token, generation, sequence number
-and rank, so concurrent runs — and successive generations of one run —
-can never collide.
+evicted a member. ``close()`` always unlinks the rank's own arena; a
+transport that saw a fence also unlinks its generation's peer names,
+because a SIGKILLed rank cannot.
 """
 
 from __future__ import annotations
 
-from multiprocessing import shared_memory
-
 import numpy as np
 
 from repro.errors import ClusterError, GenerationFencedError
-from repro.zero.collectives import Transport, copy_pages, shard_length
-
-
-def scoped_segment_name(session: str, *parts) -> str:
-    """Compose a collision-free shared-memory segment name.
-
-    The naming discipline every shared-memory consumer in the repo
-    follows: a per-run session token scopes concurrent runs apart, and
-    the remaining parts (generation, sequence, rank — or tier, arena id)
-    scope segments within the run. Also used by
-    :class:`repro.memory.arena.ArenaPoolBackend` and the page copy
-    service, so one ``ls /dev/shm`` groups a run's segments together.
-    """
-    return session + "".join(str(part) for part in parts)
-
-
-def _attach(name: str) -> shared_memory.SharedMemory:
-    """Attach to a peer's segment.
-
-    Segments live for exactly one collective and the creating rank
-    unlinks after the drain barrier, so the (shared) resource tracker's
-    entry is registered before it is unregistered and no cleanup is ever
-    owed by an attacher.
-    """
-    return shared_memory.SharedMemory(name=name)
+from repro.memory.arena import (
+    ArenaPoolBackend,
+    attach_segment,
+    scoped_segment_name,
+    unlink_segment,
+)
+from repro.zero.collectives import Transport, copy_pages
 
 
 class SharedMemoryTransport(Transport):
     """One rank's collectives for one generation of a process cluster.
 
-    ``barrier`` is a callable ``barrier(name) -> None`` that blocks until
-    every member of the generation arrives, raising
+    ``barrier`` is a callable ``barrier(name) -> reply`` that blocks
+    until every member of the generation arrives, raising
     :class:`GenerationFencedError` if the generation is fenced first —
-    in practice a thin wrapper over the coordinator's barrier RPC.
+    in practice the coordinator's barrier RPC. ``capacity`` is the byte
+    size of the largest vector this rank will publish.
     """
 
     def __init__(self, rank: int, world: int, generation: int, session: str,
-                 barrier, page_bytes: int, telemetry=None):
+                 barrier, page_bytes: int, capacity: int, telemetry=None):
         super().__init__(rank, world, page_bytes, telemetry)
         self.generation = generation
         self.session = session
+        self.capacity = capacity
         self._barrier = barrier
         self._seq = 0
-
-    # ------------------------------------------------------------------
-    # Naming
-    # ------------------------------------------------------------------
-    def _segment_name(self, seq: int, rank: int) -> str:
-        return scoped_segment_name(
-            self.session, "g", self.generation, "c", seq, "r", rank
+        self._fenced = False
+        self._peers: dict = {}
+        self._arena = ArenaPoolBackend(
+            -(-capacity // page_bytes), page_bytes, shared=True,
+            name=self._arena_name(rank),
         )
 
-    # ------------------------------------------------------------------
-    # The exchange round shared by both collectives
-    # ------------------------------------------------------------------
-    def _exchange(self, payload: np.ndarray, reader) -> tuple:
-        """Publish ``payload``, run ``reader`` over all ranks' segments.
+    def _arena_name(self, rank: int) -> str:
+        return scoped_segment_name(
+            self.session, "g", self.generation, "r", rank
+        )
 
-        ``reader(views)`` receives ``{rank: flat ndarray view}`` and
-        returns ``(result, pages_read)``. Returns ``(result, pages)``.
-        """
+    def barrier(self, name: str):
+        """Meet the generation; remember a fence for :meth:`close`."""
+        try:
+            return self._barrier(name)
+        except GenerationFencedError:
+            self._fenced = True
+            raise
+
+    def _exchange(self, payload: np.ndarray, reader) -> tuple:
+        if payload.nbytes > self.capacity:
+            raise ClusterError(
+                f"{payload.nbytes}-byte payload exceeds the "
+                f"{self.capacity}-byte collective arena"
+            )
         seq = self._seq
         self._seq += 1
-        own_name = self._segment_name(seq, self.rank)
-        segment = shared_memory.SharedMemory(
-            create=True, size=payload.nbytes, name=own_name
-        )
-        peers: list[shared_memory.SharedMemory] = []
+        # Arena views must not outlive the round: a live one makes
+        # close() raise BufferError over whatever error got us there.
+        views: list = [None] * self.world
         try:
-            own_view = np.ndarray(
-                payload.shape, dtype=payload.dtype, buffer=segment.buf
+            views[self.rank] = np.frombuffer(
+                self._arena.view(0, 0, payload.nbytes), dtype=payload.dtype
             )
-            pages = copy_pages(own_view, payload, self.page_bytes)
-            self._barrier(f"c{seq}-publish")
-            views = {self.rank: own_view}
+            pages = copy_pages(views[self.rank], payload, self.page_bytes)
+            self.barrier(f"c{seq}-publish")
             for rank in range(self.world):
                 if rank == self.rank:
                     continue
-                peer = _attach(self._segment_name(seq, rank))
-                peers.append(peer)
-                views[rank] = np.ndarray(
-                    payload.shape, dtype=payload.dtype, buffer=peer.buf
+                if rank not in self._peers:
+                    self._peers[rank] = attach_segment(self._arena_name(rank))
+                views[rank] = np.frombuffer(
+                    self._peers[rank].buf, dtype=payload.dtype,
+                    count=payload.size,
                 )
             result, pages_read = reader(views)
-            pages += pages_read
-            self._barrier(f"c{seq}-drain")
-            return result, pages
-        except GenerationFencedError:
-            self._abort_round(seq)
-            raise
+            self.barrier(f"c{seq}-drain")
+            return result, pages + pages_read
         finally:
-            for peer in peers:
-                try:
-                    peer.close()
-                except OSError:
-                    pass
-            try:
-                segment.close()
-                segment.unlink()
-            except (OSError, FileNotFoundError):
-                pass
+            views.clear()
 
-    def _abort_round(self, seq: int) -> None:
-        """Fenced mid-round: scrub every segment this round may have left.
-
-        The dead rank can't unlink its own segment, and peers may never
-        reach their normal cleanup — every survivor sweeps all names of
-        the round; double-unlinks surface as FileNotFoundError and are
-        ignored.
-        """
-        for rank in range(self.world):
-            if rank == self.rank:
-                continue  # own segment is unlinked by the finally block
-            try:
-                stale = _attach(self._segment_name(seq, rank))
-            except FileNotFoundError:
-                continue
-            try:
-                stale.close()
-                stale.unlink()
-            except (OSError, FileNotFoundError):
-                pass
-
-    # ------------------------------------------------------------------
-    # Collectives
-    # ------------------------------------------------------------------
-    def all_gather(self, shard: np.ndarray) -> list[np.ndarray]:
-        if shard.ndim != 1:
-            raise ClusterError("transports operate on flat vectors")
-
-        def read_all(views: dict) -> tuple:
-            gathered, pages = [], 0
+    def close(self) -> None:
+        for peer in self._peers.values():
+            peer.close()
+        self._peers.clear()
+        self._arena.close()
+        if self._fenced:
             for rank in range(self.world):
-                out = np.empty_like(views[rank])
-                pages += copy_pages(out, views[rank], self.page_bytes)
-                gathered.append(out)
-            return gathered, pages
-
-        gathered, pages = self._exchange(shard, read_all)
-        self._account("all_gather", shard.nbytes * self.world, pages)
-        return gathered
-
-    def reduce_scatter(self, full: np.ndarray) -> np.ndarray:
-        padded = self.pad_full(full)
-        length = shard_length(full.size, self.world)
-        lo, hi = self.rank * length, (self.rank + 1) * length
-
-        def read_slices(views: dict) -> tuple:
-            acc = np.zeros(length, dtype=padded.dtype)
-            pages = 0
-            for rank in range(self.world):  # ascending: deterministic sum
-                staged = np.empty(length, dtype=padded.dtype)
-                pages += copy_pages(staged, views[rank][lo:hi], self.page_bytes)
-                acc += staged
-            return acc, pages
-
-        acc, pages = self._exchange(padded, read_slices)
-        self._account("reduce_scatter", full.nbytes, pages)
-        return acc
+                if rank != self.rank:
+                    unlink_segment(self._arena_name(rank))

@@ -30,12 +30,10 @@ protocol must make safe.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import signal
 import threading
 import time
-from multiprocessing.connection import Client
 
 import numpy as np
 
@@ -50,24 +48,21 @@ from repro.cluster.protocol import (
     OP_BARRIER,
     OP_DONE,
     OP_HEARTBEAT,
-    OP_HELLO,
     OP_JOIN,
     OP_LEAVE,
     OP_REPORT,
     OP_RETIRE,
     ClusterConfig,
+    dial,
     worker_id,
 )
 from repro.cluster.transport import SharedMemoryTransport
-from repro.errors import GenerationFencedError, RendezvousError
+from repro.errors import GenerationFencedError, RendezvousError, join_or_raise
+from repro.memory.arena import session_token
 from repro.nn import MixedPrecisionAdam
 from repro.nn.functional import cross_entropy
 from repro.telemetry.core import NULL_TELEMETRY
-
-
-def session_token(workdir: str) -> str:
-    """Short, run-stable tag scoping shared-memory segment names."""
-    return "rp" + hashlib.sha1(workdir.encode("utf-8")).hexdigest()[:8]
+from repro.zero.collectives import shard_length
 
 
 # ----------------------------------------------------------------------
@@ -78,9 +73,7 @@ class CoordinatorClient:
 
     def __init__(self, address, authkey: bytes, worker: str):
         self.worker = worker
-        self._conn = Client(address, authkey=authkey)
-        self._conn.send({"op": OP_HELLO, "worker": worker, "kind": "control"})
-        self._conn.recv()
+        self._conn = dial(address, authkey, worker, "control")
 
     def call(self, op: str, **fields) -> dict:
         self._conn.send({"op": op, "worker": self.worker, **fields})
@@ -122,9 +115,7 @@ class HeartbeatPump:
     def __init__(self, address, authkey: bytes, worker: str, interval: float):
         self.worker = worker
         self.interval = interval
-        self._conn = Client(address, authkey=authkey)
-        self._conn.send({"op": OP_HELLO, "worker": worker, "kind": "heartbeat"})
-        self._conn.recv()
+        self._conn = dial(address, authkey, worker, "heartbeat")
         self._lock = threading.Lock()
         self._generation = 0
         self._step = 0
@@ -162,7 +153,7 @@ class HeartbeatPump:
 
     def stop(self) -> None:
         self._stop.set()
-        self._thread.join(timeout=2.0)
+        join_or_raise(self._thread, 2.0, "heartbeat reply never came?")
         try:
             self._conn.close()
         except OSError:
@@ -283,8 +274,7 @@ def _maybe_kill(config: ClusterConfig, slot: int, incarnation: int,
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _save_group_checkpoint(workdir: str, transport, client, generation: int,
-                           rank: int, world: int, true_size: int,
+def _save_group_checkpoint(workdir: str, transport, true_size: int,
                            master: np.ndarray, moment_m: np.ndarray,
                            moment_v: np.ndarray, completed: int, adam_t: int,
                            losses: list[float]) -> None:
@@ -292,28 +282,33 @@ def _save_group_checkpoint(workdir: str, transport, client, generation: int,
     arrays = {}
     for name, shard in (("master", master), ("m", moment_m), ("v", moment_v)):
         arrays[name] = np.concatenate(transport.all_gather(shard))[:true_size]
-    if rank == 0:
+    if transport.rank == 0:
         snapshot = Snapshot(arrays=arrays, metadata={
             "step": completed,
             "adam_t": adam_t,
             "losses": losses,
-            "generation": generation,
-            "world": world,
+            "generation": transport.generation,
+            "world": transport.world,
         })
         save_snapshot(snapshot, snapshot_path(workdir, completed))
     # Nobody proceeds (or retires) until the save is published.
-    client.barrier(f"ckpt{completed}", generation)
+    transport.barrier(f"ckpt{completed}")
 
 
 def _run_generation(config: ClusterConfig, workdir: str,
                     client: CoordinatorClient, pump: HeartbeatPump,
-                    transport, generation: int, rank: int, world: int,
-                    slot: int, incarnation: int, sink=None) -> bool:
-    """Train within one generation. True = workload complete."""
+                    transport, model, params, slot: int, incarnation: int,
+                    sink=None) -> bool:
+    """Train within one generation. True = workload complete.
+
+    Every barrier goes through ``transport.barrier`` so the transport
+    sees every fence (its ``close()`` then sweeps a dead peer's arena).
+    """
+    generation, rank = transport.generation, transport.rank
+    world = transport.world
     telemetry = sink.telemetry if sink is not None else NULL_TELEMETRY
     steps_counter = telemetry.counter("worker.steps")
     step_gauge = telemetry.gauge("worker.step")
-    model, params = _build_model(config)
     true_size = sum(p.data.size for p in params)
     batches = make_batches(config)
 
@@ -378,13 +373,13 @@ def _run_generation(config: ClusterConfig, workdir: str,
         completed = step + 1
         steps_counter.inc()
         step_gauge.set(completed)
-        reply = client.barrier(f"step{step}", generation)
+        reply = transport.barrier(f"step{step}")
         rejoin = bool(reply.get("rejoin")) and completed < config.steps
         if completed % config.checkpoint_every == 0 or rejoin:
             with telemetry.span("checkpoint", track="train", step=completed):
                 _save_group_checkpoint(
-                    workdir, transport, client, generation, rank, world,
-                    true_size, master_shard, m_shard, v_shard,
+                    workdir, transport, true_size,
+                    master_shard, m_shard, v_shard,
                     completed, adam_t, losses,
                 )
         if sink is not None:
@@ -411,7 +406,7 @@ def run_worker(config: ClusterConfig, address, authkey: bytes, workdir: str,
     try:
         client = CoordinatorClient(address, authkey, me)
         pump = HeartbeatPump(address, authkey, me, config.heartbeat_interval)
-    except (ConnectionError, FileNotFoundError, EOFError, OSError):
+    except (EOFError, OSError):
         return 3  # coordinator already gone (e.g. respawned post-completion)
     pump.start()
     session = session_token(workdir)
@@ -433,15 +428,20 @@ def run_worker(config: ClusterConfig, address, authkey: bytes, workdir: str,
                 sink.anchor(f"generation:{generation}", rank=rank,
                             world=world)
             pump.configure(generation, 0)
+            model, params = _build_model(config)
+            # The largest vector a rank publishes is the zero-padded flat
+            # FP32 state (the reduce-scatter's gradient).
+            state_size = sum(p.data.size for p in params)
             transport = SharedMemoryTransport(
                 rank, world, generation, session,
                 barrier=lambda name, g=generation: client.barrier(name, g),
                 page_bytes=config.page_bytes,
+                capacity=shard_length(state_size, world) * world * 4,
             )
             try:
                 if _run_generation(
-                    config, workdir, client, pump, transport,
-                    generation, rank, world, slot, incarnation, sink,
+                    config, workdir, client, pump, transport, model, params,
+                    slot, incarnation, sink,
                 ):
                     return 0
             except GenerationFencedError:

@@ -172,3 +172,16 @@ class RetryExhaustedError(ReproError):
         super().__init__(
             f"operation failed after {attempts} attempt(s): {last_error}"
         )
+
+
+def join_or_raise(worker, timeout: float, hint: str) -> None:
+    """Join a thread or process told to exit; one that outlives the wait
+    is an error naming it (``join(timeout)`` alone returns ``None`` either
+    way, turning a hang into silence)."""
+    if worker.is_alive():
+        worker.join(timeout=timeout)
+        if worker.is_alive():
+            raise SchedulingError(
+                f"worker {worker.name!r} still alive {timeout:g}s after "
+                f"being told to exit ({hint})"
+            )

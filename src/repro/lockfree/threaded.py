@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, join_or_raise
 from repro.lockfree.buffers import GradientBuffers
 from repro.lockfree.staleness import TrainLog
 from repro.nn.functional import cross_entropy
@@ -158,7 +158,7 @@ class LockFreeTrainer:
                     self._sweep_once()
         finally:
             self._stop.set()
-            updater.join(timeout=30.0)
+            join_or_raise(updater, 30.0, "stuck update sweep?")
             # A crashed updater exits with buffers still dirty; a healthy
             # one drains them before returning (its loop condition).
             self._check_updater()

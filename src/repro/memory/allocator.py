@@ -29,7 +29,7 @@ import numpy as np
 from repro.errors import AllocationError, QuotaExceededError, TensorStateError
 from repro.hardware.device import DeviceKind
 from repro.memory.page import Page, PageState
-from repro.memory.pool import DevicePool
+from repro.memory.pool import DevicePool, NullPoolBackend
 from repro.memory.tensor import PagedTensor
 
 
@@ -59,7 +59,8 @@ def _copy_page_run(src_pool, dst_pool, src_start, dst_start, npages,
 
     One slice copy when both ends expose arena views; a single
     ``readinto``/``write_from`` when one end is view-less (file tiers,
-    fault-injection wrappers); a staging buffer only when both are. When
+    fault-injection wrappers); a staging buffer only when both are —
+    and nothing at all between two capacity-only null backends. When
     an ``io_service`` (the out-of-process page copy worker) is provided
     and both backends export attachable descriptors, the copy happens in
     the worker process — outside this interpreter's GIL.
@@ -97,7 +98,8 @@ def _copy_page_run(src_pool, dst_pool, src_start, dst_start, npages,
         src_backend.readinto(src_start, 0, dst_view)
     elif src_view is not None:
         dst_backend.write_from(dst_start, 0, src_view)
-    else:
+    elif not (isinstance(src_backend, NullPoolBackend)
+              and isinstance(dst_backend, NullPoolBackend)):
         staging = bytearray(nbytes)
         src_backend.readinto(src_start, 0, staging)
         dst_backend.write_from(dst_start, 0, staging)

@@ -21,14 +21,22 @@ Named shared-memory arenas (``shared=True``) plus arena files are also
 :class:`~repro.runtime.ioproc.PageCopyService` worker process attaches by
 name, so prefetch/writeback copies run outside this process's GIL
 entirely.
+
+This module is the only one that names, creates, attaches or unlinks a
+``multiprocessing.shared_memory`` segment: pool arenas, the cluster
+transport's per-rank arena and the copy service's staging arena are all
+:class:`ArenaPoolBackend`; whoever maps someone else's arena goes
+through :func:`attach_segment`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import mmap
 import os
 import secrets
 import tempfile
+import threading
 
 from repro.errors import AllocationError
 
@@ -36,10 +44,67 @@ from repro.errors import AllocationError
 SHM_DESCRIPTOR = "shm"
 FILE_DESCRIPTOR = "file"
 
+#: Serialises creates and attaches in this process against the attach
+#: path's temporary ``resource_tracker.register`` override.
+_TRACKER_LOCK = threading.Lock()
+
 
 def arena_session_token() -> str:
-    """A short per-arena scope token (the transport naming discipline)."""
+    """A random scope token for an arena no other process needs to name."""
     return secrets.token_hex(4)
+
+
+def session_token(workdir: str) -> str:
+    """The run-stable scope token every process of one run derives."""
+    return "rp" + hashlib.sha1(workdir.encode("utf-8")).hexdigest()[:8]
+
+
+def scoped_segment_name(session: str, *parts) -> str:
+    """``session`` + parts (generation, rank, tier ...): concurrent runs
+    never collide and one ``ls /dev/shm`` groups a run's segments."""
+    return session + "".join(str(part) for part in parts)
+
+
+def segment_names(session: str) -> list[str]:
+    """Names under ``/dev/shm`` that carry ``session``'s token."""
+    try:
+        names = os.listdir("/dev/shm")
+    except OSError:
+        return []
+    return sorted(name for name in names if name.startswith(session))
+
+
+def attach_segment(name: str):
+    """Map a segment someone else created; the caller owes ``close()``.
+
+    The resource-tracker policy, stated once: a name is registered by
+    its creator and unregistered by whoever unlinks it, never by an
+    attacher. Python < 3.13 registers on attach too, and spawned
+    children share the parent's tracker, so that entry (or removing it)
+    would fight the owner's: registration is suppressed for the attach.
+    """
+    from multiprocessing import resource_tracker, shared_memory
+
+    with _TRACKER_LOCK:
+        register = resource_tracker.register
+        resource_tracker.register = lambda name, rtype: None
+        try:
+            return shared_memory.SharedMemory(name=name)
+        finally:
+            resource_tracker.register = register
+
+
+def unlink_segment(name: str) -> None:
+    """Remove a segment whose creator cannot (SIGKILLed); gone is fine."""
+    try:
+        stale = attach_segment(name)
+    except FileNotFoundError:
+        return
+    stale.close()
+    try:
+        stale.unlink()
+    except FileNotFoundError:
+        pass
 
 
 class ArenaPoolBackend:
@@ -73,13 +138,12 @@ class ArenaPoolBackend:
             # pools never need it.
             from multiprocessing import shared_memory
 
-            from repro.cluster.transport import scoped_segment_name
-
             if name is None:
                 name = scoped_segment_name(arena_session_token(), "arena")
-            self._segment = shared_memory.SharedMemory(
-                create=True, size=self._nbytes, name=name
-            )
+            with _TRACKER_LOCK:
+                self._segment = shared_memory.SharedMemory(
+                    create=True, size=self._nbytes, name=name
+                )
             self.name = self._segment.name
             self._buf = memoryview(self._segment.buf)
         else:
@@ -132,6 +196,30 @@ class ArenaPoolBackend:
                 pass
         if self._mmap is not None:
             self._mmap.close()
+
+
+def pread_full(fd: int, offset: int, view: memoryview) -> None:
+    """Fill ``view`` from ``fd`` at ``offset``; a short read is an error.
+
+    Looped: one ``pread`` may return fewer bytes than asked even on a
+    regular file.
+    """
+    done = 0
+    while done < len(view):
+        chunk = os.pread(fd, len(view) - done, offset + done)
+        if not chunk:
+            raise AllocationError(
+                f"short read: [{offset}, {offset + len(view)}) satisfied "
+                f"only {done} bytes"
+            )
+        view[done:done + len(chunk)] = chunk
+        done += len(chunk)
+
+
+def pwrite_full(fd: int, offset: int, view: memoryview) -> None:
+    done = 0
+    while done < len(view):
+        done += os.pwrite(fd, view[done:], offset + done)
 
 
 class FilePoolBackend:
@@ -204,19 +292,8 @@ class FilePoolBackend:
         if self._buf is not None:
             target[:] = self._buf[start:start + len(target)]
             return len(target)
-        # pread fallback: loop until the range is satisfied — a single
-        # read may return fewer bytes than asked even on a regular file.
-        done = 0
-        while done < len(target):
-            chunk = os.pread(self._fd, len(target) - done, start + done)
-            if not chunk:
-                raise AllocationError(
-                    f"short read: [{start}, {start + len(target)}) satisfied "
-                    f"only {done} bytes"
-                )
-            target[done:done + len(chunk)] = chunk
-            done += len(chunk)
-        return done
+        pread_full(self._fd, start, target)
+        return len(target)
 
     def write_from(self, index: int, offset: int, buf) -> int:
         source = memoryview(buf).cast("B")
@@ -225,10 +302,8 @@ class FilePoolBackend:
         if self._buf is not None:
             self._buf[start:start + len(source)] = source
             return len(source)
-        done = 0
-        while done < len(source):
-            done += os.pwrite(self._fd, source[done:], start + done)
-        return done
+        pwrite_full(self._fd, start, source)
+        return len(source)
 
     # ------------------------------------------------------------------
     # Process sharing

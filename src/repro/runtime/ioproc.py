@@ -6,8 +6,8 @@ still contend for the interpreter. :class:`PageCopyService` runs those
 copies in a dedicated **worker process** that attaches the pools' named
 arenas — ``multiprocessing.shared_memory`` segments for RAM tiers, the
 preallocated arena file for the SSD tier — by the descriptors the
-backends export (:meth:`repro.memory.pool.DevicePool.backend_descriptor`,
-following the cluster transport's segment-naming discipline). While the
+backends export (:meth:`repro.memory.pool.DevicePool.backend_descriptor`;
+naming and attaching live in :mod:`repro.memory.arena`). While the
 parent blocks on the worker's ack it holds no GIL, so the compute thread
 runs at full speed.
 
@@ -32,63 +32,30 @@ import multiprocessing
 import os
 import threading
 
-from repro.errors import TransientIOError
+from repro.errors import TransientIOError, join_or_raise
 from repro.memory.arena import (
     FILE_DESCRIPTOR,
     SHM_DESCRIPTOR,
-    arena_session_token,
+    ArenaPoolBackend,
+    attach_segment,
+    pread_full,
+    pwrite_full,
 )
 
 
 def _attach_view(desc, segments, files):
-    """Resolve a descriptor to (kind, handle) in the worker, caching.
-
-    Attachments never owe cleanup: the engine that created an arena
-    closes and unlinks it; the worker's cached segments are closed in
-    ``_copy_worker``'s shutdown path.
-    """
+    """Resolve a descriptor to (kind, handle) in the worker, caching;
+    ``_copy_worker``'s shutdown path closes what was attached."""
     kind, address = desc
     if kind == SHM_DESCRIPTOR:
         if address not in segments:
-            from multiprocessing import resource_tracker, shared_memory
-
-            # Python 3.11 registers attached segments with the resource
-            # tracker as if the attacher owned them; it does not — the
-            # creating engine unlinks. Spawned workers share the parent's
-            # tracker, so letting the registration through (or
-            # unregistering it afterwards) would fight the owner's own
-            # entry. Suppress registration for the attach only.
-            original_register = resource_tracker.register
-            resource_tracker.register = lambda name, rtype: None
-            try:
-                segment = shared_memory.SharedMemory(name=address)
-            finally:
-                resource_tracker.register = original_register
-            segments[address] = (segment, memoryview(segment.buf))
-        return SHM_DESCRIPTOR, segments[address][1]
+            segments[address] = attach_segment(address)
+        return SHM_DESCRIPTOR, segments[address].buf
     if kind == FILE_DESCRIPTOR:
         if address not in files:
             files[address] = os.open(address, os.O_RDWR)
         return FILE_DESCRIPTOR, files[address]
     raise ValueError(f"unknown arena descriptor kind {kind!r}")
-
-
-def _pread_full(fd: int, offset: int, view: memoryview) -> None:
-    done = 0
-    while done < len(view):
-        chunk = os.pread(fd, len(view) - done, offset + done)
-        if not chunk:
-            raise OSError(
-                f"short read at {offset + done}: {done}/{len(view)} bytes"
-            )
-        view[done:done + len(chunk)] = chunk
-        done += len(chunk)
-
-
-def _pwrite_full(fd: int, offset: int, view: memoryview) -> None:
-    done = 0
-    while done < len(view):
-        done += os.pwrite(fd, view[done:], offset + done)
 
 
 def _copy_range(src, dst, src_off: int, dst_off: int, nbytes: int) -> None:
@@ -99,14 +66,14 @@ def _copy_range(src, dst, src_off: int, dst_off: int, nbytes: int) -> None:
             src_handle[src_off:src_off + nbytes]
         )
     elif src_kind == SHM_DESCRIPTOR:
-        _pwrite_full(dst_handle, dst_off, src_handle[src_off:src_off + nbytes])
+        pwrite_full(dst_handle, dst_off, src_handle[src_off:src_off + nbytes])
     elif dst_kind == SHM_DESCRIPTOR:
-        _pread_full(src_handle, src_off, dst_handle[dst_off:dst_off + nbytes])
+        pread_full(src_handle, src_off, dst_handle[dst_off:dst_off + nbytes])
     else:
         staging = bytearray(nbytes)
         view = memoryview(staging)
-        _pread_full(src_handle, src_off, view)
-        _pwrite_full(dst_handle, dst_off, view)
+        pread_full(src_handle, src_off, view)
+        pwrite_full(dst_handle, dst_off, view)
 
 
 def _copy_worker(conn) -> None:
@@ -135,9 +102,7 @@ def _copy_worker(conn) -> None:
     except (EOFError, OSError):
         pass  # parent went away; exit quietly
     finally:
-        for _, view in segments.values():
-            view.release()
-        for segment, _ in segments.values():
+        for segment in segments.values():
             try:
                 segment.close()
             except OSError:
@@ -171,8 +136,7 @@ class PageCopyService:
         # One outstanding batch at a time; the lock serializes callers
         # (prefetch thread vs writeback threads) onto the single pipe.
         self._lock = threading.Lock()
-        self._staging = None
-        self._staging_name = None
+        self._staging: ArenaPoolBackend | None = None
         self._closed = False
 
     @property
@@ -215,24 +179,12 @@ class PageCopyService:
     # Writeback staging: scatter a parent-side payload into an arena
     # ------------------------------------------------------------------
     def _staging_view(self, nbytes: int) -> memoryview:
-        """A shared staging segment at least ``nbytes`` big (grown lazily)."""
-        from multiprocessing import shared_memory
-
-        from repro.cluster.transport import scoped_segment_name
-
-        if self._staging is None or self._staging.size < nbytes:
+        """The staging arena's first ``nbytes`` (regrown when too small)."""
+        if self._staging is None or self._staging.page_bytes < nbytes:
             if self._staging is not None:
                 self._staging.close()
-                try:
-                    self._staging.unlink()
-                except FileNotFoundError:
-                    pass
-            name = scoped_segment_name(arena_session_token(), "stage")
-            self._staging = shared_memory.SharedMemory(
-                create=True, size=max(nbytes, 1), name=name
-            )
-            self._staging_name = self._staging.name
-        return memoryview(self._staging.buf)
+            self._staging = ArenaPoolBackend(1, max(nbytes, 1), shared=True)
+        return self._staging.view(0, 0, nbytes)
 
     def scatter(self, dst_desc, payload, runs) -> None:
         """Stage ``payload`` once, scatter slices of it into ``dst_desc``.
@@ -245,12 +197,9 @@ class PageCopyService:
         with self._lock:
             if self._closed:
                 raise TransientIOError("page copy service is closed")
-            staging = self._staging_view(len(source))
-            staging[: len(source)] = source
-            staging.release()
+            self._staging_view(len(source))[:] = source
             status, detail = self._roundtrip(
-                ((SHM_DESCRIPTOR, self._staging_name), tuple(dst_desc),
-                 list(runs))
+                (self._staging.descriptor(), tuple(dst_desc), list(runs))
             )
         if status != "ok":
             raise TransientIOError(f"page copy worker failed: {detail}")
@@ -264,18 +213,11 @@ class PageCopyService:
                 self._parent.send(None)
             except (BrokenPipeError, OSError):
                 pass
-        self._proc.join(timeout=5.0)
-        if self._proc.is_alive():
-            self._proc.terminate()
-            self._proc.join(timeout=5.0)
         self._parent.close()
         if self._staging is not None:
             self._staging.close()
-            try:
-                self._staging.unlink()
-            except FileNotFoundError:
-                pass
             self._staging = None
+        join_or_raise(self._proc, 5.0, "stuck in a copy?")
 
     def __enter__(self) -> "PageCopyService":
         return self

@@ -37,7 +37,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import ConfigurationError, SchedulingError, join_or_raise
 from repro.lockfree.queues import WorkQueue
 from repro.scheduler.tasks import Operation, Schedule
 
@@ -86,17 +86,6 @@ def coalesce_schedule(schedule: Schedule) -> list[MoveGroup]:
             nbytes=nbytes, pages=pages,
         ))
     return groups
-
-
-def _join_or_raise(thread: threading.Thread, timeout: float, hint: str) -> None:
-    """Join a worker told to exit; one that outlives the wait is an error."""
-    if thread.is_alive():
-        thread.join(timeout=timeout)
-        if thread.is_alive():
-            raise SchedulingError(
-                f"thread {thread.name!r} still alive {timeout:g}s after "
-                f"being told to exit ({hint})"
-            )
 
 
 class PrefetchWorker:
@@ -312,7 +301,7 @@ class PrefetchWorker:
         with self._cond:
             self._stopping = True
             self._cond.notify_all()
-        _join_or_raise(self._thread, timeout, "stuck page move?")
+        join_or_raise(self._thread, timeout, "stuck page move?")
 
     # ------------------------------------------------------------------
     # Introspection
@@ -451,7 +440,7 @@ class WritebackQueue:
 
     def close(self, timeout: float = 30.0) -> None:
         self._queue.close()
-        _join_or_raise(self._thread, timeout, "stuck state flush?")
+        join_or_raise(self._thread, timeout, "stuck state flush?")
 
     def stats(self) -> dict:
         with self._cond:

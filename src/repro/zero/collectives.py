@@ -158,7 +158,7 @@ def copy_pages(dst: np.ndarray, src: np.ndarray, page_bytes: int) -> int:
 class Transport(abc.ABC):
     """Deterministic rank-to-rank collectives over flat numpy vectors.
 
-    The contract every implementation honors:
+    The contract:
 
     - ``all_gather(shard)`` — every rank contributes an equal-length 1-D
       array and receives the list of all ranks' arrays, indexed by rank.
@@ -168,8 +168,10 @@ class Transport(abc.ABC):
       :func:`repro.checkpoint.reshard.split_even`). Summation runs in
       ascending rank order, so results are bit-reproducible.
 
-    Data moves page by page (:func:`copy_pages`); implementations report
-    traffic through the shared telemetry vocabulary
+    Both are written once, over :meth:`_exchange`; an implementation
+    supplies only the byte board (in-process slots, shared-memory
+    arenas). Data moves page by page (:func:`copy_pages`); traffic is
+    reported through the shared telemetry vocabulary
     (``collective.*_bytes`` plus ``transport.pages``).
     """
 
@@ -191,27 +193,57 @@ class Transport(abc.ABC):
         self.telemetry = telemetry
 
     @abc.abstractmethod
-    def all_gather(self, shard: np.ndarray) -> list[np.ndarray]:
-        """Return every rank's ``shard``, indexed by rank."""
+    def _exchange(self, payload: np.ndarray, reader) -> tuple:
+        """Publish ``payload``; run ``reader`` over every rank's vector.
 
-    @abc.abstractmethod
-    def reduce_scatter(self, full: np.ndarray) -> np.ndarray:
-        """Return this rank's shard of the elementwise sum of ``full``."""
+        Copy ``payload`` onto this rank's slot page by page, wait until
+        every rank has published, call ``reader(views)`` (``views[r]``
+        is rank ``r``'s vector, valid only during the call; returns
+        ``(result, pages_read)``), wait until every rank has read.
+        Returns ``(result, pages)``, the publish counted too.
+        """
 
     def close(self) -> None:  # pragma: no cover - default no-op
         """Release transport resources (idempotent)."""
 
-    # ------------------------------------------------------------------
-    # Shared helpers
-    # ------------------------------------------------------------------
-    def pad_full(self, full: np.ndarray) -> np.ndarray:
-        """Zero-pad a full vector to ``world * shard_length`` elements."""
+    def all_gather(self, shard: np.ndarray) -> list[np.ndarray]:
+        """Return every rank's ``shard``, indexed by rank."""
+        if shard.ndim != 1:
+            raise CommunicationError("transports operate on flat vectors")
+
+        def read_all(views) -> tuple:
+            gathered, pages = [], 0
+            for rank in range(self.world):
+                out = np.empty_like(views[rank])
+                pages += copy_pages(out, views[rank], self.page_bytes)
+                gathered.append(out)
+            return gathered, pages
+
+        gathered, pages = self._exchange(shard, read_all)
+        self._account("all_gather", shard.nbytes * self.world, pages)
+        return gathered
+
+    def reduce_scatter(self, full: np.ndarray) -> np.ndarray:
+        """Return this rank's shard of the elementwise sum of ``full``."""
         if full.ndim != 1:
             raise CommunicationError("transports operate on flat vectors")
         length = shard_length(full.size, self.world)
         padded = np.zeros(length * self.world, dtype=full.dtype)
         padded[:full.size] = full
-        return padded
+        lo, hi = self.rank * length, (self.rank + 1) * length
+
+        def read_slices(views) -> tuple:
+            acc = np.zeros(length, dtype=padded.dtype)
+            pages = 0
+            for rank in range(self.world):  # ascending: deterministic sum
+                staged = np.empty(length, dtype=padded.dtype)
+                pages += copy_pages(staged, views[rank][lo:hi], self.page_bytes)
+                acc += staged
+            return acc, pages
+
+        acc, pages = self._exchange(padded, read_slices)
+        self._account("reduce_scatter", full.nbytes, pages)
+        return acc
 
     def _account(self, kind: str, nbytes: int, pages: int) -> None:
         if not self.telemetry.enabled:
@@ -254,41 +286,18 @@ class InProcessGroup:
 
 
 class InProcessTransport(Transport):
-    """One rank's view of an :class:`InProcessGroup`."""
+    """One rank's view of an :class:`InProcessGroup`: the board is a list."""
 
     def __init__(self, rank: int, group: InProcessGroup, page_bytes: int,
                  telemetry=None):
         super().__init__(rank, group.world, page_bytes, telemetry)
         self._group = group
 
-    def all_gather(self, shard: np.ndarray) -> list[np.ndarray]:
-        staged = np.empty_like(shard)
-        pages = copy_pages(staged, shard, self.page_bytes)
+    def _exchange(self, payload: np.ndarray, reader) -> tuple:
+        staged = np.empty_like(payload)
+        pages = copy_pages(staged, payload, self.page_bytes)
         self._group._slots[self.rank] = staged
         self._group._sync()  # every slot published
-        gathered = []
-        for rank in range(self.world):
-            source = self._group._slots[rank]
-            out = np.empty_like(source)
-            pages += copy_pages(out, source, self.page_bytes)
-            gathered.append(out)
+        result, pages_read = reader(self._group._slots)
         self._group._sync()  # every rank done reading; slots reusable
-        self._account("all_gather", shard.nbytes * self.world, pages)
-        return gathered
-
-    def reduce_scatter(self, full: np.ndarray) -> np.ndarray:
-        padded = self.pad_full(full)
-        length = padded.size // self.world
-        self._group._slots[self.rank] = padded
-        self._group._sync()
-        lo, hi = self.rank * length, (self.rank + 1) * length
-        acc = np.zeros(length, dtype=padded.dtype)
-        pages = 0
-        for rank in range(self.world):  # ascending: deterministic sum
-            slice_r = self._group._slots[rank][lo:hi]
-            staged = np.empty_like(slice_r)
-            pages += copy_pages(staged, slice_r, self.page_bytes)
-            acc += staged
-        self._group._sync()
-        self._account("reduce_scatter", full.nbytes, pages)
-        return acc
+        return result, pages + pages_read

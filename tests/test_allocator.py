@@ -106,6 +106,37 @@ class TestDataPaths:
         assert b.device_index == -1
         assert a.device_kind == DeviceKind.SSD
 
+    def test_null_to_null_move_allocates_and_copies_nothing(self):
+        """Capacity-only pools stay capacity-only: no staging buffer."""
+        import tracemalloc
+
+        from repro.telemetry import Telemetry
+
+        page = 4 * MiB
+        telemetry = Telemetry()
+        allocator = PageAllocator({
+            kind: DevicePool(kind, 64 * page, page_bytes=page,
+                             backend="null", telemetry=telemetry)
+            for kind in (DeviceKind.GPU, DeviceKind.CPU)
+        })
+        try:
+            t = allocator.allocate((64 * page // 4,), np.float32,
+                                   DeviceKind.CPU)
+            tracemalloc.start()
+            try:
+                report = allocator.move_pages([t], DeviceKind.GPU)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < page
+            assert (report.pages_moved, report.bytes_moved,
+                    report.copy_calls) == (64, 64 * page, 1)
+            counters = telemetry.dump()["metrics"]["counters"]
+            assert counters["io.read_bytes{tier=cpu}"] == 64 * page
+            assert counters["io.write_bytes{tier=gpu}"] == 64 * page
+        finally:
+            allocator.close()
+
     def test_merge_makes_contiguous(self, alloc):
         nelems = PAGE // 4 + PAGE // 16
         a = alloc.allocate((nelems,), np.float32, DeviceKind.CPU)

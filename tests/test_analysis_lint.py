@@ -9,6 +9,7 @@ import pytest
 import repro
 from repro.analysis.baseline import compare, load_baseline, save_baseline
 from repro.analysis.invariants import (
+    DISCARDED_TIMEOUT,
     LOCK_ORDER_CYCLE,
     SHARED_STATE_RACE,
     SHM_LIFECYCLE,
@@ -373,7 +374,79 @@ class TestUnboundedRecv:
                         cond.wait_for(lambda: True, timeout=2.0)
                     return jobs.get(True, 0.5)
         """)
+        # Bounded, so SA005 is satisfied; that nobody reads the outcome
+        # is SA006's business (below).
+        assert [f for f in findings if f.rule == UNBOUNDED_RECV] == []
+
+
+class TestDiscardedTimeout:
+    def test_discarded_join_and_wait_flagged(self, tmp_path):
+        findings = _lint_source(tmp_path, """
+            class Pool:
+                def stop(self, event, thread):
+                    event.wait(5.0)
+                    thread.join(timeout=1.0)
+
+            def reap(process, grace):
+                process.join(grace)
+        """)
+        assert [f.rule for f in findings] == [DISCARDED_TIMEOUT] * 3
+        assert sorted(f.subject for f in findings) == [
+            "Pool.stop.join", "Pool.stop.wait", "reap.join",
+        ]
+        assert "is_alive" in findings[0].message
+
+    def test_reading_the_outcome_is_clean(self, tmp_path):
+        findings = _lint_source(tmp_path, """
+            def join_or_raise(worker, timeout):
+                worker.join(timeout=timeout)
+                if worker.is_alive():
+                    raise RuntimeError(worker.name)
+
+            def reap(process):
+                process.join(timeout=1.0)
+                return process.exitcode
+
+            def ready(event):
+                if not event.wait(timeout=1.0):
+                    raise TimeoutError("never set")
+                return event.wait(0.5)
+        """)
         assert findings == []
+
+    def test_ticks_and_raising_waits_are_clean(self, tmp_path):
+        # A timed wait in a while loop is a tick (the loop re-reads its
+        # condition); a barrier-style wait signals its timeout by
+        # raising; ``queue.wait(key)`` passes a key, not a bound.
+        findings = _lint_source(tmp_path, """
+            import threading
+
+            class Monitor:
+                def run(self, cond, closing):
+                    with cond:
+                        while not closing():
+                            cond.wait(timeout=0.5)
+
+                def sync(self, barrier):
+                    try:
+                        barrier.wait(timeout=30.0)
+                    except threading.BrokenBarrierError:
+                        raise RuntimeError("a rank never arrived")
+
+                def flush(self, queue, key):
+                    queue.wait(key)
+        """)
+        assert findings == []
+
+    def test_a_join_in_a_loop_is_still_flagged(self, tmp_path):
+        findings = _lint_source(tmp_path, """
+            def drain(threads):
+                while threads:
+                    threads.pop().join(timeout=2.0)
+        """)
+        assert [f.fingerprint for f in findings] == [
+            f"{DISCARDED_TIMEOUT}:module.py:drain.join"
+        ]
 
 
 class TestBaseline:
@@ -440,6 +513,24 @@ class TestRealTree:
         )
         assert not any(":cluster/supervisor.py:" in fp for fp in sa005)
         assert "SA005:cluster/worker.py:CoordinatorClient.call.recv" in sa005
+
+    def test_no_timeout_result_is_discarded(self):
+        # ROADMAP 4a, finished: every bounded join goes through
+        # errors.join_or_raise (or reads is_alive()/exitcode itself), so
+        # SA006 needs no baseline entry.
+        root = Path(repro.__file__).parent
+        assert [
+            f.fingerprint for f in lint_tree(root)
+            if f.rule == DISCARDED_TIMEOUT
+        ] == []
+
+    def test_one_attach_helper_is_the_only_sa004(self):
+        # memory/arena.py is the only module that touches SharedMemory;
+        # its creator class is clean and the attach helper is the one
+        # accepted ownership-by-protocol entry.
+        root = Path(repro.__file__).parent
+        sa004 = [f.fingerprint for f in lint_tree(root) if f.rule == SHM_LIFECYCLE]
+        assert sa004 == ["SA004:memory/arena.py:attach_segment"]
 
     def test_spawn_config_strip_is_the_only_sa003(self):
         # run_cluster strips telemetry via replace() before spawning; the

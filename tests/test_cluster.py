@@ -1,9 +1,11 @@
 """Elastic cluster: collectives, rendezvous protocol, kill-mid-step recovery."""
 
 import json
+import multiprocessing
 import os
 import tempfile
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,9 +23,16 @@ from repro.cluster import (
     CoordinatorClient,
     run_cluster,
     run_cluster_reference,
+    supervisor,
 )
 from repro.cluster.protocol import OP_RETIRE, OP_SHUTDOWN
-from repro.errors import CommunicationError, GenerationFencedError
+from repro.cluster.transport import SharedMemoryTransport
+from repro.errors import (
+    ClusterError,
+    CommunicationError,
+    GenerationFencedError,
+)
+from repro.memory.arena import segment_names, session_token
 from repro.units import KiB
 from repro.zero.collectives import InProcessGroup, copy_pages, shard_length
 
@@ -46,27 +55,35 @@ class TestShardMath:
             copy_pages(np.zeros(3), np.zeros(4), page_bytes=64)
 
 
+def _run_on_threads(transports, fn):
+    """``fn(transport, rank)`` on one thread per rank; results by rank."""
+    results = [None] * len(transports)
+    errors = []
+
+    def runner(rank):
+        try:
+            results[rank] = fn(transports[rank], rank)
+        except Exception as exc:  # pragma: no cover - surfaced below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=runner, args=(rank,))
+        for rank in range(len(transports))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert not errors, errors
+    return results
+
+
 class TestInProcessCollectives:
     def _run_ranks(self, group, fn):
-        results = [None] * group.world
-        errors = []
-
-        def runner(rank):
-            try:
-                results[rank] = fn(group.transport(rank), rank)
-            except Exception as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=runner, args=(rank,))
-            for rank in range(group.world)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert not errors, errors
-        return results
+        return _run_on_threads(
+            [group.transport(rank) for rank in range(group.world)], fn
+        )
 
     def test_all_gather_returns_every_shard_everywhere(self):
         group = InProcessGroup(3, page_bytes=1 * KiB)
@@ -96,6 +113,92 @@ class TestInProcessCollectives:
                 shard, padded[rank * length:(rank + 1) * length],
                 rtol=0, atol=1e-6,
             )
+
+
+class TestSharedMemoryTransport:
+    WORLD = 3
+    PAGE = 256
+
+    def _world(self, session, barrier=None, capacity=4096):
+        gate = threading.Barrier(self.WORLD)
+        if barrier is None:
+            def barrier(name):
+                gate.wait(timeout=10)
+        return [
+            SharedMemoryTransport(
+                rank, self.WORLD, 1, session, barrier, self.PAGE, capacity
+            )
+            for rank in range(self.WORLD)
+        ]
+
+    def test_collectives_are_bit_equal_to_in_process(self):
+        session = f"rptest{os.getpid():x}a"
+        rng = np.random.default_rng(7)
+        # 10 elements over 3 ranks: the padded tail is exercised.
+        fulls = [rng.normal(size=10).astype(np.float32)
+                 for _ in range(self.WORLD)]
+        shards = [rng.normal(size=5).astype(np.float32)
+                  for _ in range(self.WORLD)]
+
+        def both(transport, rank):
+            return (transport.reduce_scatter(fulls[rank]),
+                    transport.all_gather(shards[rank]))
+
+        group = InProcessGroup(self.WORLD, page_bytes=self.PAGE)
+        expected = _run_on_threads(
+            [group.transport(rank) for rank in range(self.WORLD)], both
+        )
+        transports = self._world(session)
+        try:
+            # One arena per rank for the whole generation, named by rank.
+            assert len(segment_names(session)) == self.WORLD
+            actual = _run_on_threads(transports, both)
+            assert len(segment_names(session)) == self.WORLD
+        finally:
+            for transport in transports:
+                transport.close()
+        assert segment_names(session) == []
+        for (reduced, gathered), (want_reduced, want_gathered) in zip(
+            actual, expected
+        ):
+            assert reduced.tobytes() == want_reduced.tobytes()
+            assert [g.tobytes() for g in gathered] == [
+                w.tobytes() for w in want_gathered
+            ]
+
+    def test_payload_over_capacity_raises_before_any_barrier(self):
+        session = f"rptest{os.getpid():x}b"
+        arrivals = []
+        transports = self._world(session, barrier=arrivals.append,
+                                 capacity=64)
+        try:
+            with pytest.raises(ClusterError, match="exceeds"):
+                transports[0].all_gather(np.zeros(17, dtype=np.float32))
+            assert arrivals == []
+        finally:
+            for transport in transports:
+                transport.close()
+        assert segment_names(session) == []
+
+    def test_fenced_rank_sweeps_the_dead_peers_arena(self):
+        session = f"rptest{os.getpid():x}c"
+
+        def fenced(name):
+            raise GenerationFencedError(1, "peer evicted")
+
+        survivor, dead, bystander = self._world(session, barrier=fenced)
+        try:
+            with pytest.raises(GenerationFencedError):
+                survivor.all_gather(np.ones(4, dtype=np.float32))
+            # ``dead`` never runs close(): SIGKILL. A transport that saw
+            # no fence removes only its own arena ...
+            bystander.close()
+            assert len(segment_names(session)) == 2
+            # ... the one that did sweeps its generation's peer names.
+            survivor.close()
+            assert segment_names(session) == []
+        finally:
+            dead.close()  # double unlink is tolerated
 
 
 class TestSnapshotHelpers:
@@ -197,6 +300,7 @@ class _CoordinatorHarness:
             except (EOFError, OSError):
                 pass
         self.thread.join(timeout=5)
+        assert not self.thread.is_alive(), "serve() outlived OP_SHUTDOWN"
 
 
 class TestCoordinatorProtocol:
@@ -211,6 +315,13 @@ class TestCoordinatorProtocol:
                 assert reply["rank"] == slot
         finally:
             harness.shutdown()
+
+    def test_shutdown_makes_serve_return(self, tmp_path):
+        harness = _CoordinatorHarness(tmp_path)
+        harness.join_all([0, 1])
+        started = time.monotonic()
+        harness.shutdown()
+        assert time.monotonic() - started < 1.0
 
     def test_barrier_releases_all_members(self, tmp_path):
         harness = _CoordinatorHarness(tmp_path)
@@ -286,6 +397,25 @@ def _max_delta(losses, reference):
     return max(abs(a - b) for a, b in zip(losses, reference))
 
 
+class TestReap:
+    def test_child_that_ignores_shutdown_is_killed_and_named(self,
+                                                             monkeypatch):
+        monkeypatch.setattr(supervisor, "EXIT_GRACE", 0.3)
+        ctx = multiprocessing.get_context("spawn")
+        exiting = ctx.Process(target=time.sleep, args=(0,), name="exits")
+        stuck = ctx.Process(target=time.sleep, args=(60,),
+                            name="ignores-shutdown")
+        exiting.start()
+        stuck.start()
+        started = time.monotonic()
+        unclean = supervisor._reap([exiting, stuck])
+        elapsed = time.monotonic() - started
+        assert unclean == ["ignores-shutdown"]
+        assert not stuck.is_alive() and not exiting.is_alive()
+        assert exiting.exitcode == 0
+        assert 0.3 <= elapsed < 3.0
+
+
 class TestClusterIntegration:
     def test_fault_free_run_matches_reference_exactly(self, tmp_path):
         config = ClusterConfig(world_size=3, steps=4, checkpoint_every=2,
@@ -296,6 +426,8 @@ class TestClusterIntegration:
         assert report.generations == 1
         assert report.evictions == 0
         assert report.losses == run_cluster_reference(config)
+        assert report.unclean_exits == []
+        assert segment_names(session_token(str(tmp_path))) == []
 
     def test_sigkill_mid_step_recovers_and_converges(self, tmp_path):
         config = ClusterConfig(
@@ -305,6 +437,9 @@ class TestClusterIntegration:
         report = run_cluster(config, str(tmp_path))
         assert report.complete
         assert report.steps_completed == config.steps
+        assert report.unclean_exits == []
+        # The SIGKILLed rank could not unlink its arena; a survivor did.
+        assert segment_names(session_token(str(tmp_path))) == []
         assert report.evictions == 1
         assert report.respawns >= 1
         # Recovery within two generations of the original.
@@ -384,6 +519,8 @@ class TestClusterCli:
         payload = json.loads(report_path.read_text())
         assert payload["complete"] is True
         assert payload["failures"] == []
+        assert payload["unclean_exits"] == []
+        assert payload["leaked_segments"] == []
         assert payload["max_delta"] == 0.0
         assert len(payload["reference"]) == 2
 
