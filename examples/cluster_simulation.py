@@ -49,9 +49,7 @@ def main() -> None:
     print(f"  makespan: {result.iteration_time:8.2f}s")
 
     # Export the iteration timeline for chrome://tracing / Perfetto.
-    from repro.sim import save_chrome_trace
-
-    save_chrome_trace(result.timeline, "gpt175b_iteration_trace.json")
+    result.timeline.save_chrome_trace("gpt175b_iteration_trace.json")
     print("\ntimeline written to gpt175b_iteration_trace.json "
           "(open in chrome://tracing)")
 

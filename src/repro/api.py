@@ -1,8 +1,9 @@
 """The unified ``repro.api`` surface.
 
 One import gives a downstream user the whole toolkit — the Figure 6
-training interface, the profiling harness, chaos testing, run reports and
-static verification — without memorizing which subsystem owns what::
+training interface, the instrumented profile run, chaos testing, run
+reports and static verification — without memorizing which subsystem owns
+what::
 
     from repro import api
 
@@ -27,12 +28,13 @@ from repro.protocols import FaultPlanLike, RetryPolicyLike, TelemetryLike
 
 
 def profile(config=None, **overrides):
-    """Profile the functional engine; returns ``(report, telemetry)``.
+    """One instrumented training run; returns ``(report, telemetry)``.
 
     ``config`` is a :class:`repro.telemetry.bench.ProfileConfig` (defaults
     to the CI smoke workload); keyword overrides replace individual
     fields, e.g. ``api.profile(steps=20, pipeline=True)``. The report
-    dict is what ``repro profile`` writes to ``BENCH_telemetry.json``.
+    dict is what ``repro profile`` writes to ``BENCH_telemetry.json``;
+    for throughput with repeats and spread use ``python3 -m bench``.
     """
     from dataclasses import replace
 

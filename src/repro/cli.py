@@ -158,8 +158,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         seed=args.seed,
         lock_free=args.lock_free,
         pipeline=args.pipeline,
-        measure_overhead=not args.no_overhead,
-        compare_pipeline=not args.no_compare,
         watch=not args.no_watch,
     )
     report, telemetry = run_profile(config)
@@ -202,24 +200,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print("per-tier traffic:")
     for key, value in sorted(report["per_tier_edge_bytes"].items()):
         print(f"  {key:<40} {value / MiB:8.2f} MiB")
-    compare = report.get("pipeline_compare")
-    if compare:
-        pipelined = compare["pipelined"]
-        prefetch = pipelined.get("prefetch") or {}
-        print(f"pipeline overlap: {compare['speedup']:.2f}x vs sync on the "
-              f"SSD tier ({compare['sync']['steps_per_second']:.2f} -> "
-              f"{pipelined['steps_per_second']:.2f} steps/s)")
-        print(f"  stalled {pipelined['stall_seconds'] * 1e3:7.1f} ms awaiting prefetch; "
-              f"demand fetches {pipelined['demand_fetch_seconds'] * 1e3:7.1f} ms")
-        print(f"  {prefetch.get('prefetched_groups', 0)} groups staged "
-              f"({prefetch.get('prefetched_bytes', 0) / MiB:.1f} MiB), "
-              f"{pipelined.get('cached_layers_live', 0)} layers GPU-cached, "
-              f"{(pipelined.get('writeback') or {}).get('flushed', 0)} async flushes")
-        print(f"  numerics bit-identical to sync: "
-              f"{compare['bit_identical_losses']}")
-    if report["overhead"] is not None:
-        print(f"span overhead   : "
-              f"{report['overhead']['overhead_fraction']:+.1%} vs disabled")
+    pipeline = report["pipeline"]
+    if pipeline["enabled"]:
+        prefetch = pipeline["prefetch"]
+        print(f"pipeline        : stalled {pipeline['stall_seconds'] * 1e3:.1f} ms, "
+              f"demand fetches {pipeline['demand_fetch_seconds'] * 1e3:.1f} ms; "
+              f"{prefetch['prefetched_groups']} groups staged "
+              f"({prefetch['prefetched_bytes'] / MiB:.1f} MiB), "
+              f"{prefetch['abandoned']} abandoned, "
+              f"{prefetch['deferred']} deferred; "
+              f"{pipeline['cached_layers_live']} layers GPU-cached, "
+              f"{pipeline['writeback']['flushed']} async flushes")
     alerts = report.get("alerts", [])
     if alerts:
         print(f"watchdog alerts : {len(alerts)} fired")
@@ -380,11 +371,7 @@ def _check_schedule(args: argparse.Namespace, payload: dict) -> int:
     if not args.json:
         print(f"schedule check  : {workload}")
         print(f"  {result.summary()}")
-        for violation in result.violations:
-            print(f"  [{violation.invariant}] trigger "
-                  f"{violation.trigger_id}: {violation.message}")
-            for trigger, event in violation.provenance:
-                print(f"      provenance: trigger {trigger}: {event}")
+        _print_violations(result)
     return 0 if result.ok else 1
 
 
@@ -939,21 +926,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="profile the functional engine; writes BENCH_telemetry.json "
-             "and a Chrome trace",
+        help="one instrumented training run; writes BENCH_telemetry.json "
+             "and a Chrome trace (timing questions: python3 -m bench)",
     )
     profile.add_argument("--steps", type=int, default=10)
     profile.add_argument("--layers", type=int, default=2)
     profile.add_argument("--seed", type=int, default=0)
     profile.add_argument("--lock-free", action="store_true")
     profile.add_argument("--pipeline", action="store_true",
-                         help="drive the main profiled run through the "
+                         help="drive the profiled run through the "
                               "pipelined runtime")
-    profile.add_argument("--no-overhead", action="store_true",
-                         help="skip the telemetry-disabled comparison run")
-    profile.add_argument("--no-compare", action="store_true",
-                         help="skip the pipeline-on vs pipeline-off "
-                              "SSD-tier comparison runs")
     profile.add_argument("--no-watch", action="store_true",
                          help="disable the step-boundary watchdog")
     profile.add_argument("--outdir", default=None,

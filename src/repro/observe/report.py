@@ -25,7 +25,6 @@ COMPARED_METRICS = [
     (("train", "elapsed_seconds"), False),
     (("simulated", "samples_per_second"), True),
     (("simulated", "iteration_time_seconds"), False),
-    (("overhead", "overhead_fraction"), False),
     (("fleet", "jobs_per_hour"), True),
     (("fleet", "p99_queue_latency_seconds"), False),
     (("fleet", "makespan_seconds"), False),
@@ -70,7 +69,6 @@ def _summary_section(bench: dict) -> list[str]:
     rows = []
     train = bench.get("train", {})
     sim = bench.get("simulated", {})
-    overhead = bench.get("overhead") or {}
     if train:
         rows.append(("steps", f"{train.get('steps', '?')}"))
         if train.get("elapsed_seconds") is not None:
@@ -85,9 +83,6 @@ def _summary_section(bench: dict) -> list[str]:
             f"{sim.get('model', '?')} -> "
             f"{sim.get('samples_per_second', 0):.2f} samples/s",
         ))
-    if overhead.get("overhead_fraction") is not None:
-        rows.append(("telemetry overhead",
-                     f"{overhead['overhead_fraction']:+.1%}"))
     lines = ["## Summary", "", "| metric | value |", "|---|---|"]
     lines += [f"| {name} | {value} |" for name, value in rows]
     return lines + [""]
@@ -362,42 +357,28 @@ def _anomaly_section(bench: dict) -> list[str]:
 
 
 def _pipeline_section(bench: dict) -> list[str]:
-    compare = bench.get("pipeline_compare")
-    if not compare:
+    """The profiled run's own overlap accounting
+    (``AngelModel.pipeline_report()``); absent for a synchronous run."""
+    pipeline = bench.get("pipeline") or {}
+    if not pipeline.get("enabled"):
         return []
-    pipelined = compare.get("pipelined", {})
-    sync = compare.get("sync", {})
-    prefetch = pipelined.get("prefetch") or {}
-    writeback = pipelined.get("writeback") or {}
-    lines = [
-        "## Pipeline overlap",
-        "",
-        f"SSD-tier workload ({compare.get('steps', '?')} steps, "
-        f"{compare.get('ssd_latency_seconds', 0) * 1e3:.2f} ms emulated "
-        f"per-I/O latency), synchronous vs schedule-driven pipeline:",
-        "",
-        "| runtime | elapsed | throughput |",
-        "|---|---|---|",
-        f"| synchronous | {sync.get('elapsed_seconds', 0.0):.3f} s "
-        f"| {sync.get('steps_per_second', 0.0):.2f} steps/s |",
-        f"| pipelined | {pipelined.get('elapsed_seconds', 0.0):.3f} s "
-        f"| {pipelined.get('steps_per_second', 0.0):.2f} steps/s |",
-        "",
-        f"**Speedup: {compare.get('speedup', 0.0):.2f}x**, numerics "
-        f"bit-identical: {compare.get('bit_identical_losses')}.",
+    prefetch = pipeline.get("prefetch") or {}
+    writeback = pipeline.get("writeback") or {}
+    return [
+        "## Pipelined runtime",
         "",
         f"- awaited prefetch for "
-        f"{pipelined.get('stall_seconds', 0.0) * 1e3:.1f} ms; demand "
-        f"fetches took {pipelined.get('demand_fetch_seconds', 0.0) * 1e3:.1f} ms",
+        f"{pipeline.get('stall_seconds', 0.0) * 1e3:.1f} ms; demand "
+        f"fetches took {pipeline.get('demand_fetch_seconds', 0.0) * 1e3:.1f} ms",
         f"- {prefetch.get('prefetched_groups', 0)} move groups staged in "
         f"the background ({prefetch.get('prefetched_bytes', 0) / MiB:.1f} MiB), "
-        f"{prefetch.get('abandoned', 0)} abandoned to the demand path",
-        f"- {pipelined.get('cached_layers_live', 0)} layers' FP32 states "
+        f"{prefetch.get('abandoned', 0)} abandoned to the demand path, "
+        f"{prefetch.get('deferred', 0)} deferred until their trigger was due",
+        f"- {pipeline.get('cached_layers_live', 0)} layers' FP32 states "
         f"GPU-cache-resident; {writeback.get('flushed', 0)} state flushes "
         f"ran asynchronously",
         "",
     ]
-    return lines
 
 
 def _span_section(bench: dict, top: int = 10) -> list[str]:

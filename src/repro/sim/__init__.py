@@ -12,7 +12,6 @@ and Communicator (Section 5).
 from repro.sim.engine import Simulator, SimTask
 from repro.sim.stream import Stream
 from repro.sim.timeline import Interval, Timeline
-from repro.sim.trace_export import save_chrome_trace, to_chrome_trace
 
 __all__ = [
     "Simulator",
@@ -20,6 +19,4 @@ __all__ = [
     "Stream",
     "Timeline",
     "Interval",
-    "to_chrome_trace",
-    "save_chrome_trace",
 ]

@@ -5,7 +5,7 @@ The observability layer the functional engine was missing: hierarchical
 as simulated timelines, a labelled :class:`MetricsRegistry` absorbing
 per-tier page traffic and fault/retry accounting, injectable
 :class:`Clock` time sources for deterministic tests, and the
-``repro profile`` benchmark harness (:mod:`repro.telemetry.bench`).
+``repro profile`` instrumented run (:mod:`repro.telemetry.bench`).
 """
 
 from repro.telemetry.clock import WALL_CLOCK, Clock, ManualClock

@@ -1,12 +1,14 @@
-"""Benchmark harness: profile the functional engine under full telemetry.
+"""``repro profile``: one instrumented training run plus its static proofs.
 
 ``run_profile`` trains the tiny functional GPT for a few steps with a live
 :class:`~repro.telemetry.core.Telemetry` attached (spans + per-tier byte
-counters), plans and simulates one analytic iteration on the same clock so
-the "scheduler" track lands in the same trace, and measures the overhead of
-the instrumentation by repeating the training run with telemetry disabled.
-The result feeds ``repro profile`` and ``benchmarks/``, and serializes to
-``BENCH_telemetry.json`` next to a Perfetto-openable Chrome trace.
+counters), then plans, simulates and statically verifies one analytic
+iteration on the same clock so the "scheduler" track lands in the same
+trace. The result is what the command prints and the run report renders,
+and serializes to ``BENCH_telemetry.json`` next to a Perfetto-openable
+Chrome trace. It times nothing beyond that one run: throughput, overlap and
+telemetry-overhead questions go to ``python3 -m bench``, which repeats
+passes in fresh interpreters and reports spread.
 """
 
 from __future__ import annotations
@@ -16,93 +18,65 @@ from dataclasses import asdict, dataclass
 from repro.telemetry.core import Telemetry
 from repro.units import KiB, MiB
 
+#: The profiled workload (mirrors ``repro train``'s).
+LR = 2e-3
+VOCAB_SIZE = 32
+SEQ_LEN = 16
+BATCH_SIZE = 8
+#: Deliberately tight: evictions force traffic on both directions of
+#: the GPU<->CPU edge, so the per-tier byte counters are all nonzero.
+GPU_MEMORY_BYTES = 1 * MiB
+CPU_MEMORY_BYTES = 64 * MiB
+SSD_BYTES = 32 * MiB
+PAGE_BYTES = 64 * KiB
+#: Analytic-simulator side: model-zoo name, servers and micro-batch.
+SIM_MODEL = "gpt3-13b"
+SIM_SERVERS = 1
+SIM_BATCH = 4
+
 
 @dataclass(frozen=True)
 class ProfileConfig:
-    """Knobs for one profiling run (mirrors ``repro train``'s workload)."""
+    """Knobs for one profiling run."""
 
     steps: int = 10
     layers: int = 2
-    lr: float = 2e-3
     seed: int = 0
-    vocab_size: int = 32
-    seq_len: int = 16
-    batch_size: int = 8
-    #: Deliberately tight: evictions force traffic on both directions of
-    #: the GPU<->CPU edge, so the per-tier byte counters are all nonzero.
-    gpu_memory_bytes: int = 1 * MiB
-    cpu_memory_bytes: int = 64 * MiB
-    ssd_bytes: int = 32 * MiB
-    page_bytes: int = 64 * KiB
     lock_free: bool = False
-    #: Drive the main profiled run through the pipelined runtime.
+    #: Drive the profiled run through the pipelined runtime.
     pipeline: bool = False
-    #: Analytic-simulator side: model-zoo name, servers and micro-batch.
-    sim_model: str = "gpt3-13b"
-    sim_servers: int = 1
-    sim_batch: int = 4
-    #: Also run telemetry-off to measure instrumentation overhead.
-    measure_overhead: bool = True
-    #: Also time the SSD-tier workload pipeline-off vs pipeline-on (same
-    #: seed, emulated SSD latency on both) and record the speedup.
-    compare_pipeline: bool = True
-    #: Emulated per-I/O SSD latency for the comparison runs, injected
-    #: through a FaultPlan so both runs pay identical tier costs.
-    ssd_latency_seconds: float = 0.0005
-    #: GPU pool for the comparison runs. Roomier than the main profile's
-    #: deliberately-tight pool — the planned dynamic GPU cache needs
-    #: headroom to install — but sized so the cache stays *partial* and
-    #: the async writeback queue carries the uncached layers (both
-    #: mechanisms contribute; both runs get the same budget).
-    compare_gpu_memory_bytes: int = 5 * MiB
     #: Run the repro.observe watchdog at each step boundary; fired alerts
     #: and the residency timeline land in the BENCH payload.
     watch: bool = True
 
 
-def _workload(config: ProfileConfig):
-    from repro.fleet.factory import JobWorkload
-
-    return JobWorkload(
-        vocab_size=config.vocab_size, layers=config.layers,
-        seq_len=config.seq_len, batch_size=config.batch_size,
-        lr=config.lr, seed=config.seed,
-    )
-
-
-def _build_engine(config: ProfileConfig, telemetry, pipeline=None, fault_plan=None):
+def _train_once(
+    config: ProfileConfig, telemetry, watchdog=None
+) -> tuple[float, list[float], list[dict], dict]:
+    """The training run; returns (elapsed, losses, memory_timeline,
+    pipeline_report)."""
     from repro.engine.angel import AngelConfig
-    from repro.fleet.factory import JobFactory
+    from repro.fleet.factory import JobFactory, JobWorkload
 
-    angel = AngelConfig(
-        gpu_memory_bytes=config.gpu_memory_bytes,
-        cpu_memory_bytes=config.cpu_memory_bytes,
-        ssd_bytes=config.ssd_bytes,
-        page_bytes=config.page_bytes,
+    factory = JobFactory(JobWorkload(
+        vocab_size=VOCAB_SIZE, layers=config.layers, seq_len=SEQ_LEN,
+        batch_size=BATCH_SIZE, lr=LR, seed=config.seed,
+    ))
+    clock = telemetry.clock
+    engine = factory.engine(AngelConfig(
+        gpu_memory_bytes=GPU_MEMORY_BYTES,
+        cpu_memory_bytes=CPU_MEMORY_BYTES,
+        ssd_bytes=SSD_BYTES,
+        page_bytes=PAGE_BYTES,
         lock_free=config.lock_free,
         update_interval=4 if config.lock_free else 1,
-        pipeline=config.pipeline if pipeline is None else pipeline,
-        fault_plan=fault_plan,
+        pipeline=config.pipeline,
         telemetry=telemetry,
-    )
-    return JobFactory(_workload(config)).engine(angel)
-
-
-def _train_once(
-    config: ProfileConfig, telemetry, watchdog=None, pipeline=None, fault_plan=None
-) -> tuple[float, list[float], list[dict], dict]:
-    """One training run; returns (elapsed, losses, memory_timeline,
-    pipeline_report)."""
-    from repro.fleet.factory import JobFactory
-
-    clock = telemetry.clock
-    engine = _build_engine(config, telemetry, pipeline=pipeline, fault_plan=fault_plan)
+    ))
     losses = []
     try:
         started = clock.perf()
-        for step, batch in enumerate(
-            JobFactory(_workload(config)).batches(config.steps)
-        ):
+        for step, batch in enumerate(factory.batches(config.steps)):
             loss = engine(batch)
             engine.backward(loss)
             engine.step()
@@ -117,134 +91,7 @@ def _train_once(
     return elapsed, losses, timeline, pipeline_report
 
 
-def _compare_pipeline(config: ProfileConfig) -> dict:
-    """SSD-tier workload, pipeline off vs on; same seed, same tier costs.
-
-    Both runs pay an emulated per-I/O SSD latency (injected through a
-    FaultPlan with ``latency_rate=1``), the realistic regime the async
-    writeback targets; telemetry is disabled on both so the comparison
-    times the runtime, not the instrumentation. Reports wall-clock
-    throughputs, the speedup, overlap accounting from the pipelined run,
-    and whether the two loss curves were bit-identical.
-    """
-    from dataclasses import replace
-
-    from repro.resilience.faults import FaultPlan
-    from repro.telemetry.core import Telemetry
-
-    config = replace(config, gpu_memory_bytes=config.compare_gpu_memory_bytes)
-
-    def plan():
-        return FaultPlan(
-            seed=config.seed,
-            latency_rate=1.0,
-            latency_seconds=config.ssd_latency_seconds,
-        )
-
-    sync_elapsed, sync_losses, _, sync_report = _train_once(
-        config, Telemetry(enabled=False), pipeline=False, fault_plan=plan()
-    )
-    pipe_elapsed, pipe_losses, _, overlap = _train_once(
-        config, Telemetry(enabled=False), pipeline=True, fault_plan=plan()
-    )
-    return {
-        "workload": "ssd_tier",
-        "steps": config.steps,
-        "ssd_latency_seconds": config.ssd_latency_seconds,
-        "sync": {
-            "elapsed_seconds": sync_elapsed,
-            "steps_per_second": (
-                config.steps / sync_elapsed if sync_elapsed > 0 else float("inf")
-            ),
-            "demand_fetch_seconds": sync_report.get("demand_fetch_seconds", 0.0),
-        },
-        "pipelined": {
-            "elapsed_seconds": pipe_elapsed,
-            "steps_per_second": (
-                config.steps / pipe_elapsed if pipe_elapsed > 0 else float("inf")
-            ),
-            "stall_seconds": overlap.get("stall_seconds", 0.0),
-            "demand_fetch_seconds": overlap.get("demand_fetch_seconds", 0.0),
-            "cached_layers_live": overlap.get("cached_layers_live", 0),
-            "prefetch": overlap.get("prefetch"),
-            "writeback": overlap.get("writeback"),
-        },
-        "speedup": sync_elapsed / pipe_elapsed if pipe_elapsed > 0 else float("inf"),
-        "bit_identical_losses": sync_losses == pipe_losses,
-    }
-
-
-def _page_throughput(config: ProfileConfig) -> dict:
-    """Raw ``move_pages`` throughput per (src, dst) tier edge.
-
-    Builds a fresh three-tier allocator, moves one multi-tensor
-    MoveGroup along each edge of the hierarchy, and reports
-    pages-moved/sec plus how many physical copy calls the group
-    coalesced into. Fresh pools hand out consecutive arena slots, so a
-    well-coalesced group is O(runs) ≪ O(pages) copy calls — the number
-    the new perf gate asserts on.
-    """
-    import numpy as np
-
-    from repro.hardware.device import DeviceKind
-    from repro.memory.allocator import PageAllocator
-    from repro.memory.pool import DevicePool
-
-    telemetry = Telemetry()
-    page_bytes = config.page_bytes
-    group_pages = 32
-    capacity = 2 * group_pages * page_bytes
-    pools = {
-        DeviceKind.GPU: DevicePool(
-            DeviceKind.GPU, capacity, page_bytes, backend="ram",
-            telemetry=telemetry,
-        ),
-        DeviceKind.CPU: DevicePool(
-            DeviceKind.CPU, capacity, page_bytes, backend="ram",
-            telemetry=telemetry,
-        ),
-        DeviceKind.SSD: DevicePool(
-            DeviceKind.SSD, capacity, page_bytes, backend="file",
-            telemetry=telemetry,
-        ),
-    }
-    edges = {}
-    with PageAllocator(pools, telemetry=telemetry) as allocator:
-        # Eight 4-page tensors: one MoveGroup of 32 pages per edge.
-        tensors = [
-            allocator.allocate(
-                (4 * page_bytes // 4,), np.float32, DeviceKind.CPU
-            )
-            for _ in range(group_pages // 4)
-        ]
-        route = [DeviceKind.GPU, DeviceKind.CPU, DeviceKind.SSD,
-                 DeviceKind.CPU]
-        src = DeviceKind.CPU
-        for dst in route:
-            moved = allocator.move_pages(tensors, dst)
-            edge = f"{src.name.lower()}->{dst.name.lower()}"
-            edges[edge] = {
-                "pages_moved": moved.pages_moved,
-                "bytes_moved": moved.bytes_moved,
-                "copy_calls": moved.copy_calls,
-                "pages_per_copy_call": (
-                    moved.pages_moved / moved.copy_calls
-                    if moved.copy_calls else 0.0
-                ),
-                "pages_moved_per_sec": telemetry.registry.value(
-                    "pages.moved_per_sec",
-                    src=src.name.lower(), dst=dst.name.lower(),
-                ),
-            }
-            src = dst
-    return {
-        "page_bytes": page_bytes,
-        "group_pages": group_pages,
-        "edges": edges,
-    }
-
-
-def _simulate_once(config: ProfileConfig, telemetry) -> tuple[dict, dict]:
+def _simulate_once(telemetry) -> tuple[dict, dict]:
     """Plan + simulate one analytic iteration on the shared telemetry.
 
     Returns ``(simulated metrics, verification payload)`` — the plan the
@@ -257,16 +104,12 @@ def _simulate_once(config: ProfileConfig, telemetry) -> tuple[dict, dict]:
     from repro.models import get_model
     from repro.scheduler.unified import UnifiedScheduler
 
-    scheduler = UnifiedScheduler(
-        a100_cluster(config.sim_servers), telemetry=telemetry
-    )
-    result = scheduler.simulate(
-        get_model(config.sim_model), config.sim_batch
-    )
+    scheduler = UnifiedScheduler(a100_cluster(SIM_SERVERS), telemetry=telemetry)
+    result = scheduler.simulate(get_model(SIM_MODEL), SIM_BATCH)
     verification = verify_plan(result.plan, scheduler.gpu_budget).to_dict()
     simulated = {
-        "model": config.sim_model,
-        "micro_batch": config.sim_batch,
+        "model": SIM_MODEL,
+        "micro_batch": SIM_BATCH,
         "iteration_time_seconds": result.iteration_time,
         "samples_per_second": result.samples_per_second,
         "gpu_busy_fraction": result.gpu_busy_fraction,
@@ -278,7 +121,7 @@ def _simulate_once(config: ProfileConfig, telemetry) -> tuple[dict, dict]:
 def run_profile(
     config: ProfileConfig | None = None, telemetry: Telemetry | None = None
 ) -> tuple[dict, Telemetry]:
-    """Profile the engine; returns (report, telemetry-with-spans).
+    """One instrumented run; returns (report, telemetry-with-spans).
 
     The report is the ``BENCH_telemetry.json`` payload; the returned
     telemetry still holds the span records, so callers can additionally
@@ -301,7 +144,7 @@ def run_profile(
     elapsed, losses, memory_timeline, pipeline_report = _train_once(
         config, telemetry, watchdog
     )
-    simulated, verification = _simulate_once(config, telemetry)
+    simulated, verification = _simulate_once(telemetry)
 
     # The coordinator protocol is verified alongside the schedule: both
     # are static proofs the bench carries with its numbers (milliseconds
@@ -309,24 +152,6 @@ def run_profile(
     from repro.analysis.protocol import explore_protocol
 
     protocol_verification = explore_protocol(depth=6).to_dict()
-
-    pipeline_compare = None
-    if config.compare_pipeline:
-        pipeline_compare = _compare_pipeline(config)
-
-    page_throughput = _page_throughput(config)
-
-    overhead = None
-    if config.measure_overhead:
-        baseline_elapsed, _, _, _ = _train_once(config, Telemetry(enabled=False))
-        overhead = {
-            "instrumented_seconds": elapsed,
-            "disabled_seconds": baseline_elapsed,
-            "overhead_fraction": (
-                (elapsed - baseline_elapsed) / baseline_elapsed
-                if baseline_elapsed > 0 else 0.0
-            ),
-        }
 
     dump = telemetry.dump()
     counters = dump["metrics"]["counters"]
@@ -349,10 +174,7 @@ def run_profile(
         "verification": verification,
         "protocol_verification": protocol_verification,
         "per_tier_edge_bytes": page_edges,
-        "page_throughput": page_throughput,
         "pipeline": pipeline_report,
-        "pipeline_compare": pipeline_compare,
-        "overhead": overhead,
         "memory_timeline": memory_timeline,
         "alerts": watchdog.payload() if watchdog is not None else [],
         "telemetry": dump,

@@ -1,9 +1,9 @@
 """Chrome trace-event serialization shared by simulation and runtime.
 
-Both the discrete-event simulator (``sim.trace_export``) and the runtime
-span tracer (``telemetry.spans``) render to the same artifact: a Chrome
-``traceEvents`` JSON openable in ``chrome://tracing`` / Perfetto. This
-module owns the format — metadata rows naming each track, one ``X``
+Both the discrete-event simulator (``sim.Timeline.to_chrome_trace``) and
+the runtime span tracer (``telemetry.spans``) render to the same artifact:
+a Chrome ``traceEvents`` JSON openable in ``chrome://tracing`` / Perfetto.
+This module owns the format — metadata rows naming each track, one ``X``
 (complete) event per slice, stable tid assignment — so the two producers
 cannot drift apart.
 """

@@ -137,6 +137,36 @@ class TestDataPaths:
         finally:
             allocator.close()
 
+    @pytest.mark.parametrize("src, dst", [
+        (DeviceKind.CPU, DeviceKind.GPU), (DeviceKind.GPU, DeviceKind.CPU),
+        (DeviceKind.CPU, DeviceKind.SSD), (DeviceKind.SSD, DeviceKind.CPU),
+    ], ids=lambda kind: kind.name.lower())
+    def test_group_move_is_one_copy_call_on_every_real_edge(self, src, dst):
+        """Fresh pools hand out consecutive arena slots, so a 32-page
+        group is one contiguous run: one copy call, not one per page."""
+        from repro.telemetry import Telemetry
+
+        page = 64 * KiB
+        telemetry = Telemetry()
+        backends = {DeviceKind.GPU: "ram", DeviceKind.CPU: "ram",
+                    DeviceKind.SSD: "file"}
+        with PageAllocator({
+            kind: DevicePool(kind, 64 * page, page_bytes=page,
+                             backend=backend, telemetry=telemetry)
+            for kind, backend in backends.items()
+        }, telemetry=telemetry) as allocator:
+            tensors = [
+                allocator.allocate((4 * page // 4,), np.float32, src)
+                for _ in range(8)
+            ]
+            report = allocator.move_pages(tensors, dst)
+            assert (report.pages_moved, report.bytes_moved,
+                    report.copy_calls) == (32, 32 * page, 1)
+            assert telemetry.registry.value(
+                "pages.moved_per_sec",
+                src=src.name.lower(), dst=dst.name.lower(),
+            ) > 0
+
     def test_merge_makes_contiguous(self, alloc):
         nelems = PAGE // 4 + PAGE // 16
         a = alloc.allocate((nelems,), np.float32, DeviceKind.CPU)

@@ -67,10 +67,7 @@ class TestFacade:
     def test_profile_returns_payload_and_telemetry(self):
         from repro.telemetry.bench import ProfileConfig
 
-        config = ProfileConfig(
-            steps=2, measure_overhead=False, compare_pipeline=False,
-            watch=False,
-        )
+        config = ProfileConfig(steps=2, watch=False)
         payload, telemetry = api.profile(config)
         assert payload["benchmark"] == "telemetry_profile"
         assert payload["train"]["steps"] == 2
@@ -79,10 +76,8 @@ class TestFacade:
     def test_profile_overrides_replace_fields(self):
         from repro.telemetry.bench import ProfileConfig
 
-        config = ProfileConfig(measure_overhead=False)
-        payload, _ = api.profile(
-            config, steps=1, compare_pipeline=False, watch=False,
-        )
+        config = ProfileConfig()
+        payload, _ = api.profile(config, steps=1, watch=False)
         assert payload["train"]["steps"] == 1
 
     def test_chaos_runs_reference_scenario(self, tmp_path):
@@ -96,10 +91,7 @@ class TestFacade:
     def test_report_renders_from_dict(self, tmp_path):
         from repro.telemetry.bench import ProfileConfig
 
-        config = ProfileConfig(
-            steps=1, measure_overhead=False, compare_pipeline=False,
-            watch=False,
-        )
+        config = ProfileConfig(steps=1, watch=False)
         payload, _ = api.profile(config)
         written = api.report(payload, tmp_path / "run_report.md")
         assert any(str(p).endswith(".md") for p in written)

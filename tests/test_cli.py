@@ -65,8 +65,7 @@ class TestCli:
         import json
 
         assert main([
-            "profile", "--steps", "2", "--no-overhead",
-            "--outdir", str(tmp_path),
+            "profile", "--steps", "2", "--outdir", str(tmp_path),
         ]) == 0
         out = capsys.readouterr().out
         assert "steps/s" in out and "per-tier traffic" in out
@@ -80,6 +79,37 @@ class TestCli:
     def test_profile_rejects_bad_steps(self, capsys, tmp_path):
         assert main(["profile", "--steps", "0",
                      "--outdir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("rerun", ["overhead", "compare"])
+    def test_profile_has_no_comparison_flags(self, rerun, capsys):
+        """One run, so no flag to skip a second one (timing: ``bench/``)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", f"--no-{rerun}"])
+        assert excinfo.value.code == 2
+
+    def test_profile_accepts_exactly_its_eight_options(self):
+        profile = build_parser().parse_args(["profile"])
+        assert set(vars(profile)) - {"command", "func"} == {
+            "steps", "layers", "seed", "lock_free", "pipeline", "no_watch",
+            "outdir", "report",
+        }
+
+    def test_profile_pipeline_prints_its_own_overlap(self, capsys, tmp_path):
+        import json
+
+        assert main([
+            "profile", "--steps", "4", "--pipeline", "--no-watch",
+            "--outdir", str(tmp_path),
+        ]) == 0
+        out = capsys.readouterr().out
+        pipeline = json.loads(
+            (tmp_path / "BENCH_telemetry.json").read_text()
+        )["pipeline"]
+        line = next(l for l in out.splitlines() if l.startswith("pipeline        :"))
+        assert f"{pipeline['prefetch']['abandoned']} abandoned" in line
+        assert f"{pipeline['prefetch']['deferred']} deferred" in line
+        assert f"{pipeline['writeback']['flushed']} async flushes" in line
+        assert "pipeline overlap" not in out and "span overhead" not in out
 
     def test_chaos_unified_metrics_dump(self, capsys, tmp_path):
         assert main([
@@ -105,13 +135,12 @@ class TestCli:
 class TestReportCli:
     def _profile(self, outdir, steps=2):
         assert main([
-            "profile", "--steps", str(steps), "--no-overhead",
-            "--outdir", str(outdir),
+            "profile", "--steps", str(steps), "--outdir", str(outdir),
         ]) == 0
 
     def test_profile_with_report_writes_run_report(self, capsys, tmp_path):
         assert main([
-            "profile", "--steps", "3", "--no-overhead", "--report",
+            "profile", "--steps", "3", "--report",
             "--outdir", str(tmp_path),
         ]) == 0
         out = capsys.readouterr().out

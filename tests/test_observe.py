@@ -353,7 +353,6 @@ def make_bench(steps_per_second=10.0, alerts=(), timeline=()):
             "model": "gpt3-13b", "samples_per_second": 2.0,
             "iteration_time_seconds": 2.0,
         },
-        "overhead": {"overhead_fraction": 0.01},
         "per_tier_edge_bytes": {
             "pages.moved_bytes{dst=gpu,src=cpu}": 4 * MiB,
             "pages.moved_bytes{dst=cpu,src=gpu}": 3 * MiB,
@@ -446,14 +445,26 @@ class TestReport:
         assert "train.steps_per_second" in improved
 
 
+    def test_payload_keys_the_profile_no_longer_writes_are_ignored(self):
+        """A BENCH_telemetry.json written before the comparison re-runs
+        were removed still renders; its stale sections are not shown."""
+        bench = make_bench()
+        bench["overhead"] = {"overhead_fraction": -0.028}
+        bench["page_throughput"] = {"edges": {"cpu->gpu": {"copy_calls": 1}}}
+        bench["pipeline"] = {"enabled": False, "stall_seconds": 0.0}
+        markdown = render_markdown(bench)
+        assert "## Summary" in markdown
+        assert "overhead" not in markdown
+        assert "## Pipelined runtime" not in markdown
+        assert compare(bench, make_bench())["ok"]
+
+
 class TestProfileIntegration:
     def test_tight_profile_fires_alerts_and_samples_timeline(self):
         from repro.observe.report import render_markdown
         from repro.telemetry.bench import ProfileConfig, run_profile
 
-        report, telemetry = run_profile(ProfileConfig(
-            steps=5, measure_overhead=False
-        ))
+        report, telemetry = run_profile(ProfileConfig(steps=5))
         # The deliberately tight GPU pool (16 pages) makes the watchdog's
         # job easy: the waterline and/or cache rules must fire.
         assert report["alerts"], "tight profile must fire >= 1 alert"
@@ -468,12 +479,30 @@ class TestProfileIntegration:
         counters = report["telemetry"]["metrics"]["counters"]
         assert any(k.startswith("watchdog.alerts") for k in counters)
 
-    def test_watch_off_keeps_payload_shape(self):
+    def test_pipelined_profile_reports_its_own_overlap(self):
+        from repro.observe.report import render_markdown
         from repro.telemetry.bench import ProfileConfig, run_profile
 
         report, _ = run_profile(ProfileConfig(
-            steps=2, measure_overhead=False, watch=False
+            steps=4, pipeline=True, watch=False
         ))
+        pipeline = report["pipeline"]
+        assert pipeline["enabled"]
+        markdown = render_markdown(report)
+        assert "## Pipelined runtime" in markdown
+        assert (f"{pipeline['prefetch']['abandoned']} abandoned to the "
+                f"demand path") in markdown
+        assert (f"{pipeline['writeback']['flushed']} state flushes"
+                in markdown)
+
+        sync, _ = run_profile(ProfileConfig(steps=2, watch=False))
+        assert not sync["pipeline"]["enabled"]
+        assert "## Pipelined runtime" not in render_markdown(sync)
+
+    def test_watch_off_keeps_payload_shape(self):
+        from repro.telemetry.bench import ProfileConfig, run_profile
+
+        report, _ = run_profile(ProfileConfig(steps=2, watch=False))
         assert report["alerts"] == []
         assert report["memory_timeline"]  # engine samples regardless
 

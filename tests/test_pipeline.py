@@ -116,6 +116,40 @@ class TestPrefetchDeterminism:
             assert np.array_equal(array, pipe_params[name]), name
 
 
+def test_ssd_tier_engages_cache_writeback_and_prefetch():
+    """On a GPU pool that holds only part of the planned cache, all three
+    pipeline mechanisms carry the run (counts only; ``bench/``'s
+    ``ssd_pipeline`` times it)."""
+    from repro.fleet.factory import JobFactory, JobWorkload
+
+    def run(pipeline):
+        factory = JobFactory(JobWorkload(
+            vocab_size=32, layers=2, seq_len=16, batch_size=8,
+        ))
+        engine = factory.engine(AngelConfig(
+            gpu_memory_bytes=5 * MiB, cpu_memory_bytes=64 * MiB,
+            ssd_bytes=32 * MiB, page_bytes=64 * KiB, pipeline=pipeline,
+        ))
+        try:
+            losses = []
+            for batch in factory.batches(8):
+                loss = engine(batch)
+                engine.backward(loss)
+                engine.step()
+                losses.append(loss.item())
+            return losses, engine.pipeline_report()
+        finally:
+            engine.close()
+
+    sync_losses, _ = run(pipeline=False)
+    losses, report = run(pipeline=True)
+    assert losses == sync_losses
+    assert report["cached_layers_live"] > 0
+    assert report["writeback"]["flushed"] > 0
+    assert report["prefetch"]["prefetched_groups"] > 0
+    assert report["prefetch"]["abandoned"] == 0
+
+
 class TestProcessDataPlane:
     """io_workers="process": copies leave the GIL, numerics must not."""
 

@@ -157,9 +157,7 @@ class TestChromeTraceExport:
         return sim.run()
 
     def test_trace_structure(self):
-        from repro.sim import to_chrome_trace
-
-        trace = to_chrome_trace(self._timeline())
+        trace = self._timeline().to_chrome_trace()
         slices = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         names = {e["name"] for e in slices}
         assert names == {"move", "fwd"}
@@ -169,9 +167,7 @@ class TestChromeTraceExport:
         assert len(tids) == 2
 
     def test_time_scaling(self):
-        from repro.sim import to_chrome_trace
-
-        trace = to_chrome_trace(self._timeline(), time_unit=1e-3)
+        trace = self._timeline().to_chrome_trace(time_unit=1e-3)
         fwd = next(e for e in trace["traceEvents"]
                    if e.get("name") == "fwd" and e["ph"] == "X")
         assert fwd["ts"] == 500.0  # 0.5s at 1ms->1us
@@ -180,9 +176,7 @@ class TestChromeTraceExport:
     def test_save_roundtrip(self, tmp_path):
         import json
 
-        from repro.sim import save_chrome_trace
-
         path = tmp_path / "trace.json"
-        save_chrome_trace(self._timeline(), str(path))
+        self._timeline().save_chrome_trace(str(path))
         loaded = json.loads(path.read_text())
         assert "traceEvents" in loaded
