@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.errors import CheckpointError
 from repro.checkpoint.snapshot import Snapshot
+from repro.memory.tensor import gather, scatter
 from repro.nn.layers import Module
 from repro.nn.optim import MixedPrecisionAdam
 
@@ -78,8 +79,10 @@ def capture_engine_state(engine, step: int = 0) -> Snapshot:
 
     The pages are authoritative (they may live on the file-backed SSD
     tier); reading through them exercises the same path a production
-    checkpointer would.
+    checkpointer would, once the engine's queued state flushes landed:
+    one vectored read per pool for every FP32 state.
     """
+    engine.barrier()
     snapshot = Snapshot(
         metadata={
             "step": step,
@@ -89,11 +92,14 @@ def capture_engine_state(engine, step: int = 0) -> Snapshot:
             "pending": engine._pending,
         }
     )
+    states = _fp32_states(engine)
+    arrays = {name: np.empty(t.shape, t.dtype) for name, t in states.items()}
+    gather(list(states.values()), list(arrays.values()))
     for managed in engine._managed:
         snapshot.add_array(f"param/{managed.name}", managed.param.data)
-        snapshot.add_array(f"master/{managed.name}", managed.master.read_array())
-        snapshot.add_array(f"m/{managed.name}", managed.moment1.read_array())
-        snapshot.add_array(f"v/{managed.name}", managed.moment2.read_array())
+        for prefix in ("master", "m", "v"):
+            name = f"{prefix}/{managed.name}"
+            snapshot.add_array(name, arrays[name])
         snapshot.add_array(
             f"fp16/{managed.name}",
             managed.fp16.read_array().view(np.uint16),
@@ -101,17 +107,23 @@ def capture_engine_state(engine, step: int = 0) -> Snapshot:
     return snapshot
 
 
+def _fp32_states(engine) -> dict:
+    """Snapshot array name -> the engine's paged FP32 state tensor."""
+    return {f"{prefix}/{m.name}": getattr(m, attr) for m in engine._managed
+            for prefix, attr in (("master", "master"), ("m", "moment1"), ("v", "moment2"))}
+
+
 def restore_engine_state(snapshot: Snapshot, engine) -> int:
     """Restore a snapshot into a (freshly initialized) AngelModel."""
+    engine.barrier()  # no queued flush may still read the host arrays
     names = snapshot.metadata["param_names"]
     current = [m.name for m in engine._managed]
     if names != current:
         raise CheckpointError("engine layout does not match the checkpoint")
+    states = _fp32_states(engine)
+    scatter(list(states.values()), [snapshot.arrays[name] for name in states])
     for managed in engine._managed:
         managed.param.data[...] = snapshot.arrays[f"param/{managed.name}"]
-        managed.master.write_array(snapshot.arrays[f"master/{managed.name}"])
-        managed.moment1.write_array(snapshot.arrays[f"m/{managed.name}"])
-        managed.moment2.write_array(snapshot.arrays[f"v/{managed.name}"])
         managed.fp16.write_array(
             snapshot.arrays[f"fp16/{managed.name}"].view(np.float16)
         )

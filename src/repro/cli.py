@@ -869,13 +869,14 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--ckpt-every", type=int, default=3)
     chaos.add_argument("--world-size", type=int, default=2)
-    chaos.add_argument("--transient-rate", type=float, default=0.005,
-                       help="per-I/O transient fault probability on the SSD tier")
+    chaos.add_argument("--transient-rate", type=float, default=0.02,
+                       help="per-request transient fault probability on the "
+                            "SSD tier (a step issues ~40 requests)")
     chaos.add_argument("--max-transients", type=int, default=8)
-    chaos.add_argument("--torn-rate", type=float, default=0.002)
+    chaos.add_argument("--torn-rate", type=float, default=0.008)
     chaos.add_argument("--max-torn", type=int, default=2)
     chaos.add_argument("--tier-death-after", type=int, default=None,
-                       help="kill the SSD tier permanently after N I/O ops")
+                       help="kill the SSD tier permanently after N I/O requests")
     chaos.add_argument("--rank-failure-at", type=int, default=None,
                        help="crash a rank at this step (restore from checkpoint)")
     chaos.add_argument("--workdir", default=None,

@@ -33,6 +33,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,7 +43,7 @@ from repro.hardware.device import DeviceKind
 from repro.lockfree.buffers import GradientBuffers
 from repro.memory.allocator import PageAllocator, PageQuota
 from repro.memory.pool import DevicePool
-from repro.memory.tensor import PagedTensor
+from repro.memory.tensor import PagedTensor, gather, scatter
 from repro.nn.data import Batch
 from repro.nn.functional import cross_entropy
 from repro.nn.layers import Module
@@ -193,12 +194,10 @@ class AngelModel:
         self._iteration = 0
         self._pending = 0
         # _move_lock serializes page movement between the prefetch worker
-        # and the demand-fetch / sweep paths; _io_lock serializes
-        # state-tier I/O between the writeback worker and synchronous
-        # sweep reads (the file backend's seek+read/write pairs are not
-        # atomic). Created before _register_parameters, which does I/O.
+        # and the demand-fetch / sweep paths. State-tier I/O takes no
+        # lock: backends copy positionally (mmap slices, pread/pwrite),
+        # so the writeback thread's writes run beside the sweep's reads.
         self._move_lock = threading.RLock()
-        self._io_lock = threading.Lock()
         if config.telemetry is not None:
             self.telemetry = config.telemetry
         else:
@@ -313,12 +312,14 @@ class AngelModel:
         for index, (name, param) in enumerate(params):
             fp16 = self.allocator.allocate(param.shape, np.float16, DeviceKind.CPU)
             fp16.write_array(param.data.astype(np.float16))
-            master = self.allocator.allocate(param.shape, np.float32, self._state_tier)
-            self._io(lambda t=master, p=param: t.write_array(p.data))
-            moment1 = self.allocator.allocate(param.shape, np.float32, self._state_tier)
-            self._io(lambda t=moment1: t.fill(0.0))
-            moment2 = self.allocator.allocate(param.shape, np.float32, self._state_tier)
-            self._io(lambda t=moment2: t.fill(0.0))
+            master, moment1, moment2 = (
+                self.allocator.allocate(param.shape, np.float32, self._state_tier)
+                for _ in range(3)
+            )
+            zeros = np.zeros(param.shape, np.float32)
+            self._io(lambda: scatter(
+                [master, moment1, moment2], [param.data, zeros, zeros]
+            ))
             managed = _Managed(
                 index=index, name=name, param=param, fp16=fp16,
                 master=master, moment1=moment1, moment2=moment2,
@@ -327,22 +328,25 @@ class AngelModel:
             self._by_param[id(param)] = managed
 
     def _io(self, fn):
-        """Run a paged-state I/O op under the configured retry policy.
-
-        The lock keeps the writeback worker's flushes and the sweep's
-        synchronous reads from interleaving inside the shared file
-        backend.
-        """
+        """Run a paged-state I/O op under the configured retry policy."""
         policy = self.config.retry_policy
-        with self._io_lock:
-            if policy is None:
-                return fn()
-            return policy.run(fn)
+        if policy is None:
+            return fn()
+        return policy.run(fn)
 
     def _install_hooks(self) -> None:
+        #: The update sweep's unit (Algorithm 2's layer): each hooked
+        #: module's parameters, in module order.
+        self._groups = []
         for module in self.module.modules():
             if module._parameters:
                 module.add_forward_hook(self._on_module_forward)
+                self._groups.append(
+                    [self._by_param[id(p)] for p in module._parameters.values()]
+                )
+        indices = sorted(m.index for group in self._groups for m in group)
+        if indices != list(range(len(self._managed))):
+            raise ConfigurationError("every parameter must belong to exactly one module")
 
     def _on_module_forward(self, module: Module) -> None:
         """Fetch (sync) or await (pipelined) the module's parameter pages."""
@@ -647,89 +651,43 @@ class AngelModel:
             telemetry.counter("engine.update_sweeps").inc()
 
     def _sweep_body(self) -> None:
+        """Per layer, last first: ONE vectored read of its FP32 states,
+        Adam, the FP16 refresh, ONE vectored write (Algorithm 2, 2-7)."""
         opt = self.optimizer
         writeback = self._writeback
         opt.bump_step()
-        for managed in reversed(self._managed):
-            grad, count = self._buffers.drain(managed.index)
-            if count == 0:
+        for layer in reversed(range(len(self._groups))):
+            live = []
+            for managed in self._groups[layer]:
+                grad, count = self._buffers.drain(managed.index)
+                if count:
+                    live.append((managed, grad / count))
+            if not live:
                 continue
-            index = managed.index
             if writeback is not None:
-                # Read-your-writes: any still-queued flush for this
-                # parameter must land before we read its states back.
-                writeback.wait(index)
-            # Fetch p32, m32, v32 from their tier (real file I/O on SSD);
-            # transient faults are retried, permanent tier death escalates.
-            opt.master[index][...] = self._io(managed.master.read_array)
-            opt.m[index][...] = self._io(managed.moment1.read_array)
-            opt.v[index][...] = self._io(managed.moment2.read_array)
-            refreshed = opt.apply_gradient(index, grad / count)
-            if writeback is not None and managed.master.device_kind != DeviceKind.GPU:
-                # Offload updated states off the critical path. The
-                # snapshots are copies: the optimizer's host arrays mutate
-                # on the next sweep while the flush may still be queued.
-                writeback.submit(
-                    index,
-                    lambda t=managed.master,
-                    a=opt.master[index].copy(): self._flush_state(t, a),
-                )
-                writeback.submit(
-                    index,
-                    lambda t=managed.moment1,
-                    a=opt.m[index].copy(): self._flush_state(t, a),
-                )
-                writeback.submit(
-                    index,
-                    lambda t=managed.moment2,
-                    a=opt.v[index].copy(): self._flush_state(t, a),
-                )
+                # Read-your-writes, and the layer's queued flush reads the
+                # host arrays below: it must land before they change.
+                writeback.wait(layer)
+            states = [t for m, _ in live for t in (m.master, m.moment1, m.moment2)]
+            hosts = [a for m, _ in live
+                     for a in (opt.master[m.index], opt.m[m.index], opt.v[m.index])]
+            # Transient faults are retried; permanent tier death escalates.
+            self._io(lambda: gather(states, hosts))
+            for managed, grad in live:
+                refreshed = opt.apply_gradient(managed.index, grad)
+                # The FP16 refresh stays synchronous: the very next forward
+                # reads it, and deferring it would reintroduce staleness.
+                with self._move_lock:
+                    managed.fp16.write_array(refreshed.astype(np.float16))
+                managed.param.data[...] = refreshed
+            flush = partial(scatter, states, hosts, self._io_service)
+            if writeback is not None and any(
+                t.device_kind != DeviceKind.GPU for t in states
+            ):
+                writeback.submit(layer, flush)  # off the critical path
             else:
-                # Synchronous path: no pipeline, or the state pages are
-                # GPU-cache-resident and the write is a cheap pool write.
-                self._io(lambda: self._flush_state(managed.master, opt.master[index]))
-                self._io(lambda: self._flush_state(managed.moment1, opt.m[index]))
-                self._io(lambda: self._flush_state(managed.moment2, opt.v[index]))
-            # The FP16 refresh stays synchronous: the very next forward
-            # reads it, and deferring it would reintroduce staleness.
-            with self._move_lock:
-                managed.fp16.write_array(refreshed.astype(np.float16))
-            managed.param.data[...] = refreshed
-
-    def _flush_state(self, tensor: PagedTensor, array: np.ndarray) -> None:
-        """Write one FP32 state snapshot into its pages.
-
-        With the out-of-process data plane active and the tensor's pages
-        in a single descriptor-exporting arena, the payload is staged
-        once into a shared segment and the copy worker scatters it page
-        by page — the per-page byte pushing leaves this interpreter.
-        Otherwise (thread mode, fault-wrapped SSD backends, pages split
-        across pools) this is exactly ``tensor.write_array``.
-        """
-        service = self._io_service
-        if service is not None and service.alive:
-            array = np.ascontiguousarray(array, dtype=tensor.dtype)
-            descriptor = self._scatter_descriptor(tensor)
-            if descriptor is not None and array.nbytes == tensor.nbytes:
-                raw = array.view(np.uint8).reshape(-1)
-                runs = []
-                for page, offset, nbytes, cursor in tensor._segments():
-                    storage = page.storage
-                    arena_offset = (
-                        storage.index * storage.pool.page_bytes + offset
-                    )
-                    runs.append((cursor, arena_offset, nbytes))
-                service.scatter(descriptor, raw, runs)
-                return
-        tensor.write_array(array)
-
-    @staticmethod
-    def _scatter_descriptor(tensor: PagedTensor):
-        """The tensor's single arena descriptor, or None if not scatterable."""
-        pools = {id(page.pool): page.pool for page in tensor.page_list}
-        if len(pools) != 1:
-            return None
-        return next(iter(pools.values())).backend_descriptor()
+                # No pipeline, or GPU-cache-resident states: a pool write.
+                self._io(flush)
 
     # ------------------------------------------------------------------
     # Graceful degradation (Section 3.1's failure model)
@@ -817,16 +775,22 @@ class AngelModel:
     def memory_report(self) -> dict[str, dict[str, int]]:
         return self.allocator.residency_report()
 
+    def barrier(self) -> None:
+        """Block until every queued FP32-state flush has landed, so the
+        paged states equal the optimizer's host arrays (checkpoints)."""
+        if self._writeback is not None:
+            self._writeback.barrier()
+
     def close(self) -> None:
         try:
             if self._pipeline is not None:
                 self._pipeline.stop()
                 self._pipeline = None
             if self._writeback is not None:
-                writeback, self._writeback = self._writeback, None
                 try:
-                    writeback.barrier()
+                    self.barrier()
                 finally:
+                    writeback, self._writeback = self._writeback, None
                     writeback.close()
         finally:
             self.allocator.close()

@@ -9,7 +9,9 @@ or a preallocated arena file — and speaks the buffer-protocol storage API
 (:class:`repro.protocols.PoolBackend`):
 
 - ``readinto(index, offset, buf)`` / ``write_from(index, offset, buf)``
-  move bytes directly between the arena and a caller-supplied buffer;
+  move bytes directly between the arena and a caller-supplied buffer,
+  and ``preadv(requests)`` / ``pwritev(requests)`` move a list of
+  ``(index, offset, buf)`` segments as one I/O request;
 - RAM-like arenas additionally expose ``view(index, offset, nbytes)``, a
   writable ``memoryview`` window, so an arena→arena page move is a single
   slice copy — one C-level ``memcpy`` that releases the GIL;
@@ -107,7 +109,20 @@ def unlink_segment(name: str) -> None:
         pass
 
 
-class ArenaPoolBackend:
+class SegmentLoopIO:
+    """The vectored pair as a loop of the backend's own per-segment copy:
+    one request, and only the segments' payload bytes move."""
+
+    def preadv(self, requests) -> None:
+        for index, offset, buf in requests:
+            self.readinto(index, offset, buf)
+
+    def pwritev(self, requests) -> None:
+        for index, offset, buf in requests:
+            self.write_from(index, offset, buf)
+
+
+class ArenaPoolBackend(SegmentLoopIO):
     """Pages stored consecutively in one RAM arena.
 
     ``shared=False`` (the default) backs the arena with an anonymous
@@ -222,7 +237,7 @@ def pwrite_full(fd: int, offset: int, view: memoryview) -> None:
         done += os.pwrite(fd, view[done:], offset + done)
 
 
-class FilePoolBackend:
+class FilePoolBackend(SegmentLoopIO):
     """Pages stored consecutively in one preallocated arena file.
 
     This is the reproduction's SSD tier: bytes land in a real file, so

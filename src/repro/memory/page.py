@@ -190,14 +190,6 @@ class Page:
     def write(self, offset: int, data: bytes) -> None:
         self.storage.write(offset, data)
 
-    def readinto(self, offset: int, buf) -> int:
-        """Fill ``buf`` from the page without an intermediate ``bytes``."""
-        return self.storage.readinto(offset, buf)
-
-    def write_from(self, offset: int, buf) -> int:
-        """Write ``buf`` into the page without an intermediate ``bytes``."""
-        return self.storage.write_from(offset, buf)
-
     def __repr__(self) -> str:
         where = self.device_kind.name if self.has_storage else "detached"
         return (

@@ -18,8 +18,9 @@ decides where the bytes physically live:
 
 Backends speak the buffer-protocol storage API
 (:class:`repro.protocols.PoolBackend`): ``readinto``/``write_from`` move
-bytes through caller-supplied buffers, RAM-like arenas add zero-copy
-``view`` windows.
+bytes through caller-supplied buffers, ``preadv``/``pwritev`` move a list
+of ``(slot, offset, buf)`` segments as one request, RAM-like arenas add
+zero-copy ``view`` windows.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from bisect import bisect_right
 
 from repro.errors import AllocationError, OutOfMemoryError, PageStateError
 from repro.hardware.device import DeviceKind
-from repro.memory.arena import ArenaPoolBackend, FilePoolBackend
+from repro.memory.arena import ArenaPoolBackend, FilePoolBackend, SegmentLoopIO
 from repro.memory.page import DEFAULT_PAGE_BYTES, Page
 from repro.protocols import PoolBackend
 
@@ -50,34 +51,17 @@ class _Storage:
         self.nbytes = nbytes
 
     # ------------------------------------------------------------------
-    # Buffer-protocol access (the hot path)
-    # ------------------------------------------------------------------
-    def readinto(self, offset: int, buf) -> int:
-        nbytes = memoryview(buf).nbytes
-        self._check_range(offset, nbytes)
-        counter = self.pool._read_bytes
-        if counter is not None:
-            counter.inc(nbytes)
-        return self.pool._backend.readinto(self.index, offset, buf)
-
-    def write_from(self, offset: int, buf) -> int:
-        nbytes = memoryview(buf).nbytes
-        self._check_range(offset, nbytes)
-        counter = self.pool._write_bytes
-        if counter is not None:
-            counter.inc(nbytes)
-        return self.pool._backend.write_from(self.index, offset, buf)
-
-    # ------------------------------------------------------------------
     # Bytes convenience (tests, small control-plane reads)
     # ------------------------------------------------------------------
     def read(self, offset: int, nbytes: int) -> bytes:
         buf = bytearray(nbytes)
-        self.readinto(offset, buf)
+        self._check_range(offset, nbytes)
+        self.pool.preadv([(self.index, offset, buf)])
         return bytes(buf)
 
     def write(self, offset: int, data: bytes) -> None:
-        self.write_from(offset, data)
+        self._check_range(offset, len(data))
+        self.pool.pwritev([(self.index, offset, data)])
 
     def _check_range(self, offset: int, nbytes: int) -> None:
         if offset < 0 or nbytes < 0 or offset + nbytes > self.nbytes:
@@ -86,7 +70,7 @@ class _Storage:
             )
 
 
-class NullPoolBackend:
+class NullPoolBackend(SegmentLoopIO):
     """Capacity accounting only; reads return zeros, writes are dropped.
 
     Lets the discrete-event experiments run the same allocator code at
@@ -118,7 +102,7 @@ def _checked_backend(backend):
         return backend
     raise AllocationError(
         f"{type(backend).__name__} does not implement the PoolBackend "
-        "protocol (readinto/write_from/close)"
+        "protocol (readinto/write_from/preadv/pwritev/close)"
     )
 
 
@@ -208,6 +192,25 @@ class DevicePool:
         if descriptor is None:
             return None
         return descriptor()
+
+    # ------------------------------------------------------------------
+    # Vectored I/O: one request per call, ``[(slot, offset, buf), ...]``
+    # (range-checked by the caller, see repro.memory.tensor.gather)
+    # ------------------------------------------------------------------
+    def preadv(self, requests) -> None:
+        if self._read_bytes is not None:
+            self._read_bytes.inc(sum(memoryview(b).nbytes for _, _, b in requests))
+        self._backend.preadv(requests)
+
+    def pwritev(self, requests, io_service=None) -> None:
+        if self._write_bytes is not None:
+            self._write_bytes.inc(sum(memoryview(b).nbytes for _, _, b in requests))
+        descriptor = io_service and io_service.alive and self.backend_descriptor()
+        if not descriptor:
+            return self._backend.pwritev(requests)
+        io_service.scatter(descriptor, [
+            (index * self.page_bytes + offset, buf) for index, offset, buf in requests
+        ])
 
     # ------------------------------------------------------------------
     # Storage lifecycle (used by page moves and by acquire/release below)

@@ -107,32 +107,14 @@ class PagedTensor:
     # Data access
     # ------------------------------------------------------------------
     def read_array(self) -> np.ndarray:
-        """Gather the tensor's bytes from its pages into an ndarray.
-
-        Each page segment is read directly into the result buffer
-        (``readinto``); no intermediate ``bytes`` objects.
-        """
-        self._check_live()
-        out = np.empty(self.size, dtype=self.dtype)
-        raw = out.view(np.uint8).reshape(-1)
-        for page, offset, nbytes, cursor in self._segments():
-            page.readinto(offset, raw[cursor:cursor + nbytes])
-        return out.reshape(self.shape)
+        """Gather the tensor's bytes from its pages into an ndarray."""
+        out = np.empty(self.shape, dtype=self.dtype)
+        gather([self], [out])
+        return out
 
     def write_array(self, array: np.ndarray) -> None:
         """Scatter ``array`` into the tensor's pages (zero-copy views)."""
-        self._check_live()
-        array = np.ascontiguousarray(array, dtype=self.dtype)
-        if array.shape != self.shape:
-            raise TensorStateError(
-                f"shape mismatch: tensor {self.shape}, array {array.shape}"
-            )
-        raw = array.view(np.uint8).reshape(-1)
-        for page, offset, nbytes, cursor in self._segments():
-            page.write_from(offset, raw[cursor:cursor + nbytes])
-
-    def fill(self, value: float) -> None:
-        self.write_array(np.full(self.shape, value, dtype=self.dtype))
+        scatter([self], [array])
 
     def __repr__(self) -> str:
         status = "released" if self._released else f"dev={self.device_index}"
@@ -140,3 +122,43 @@ class PagedTensor:
             f"PagedTensor(id={self.tensor_id}, shape={self.shape}, "
             f"dtype={self.dtype.name}, pages={len(self.page_list)}, {status})"
         )
+
+
+def _requests_by_pool(tensors, arrays) -> dict:
+    """Every tensor's page segments as ``(slot, offset, view)`` requests,
+    one list per pool, each view a window of the tensor's array."""
+    requests: dict = {}
+    for tensor, array in zip(tensors, arrays, strict=True):
+        tensor._check_live()
+        if array.shape != tensor.shape or array.dtype != tensor.dtype:
+            raise TensorStateError(
+                f"mismatch: tensor {tensor.shape} {tensor.dtype}, "
+                f"array {array.shape} {array.dtype}"
+            )
+        raw = memoryview(array).cast("B")  # C-contiguous, or TypeError
+        for page, offset, nbytes, cursor in tensor._segments():
+            storage = page.storage
+            storage._check_range(offset, nbytes)
+            requests.setdefault(storage.pool, []).append(
+                (storage.index, offset, raw[cursor:cursor + nbytes])
+            )
+    return requests
+
+
+def gather(tensors, outs) -> None:
+    """Read ``tensors`` into ``outs`` (C-contiguous arrays of the same
+    shape and dtype): ONE vectored read per pool, straight into ``outs``."""
+    for pool, requests in _requests_by_pool(tensors, outs).items():
+        pool.preadv(requests)
+
+
+def scatter(tensors, arrays, io_service=None) -> None:
+    """Write ``arrays`` into ``tensors``' pages: ONE vectored write per
+    pool, run by ``io_service`` (the out-of-process copy worker) where
+    the pool's arena exports a descriptor."""
+    arrays = [
+        np.ascontiguousarray(array, dtype=tensor.dtype)
+        for tensor, array in zip(tensors, arrays, strict=True)
+    ]
+    for pool, requests in _requests_by_pool(tensors, arrays).items():
+        pool.pwritev(requests, io_service)

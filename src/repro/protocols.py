@@ -36,11 +36,18 @@ class PoolBackend(Protocol):
     call. Both return the number of bytes transferred, which must equal
     ``len(buf)`` (short reads are looped over internally and a shortfall
     is an error, never a silent truncation).
+
+    ``preadv``/``pwritev`` are the vectored pair: one call is ONE I/O
+    request over ``[(index, offset, buf), ...]``, moving only those bytes.
     """
 
     def readinto(self, index: int, offset: int, buf) -> int: ...
 
     def write_from(self, index: int, offset: int, buf) -> int: ...
+
+    def preadv(self, requests) -> None: ...
+
+    def pwritev(self, requests) -> None: ...
 
     def close(self) -> None: ...
 
@@ -66,8 +73,8 @@ class FaultPlanLike(Protocol):
 
     The engine hands the plan to
     :func:`repro.resilience.faults.inject_faults`, which wraps the SSD
-    pool's backend; ``on_io`` is consulted before every read/write and
-    may raise, sleep, or corrupt (torn writes return ``"torn"``).
+    pool's backend; ``on_io`` is consulted once per read/write request
+    and may raise, sleep, or corrupt (torn writes return ``"torn"``).
     """
 
     def on_io(self, tier: str, op: str, nbytes: int) -> str | None: ...

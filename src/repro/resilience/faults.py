@@ -4,8 +4,8 @@ Section 3.1 claims production fault tolerance, but ZeRO/PatrickStar-style
 offload designs treat the CPU and SSD tiers as perfectly reliable — and
 file I/O is exactly where real jobs fail. A :class:`FaultPlan` is a seeded
 schedule of failures; a :class:`FaultyBackend` wraps any pool backend
-(especially the file-backed SSD tier) and consults the plan on every read
-and write, injecting:
+(especially the file-backed SSD tier) and consults the plan once per read
+or write request (a vectored ``preadv``/``pwritev`` is one), injecting:
 
 - **transient I/O errors** (:class:`~repro.errors.TransientIOError`) that
   a retry will heal,
@@ -18,13 +18,15 @@ and write, injecting:
   supervised driver (:class:`~repro.resilience.trainer.ResilientTrainer`).
 
 Every decision is drawn from ``random.Random(seed)`` over a deterministic
-operation sequence, so a chaos run is exactly reproducible.
+operation sequence, so a single-threaded chaos run is exactly
+reproducible.
 """
 
 from __future__ import annotations
 
 import enum
 import random
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -56,11 +58,12 @@ class FaultRecord:
 class FaultPlan:
     """A seeded, deterministic schedule of injected failures.
 
-    Rates are per-I/O-operation probabilities; ``max_transients`` /
+    Rates are per-I/O-request probabilities (a vectored request over many
+    page segments is one operation); ``max_transients`` /
     ``max_torn_writes`` bound the budgets so a plan is quiet once spent.
     ``die_after_ops`` kills the tier permanently after that many I/O
-    operations; ``rank_failure_at_step`` schedules one rank crash for the
-    supervised driver to consume.
+    requests; ``rank_failure_at_step`` schedules one rank crash for the
+    supervised driver to consume. Safe to share between threads.
     """
 
     seed: int = 0
@@ -94,6 +97,7 @@ class FaultPlan:
             if not 0.0 <= rate <= 1.0:
                 raise ConfigurationError("fault rates must be in [0, 1]")
         self._rng = random.Random(self.seed)
+        self._lock = threading.Lock()
         self._rank_failure_pending = self.rank_failure_at_step is not None
 
     # ------------------------------------------------------------------
@@ -119,22 +123,36 @@ class FaultPlan:
         return self.max_transients is None or self._transients < self.max_transients
 
     def on_io(self, tier: str, op: str, nbytes: int) -> str | None:
-        """Consult the plan before one backend ``read``/``write``.
+        """Consult the plan before one backend read/write request.
 
         Raises the injected error, sleeps the injected latency, or returns
-        ``"torn"`` to tell the backend to tear the write.
+        ``"torn"`` to tell the backend to tear the write. The draw is
+        atomic under the plan's lock; the sleep happens after releasing
+        it, so concurrent requests' latencies overlap.
         """
+        with self._lock:
+            outcome, delay = self._draw(tier, op, nbytes)
+        if delay > 0:
+            self.sleep(delay)
+        if outcome == "dead":
+            raise TierFailedError(tier)
+        if outcome == "transient":
+            raise TransientIOError(f"injected transient {op} error on {tier}")
+        return outcome
+
+    def _draw(self, tier: str, op: str, nbytes: int):
+        """(``"dead"``/``"transient"``/``"torn"``/None, latency to sleep)."""
         self._ops += 1
         if self.die_after_ops is not None and self._ops > self.die_after_ops:
             if tier not in self._dead_tiers:
                 self._dead_tiers.add(tier)
                 self._record(FaultKind.TIER_DEATH, tier, f"after {self.die_after_ops} ops")
         if tier in self._dead_tiers:
-            raise TierFailedError(tier)
+            return "dead", 0.0
+        delay = 0.0
         if self.latency_rate and self._rng.random() < self.latency_rate:
             self._record(FaultKind.LATENCY, tier, f"{self.latency_seconds}s")
-            if self.latency_seconds > 0:
-                self.sleep(self.latency_seconds)
+            delay = self.latency_seconds
         if op == "write":
             if (
                 self.torn_write_rate
@@ -143,7 +161,7 @@ class FaultPlan:
             ):
                 self._torn += 1
                 self._record(FaultKind.TORN_WRITE, tier, f"{nbytes}B write torn")
-                return "torn"
+                return "torn", delay
             if (
                 self.transient_write_rate
                 and self._transient_budget_left()
@@ -151,7 +169,7 @@ class FaultPlan:
             ):
                 self._transients += 1
                 self._record(FaultKind.TRANSIENT_WRITE, tier)
-                raise TransientIOError(f"injected transient write error on {tier}")
+                return "transient", delay
         elif op == "read":
             if (
                 self.transient_read_rate
@@ -160,14 +178,15 @@ class FaultPlan:
             ):
                 self._transients += 1
                 self._record(FaultKind.TRANSIENT_READ, tier)
-                raise TransientIOError(f"injected transient read error on {tier}")
-        return None
+                return "transient", delay
+        return None, delay
 
     def kill_tier(self, tier: str) -> None:
         """Explicitly declare ``tier`` dead (scripted scenarios)."""
-        if tier not in self._dead_tiers:
-            self._dead_tiers.add(tier)
-            self._record(FaultKind.TIER_DEATH, tier, "scripted")
+        with self._lock:
+            if tier not in self._dead_tiers:
+                self._dead_tiers.add(tier)
+                self._record(FaultKind.TIER_DEATH, tier, "scripted")
 
     def take_rank_failure(self, step: int, rank: int = 0) -> bool:
         """True exactly once, when training reaches the scheduled step."""
@@ -179,7 +198,7 @@ class FaultPlan:
 
 
 class FaultyBackend:
-    """Wraps a pool backend; every I/O consults the :class:`FaultPlan`.
+    """Wraps a pool backend; every I/O request consults the :class:`FaultPlan`.
 
     Speaks the buffer-protocol storage API
     (:class:`repro.protocols.PoolBackend`) and deliberately does NOT
@@ -206,17 +225,28 @@ class FaultyBackend:
         return self._inner.readinto(index, offset, buf)
 
     def write_from(self, index: int, offset: int, buf) -> int:
-        source = memoryview(buf).cast("B")
-        action = self._plan.on_io(self.tier, "write", len(source))
-        if action == "torn":
-            torn_at = max(0, len(source) // 2)
-            if torn_at:
-                self._inner.write_from(index, offset, source[:torn_at])
-            raise TransientIOError(
-                f"injected torn write on {self.tier}: "
-                f"{torn_at}/{len(source)} bytes landed"
-            )
-        return self._inner.write_from(index, offset, source)
+        self.pwritev([(index, offset, buf)])
+        return memoryview(buf).nbytes
+
+    def preadv(self, requests) -> None:
+        nbytes = sum(memoryview(buf).nbytes for _, _, buf in requests)
+        self._plan.on_io(self.tier, "read", nbytes)
+        self._inner.preadv(requests)
+
+    def pwritev(self, requests) -> None:
+        """One request, one plan decision; a torn one lands the first
+        half of its bytes, in request order, then raises."""
+        total = sum(memoryview(buf).nbytes for _, _, buf in requests)
+        if self._plan.on_io(self.tier, "write", total) != "torn":
+            return self._inner.pwritev(requests)
+        left = total // 2
+        for index, offset, buf in requests:
+            if left > 0:
+                self._inner.write_from(index, offset, memoryview(buf).cast("B")[:left])
+                left -= memoryview(buf).nbytes
+        raise TransientIOError(
+            f"injected torn write on {self.tier}: {total // 2}/{total} bytes landed"
+        )
 
     def close(self) -> None:
         self._inner.close()

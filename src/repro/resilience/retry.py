@@ -14,6 +14,7 @@ and deadline arithmetic are testable deterministically, without sleeping.
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, RetryExhaustedError, TransientIOError
@@ -63,11 +64,15 @@ class RetryPolicy:
         if self.sleep is None:
             self.sleep = self.clock.sleep
         self._rng = random.Random(self.seed)
+        # Guards _rng and retries: the sweep and the writeback thread
+        # retry through one policy concurrently.
+        self._lock = threading.Lock()
 
     def backoff(self, attempt: int) -> float:
         """Delay before retry number ``attempt`` (1-based), jittered."""
         raw = min(self.max_delay, self.base_delay * self.multiplier ** (attempt - 1))
-        return raw * (1.0 + self.jitter * self._rng.random())
+        with self._lock:
+            return raw * (1.0 + self.jitter * self._rng.random())
 
     def run(self, fn):
         """Call ``fn`` under this policy and return its result."""
@@ -85,7 +90,8 @@ class RetryPolicy:
                     and self.clock.monotonic() - start + delay > self.deadline
                 ):
                     raise RetryExhaustedError(attempt, exc) from exc
-                self.retries += 1
+                with self._lock:
+                    self.retries += 1
                 if self.telemetry is not None:
                     self.telemetry.counter("retry.attempts").inc()
                     self.telemetry.histogram("retry.backoff_seconds").observe(delay)

@@ -186,18 +186,24 @@ class PageCopyService:
             self._staging = ArenaPoolBackend(1, max(nbytes, 1), shared=True)
         return self._staging.view(0, 0, nbytes)
 
-    def scatter(self, dst_desc, payload, runs) -> None:
-        """Stage ``payload`` once, scatter slices of it into ``dst_desc``.
+    def scatter(self, dst_desc, requests) -> None:
+        """Stage ``[(dst_off, buf), ...]`` and scatter it into ``dst_desc``.
 
-        ``runs`` are ``(payload_off, dst_off, nbytes)``. The parent pays
-        one GIL-releasing memcpy into the staging segment; the worker
-        does the per-page scatter against the destination arena.
+        The parent pays one GIL-releasing memcpy per segment into the
+        staging segment; the worker does the per-page scatter against the
+        destination arena, in one round trip.
         """
-        source = memoryview(payload).cast("B")
+        sources = [memoryview(buf).cast("B") for _, buf in requests]
+        runs, cursor = [], 0
+        for (dst_off, _), source in zip(requests, sources):
+            runs.append((cursor, dst_off, len(source)))
+            cursor += len(source)
         with self._lock:
             if self._closed:
                 raise TransientIOError("page copy service is closed")
-            self._staging_view(len(source))[:] = source
+            staging = self._staging_view(cursor)
+            for (staged, _, nbytes), source in zip(runs, sources):
+                staging[staged:staged + nbytes] = source
             status, detail = self._roundtrip(
                 (self._staging.descriptor(), tuple(dst_desc), list(runs))
             )

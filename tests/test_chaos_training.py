@@ -25,6 +25,12 @@ from repro.resilience import (
 from repro.runtime.events import EventBus
 
 
+#: Rates are per SSD request. The 2-layer scenario model has 20
+#: parameterized modules, so a step issues 40 SSD requests (one vectored
+#: read and one write per module), registration 25 (one per parameter)
+#: and a checkpoint capture 1: about 350 requests over 8 steps.
+
+
 def reference_losses(**kwargs):
     kwargs.setdefault("steps", 8)
     kwargs.setdefault("checkpoint_every", 3)
@@ -35,8 +41,8 @@ class TestTransientFaultsHealBitForBit:
     def test_losses_identical_to_fault_free_run(self, tmp_path):
         config = ChaosConfig(
             steps=8, checkpoint_every=3, seed=1,
-            transient_read_rate=0.01, transient_write_rate=0.01,
-            max_transients=12, torn_write_rate=0.005, max_torn_writes=4,
+            transient_read_rate=0.03, transient_write_rate=0.03,
+            max_transients=12, torn_write_rate=0.03, max_torn_writes=4,
         )
         reference = reference_losses(seed=1)
         report = run_chaos(config, str(tmp_path))
@@ -61,10 +67,12 @@ class TestTransientFaultsHealBitForBit:
 
 
 class TestFullRecoveryLadder:
+    # Step 5 spans requests ~190-231: the tier dies inside it, is
+    # replayed as engine iteration 6, before the step-7 rank failure.
     CONFIG = dict(
         steps=10, checkpoint_every=3, seed=3,
-        transient_read_rate=0.005, transient_write_rate=0.005,
-        max_transients=8, die_after_ops=900, rank_failure_at_step=7,
+        transient_read_rate=0.02, transient_write_rate=0.02,
+        max_transients=8, die_after_ops=200, rank_failure_at_step=7,
     )
 
     def test_tier_death_and_rank_failure_recover_within_tolerance(self, tmp_path):

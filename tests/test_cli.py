@@ -51,7 +51,7 @@ class TestCli:
     def test_chaos_reports_faults_and_counters(self, capsys, tmp_path):
         assert main([
             "chaos", "--steps", "6", "--seed", "3", "--ckpt-every", "2",
-            "--tier-death-after", "700", "--rank-failure-at", "4",
+            "--tier-death-after", "160", "--rank-failure-at", "4",
             "--workdir", str(tmp_path),
         ]) == 0
         out = capsys.readouterr().out

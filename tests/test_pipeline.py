@@ -150,6 +150,151 @@ def test_ssd_tier_engages_cache_writeback_and_prefetch():
     assert report["prefetch"]["abandoned"] == 0
 
 
+class TestVectoredStateIO:
+    """The sweep moves a layer's FP32 states in one SSD request per
+    direction, with no lock between the writeback thread and the sweep."""
+
+    @staticmethod
+    def ssd_engine(factory, plan, **overrides):
+        config = dict(
+            page_bytes=64 * KiB, cpu_memory_bytes=256 * MiB,
+            gpu_memory_bytes=8 * MiB, ssd_bytes=256 * MiB, pipeline=True,
+            fault_plan=plan,
+        )
+        config.update(overrides)
+        return factory.engine(AngelConfig(**config))
+
+    @staticmethod
+    def step(engine, batch) -> float:
+        loss = engine(batch)
+        engine.backward(loss)
+        engine.step()
+        return loss.item()
+
+    def test_ssd_requests_per_step_are_two_per_uncached_layer(self):
+        from repro.fleet.factory import JobFactory, JobWorkload
+
+        # The bench's ssd_pipeline shape, without the emulated latency.
+        factory = JobFactory(JobWorkload(
+            layers=4, d_model=64, d_ffn=256, num_heads=4, seq_len=32,
+            batch_size=8, vocab_size=64,
+        ))
+        from repro.telemetry import Telemetry
+
+        plan = FaultPlan(latency_rate=1.0)
+        telemetry = Telemetry()
+        engine = self.ssd_engine(factory, plan, telemetry=telemetry)
+        io = [telemetry.counter(f"io.{op}_bytes", tier="ssd") for op in ("read", "write")]
+        try:
+            per_step = []
+            for batch in factory.batches(4):
+                engine.barrier()
+                before = (plan.ops_seen, *(c.value for c in io))
+                self.step(engine, batch)
+                engine.barrier()
+                after = (plan.ops_seen, *(c.value for c in io))
+                per_step.append(tuple(b - a for a, b in zip(before, after)))
+            uncached = [
+                t for group in engine._groups for m in group
+                for t in (m.master, m.moment1, m.moment2)
+                if t.device_kind != DeviceKind.GPU
+            ]
+            layers = sum(
+                any(m.master.device_kind != DeviceKind.GPU for m in group)
+                for group in engine._groups
+            )
+        finally:
+            engine.close()
+        assert layers == 16
+        state_bytes = sum(t.nbytes for t in uncached)
+        # One read and one write request per uncached layer, moving
+        # exactly the states' bytes each way.
+        assert per_step[1:] == [(2 * layers, state_bytes, state_bytes)] * 3
+
+    def test_state_tails_shared_across_layers_bit_identical(self, tmp_path):
+        """Tail pages holding two layers' states are read by the sweep
+        while the writeback thread writes the other layer's bytes."""
+        from repro.fleet.factory import JobFactory, JobWorkload
+
+        def run(pipeline):
+            factory = JobFactory(JobWorkload(
+                vocab_size=24, d_model=16, d_ffn=40, num_heads=2, seq_len=8,
+            ))
+            engine = self.ssd_engine(
+                factory, FaultPlan(latency_rate=1.0, latency_seconds=0.0005),
+                page_bytes=1 * KiB, gpu_memory_bytes=64 * KiB,
+                cpu_memory_bytes=4 * MiB, ssd_bytes=4 * MiB,
+                pipeline=pipeline, ssd_path=str(tmp_path / f"{pipeline}.bin"),
+            )
+            try:
+                layer_of = {}
+                shared = set()
+                for layer, group in enumerate(engine._groups):
+                    for m in group:
+                        for t in (m.master, m.moment1, m.moment2):
+                            for page in t.page_list:
+                                if layer_of.setdefault(id(page), layer) != layer:
+                                    shared.add(id(page))
+                losses = [self.step(engine, b) for b in factory.batches(6)]
+                params = [m.param.data.copy() for m in engine._managed]
+                return losses, params, shared, engine.pipeline_report()
+            finally:
+                engine.close()
+
+        sync_losses, sync_params, shared, _ = run(pipeline=False)
+        losses, params, _, report = run(pipeline=True)
+        assert shared  # the premise: some state page spans two layers
+        assert report["writeback"]["flushed"] > 0
+        assert losses == sync_losses
+        for a, b in zip(sync_params, params):
+            assert np.array_equal(a, b)
+
+    def test_snapshot_right_after_step_resumes_bit_identical(self, tmp_path):
+        """Preempt -> snapshot -> resume of a pipelined SSD engine with
+        latency: the snapshot waits for queued flushes (engine.barrier),
+        so it never captures states a flush has not yet written."""
+        from repro.checkpoint.trainer_state import (
+            capture_engine_state,
+            restore_engine_state,
+        )
+        from repro.fleet.factory import JobFactory, JobWorkload
+
+        factory = JobFactory(JobWorkload(layers=2))
+        batches = factory.batches(6)
+
+        def engine(tag):
+            return self.ssd_engine(
+                factory, FaultPlan(latency_rate=1.0, latency_seconds=0.0005),
+                gpu_memory_bytes=1 * MiB, ssd_bytes=32 * MiB,
+                ssd_path=str(tmp_path / f"{tag}.bin"),
+            )
+
+        whole = engine("whole")
+        try:
+            reference = [self.step(whole, b) for b in batches]
+        finally:
+            whole.close()
+
+        first = engine("first")
+        try:
+            losses = [self.step(first, b) for b in batches[:3]]
+            snapshot = capture_engine_state(first, step=3)
+            for m in first._managed:
+                assert np.array_equal(
+                    snapshot.arrays[f"master/{m.name}"],
+                    first.optimizer.master[m.index],
+                ), m.name
+        finally:
+            first.close()
+        resumed = engine("resumed")
+        try:
+            assert restore_engine_state(snapshot, resumed) == 3
+            losses += [self.step(resumed, b) for b in batches[3:]]
+        finally:
+            resumed.close()
+        assert losses == reference
+
+
 class TestProcessDataPlane:
     """io_workers="process": copies leave the GIL, numerics must not."""
 
@@ -216,8 +361,8 @@ class TestPageCopyService:
             with PageCopyService() as service:
                 # Scatter halves of the payload into pages 3 and 1.
                 service.scatter(
-                    dst.descriptor(), payload,
-                    [(0, 3 * 128, 128), (128, 1 * 128, 128)],
+                    dst.descriptor(),
+                    [(3 * 128, payload[:128]), (1 * 128, payload[128:])],
                 )
             out = bytearray(128)
             dst.readinto(3, 0, out)

@@ -1,5 +1,8 @@
 """Fault injection, retry/backoff, tier degradation and availability math."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -145,6 +148,60 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError):
             FaultPlan(transient_read_rate=1.5)
 
+    def test_ops_counted_exactly_across_threads(self):
+        """More threads than cores, a tiny switch interval: every request
+        is counted and drawn exactly once."""
+        plan = FaultPlan(seed=0, latency_rate=1.0)
+        threads = [
+            threading.Thread(
+                target=lambda: [plan.on_io("ssd", "read", 8) for _ in range(500)]
+            )
+            for _ in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert plan.ops_seen == 8 * 500
+        assert plan.count(FaultKind.LATENCY) == 8 * 500
+
+    def test_latency_sleeps_overlap_across_threads(self):
+        """The draw is locked, the sleep is not: two requests' latencies
+        overlap, so a read waits beside a write instead of behind it. A
+        sleep taken under the plan's lock would break the barrier."""
+        both_asleep = threading.Barrier(2, timeout=10)
+        plan = FaultPlan(
+            seed=0, latency_rate=1.0, latency_seconds=1.0,
+            transient_write_rate=1.0,
+            sleep=lambda _seconds: both_asleep.wait(),
+        )
+        errors = []
+
+        def request(op):
+            try:
+                plan.on_io("ssd", op, 8)
+            except Exception as exc:  # recorded for the main thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=request, args=(op,))
+            for op in ("read", "write")
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        # The injected write error is raised after the (shared) sleep.
+        assert [type(exc) for exc in errors] == [TransientIOError]
+        assert not both_asleep.broken
+
 
 class TestFaultyBackend:
     def _file_pool(self, plan):
@@ -164,6 +221,45 @@ class TestFaultyBackend:
             storage.write(0, payload)  # the retry
             assert storage.read(0, PAGE) == payload
         assert plan.count(FaultKind.TORN_WRITE) == 1
+
+    def test_torn_vectored_write_heals_bit_identically(self):
+        """One request over three tensors (shared tail pages included) is
+        one plan decision: torn, it lands exactly the first half of its
+        bytes in request order; retried whole, it lands all of them."""
+        from repro.memory.tensor import gather, scatter
+
+        plan = FaultPlan(seed=0, torn_write_rate=1.0, max_torn_writes=2)
+        ssd = DevicePool(DeviceKind.SSD, 16 * PAGE, PAGE, backend="file")
+        inject_faults(ssd, plan)
+        with PageAllocator({DeviceKind.SSD: ssd}) as allocator:
+            shape = (PAGE // 4 + 100,)  # one page plus a shareable tail
+            tensors = [
+                allocator.allocate(shape, np.float32, DeviceKind.SSD)
+                for _ in range(3)
+            ]
+            assert len({id(p) for t in tensors for p in t.page_list}) < 6
+            arrays = [
+                np.arange(shape[0], dtype=np.float32) + 1 + k * shape[0]
+                for k in range(3)
+            ]
+
+            def landed() -> bytes:
+                outs = [np.empty(shape, np.float32) for _ in tensors]
+                gather(tensors, outs)
+                return b"".join(out.tobytes() for out in outs)
+
+            payload = b"".join(a.tobytes() for a in arrays)
+            with pytest.raises(TransientIOError, match="torn"):
+                scatter(tensors, arrays)
+            half = len(payload) // 2
+            assert landed() == payload[:half] + bytes(len(payload) - half)
+            assert plan.ops_seen == 2  # the write and this read
+
+            policy = RetryPolicy(max_attempts=3, sleep=no_sleep)
+            policy.run(lambda: scatter(tensors, arrays))  # torn, then whole
+            assert policy.retries == 1
+            assert landed() == payload
+        assert plan.count(FaultKind.TORN_WRITE) == 2
 
     def test_dead_tier_raises_on_every_access(self):
         plan = FaultPlan(seed=0)
