@@ -134,4 +134,5 @@ def restore_engine_state(snapshot: Snapshot, engine) -> int:
     engine.optimizer.t = int(snapshot.metadata["adam_t"])
     engine._iteration = int(snapshot.metadata["iteration"])
     engine._pending = int(snapshot.metadata["pending"])
+    engine._read_ahead.clear()  # those reads landed pre-restore bytes
     return int(snapshot.metadata["step"])

@@ -14,7 +14,7 @@ With ``pipeline=True`` the engine becomes schedule-driven after its first
 Algorithm-1 pipeline the simulator uses (:mod:`repro.engine.liveplan`), a
 background prefetch worker stages pages ahead of the compute loop
 (:mod:`repro.runtime.pipeline`), the forward hooks *await* a layer instead
-of fetching it, FP32-state flushes move to an async writeback queue, and
+of fetching it, FP32-state reads and writes move to a state I/O thread, and
 the planned dynamic GPU cache (Section 4.2) is installed live. Numerics
 are bit-identical to the synchronous path — the pipeline only reorders
 byte-preserving page movements.
@@ -193,10 +193,13 @@ class AngelModel:
         self._clock = 0
         self._iteration = 0
         self._pending = 0
+        #: Steps per update sweep (lock-free mode defers the sweep).
+        self._interval = config.update_interval if config.lock_free else 1
         # _move_lock serializes page movement between the prefetch worker
         # and the demand-fetch / sweep paths. State-tier I/O takes no
         # lock: backends copy positionally (mmap slices, pread/pwrite),
-        # so the writeback thread's writes run beside the sweep's reads.
+        # and no page holds both a state and an FP16 parameter (checked
+        # at registration), so the state I/O thread runs beside moves.
         self._move_lock = threading.RLock()
         if config.telemetry is not None:
             self.telemetry = config.telemetry
@@ -301,6 +304,12 @@ class AngelModel:
         self._cache_resident: set[int] = set()
         self._stall_seconds = 0.0
         self._demand_seconds = 0.0
+        #: Layers (``_groups`` index) whose FP32 states the state I/O
+        #: thread reads ahead for the next sweep.
+        self._read_ahead: set[int] = set()
+        #: Sweep reads of off-GPU states on the pipelined path that did
+        #: not come from a read ahead (ROADMAP: no silent fallbacks).
+        self.inline_state_reads = 0
 
     # ------------------------------------------------------------------
     # Registration and hooks
@@ -326,6 +335,14 @@ class AngelModel:
             )
             self._managed.append(managed)
             self._by_param[id(param)] = managed
+        # The prefetch worker moves FP16 pages under _move_lock while the
+        # state I/O thread reads and writes states unlocked: a page holding
+        # both would move under a state read.
+        fp16_ids = {m.fp16.tensor_id for m in self._managed}
+        mixed = [m.name for m in self._managed for t in (m.master, m.moment1, m.moment2)
+                 if fp16_ids.intersection(t.page_list[-1].tensor_ids)]
+        if mixed:
+            raise ConfigurationError(f"FP32 states share a page with FP16 parameters: {mixed}")
 
     def _io(self, fn):
         """Run a paged-state I/O op under the configured retry policy."""
@@ -575,6 +592,7 @@ class AngelModel:
             "stall_seconds": self._stall_seconds,
             "demand_fetch_seconds": self._demand_seconds,
             "cached_layers_live": len(self._cache_resident),
+            "inline_state_reads": self.inline_state_reads,
         }
         if self._pipeline is not None:
             report["prefetch"] = self._pipeline.stats()
@@ -586,6 +604,8 @@ class AngelModel:
     # Figure 6 training API
     # ------------------------------------------------------------------
     def __call__(self, batch: Batch) -> Tensor:
+        if self._writeback is not None:
+            self._read_states_ahead()
         with self.telemetry.span(
             f"fwd/iter{self._iteration}", track="train"
         ):
@@ -613,7 +633,6 @@ class AngelModel:
             # The first iteration's access pattern is now complete; later
             # iterations replay it (Section 4.2).
             self._order_recorded = True
-        interval = self.config.update_interval if self.config.lock_free else 1
         self.telemetry.counter("engine.steps").inc()
         if self._pipeline is not None:
             # Everything up to the last update op is now due; surface any
@@ -622,7 +641,7 @@ class AngelModel:
             self._pipeline.raise_if_failed()
         if self._writeback is not None:
             self._writeback.raise_if_failed()
-        ran = self._pending >= interval
+        ran = self._pending >= self._interval
         if ran:
             self._update_sweep()
             self._pending = 0
@@ -650,11 +669,43 @@ class AngelModel:
             )
             telemetry.counter("engine.update_sweeps").inc()
 
+    def _layer_states(self, group) -> tuple[list, list]:
+        """``group``'s paged FP32 states and the host arrays mirroring them."""
+        opt = self.optimizer
+        states, hosts = [], []
+        for m in group:
+            states += (m.master, m.moment1, m.moment2)
+            hosts += (opt.master[m.index], opt.m[m.index], opt.v[m.index])
+        return states, hosts
+
+    def _read_states_ahead(self) -> None:
+        """If this iteration's step will sweep, queue each off-GPU layer's
+        FP32-state read on the state I/O thread, in sweep order, behind
+        the previous sweep's writes (one FIFO: read-your-writes)."""
+        if self._read_ahead or self._pending + 1 < self._interval:
+            return
+        for layer in reversed(range(len(self._groups))):
+            states, hosts = self._layer_states(self._groups[layer])
+            if all(t.device_kind == DeviceKind.GPU for t in states):
+                continue  # GPU-cache-resident: a pool read in the sweep
+            if not self._writeback.submit_read(
+                layer, partial(gather, states, hosts)
+            ):
+                return  # the thread failed; step() raises its error
+            self._read_ahead.add(layer)
+
     def _sweep_body(self) -> None:
-        """Per layer, last first: ONE vectored read of its FP32 states,
-        Adam, the FP16 refresh, ONE vectored write (Algorithm 2, 2-7)."""
+        """Per layer, last first: its FP32 states (read ahead, or ONE
+        vectored read here), Adam, the FP16 refresh, ONE vectored write
+        (Algorithm 2, lines 2-7)."""
         opt = self.optimizer
         writeback = self._writeback
+        read_ahead, self._read_ahead = self._read_ahead, set()
+        if writeback is not None:
+            # The previous sweep's writes, then this iteration's reads:
+            # once the FIFO drains the host arrays are the sweep's, and a
+            # tier death surfaces here, before any state has changed.
+            writeback.barrier()
         opt.bump_step()
         for layer in reversed(range(len(self._groups))):
             live = []
@@ -664,15 +715,14 @@ class AngelModel:
                     live.append((managed, grad / count))
             if not live:
                 continue
-            if writeback is not None:
-                # Read-your-writes, and the layer's queued flush reads the
-                # host arrays below: it must land before they change.
-                writeback.wait(layer)
-            states = [t for m, _ in live for t in (m.master, m.moment1, m.moment2)]
-            hosts = [a for m, _ in live
-                     for a in (opt.master[m.index], opt.m[m.index], opt.v[m.index])]
-            # Transient faults are retried; permanent tier death escalates.
-            self._io(lambda: gather(states, hosts))
+            states, hosts = self._layer_states(m for m, _ in live)
+            threaded = writeback is not None and any(
+                t.device_kind != DeviceKind.GPU for t in states)
+            if layer not in read_ahead:
+                if threaded:
+                    self.inline_state_reads += 1
+                # Transient faults are retried; permanent tier death escalates.
+                self._io(partial(gather, states, hosts))
             for managed, grad in live:
                 refreshed = opt.apply_gradient(managed.index, grad)
                 # The FP16 refresh stays synchronous: the very next forward
@@ -681,9 +731,7 @@ class AngelModel:
                     managed.fp16.write_array(refreshed.astype(np.float16))
                 managed.param.data[...] = refreshed
             flush = partial(scatter, states, hosts, self._io_service)
-            if writeback is not None and any(
-                t.device_kind != DeviceKind.GPU for t in states
-            ):
+            if threaded:
                 writeback.submit(layer, flush)  # off the critical path
             else:
                 # No pipeline, or GPU-cache-resident states: a pool write.
@@ -717,13 +765,14 @@ class AngelModel:
                 f"FP32 states live on {self._state_tier.name}, not {dead.name}"
             )
         if self._writeback is not None:
-            # Flushes targeting the dead tier can never land (and the
-            # worker may already have died on one); drop the queue and
-            # restart it with a clean error state for the survivor tier.
+            # State I/O on the dead tier can never land (the thread may
+            # already have died on it): drop the queue and the reads it
+            # held; restart it with a clean error state for the survivor.
             from repro.runtime.pipeline import WritebackQueue
 
             self._writeback.abort()
             self._writeback.close()
+            self._read_ahead.clear()
             self._writeback = WritebackQueue(self._io, telemetry=self.telemetry)
             self._writeback.start()
         with self._move_lock:
@@ -776,8 +825,8 @@ class AngelModel:
         return self.allocator.residency_report()
 
     def barrier(self) -> None:
-        """Block until every queued FP32-state flush has landed, so the
-        paged states equal the optimizer's host arrays (checkpoints)."""
+        """Block until all queued FP32-state I/O has landed, so the paged
+        states equal the optimizer's host arrays (checkpoints)."""
         if self._writeback is not None:
             self._writeback.barrier()
 

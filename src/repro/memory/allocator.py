@@ -6,8 +6,8 @@ Implements the placement policy of Section 4.1:
   simplicity, considering that they only account for a very small fraction
   of the overall memory usage");
 - larger tensors fill whole pages exclusively, and their sub-page *tail*
-  may share a page with exactly one other tensor's tail, preserving the
-  at-most-two-tensors-per-page invariant.
+  may share a page with exactly one other tensor's tail of the same dtype
+  on the same tier, preserving the at-most-two-tensors-per-page invariant.
 
 Multi-tenancy (``repro.fleet``) adds owner accounting on top: an allocator
 constructed with ``owner=``/``quota=`` labels every page it acquires and
@@ -259,8 +259,10 @@ class PageAllocator:
         self.page_bytes = page_sizes.pop()
         self._tensor_ids = itertools.count()
         self._tensors: dict[int, PagedTensor] = {}
-        # Per-tier page with exactly one tail in it, available for sharing.
-        self._open_shared: dict[DeviceKind, Page | None] = {k: None for k in pools}
+        # Per (tier, dtype), the page with exactly one tail in it, open for
+        # sharing: a tail shares only with a tail of its own dtype, so an
+        # FP32 state never shares a page with an FP16 working copy.
+        self._open_shared: dict[tuple[DeviceKind, np.dtype], Page | None] = {}
         self.bytes_requested = 0
 
     def pool(self, device: DeviceKind) -> DevicePool:
@@ -350,9 +352,10 @@ class PageAllocator:
                 page.allocate(self.page_bytes, tensor.tensor_id)
                 tensor.page_list.append(page)
             if tail_bytes:
-                tensor.page_list.append(
-                    self._place_tail(pool, device, tensor.tensor_id, tail_bytes, share_tail)
-                )
+                tensor.page_list.append(self._place_tail(
+                    pool, (device, tensor.dtype), tensor.tensor_id, tail_bytes,
+                    share_tail,
+                ))
         except Exception:
             self._rollback(tensor)
             raise
@@ -363,13 +366,13 @@ class PageAllocator:
     def _place_tail(
         self,
         pool: DevicePool,
-        device: DeviceKind,
+        share_key: tuple[DeviceKind, np.dtype],
         tensor_id: int,
         tail_bytes: int,
         share_tail: bool,
     ) -> Page:
         if share_tail:
-            candidate = self._open_shared.get(device)
+            candidate = self._open_shared.get(share_key)
             if (
                 candidate is not None
                 and candidate.has_storage
@@ -378,12 +381,12 @@ class PageAllocator:
                 and candidate.available_bytes >= tail_bytes
             ):
                 candidate.allocate(tail_bytes, tensor_id)
-                self._open_shared[device] = None  # now holds two tensors
+                self._open_shared[share_key] = None  # now holds two tensors
                 return candidate
         page = self._acquire_page(pool)
         page.allocate(tail_bytes, tensor_id)
         if share_tail and page.available_bytes > 0:
-            self._open_shared[device] = page
+            self._open_shared[share_key] = page
         return page
 
     def _rollback(self, tensor: PagedTensor) -> None:
@@ -476,9 +479,9 @@ class PageAllocator:
         for page in pages:
             page.state = PageState.MOVING
         # A tail page that is leaving its tier stops being open for sharing.
-        for device, candidate in self._open_shared.items():
+        for key, candidate in self._open_shared.items():
             if candidate is not None and candidate.state is PageState.MOVING:
-                self._open_shared[device] = None
+                self._open_shared[key] = None
         telemetry = self.telemetry
         live = telemetry.enabled  # keeps the per-page no-op call off the loop
         src_name = src_pool.device_kind.name.lower()
@@ -548,7 +551,8 @@ class PageAllocator:
                     f"cannot drop {device.name}: tensor {tensor.tensor_id} "
                     "still has pages there"
                 )
-        self._open_shared.pop(device, None)
+        for key in [key for key in self._open_shared if key[0] == device]:
+            del self._open_shared[key]
         del self._pools[device]
         pool.close()
 
@@ -589,9 +593,9 @@ class PageAllocator:
         tensor.write_array(data)
 
     def _forget_shared(self, page: Page) -> None:
-        for device, candidate in self._open_shared.items():
+        for key, candidate in self._open_shared.items():
             if candidate is page:
-                self._open_shared[device] = None
+                self._open_shared[key] = None
 
     # ------------------------------------------------------------------
     # Accounting

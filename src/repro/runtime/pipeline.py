@@ -17,14 +17,15 @@ gap:
   evict) takes over, so the pipeline is always a performance layer, never
   a correctness layer.
 
-- :class:`WritebackQueue` takes the FP32-state flushes off the update
-  path: the sweep enqueues copies of the refreshed master/moment arrays
-  and continues, while a writer thread round-trips them through the SSD
-  tier. ``wait(key)`` gives the next sweep read-your-writes on a single
-  parameter's states; ``barrier()`` flushes everything (checkpoints,
-  close); ``abort()`` discards queued writes when the tier dies (the
-  optimizer's host arrays stay authoritative, matching
-  ``AngelModel.degrade_tier``).
+- :class:`WritebackQueue` is the state I/O thread: one FIFO that takes
+  the FP32-state traffic off the update path in both directions. The
+  forward queues each layer's state *read* ahead of the sweep that
+  consumes it (``submit_read``), behind the previous sweep's *writes*
+  (``submit``), so read-your-writes holds by queue order alone.
+  ``wait(key)`` blocks on one layer's queued I/O; ``barrier()`` on
+  everything (the sweep's start, checkpoints, close); ``abort()``
+  discards queued I/O when the tier dies (the optimizer's host arrays
+  stay authoritative, matching ``AngelModel.degrade_tier``).
 
 Both workers follow the repo's threading discipline (see
 :mod:`repro.lockfree.threaded`): daemon threads, every cross-thread
@@ -37,7 +38,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError, SchedulingError, join_or_raise
+from repro.errors import ConfigurationError, QueueClosedError, SchedulingError, join_or_raise
 from repro.lockfree.queues import WorkQueue
 from repro.scheduler.tasks import Operation, Schedule
 
@@ -319,12 +320,13 @@ class PrefetchWorker:
 
 
 class WritebackQueue:
-    """Asynchronous FP32-state flusher (the update path's d2h+SSD leg).
+    """The state I/O thread: FP32-state reads ahead, writes behind.
 
-    ``submit(key, fn)`` enqueues one state write; a daemon writer thread
-    executes it through ``io_fn`` (which applies the engine's retry
-    policy). The queue is bounded, so a dying SSD tier backpressures the
-    sweep instead of ballooning host memory.
+    ``submit(key, fn)`` enqueues one state write and ``submit_read(key,
+    fn)`` one state read; a single daemon thread executes both, in FIFO
+    order, through ``io_fn`` (which applies the engine's retry policy).
+    The queue is bounded, so a dying SSD tier backpressures the sweep
+    instead of ballooning host memory.
     """
 
     def __init__(self, io_fn, telemetry=None, maxsize: int = 64,
@@ -343,15 +345,16 @@ class WritebackQueue:
         #: Guards the error slot and counters (repro check --self).
         self._cond = threading.Condition()
         self._error: BaseException | None = None
-        self.flushed = 0
-        self._seconds = telemetry.histogram("pipeline.writeback_seconds")
+        self.flushed = 0  # state writes landed
+        self.read_ahead = 0  # state reads landed
+        self._seconds = telemetry.histogram("pipeline.state_io_seconds")
         self._depth = telemetry.gauge("pipeline.writeback_depth")
         self._thread = threading.Thread(
             target=self._run, daemon=True, name="writeback"
         )
 
     # ------------------------------------------------------------------
-    # Writer thread
+    # State I/O thread
     # ------------------------------------------------------------------
     def _run(self) -> None:
         clock = self.telemetry.clock
@@ -359,40 +362,61 @@ class WritebackQueue:
             entry = self._queue.get()
             if entry is None:
                 return
-            key, fn = entry
+            key, (fn, is_read) = entry
             try:
                 started = clock.perf()
                 self._io_fn(fn)
                 self._seconds.observe(clock.perf() - started)
                 with self._cond:
-                    self.flushed += 1
+                    if is_read:
+                        self.read_ahead += 1
+                    else:
+                        self.flushed += 1
             except BaseException as exc:
                 with self._cond:
                     self._error = exc
-                # Queued writes can no longer be trusted to land; drop
-                # them so barrier()/wait() callers wake and see the error
-                # instead of hanging on a dead writer.
+                # Queued I/O can no longer be trusted to land. Close first,
+                # so no submit can slip in behind the abort, then drop the
+                # queue so barrier()/wait() callers wake and see the error
+                # instead of hanging on a dead thread.
+                self._queue.close()
                 self._queue.abort()
                 self._queue.task_done(key)
-                self._queue.close()
                 return
             finally:
                 self._depth.set(len(self._queue))
             self._queue.task_done(key)
 
     # ------------------------------------------------------------------
-    # Sweep side
+    # Engine side
     # ------------------------------------------------------------------
     def start(self) -> None:
         self._thread.start()
 
     def submit(self, key, fn) -> None:
+        """Queue one state write; raises the thread's error, if any."""
         self.raise_if_failed()
-        self._queue.put(key, fn)
+        self._put(key, fn, is_read=False)
+
+    def submit_read(self, key, fn) -> bool:
+        """Queue one state read ahead of the sweep that consumes it.
+
+        Never raises for a failed thread (it closed the queue): returns
+        False, queuing nothing, and the error surfaces where the engine
+        checks, at ``step()``.
+        """
+        try:
+            self._put(key, fn, is_read=True)
+        except QueueClosedError:
+            return False
+        return True
+
+    def _put(self, key, fn, is_read: bool) -> None:
+        self._queue.put(key, (fn, is_read))
         self._depth.set(len(self._queue))
 
     def wait(self, key, timeout: float | None = None) -> None:
-        """Read-your-writes: block until ``key``'s flushes landed.
+        """Block until ``key``'s queued reads and writes landed.
 
         Bounded by ``timeout`` (default: the queue's ``wait_timeout``);
         raises :class:`TimeoutError` instead of hanging on a dead writer.
@@ -407,7 +431,8 @@ class WritebackQueue:
         self.raise_if_failed()
 
     def barrier(self, timeout: float | None = None) -> None:
-        """Block until every submitted write landed (close/checkpoint).
+        """Block until every queued read and write landed (the sweep's
+        start, checkpoints, close).
 
         Bounded like :meth:`wait`; raises :class:`TimeoutError` instead
         of hanging forever.
@@ -422,11 +447,11 @@ class WritebackQueue:
         self.raise_if_failed()
 
     def abort(self) -> int:
-        """Drop queued writes and outlast the in-flight one.
+        """Drop queued reads and writes and outlast the in-flight one.
 
         Used on tier death: the optimizer's host arrays mirror the paged
         states, so dropping the queue loses nothing the degradation path
-        cannot rebuild. Returns the number of writes dropped.
+        cannot rebuild. Returns the number of requests dropped.
         """
         dropped = len(self._queue.abort())
         self._queue.wait_idle(self._wait_timeout)
@@ -444,4 +469,5 @@ class WritebackQueue:
 
     def stats(self) -> dict:
         with self._cond:
-            return {"flushed": self.flushed, "queued": len(self._queue)}
+            return {"flushed": self.flushed, "read_ahead": self.read_ahead,
+                    "queued": len(self._queue)}

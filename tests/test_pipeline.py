@@ -7,6 +7,7 @@ reordering it can change timing but never numerics, including when an
 injected fault plan makes the SSD tier misbehave under retries.
 """
 
+import sys
 import threading
 import time
 
@@ -150,9 +151,19 @@ def test_ssd_tier_engages_cache_writeback_and_prefetch():
     assert report["prefetch"]["abandoned"] == 0
 
 
+def bench_shape_factory():
+    """The bench's ``ssd_pipeline`` model: 16 uncached layers at 8 MiB."""
+    from repro.fleet.factory import JobFactory, JobWorkload
+
+    return JobFactory(JobWorkload(
+        layers=4, d_model=64, d_ffn=256, num_heads=4, seq_len=32,
+        batch_size=8, vocab_size=64,
+    ))
+
+
 class TestVectoredStateIO:
     """The sweep moves a layer's FP32 states in one SSD request per
-    direction, with no lock between the writeback thread and the sweep."""
+    direction, with no lock around the state I/O thread."""
 
     @staticmethod
     def ssd_engine(factory, plan, **overrides):
@@ -172,13 +183,8 @@ class TestVectoredStateIO:
         return loss.item()
 
     def test_ssd_requests_per_step_are_two_per_uncached_layer(self):
-        from repro.fleet.factory import JobFactory, JobWorkload
-
         # The bench's ssd_pipeline shape, without the emulated latency.
-        factory = JobFactory(JobWorkload(
-            layers=4, d_model=64, d_ffn=256, num_heads=4, seq_len=32,
-            batch_size=8, vocab_size=64,
-        ))
+        factory = bench_shape_factory()
         from repro.telemetry import Telemetry
 
         plan = FaultPlan(latency_rate=1.0)
@@ -212,8 +218,8 @@ class TestVectoredStateIO:
         assert per_step[1:] == [(2 * layers, state_bytes, state_bytes)] * 3
 
     def test_state_tails_shared_across_layers_bit_identical(self, tmp_path):
-        """Tail pages holding two layers' states are read by the sweep
-        while the writeback thread writes the other layer's bytes."""
+        """Tail pages holding two layers' states: one layer's bytes are
+        read while the other layer's are written, both unlocked."""
         from repro.fleet.factory import JobFactory, JobWorkload
 
         def run(pipeline):
@@ -293,6 +299,251 @@ class TestVectoredStateIO:
         finally:
             resumed.close()
         assert losses == reference
+
+
+class TestStateReadAhead:
+    """The forward queues each uncached layer's FP32-state read on the
+    state I/O thread, behind the previous sweep's writes; the sweep finds
+    the states landed."""
+
+    ssd_engine = staticmethod(TestVectoredStateIO.ssd_engine)
+    step = staticmethod(TestVectoredStateIO.step)
+
+    @staticmethod
+    def counts(engine) -> tuple[int, int, int]:
+        engine.barrier()
+        report = engine.pipeline_report()
+        writeback = report.get("writeback") or {"read_ahead": 0, "flushed": 0}
+        return (writeback["read_ahead"], writeback["flushed"],
+                report["inline_state_reads"])
+
+    def run_counts(self, steps, **overrides):
+        factory = bench_shape_factory()
+        engine = self.ssd_engine(factory, FaultPlan(), **overrides)
+        try:
+            seen = []
+            for batch in factory.batches(steps):
+                self.step(engine, batch)
+                seen.append(self.counts(engine))
+        finally:
+            engine.close()
+        return [tuple(b - a for a, b in zip(before, after))
+                for before, after in zip(seen, seen[1:])]
+
+    def test_every_sweep_reads_ahead_and_counters_stay_apart(self):
+        # Steps 2-4 run pipelined: 16 reads ahead and 16 writes each,
+        # counted apart, and no sweep read falls back to inline.
+        assert self.run_counts(4) == [(16, 16, 0)] * 3
+
+    def test_lock_free_reads_ahead_only_before_a_sweeping_step(self):
+        deltas = self.run_counts(9, lock_free=True, update_interval=4)
+        # The recording step is the 1st; steps 4 and 8 sweep.
+        assert deltas == [(0, 0, 0), (0, 0, 0), (16, 16, 0),
+                          (0, 0, 0), (0, 0, 0), (0, 0, 0), (16, 16, 0),
+                          (0, 0, 0)]
+
+    def test_read_ahead_death_surfaces_at_step_and_replays_exactly(self):
+        from repro.errors import TierFailedError
+        from repro.resilience import FaultKind
+
+        factory = bench_shape_factory()
+        batches = factory.batches(6)
+        plan = FaultPlan()
+        reference = self.ssd_engine(factory, plan)
+        try:
+            losses = []
+            for index, batch in enumerate(batches):
+                losses.append(self.step(reference, batch))
+                if index == 2:
+                    reference.barrier()
+                    before_fourth = plan.ops_seen
+            params = [m.param.data.copy() for m in reference._managed]
+        finally:
+            reference.close()
+
+        # The tier dies on the third read ahead of the fourth step.
+        dying = FaultPlan(die_after_ops=before_fourth + 2)
+        engine = self.ssd_engine(factory, dying)
+        try:
+            replayed = [self.step(engine, b) for b in batches[:3]]
+            engine.backward(engine(batches[3]))
+            with pytest.raises(TierFailedError):
+                engine.step()
+            assert [r.kind for r in dying.log] == [FaultKind.TIER_DEATH]
+            assert dying.log[0].op_index == before_fourth + 3
+            # Steps 2 and 3 read 16 layers ahead each; step 4 read two.
+            assert engine.pipeline_report()["writeback"]["read_ahead"] == 34
+            engine.degrade_tier()
+            assert engine._read_ahead == set()
+            replayed += [self.step(engine, b) for b in batches[3:]]
+            assert engine.pipeline_report()["inline_state_reads"] == 0
+            got = [m.param.data.copy() for m in engine._managed]
+        finally:
+            engine.close()
+        assert replayed == losses
+        for a, b in zip(params, got):
+            assert np.array_equal(a, b)
+
+    def test_restore_after_queued_reads_resumes_bit_identical(self, tmp_path):
+        from repro.checkpoint.trainer_state import (
+            capture_engine_state,
+            restore_engine_state,
+        )
+
+        factory = bench_shape_factory()
+        batches = factory.batches(6)
+
+        def engine(tag):
+            return self.ssd_engine(factory, FaultPlan(),
+                                   ssd_path=str(tmp_path / f"{tag}.bin"))
+
+        whole = engine("whole")
+        try:
+            reference = [self.step(whole, b) for b in batches]
+        finally:
+            whole.close()
+        first = engine("first")
+        try:
+            losses = [self.step(first, b) for b in batches[:3]]
+            snapshot = capture_engine_state(first, step=3)
+        finally:
+            first.close()
+        resumed = engine("resumed")
+        try:
+            # Diverge, then leave a forward's reads queued at restore.
+            for batch in batches[3:5]:
+                self.step(resumed, batch)
+            resumed(batches[5])
+            assert len(resumed._read_ahead) == 16
+            assert restore_engine_state(snapshot, resumed) == 3
+            assert resumed._read_ahead == set()
+            losses += [self.step(resumed, b) for b in batches[3:]]
+        finally:
+            resumed.close()
+        assert losses == reference
+
+    def test_seeded_faults_replay_in_the_same_order(self, tmp_path):
+        """Every steady-state SSD request runs on the one state I/O
+        thread, so a seeded fault plan replays exactly: the same faults at
+        the same requests, the same losses as the fault-free run."""
+        factory = bench_shape_factory()
+        batches = factory.batches(8)
+
+        def run(tag, **faults):
+            plan = FaultPlan(seed=5, **faults)
+            requests = []
+            on_io = plan.on_io
+
+            def recording(tier, op, nbytes):
+                requests.append((op, nbytes))
+                return on_io(tier, op, nbytes)
+
+            plan.on_io = recording
+            engine = self.ssd_engine(
+                factory, plan, ssd_path=str(tmp_path / f"{tag}.bin"),
+                retry_policy=RetryPolicy(max_attempts=8, base_delay=0.0001),
+            )
+            try:
+                losses = [self.step(engine, b) for b in batches]
+            finally:
+                engine.close()
+            return losses, plan.log, requests
+
+        faults = dict(transient_read_rate=0.05, transient_write_rate=0.05,
+                      max_transients=12)
+        clean, _, _ = run("clean")
+        losses, log, requests = run("a", **faults)
+        again, log_again, requests_again = run("b", **faults)
+        kinds = {record.kind.value for record in log}
+        assert kinds == {"transient_read", "transient_write"}
+        assert log == log_again
+        assert requests == requests_again
+        assert losses == again == clean
+
+
+class TestStatePageRule:
+    """An FP32 state's tail never shares a page with an FP16 parameter:
+    the prefetch worker moves FP16 pages while state I/O runs unlocked."""
+
+    @staticmethod
+    def wide_model(seed=0):
+        from repro.nn import Module
+        from repro.nn.functional import gelu
+        from repro.nn.layers import Embedding, Linear
+
+        class Wide(Module):
+            def __init__(self):
+                super().__init__()
+                rng = np.random.default_rng(seed)
+                self.embed = Embedding(16, 100, rng)
+                self.a = Linear(100, 400, rng)  # FP16 and FP32 tails
+                self.b = Linear(400, 16, rng)
+
+            def forward(self, token_ids, mixed_precision=False):
+                hidden = gelu(self.a(self.embed(token_ids), mixed_precision))
+                return self.b(hidden, mixed_precision)
+
+        return Wide()
+
+    def engine(self, **overrides):
+        model = self.wide_model()
+        config = dict(page_bytes=64 * KiB, gpu_memory_bytes=4 * MiB,
+                      cpu_memory_bytes=16 * MiB, pipeline=True)
+        config.update(overrides)
+        return initialize(model, MixedPrecisionAdam(model.parameters(), lr=2e-3),
+                          AngelConfig(**config))
+
+    def test_state_tails_share_only_with_states(self):
+        with self.engine() as engine:
+            weight = next(m for m in engine._managed if m.name == "a.weight")
+            assert weight.fp16.page_list[-1].tensor_ids == (weight.fp16.tensor_id,)
+            states = {t.tensor_id for m in engine._managed
+                      for t in (m.master, m.moment1, m.moment2)}
+            shared = weight.moment1.page_list[-1].tensor_ids
+            assert len(shared) == 2 and set(shared) <= states
+
+    def test_registration_rejects_a_mixed_page(self, monkeypatch):
+        from repro.memory.allocator import PageAllocator
+
+        place_tail = PageAllocator._place_tail
+
+        def by_tier_only(self, pool, share_key, *args):
+            return place_tail(self, pool, share_key[0], *args)
+
+        monkeypatch.setattr(PageAllocator, "_place_tail", by_tier_only)
+        with pytest.raises(ConfigurationError, match="a.weight"):
+            self.engine()
+
+    def test_pipelined_bit_identical_to_sync_while_pages_move(self):
+        def run(pipeline):
+            # Eight GPU pages, the least the planner accepts: the prefetch
+            # worker stages and evicts FP16 pages every step while the
+            # state reads are in flight.
+            with self.engine(pipeline=pipeline,
+                             gpu_memory_bytes=8 * 64 * KiB) as engine:
+                losses = []
+                for batch in lm_synthetic_batches(16, 8, 4, 6, seed=2):
+                    loss = engine(batch)
+                    engine.backward(loss)
+                    engine.step()
+                    losses.append(loss.item())
+                params = [m.param.data.copy() for m in engine._managed]
+                return losses, params, engine.pipeline_report()
+
+        sync_losses, sync_params, _ = run(False)
+        # Three threads on the machine's cores, switching every few
+        # bytecodes: a state read racing a page move would show here.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            losses, params, report = run(True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report["prefetch"]["prefetched_groups"] > 0
+        assert report["writeback"]["read_ahead"] > 0
+        assert losses == sync_losses
+        for a, b in zip(sync_params, params):
+            assert np.array_equal(a, b)
 
 
 class TestProcessDataPlane:
