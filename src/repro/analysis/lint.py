@@ -1,9 +1,10 @@
 """AST concurrency lint over the repo's own sources.
 
-The lock-free updater (:mod:`repro.lockfree.threaded`) and the event-bus
-callbacks (:mod:`repro.runtime.events`) are the two places where code in
-this repo runs off the trainer thread — exactly where PatrickStar-style
-systems historically grew unguarded cross-thread state. This linter
+The pipelined runtime's prefetch worker and state I/O thread
+(:mod:`repro.runtime.pipeline`) and the event-bus callbacks
+(:mod:`repro.runtime.events`) are where code in this repo runs off the
+trainer thread — exactly where PatrickStar-style systems historically
+grew unguarded cross-thread state. This linter
 builds a **thread-role map** per class and flags:
 
 - ``SA001`` *shared-state race* — an instance attribute written outside

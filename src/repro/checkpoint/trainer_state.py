@@ -104,6 +104,15 @@ def capture_engine_state(engine, step: int = 0) -> Snapshot:
             f"fp16/{managed.name}",
             managed.fp16.read_array().view(np.uint16),
         )
+    if engine._pending:
+        # Mid-block (lock-free): the gradients buffered since the last
+        # sweep are state too; the next sweep folds them in.
+        counts = []
+        for managed in engine._managed:
+            grad, count = engine._buffers.peek(managed.index)
+            snapshot.add_array(f"grad/{managed.name}", grad)
+            counts.append(count)
+        snapshot.metadata["grad_counts"] = counts
     return snapshot
 
 
@@ -131,6 +140,11 @@ def restore_engine_state(snapshot: Snapshot, engine) -> int:
         engine.optimizer.master[index][...] = snapshot.arrays[f"master/{managed.name}"]
         engine.optimizer.m[index][...] = snapshot.arrays[f"m/{managed.name}"]
         engine.optimizer.v[index][...] = snapshot.arrays[f"v/{managed.name}"]
+        if "grad_counts" in snapshot.metadata:
+            engine._buffers.load(
+                index, snapshot.arrays[f"grad/{managed.name}"],
+                snapshot.metadata["grad_counts"][index],
+            )
     engine.optimizer.t = int(snapshot.metadata["adam_t"])
     engine._iteration = int(snapshot.metadata["iteration"])
     engine._pending = int(snapshot.metadata["pending"])

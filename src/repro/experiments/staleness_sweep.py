@@ -12,14 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.experiments.common import Report
-from repro.lockfree.staleness import StalenessLoop
-from repro.nn.data import lm_synthetic_batches
-from repro.nn.functional import cross_entropy
+from repro.experiments.common import Report, train_and_validate
 from repro.nn.layers import TinyTransformerLM
-from repro.nn.optim import MixedPrecisionAdam
 
 STALENESS_LEVELS = (1, 2, 4, 8, 16)
 
@@ -57,19 +51,9 @@ def run(
             vocab_size=vocab_size, d_model=32, d_ffn=64, num_heads=4,
             num_layers=2, max_seq=seq_len, seed=seed,
         )
-        optimizer = MixedPrecisionAdam(model.parameters(), lr=lr)
-        loop = StalenessLoop(model, optimizer, update_interval=interval)
-        loop.train(lm_synthetic_batches(
-            vocab_size, seq_len, batch_size, num_batches,
-            seed=seed + 1, chain_seed=seed,
-        ))
-        val = []
-        for batch in lm_synthetic_batches(
-            vocab_size, seq_len, batch_size, 10, seed=seed + 2, chain_seed=seed
-        ):
-            logits = model(batch.inputs, mixed_precision=True)
-            val.append(cross_entropy(logits, batch.targets).item())
-        losses[interval] = float(np.mean(val))
+        _, losses[interval] = train_and_validate(
+            model, interval, num_batches, vocab_size, seq_len, batch_size, seed, lr,
+        )
     sync = losses[min(staleness_levels)]
     points = [
         StalenessPoint(

@@ -8,9 +8,10 @@ Two halves:
    Paper: 37.26 samples/s (1T/64), 317.82 (10T/576 sync), 942.31
    (10T/576 lock-free) — a 2.96x speed-up with the SSD I/O removed from
    the critical path.
-2. **Convergence** (real numpy training): the same model and data trained
-   synchronously and with the lock-free staleness semantics; validation
-   losses should be nearly identical (paper: 0.853 vs 0.861).
+2. **Convergence** (real numpy training on the paged engine): the same
+   model and data trained synchronously and lock-free (one update sweep
+   per ``update_interval`` steps); validation losses should be nearly
+   identical (paper: 0.853 vs 0.861).
 """
 
 from __future__ import annotations
@@ -20,14 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.moe import MoESimEngine
-from repro.experiments.common import Report
+from repro.experiments.common import Report, train_and_validate
 from repro.hardware.cluster import a100_cluster
-from repro.lockfree.staleness import StalenessLoop
 from repro.models.moe import MoEConfig
-from repro.nn.data import lm_synthetic_batches
-from repro.nn.functional import cross_entropy
 from repro.nn.layers import TinyTransformerLM
-from repro.nn.optim import MixedPrecisionAdam
 
 #: Paper rows: (label, #GPUs, lock_free) -> samples/s, valid loss.
 PAPER_ROWS = {
@@ -115,33 +112,22 @@ def run_convergence(
     seed: int = 7,
     lr: float = 2e-3,
 ) -> list[ConvergenceRow]:
-    """Train the same tiny MoE LM synchronously and lock-free."""
+    """Train the same tiny MoE LM on the engine synchronously and lock-free."""
     rows: list[ConvergenceRow] = []
     for mode, interval in (("synchronous", 1), ("lock-free", update_interval)):
         model = TinyTransformerLM(
             vocab_size=vocab_size, d_model=32, d_ffn=64, num_heads=4,
             num_layers=2, max_seq=seq_len, num_experts=4, seed=seed,
         )
-        optimizer = MixedPrecisionAdam(model.parameters(), lr=lr)
-        loop = StalenessLoop(model, optimizer, update_interval=interval)
-        batches = lm_synthetic_batches(
-            vocab_size, seq_len, batch_size, num_batches,
-            seed=seed + 1, chain_seed=seed,
+        losses, valid_loss = train_and_validate(
+            model, interval, num_batches, vocab_size, seq_len, batch_size, seed, lr,
         )
-        log = loop.train(batches)
-        # Validation: held-out sequences drawn from the *same* chain.
-        val_losses = []
-        for batch in lm_synthetic_batches(
-            vocab_size, seq_len, batch_size, 10, seed=seed + 2, chain_seed=seed
-        ):
-            logits = model(batch.inputs, mixed_precision=True)
-            val_losses.append(cross_entropy(logits, batch.targets).item())
         rows.append(
             ConvergenceRow(
                 mode=mode,
                 update_interval=interval,
-                final_loss=float(np.mean(val_losses)),
-                first_loss=log.first_loss,
+                final_loss=valid_loss,
+                first_loss=float(np.mean(losses[:max(1, len(losses) // 10)])),
             )
         )
     return rows

@@ -1,30 +1,17 @@
-"""Lock-Free Updating Mechanism (Section 4.3, Algorithm 2).
+"""Building blocks of the Lock-Free Updating Mechanism (Section 4.3,
+Algorithm 2).
 
-Two CPU-side FP16 buffers (parameters and accumulated gradients) decouple
-GPU computation from the SSD-bound optimizer path. The GPU always reads the
-buffered parameters and deposits gradients; a buffering thread accumulates
-them; an updating thread sweeps the layers, folding whatever gradients have
-accumulated into each FP32 update and refreshing the buffered parameters.
-
-Two implementations are provided:
-
-- :class:`StalenessLoop` — a deterministic, single-threaded execution of
-  the same semantics with a fixed update interval (staleness ``k``);
-  ``k = 1`` is exactly synchronous training. Used by the Table 6
-  convergence experiment and the property tests.
-- :class:`LockFreeTrainer` — a genuinely threaded updating/buffering
-  implementation matching Algorithm 2's concurrency structure.
+Algorithm 2 itself runs in one place, the paged engine's update sweep
+(:class:`repro.engine.angel.AngelModel` with ``lock_free=True`` and
+``update_interval=k``): the backward pass deposits gradients into
+:class:`GradientBuffers`, and every ``k`` steps the sweep folds what has
+accumulated into one FP32 update per layer, its SSD state traffic read
+ahead and written behind on the state I/O thread.
+:class:`WorkQueue` is the keyed FIFO under the runtime's background
+workers.
 """
 
 from repro.lockfree.buffers import GradientBuffers
 from repro.lockfree.queues import WorkQueue
-from repro.lockfree.staleness import StalenessLoop, TrainLog
-from repro.lockfree.threaded import LockFreeTrainer
 
-__all__ = [
-    "GradientBuffers",
-    "StalenessLoop",
-    "TrainLog",
-    "LockFreeTrainer",
-    "WorkQueue",
-]
+__all__ = ["GradientBuffers", "WorkQueue"]

@@ -1,10 +1,10 @@
 """The CPU-side buffers of Algorithm 2.
 
-``g'16``: per-parameter accumulated FP16 gradients, deposited by the GPU
-and cleared by the updating thread after each sweep (lines 12, 15).
-``p'16`` is represented by the model parameters' own ``data`` arrays — the
-GPU reads buffered parameters directly, and the updater overwrites them
-with the FP16-rounded masters (line 13).
+``g'16``: per-parameter accumulated FP16 gradients, deposited by the
+backward pass and cleared by the engine's update sweep (Algorithm 2's
+updating thread) as it folds them in (lines 12, 15). ``p'16`` is the
+engine's paged FP16 parameter copy, which the sweep refreshes with the
+FP16-rounded masters (line 13).
 """
 
 from __future__ import annotations
@@ -58,6 +58,17 @@ class GradientBuffers:
             self._buffers[index][...] = 0.0
             self._pending[index] = 0
         return grad, count
+
+    def peek(self, index: int) -> tuple[np.ndarray, int]:
+        """The accumulated gradient (a copy) and its count, left in place."""
+        with self._locks[index]:
+            return self._buffers[index].copy(), self._pending[index]
+
+    def load(self, index: int, grad: np.ndarray, count: int) -> None:
+        """Replace the accumulated gradient and its count (a restore)."""
+        with self._locks[index]:
+            self._buffers[index][...] = grad
+            self._pending[index] = count
 
     def pending(self, index: int) -> int:
         with self._locks[index]:

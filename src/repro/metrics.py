@@ -34,7 +34,7 @@ class StepRecord:
 _FAULT_FIELDS = (
     "retries", "transient_faults", "torn_writes",
     "latency_injections", "tier_deaths", "degradations",
-    "rank_failures", "recoveries", "updater_fallbacks",
+    "rank_failures", "recoveries",
     "checkpoints_saved", "checkpoints_restored", "reshards",
 )
 

@@ -27,10 +27,10 @@ gap:
   discards queued I/O when the tier dies (the optimizer's host arrays
   stay authoritative, matching ``AngelModel.degrade_tier``).
 
-Both workers follow the repo's threading discipline (see
-:mod:`repro.lockfree.threaded`): daemon threads, every cross-thread
-attribute guarded by one condition variable, errors captured and
-re-raised on the training thread at the next step boundary.
+Both workers follow the repo's threading discipline (checked by
+``repro check --self``): daemon threads, every cross-thread attribute
+guarded by one condition variable, errors captured and re-raised on the
+training thread at the next step boundary.
 """
 
 from __future__ import annotations

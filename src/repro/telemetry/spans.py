@@ -2,7 +2,7 @@
 
 ``tracer.span("fwd/layer3")`` brackets a region of real execution; nested
 spans form a hierarchy per thread, and every thread (the GPU loop, the
-lock-free updating thread) records into the same tracer. Finished spans
+pipelined runtime's workers) records into the same tracer. Finished spans
 export to the Chrome trace-event format, so a *functional* engine run is
 inspectable in Perfetto next to a simulated timeline.
 

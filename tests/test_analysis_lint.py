@@ -493,15 +493,13 @@ class TestRealTree:
         assert verdict["resolved"] == []
 
     def test_trainer_race_fix_is_recognized(self):
-        # The satellite fix: sweep-progress counters are lock-mediated,
-        # so only the accepted update_error publish remains under SA001.
+        # Every cross-thread attribute in src/ is lock-mediated: SA001
+        # has no finding and needs no baseline entry.
         root = Path(repro.__file__).parent
         sa001 = {
             f.fingerprint for f in lint_tree(root) if f.rule == SHARED_STATE_RACE
         }
-        assert sa001 == {
-            "SA001:lockfree/threaded.py:LockFreeTrainer.update_error"
-        }
+        assert sa001 == set()
 
     def test_supervisor_recv_paths_are_bounded(self):
         # The PR-9 satellite fix: every supervisor-side recv polls with a

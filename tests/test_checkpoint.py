@@ -122,14 +122,40 @@ class TestCrashRecovery:
 
 
 class TestEngineCheckpoint:
-    def _engine(self, seed=1):
+    def _engine(self, seed=1, **config_kwargs):
         model = tiny_model(seed=seed)
         opt = MixedPrecisionAdam(model.parameters(), lr=1e-3)
         config = AngelConfig(
             gpu_memory_bytes=2 * MiB, cpu_memory_bytes=16 * MiB,
-            ssd_bytes=16 * MiB, page_bytes=64 * KiB,
+            ssd_bytes=16 * MiB, page_bytes=64 * KiB, **config_kwargs,
         )
         return initialize(model, opt, config)
+
+    def _losses(self, engine, batches):
+        losses = []
+        for batch in batches:
+            loss = engine(batch)
+            engine.backward(loss)
+            engine.step()
+            losses.append(loss.item())
+        return losses
+
+    @pytest.mark.parametrize("cut", [4, 6])
+    def test_lock_free_resume_mid_block_keeps_buffered_gradients(self, cut, tmp_path):
+        """A snapshot between sweeps carries the gradients accumulated
+        since the last one: the resumed run is bit-identical, whether
+        the cut lands on a block boundary (4) or inside a block (6)."""
+        batches = list(lm_synthetic_batches(16, 8, 4, 12, seed=3))
+        with self._engine(lock_free=True, update_interval=4) as straight:
+            expected = self._losses(straight, batches)
+
+        with self._engine(lock_free=True, update_interval=4) as first:
+            before = self._losses(first, batches[:cut])
+            save_snapshot(capture_engine_state(first, step=cut), tmp_path / "ckpt.npz")
+        with self._engine(seed=42, lock_free=True, update_interval=4) as resumed:
+            assert restore_engine_state(load_snapshot(tmp_path / "ckpt.npz"), resumed) == cut
+            after = self._losses(resumed, batches[cut:])
+        assert before + after == expected
 
     def test_engine_resume_matches(self):
         batches = list(lm_synthetic_batches(16, 8, 4, 8, seed=3))

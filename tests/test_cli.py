@@ -221,14 +221,14 @@ class TestCheckCli:
         assert "check           : OK" in out
 
     def test_check_self_fails_without_baseline(self, capsys, tmp_path):
-        # The accepted update_error publish counts as new when the
-        # baseline is empty: the gate fails and names the finding.
+        # The accepted attach helper counts as new when the baseline is
+        # empty: the gate fails and names the finding.
         assert main([
             "check", "--self", "--baseline", str(tmp_path / "none.json"),
         ]) == 1
         captured = capsys.readouterr()
-        assert "SA001" in captured.out
-        assert "update_error" in captured.out
+        assert "SA004" in captured.out
+        assert "attach_segment" in captured.out
         assert "FAILED" in captured.err
 
     def test_check_update_baseline_round_trip(self, capsys, tmp_path):

@@ -31,3 +31,9 @@ def test_capacity_planning_runs():
 def test_other_examples_run(name):
     out = run_example(name)
     assert "loss" in out
+
+
+def test_extreme_scale_ssd_lockfree_runs():
+    out = run_example("extreme_scale_ssd_lockfree")
+    assert "400 sweeps" in out and "100 sweeps" in out
+    assert "4x fewer sweeps" in out

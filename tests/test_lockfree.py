@@ -1,20 +1,48 @@
-"""Lock-free updating mechanism: buffers, staleness loop, threaded trainer."""
+"""Lock-free updating mechanism: gradient buffers and the engine's sweep."""
 
 import threading
 
 import numpy as np
 import pytest
 
+from repro.engine import AngelConfig, initialize
 from repro.errors import ConfigurationError, GradientError
-from repro.lockfree import GradientBuffers, LockFreeTrainer, StalenessLoop
-from repro.nn import MixedPrecisionAdam, Tensor, TinyTransformerLM, lm_synthetic_batches
+from repro.lockfree import GradientBuffers
+from repro.nn import (
+    MixedPrecisionAdam, Tensor, TinyTransformerLM, cross_entropy, lm_synthetic_batches,
+)
+from repro.telemetry import Telemetry
+from repro.units import KiB, MiB
 
 
-def tiny_model(seed=0, num_experts=0):
+def tiny_model(seed=0):
     return TinyTransformerLM(
         vocab_size=16, d_model=16, d_ffn=32, num_heads=2, num_layers=2,
-        max_seq=8, num_experts=num_experts, seed=seed,
+        max_seq=8, seed=seed,
     )
+
+
+def lock_free_engine(model, lr=1e-3, update_interval=3, **overrides):
+    config = dict(
+        gpu_memory_bytes=2 * MiB, cpu_memory_bytes=16 * MiB,
+        page_bytes=32 * KiB, lock_free=update_interval > 1,
+        update_interval=update_interval,
+    )
+    config.update(overrides)
+    return initialize(
+        model, MixedPrecisionAdam(model.parameters(), lr=lr), AngelConfig(**config)
+    )
+
+
+def train(engine, batches) -> tuple[list[float], list[bool]]:
+    """Run the Figure 6 loop; returns the losses and which steps swept."""
+    losses, swept = [], []
+    for batch in batches:
+        loss = engine(batch)
+        engine.backward(loss)
+        swept.append(engine.step())
+        losses.append(loss.item())
+    return losses, swept
 
 
 class TestGradientBuffers:
@@ -75,137 +103,129 @@ class TestGradientBuffers:
         assert grad[0] == np.float32(1.0)
 
 
-class TestStalenessLoop:
-    def test_interval_one_equals_synchronous_reference(self):
-        """k=1 must match a plain train loop step for step."""
-        batches = list(lm_synthetic_batches(16, 8, 4, 10, seed=1))
+class TestEngineLockFree:
+    """Algorithm 2 runs on the paged engine: one sweep per ``k`` steps."""
 
+    @pytest.mark.parametrize("interval", [1, 3])
+    def test_engine_matches_plain_loop(self, interval):
+        """The engine is a plain loop over FP16-rounded parameters that
+        buffers FP16 gradients and folds their mean every ``k`` steps —
+        bit for bit, sync (k=1) and lock-free (k=3)."""
+        batches = list(lm_synthetic_batches(16, 8, 4, 10, seed=1))
         model_a = tiny_model(seed=3)
-        opt_a = MixedPrecisionAdam(model_a.parameters(), lr=1e-3)
-        log = StalenessLoop(model_a, opt_a, update_interval=1).train(iter(batches))
+        config = AngelConfig(
+            gpu_memory_bytes=2 * MiB, cpu_memory_bytes=16 * MiB,
+            page_bytes=32 * KiB, lock_free=interval > 1, update_interval=interval,
+        )
+        engine_losses = []
+        with initialize(
+            model_a, MixedPrecisionAdam(model_a.parameters(), lr=1e-3), config
+        ) as engine:
+            for batch in batches:
+                loss = engine(batch)
+                engine.backward(loss)
+                engine.step()
+                engine_losses.append(loss.item())
 
         model_b = tiny_model(seed=3)
         opt_b = MixedPrecisionAdam(model_b.parameters(), lr=1e-3)
-        from repro.nn.functional import cross_entropy
-
+        params = model_b.parameters()
+        for param in params:  # compute reads the buffered p'16
+            param.data[...] = param.data.astype(np.float16).astype(np.float32)
+        buffered = [np.zeros_like(p.data) for p in params]
         losses = []
-        for batch in batches:
+        for step, batch in enumerate(batches, start=1):
             loss = cross_entropy(model_b(batch.inputs, True), batch.targets)
             model_b.zero_grad()
             loss.backward()
-            # Mirror the loop's reverse-order sweep semantics.
-            opt_b.bump_step()
-            params = model_b.parameters()
-            for i in reversed(range(len(params))):
-                if params[i].grad is None:
-                    continue
-                params[i].data[...] = opt_b.apply_gradient(i, params[i].grad)
             losses.append(loss.item())
-        np.testing.assert_allclose(log.losses, losses, rtol=1e-5)
+            for acc, param in zip(buffered, params):
+                acc[...] = (acc + param.grad).astype(np.float16).astype(np.float32)
+            if step % interval == 0:
+                opt_b.bump_step()
+                for i, param in enumerate(params):
+                    param.data[...] = opt_b.apply_gradient(i, buffered[i] / interval)
+                    buffered[i][...] = 0.0
+        assert engine_losses == losses
+
+    def test_lag_gauge_counts_iterations_behind_the_sweep(self):
+        telemetry = Telemetry()
+        model = tiny_model()
+        config = AngelConfig(
+            gpu_memory_bytes=2 * MiB, cpu_memory_bytes=16 * MiB,
+            page_bytes=32 * KiB, lock_free=True, update_interval=4,
+            telemetry=telemetry,
+        )
+        gauge = telemetry.gauge("updater.lag_iterations")
+        lags = []
+        with initialize(
+            model, MixedPrecisionAdam(model.parameters(), lr=1e-3), config
+        ) as engine:
+            for batch in lm_synthetic_batches(16, 8, 4, 4, seed=2):
+                engine.backward(engine(batch))
+                engine.step()
+                lags.append(gauge.value)
+        assert lags == [1, 2, 3, 0]
+
+
+class TestStalenessLoop:
+    """Algorithm 2's staleness knob on the engine: ``update_interval``
+    iterations run between two update sweeps."""
 
     def test_sweep_count(self):
-        model = tiny_model()
-        opt = MixedPrecisionAdam(model.parameters(), lr=1e-3)
-        loop = StalenessLoop(model, opt, update_interval=3)
-        log = loop.train(lm_synthetic_batches(16, 8, 4, 10, seed=1))
-        # 10 iterations at interval 3: sweeps at 3, 6, 9 + final flush.
-        assert log.sweeps == 4
-        assert log.iterations == 10
+        with lock_free_engine(tiny_model(), update_interval=3) as engine:
+            _, swept = train(engine, lm_synthetic_batches(16, 8, 4, 10, seed=1))
+            # 10 iterations at interval 3: sweeps at 3, 6 and 9; the tenth
+            # iteration's gradients stay buffered for the next sweep.
+            assert [i for i, ran in enumerate(swept, start=1) if ran] == [3, 6, 9]
+            assert engine._pending == 1
+            assert engine._buffers.has_uncleared
 
     def test_both_modes_learn(self):
         for interval in (1, 4):
-            model = tiny_model(seed=5)
-            opt = MixedPrecisionAdam(model.parameters(), lr=2e-3)
-            loop = StalenessLoop(model, opt, update_interval=interval)
-            log = loop.train(lm_synthetic_batches(16, 8, 8, 120, seed=2))
-            assert log.final_loss < log.first_loss - 0.2, f"interval={interval}"
+            with lock_free_engine(
+                tiny_model(seed=5), lr=2e-3, update_interval=interval
+            ) as engine:
+                losses, _ = train(engine, lm_synthetic_batches(16, 8, 8, 120, seed=2))
+            assert np.mean(losses[-8:]) < np.mean(losses[:8]) - 0.2, (
+                f"interval={interval}"
+            )
 
     def test_invalid_interval_rejected(self):
-        model = tiny_model()
-        opt = MixedPrecisionAdam(model.parameters())
+        for interval in (0, -1):
+            with pytest.raises(ConfigurationError):
+                AngelConfig(update_interval=interval)
+        # Lock-free mode needs at least one deferred iteration.
         with pytest.raises(ConfigurationError):
-            StalenessLoop(model, opt, update_interval=0)
-
-
-class TestThreadedTrainer:
-    def test_threaded_trainer_learns(self):
-        model = tiny_model(seed=9)
-        opt = MixedPrecisionAdam(model.parameters(), lr=2e-3)
-        trainer = LockFreeTrainer(model, opt)
-        log = trainer.train(lm_synthetic_batches(16, 8, 8, 80, seed=4))
-        assert log.iterations == 80
-        assert log.sweeps >= 1
-        assert log.final_loss < log.first_loss
-
-    def test_buffers_drained_at_exit(self):
-        model = tiny_model(seed=9)
-        opt = MixedPrecisionAdam(model.parameters(), lr=1e-3)
-        trainer = LockFreeTrainer(model, opt)
-        trainer.train(lm_synthetic_batches(16, 8, 4, 10, seed=4))
-        assert not trainer._buffers.has_uncleared
-
-    def test_sweep_delay_increases_staleness(self):
-        model = tiny_model(seed=9)
-        opt = MixedPrecisionAdam(model.parameters(), lr=1e-3)
-        slow = LockFreeTrainer(model, opt, sweep_delay=0.05)
-        log = slow.train(lm_synthetic_batches(16, 8, 4, 20, seed=4))
-        # A slow updater folds several iterations per sweep.
-        assert log.sweeps < log.iterations
-
-    def test_negative_delay_rejected(self):
-        model = tiny_model()
-        opt = MixedPrecisionAdam(model.parameters())
-        with pytest.raises(ConfigurationError):
-            LockFreeTrainer(model, opt, sweep_delay=-1.0)
+            AngelConfig(lock_free=True, update_interval=1)
 
 
 class TestUpdaterFailure:
-    """An updater-thread crash must surface on the main thread — never a
-    silent death, a hung join, or dirty buffers (the threaded.py bugfix)."""
+    """A crash on the engine's state I/O thread must surface on the main
+    thread at ``step()`` — never a silent death or a hung close."""
 
-    def _crashing_optimizer(self, fail_after=1):
-        """The crash only fires on the updater thread — the realistic
-        failure mode where the main-thread sync path still works."""
-        model = tiny_model(seed=3)
-        opt = MixedPrecisionAdam(model.parameters(), lr=1e-3)
-        real_apply = opt.apply_gradient
-        calls = {"n": 0}
-        main = threading.main_thread()
+    def test_crash_is_reraised_on_main_thread(self, tmp_path):
+        engine = lock_free_engine(
+            tiny_model(seed=3), update_interval=2, gpu_memory_bytes=256 * KiB,
+            ssd_bytes=16 * MiB, ssd_path=str(tmp_path / "ssd.bin"), pipeline=True,
+        )
+        batches = list(lm_synthetic_batches(16, 8, 4, 8, seed=4))
+        crashed_on = []
+        try:
+            train(engine, batches[:1])  # the recording step starts the thread
+            writeback = engine._writeback
+            real_io = writeback._io_fn
 
-        def exploding_apply(index, grad):
-            if threading.current_thread() is not main:
-                calls["n"] += 1
-                if calls["n"] > fail_after:
-                    raise RuntimeError("injected updater crash")
-            return real_apply(index, grad)
+            def exploding_io(fn):
+                crashed_on.append(threading.current_thread())
+                raise RuntimeError("injected updater crash")
 
-        opt.apply_gradient = exploding_apply
-        return model, opt
-
-    def test_crash_is_reraised_on_main_thread(self):
-        model, opt = self._crashing_optimizer()
-        trainer = LockFreeTrainer(model, opt)
-        with pytest.raises(RuntimeError, match="injected updater crash"):
-            trainer.train(lm_synthetic_batches(16, 8, 4, 20, seed=4))
-        assert isinstance(trainer.update_error, RuntimeError)
-
-    def test_fallback_to_sync_finishes_training(self):
-        model, opt = self._crashing_optimizer()
-        trainer = LockFreeTrainer(model, opt, fallback_to_sync=True)
-        log = trainer.train(lm_synthetic_batches(16, 8, 4, 20, seed=4))
-        assert log.iterations == 20
-        assert len(log.losses) == 20
-        assert trainer.fell_back
-        assert isinstance(trainer.update_error, RuntimeError)
-        # Degraded synchronous sweeps still drain every buffer.
-        assert not trainer._buffers.has_uncleared
-        assert log.sweeps >= 1
-
-    def test_healthy_run_does_not_fall_back(self):
-        model = tiny_model(seed=3)
-        opt = MixedPrecisionAdam(model.parameters(), lr=1e-3)
-        trainer = LockFreeTrainer(model, opt, fallback_to_sync=True)
-        log = trainer.train(lm_synthetic_batches(16, 8, 4, 10, seed=4))
-        assert not trainer.fell_back
-        assert trainer.update_error is None
-        assert log.iterations == 10
+            writeback._io_fn = exploding_io
+            with pytest.raises(RuntimeError, match="injected updater crash"):
+                train(engine, batches[1:])
+            writeback._io_fn = real_io
+        finally:
+            with pytest.raises(RuntimeError, match="injected updater crash"):
+                engine.close()
+        assert crashed_on
+        assert threading.main_thread() not in crashed_on

@@ -442,7 +442,13 @@ class TestEngineIntegration:
         names = {r.name for r in telemetry.tracer.records}
         assert any(n.startswith("fwd/") for n in names)
         assert any(n.startswith("bwd/") for n in names)
-        assert any(n.startswith("update_sweep/") for n in names)
+        sweeps = [r for r in telemetry.tracer.records
+                  if r.name.startswith("update_sweep/")]
+        assert sweeps and all(r.track == "updater" for r in sweeps)
+        assert {r.track for r in telemetry.tracer.records
+                if r.name.startswith(("fwd/", "bwd/"))} == {"train"}
+        tracks = named_tracks(telemetry.tracer.to_chrome_trace())
+        assert "updater" in tracks and "train" in tracks
 
     def test_engine_without_telemetry_records_nothing(self):
         engine = self._engine(None)
@@ -458,31 +464,39 @@ class TestEngineIntegration:
 
 class TestLockFreeThreadBoundary:
     def test_sweep_spans_land_on_updater_track(self):
-        from repro.lockfree import LockFreeTrainer
+        from repro.engine.angel import AngelConfig, initialize
         from repro.nn import MixedPrecisionAdam, TinyTransformerLM, lm_synthetic_batches
+        from repro.units import KiB, MiB
 
         model = TinyTransformerLM(
             vocab_size=16, d_model=16, d_ffn=32, num_heads=2, num_layers=2,
             max_seq=8, seed=0,
         )
         telemetry = Telemetry()
-        trainer = LockFreeTrainer(
-            model, MixedPrecisionAdam(model.parameters(), lr=1e-3),
+        config = AngelConfig(
+            gpu_memory_bytes=1 * MiB, cpu_memory_bytes=64 * MiB,
+            page_bytes=16 * KiB, lock_free=True, update_interval=2,
             telemetry=telemetry,
         )
-        with telemetry.span("train_loop", track="train"):
-            log = trainer.train(lm_synthetic_batches(16, 8, 4, 4, seed=1))
-        assert log.sweeps >= 1
+        sweeps = 0
+        with initialize(
+            model, MixedPrecisionAdam(model.parameters(), lr=1e-3), config
+        ) as engine, telemetry.span("train_loop", track="train"):
+            for batch in lm_synthetic_batches(16, 8, 4, 4, seed=1):
+                engine.backward(engine(batch))
+                sweeps += engine.step()
+        assert sweeps == 2
         records = telemetry.tracer.records
         sweep_records = [r for r in records
                          if r.name.startswith("update_sweep/")]
-        assert sweep_records and all(r.track == "updater" for r in sweep_records)
+        assert len(sweep_records) == sweeps
+        assert all(r.track == "updater" for r in sweep_records)
         train_records = [r for r in records if r.name == "train_loop"]
         assert train_records[0].track == "train"
-        # The sweep histogram observed every productive sweep.
+        # The sweep histogram observed every sweep.
         summary = telemetry.registry.histogram("updater.sweep_seconds").summary()
-        assert summary["count"] == log.sweeps
-        # Tracks from both threads coexist in one Chrome export.
+        assert summary["count"] == sweeps
+        # The training and updater tracks coexist in one Chrome export.
         tracks = named_tracks(telemetry.tracer.to_chrome_trace())
         assert "updater" in tracks and "train" in tracks
 
