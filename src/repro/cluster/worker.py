@@ -59,7 +59,7 @@ from repro.cluster.protocol import (
 from repro.cluster.transport import SharedMemoryTransport
 from repro.errors import GenerationFencedError, RendezvousError, join_or_raise
 from repro.memory.arena import session_token
-from repro.nn import MixedPrecisionAdam
+from repro.nn import MixedPrecisionAdam, round_fp16
 from repro.nn.functional import cross_entropy
 from repro.telemetry.core import NULL_TELEMETRY
 from repro.zero.collectives import shard_length
@@ -249,7 +249,7 @@ def run_cluster_reference(config: ClusterConfig) -> list[float]:
         grad /= config.num_data_shards
         adam.t = step + 1
         adam._apply(master, grad, moment_m, moment_v)
-        _assign_params(params, master.astype(np.float16).astype(np.float32))
+        _assign_params(params, round_fp16(master))
         losses.append(loss_sum / config.num_data_shards)
     return losses
 
@@ -321,7 +321,7 @@ def _run_generation(config: ClusterConfig, workdir: str,
         adam_t = int(snapshot.metadata["adam_t"])
         start = int(snapshot.metadata["step"])
         losses = [float(x) for x in snapshot.metadata["losses"]]
-        _assign_params(params, master.astype(np.float16).astype(np.float32))
+        _assign_params(params, round_fp16(master))
     else:
         master = _flatten_params(params)
         moment_m = np.zeros_like(master)
@@ -356,7 +356,7 @@ def _run_generation(config: ClusterConfig, workdir: str,
             adam.t = adam_t
             with telemetry.span("adam", track="train"):
                 adam._apply(master_shard, grad_shard, m_shard, v_shard)
-            param_shard = master_shard.astype(np.float16).astype(np.float32)
+            param_shard = round_fp16(master_shard)
             with telemetry.span("all_gather", track="train",
                                 nbytes=param_shard.nbytes):
                 flat = np.concatenate(

@@ -23,6 +23,7 @@ from repro.nn.data import Batch
 from repro.nn.functional import cross_entropy
 from repro.nn.layers import Module
 from repro.nn.optim import MixedPrecisionAdam
+from repro.nn.tensor import round_fp16
 from repro.checkpoint.reshard import merge_shards, split_even
 
 
@@ -142,9 +143,7 @@ class Zero3Engine:
             self.m_shards[index][rank],
             self.v_shards[index][rank],
         )
-        self.param_shards[index][rank][...] = (
-            self.master_shards[index][rank].astype(np.float16).astype(np.float32)
-        )
+        self.param_shards[index][rank][...] = round_fp16(self.master_shards[index][rank])
 
     def _split(self, batch: Batch) -> list[Batch]:
         if batch.inputs.shape[0] % self.num_ranks:

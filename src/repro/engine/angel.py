@@ -48,7 +48,7 @@ from repro.nn.data import Batch
 from repro.nn.functional import cross_entropy
 from repro.nn.layers import Module
 from repro.nn.optim import MixedPrecisionAdam
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, round_fp16
 from repro.protocols import FaultPlanLike, RetryPolicyLike, TelemetryLike
 from repro.units import KiB, MiB
 
@@ -417,7 +417,7 @@ class AngelModel:
         self._lru[managed.index] = managed
         self._lru.move_to_end(managed.index)
         # The compute path reads the buffered FP16 parameters.
-        managed.param.data[...] = managed.fp16.read_array().astype(np.float32)
+        np.copyto(managed.param.data, managed.fp16.read_array())
 
     def _demand_fetch(self, missing: list[_Managed], pinned: set[int]) -> None:
         """Stage ``missing`` on the GPU: ask, evict until it fits, move.
@@ -712,7 +712,9 @@ class AngelModel:
             for managed in self._groups[layer]:
                 grad, count = self._buffers.drain(managed.index)
                 if count:
-                    live.append((managed, grad / count))
+                    if count > 1:
+                        grad /= count
+                    live.append((managed, grad))
             if not live:
                 continue
             states, hosts = self._layer_states(m for m, _ in live)
@@ -724,12 +726,14 @@ class AngelModel:
                 # Transient faults are retried; permanent tier death escalates.
                 self._io(partial(gather, states, hosts))
             for managed, grad in live:
+                # p'16 is rounded once (line 13); the page stores its float16
+                # encoding and the parameter keeps the array itself.
                 refreshed = opt.apply_gradient(managed.index, grad)
                 # The FP16 refresh stays synchronous: the very next forward
                 # reads it, and deferring it would reintroduce staleness.
                 with self._move_lock:
                     managed.fp16.write_array(refreshed.astype(np.float16))
-                managed.param.data[...] = refreshed
+                managed.param.data = refreshed
             flush = partial(scatter, states, hosts, self._io_service)
             if threaded:
                 writeback.submit(layer, flush)  # off the critical path
@@ -800,9 +804,9 @@ class AngelModel:
                 rebuilt += 1
             # Re-derive the FP16 working copy from the authoritative
             # master so every layer is consistent with the rebuilt state.
-            refreshed = opt.master[index].astype(np.float16).astype(np.float32)
+            refreshed = round_fp16(opt.master[index])
             managed.fp16.write_array(refreshed.astype(np.float16))
-            managed.param.data[...] = refreshed
+            managed.param.data = refreshed
         for index in range(len(self._managed)):
             self._buffers.drain(index)
         self._pending = 0

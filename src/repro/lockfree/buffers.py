@@ -14,7 +14,7 @@ import threading
 import numpy as np
 
 from repro.errors import GradientError
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, round_fp16
 
 
 class GradientBuffers:
@@ -30,17 +30,21 @@ class GradientBuffers:
         return len(self._buffers)
 
     def accumulate(self, index: int, grad: np.ndarray) -> None:
-        """Buffering thread, line 15: ``g'16 <- g'16 + g16``."""
+        """Buffering thread, line 15: ``g'16 <- g'16 + g16``.
+
+        The float32 sum is rounded to its nearest float16 value
+        (``round_fp16``, bit-identical to a float16 store), mirroring the
+        buffer's half-precision storage. ``grad`` must be float32.
+        Gradients often land in float16's subnormal range, where the
+        kernel avoids numpy's slow float->half path.
+        """
         if grad.shape != self._buffers[index].shape:
             raise GradientError(
                 f"gradient shape {grad.shape} does not match buffer "
                 f"{self._buffers[index].shape}"
             )
         with self._locks[index]:
-            # FP16 rounding on the accumulated value mirrors the buffer's
-            # half-precision storage.
-            acc = self._buffers[index] + grad
-            self._buffers[index][...] = acc.astype(np.float16).astype(np.float32)
+            self._buffers[index] = round_fp16(self._buffers[index] + grad)
             self._pending[index] += 1
 
     def accumulate_all(self, params: list[Tensor]) -> None:
@@ -51,11 +55,12 @@ class GradientBuffers:
 
     def drain(self, index: int) -> tuple[np.ndarray, int]:
         """Updating thread, lines 5+12: take the accumulated gradient and
-        clear the buffer. Returns (gradient copy, iterations folded in)."""
+        clear the buffer. Returns (the accumulated gradient, now the
+        caller's, and the iterations folded in)."""
         with self._locks[index]:
-            grad = self._buffers[index].copy()
+            grad = self._buffers[index]
             count = self._pending[index]
-            self._buffers[index][...] = 0.0
+            self._buffers[index] = np.zeros(grad.shape, grad.dtype)
             self._pending[index] = 0
         return grad, count
 

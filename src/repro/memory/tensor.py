@@ -49,10 +49,12 @@ class PagedTensor:
         """0=GPU, 1=CPU, 2=SSD; -1 when unallocated or split across tiers."""
         if self._released or not self.page_list:
             return -1
-        indices = {page.device_index for page in self.page_list}
-        if len(indices) != 1:
-            return -1
-        return indices.pop()
+        pages = iter(self.page_list)
+        index = next(pages).device_index
+        for page in pages:
+            if page.device_index != index:
+                return -1
+        return index
 
     @property
     def device_kind(self) -> DeviceKind | None:

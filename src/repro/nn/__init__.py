@@ -12,6 +12,7 @@ from repro.nn.tensor import (
     get_compute_dtype,
     no_grad,
     round_bf16,
+    round_fp16,
     set_compute_dtype,
 )
 from repro.nn.layers import (
@@ -44,6 +45,7 @@ __all__ = [
     "set_compute_dtype",
     "get_compute_dtype",
     "round_bf16",
+    "round_fp16",
     "Module",
     "Linear",
     "LayerNorm",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GradientError
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, round_fp16
 
 
 class SGD:
@@ -56,6 +56,8 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        #: shape -> two float32 arrays for ``_apply``'s temporaries.
+        self._scratch: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self) -> None:
         self.t += 1
@@ -66,13 +68,28 @@ class Adam:
 
     def _apply(self, data: np.ndarray, grad: np.ndarray,
                m: np.ndarray, v: np.ndarray) -> None:
+        scratch = self._scratch.get(data.shape)
+        if scratch is None:
+            scratch = self._scratch[data.shape] = (
+                np.empty(data.shape, np.float32), np.empty(data.shape, np.float32)
+            )
+        step, denom = scratch
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
         m *= self.beta1
-        m += (1 - self.beta1) * grad
+        np.multiply(1 - self.beta1, grad, out=step)
+        m += step
         v *= self.beta2
-        v += (1 - self.beta2) * grad * grad
-        mhat = m / (1 - self.beta1**self.t)
-        vhat = v / (1 - self.beta2**self.t)
-        data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        np.multiply(1 - self.beta2, grad, out=step)
+        step *= grad
+        v += step
+        # data -= lr * mhat / (sqrt(vhat) + eps)
+        np.divide(m, 1 - self.beta1**self.t, out=step)
+        np.divide(v, 1 - self.beta2**self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        np.multiply(self.lr, step, out=step)
+        step /= denom
+        data -= step
 
     def zero_grad(self) -> None:
         for param in self.params:
@@ -102,19 +119,22 @@ class MixedPrecisionAdam(Adam):
                     f"master {self.master[i].shape}"
                 )
             self._apply(self.master[i], param.grad, self.m[i], self.v[i])
-            param.data[...] = self.master[i].astype(np.float16).astype(np.float32)
+            param.data[...] = round_fp16(self.master[i])
 
     def apply_gradient(self, index: int, grad: np.ndarray) -> np.ndarray:
         """Update one parameter from an externally supplied gradient.
 
-        Used by the lock-free update thread (Algorithm 2), which consumes
-        *buffered* gradients rather than the tensors' ``.grad`` fields.
-        Returns the refreshed FP16-rounded parameter values.
+        Used by the engine's update sweep (Algorithm 2's updating
+        thread), which consumes *buffered* gradients rather than the
+        tensors' ``.grad`` fields. Returns ``p'16 = cast(p32, FP16)``
+        (line 13): a new float32 array holding the master's nearest
+        float16 values (``round_fp16``), which the caller may keep as
+        the parameter's data and encode once into its FP16 page.
         """
         if self.t < 1:
             raise GradientError("bump_step() must precede apply_gradient()")
         self._apply(self.master[index], grad, self.m[index], self.v[index])
-        return self.master[index].astype(np.float16).astype(np.float32)
+        return round_fp16(self.master[index])
 
     def bump_step(self) -> None:
         """Advance the bias-correction step counter by one sweep."""

@@ -66,7 +66,68 @@ def round_bf16(array: np.ndarray) -> np.ndarray:
     bits = array.view(np.uint32)
     lsb = (bits >> 16) & 1
     rounded = bits + 0x7FFF + lsb
-    return (rounded & np.uint32(0xFFFF0000)).view(np.float32).copy()
+    rounded = (rounded & np.uint32(0xFFFF0000)).view(np.float32)
+    # The rounding add would carry a NaN's mantissa into its exponent or
+    # sign (0x7FFFFFFF -> -0.0, 0x7F800001 -> +inf): a NaN is truncated
+    # and made quiet instead, so it stays a NaN.
+    quiet = ((bits & np.uint32(0xFFFF0000)) | np.uint32(0x00400000)).view(np.float32)
+    return np.where(np.isnan(array), quiet, rounded)
+
+
+_F16_EXPONENT_MASK = np.uint32(0x7F800000)
+#: float32 bit patterns of float16's smallest normal binade (2**-14) and
+#: its largest (2**15): the clamp that gives subnormals and the top
+#: binade their float16 spacing.
+_F16_MIN_BINADE = np.uint32(0x38800000)
+_F16_MAX_BINADE = np.uint32(0x47000000)
+#: Added to a binade's bit pattern 2**e, gives C = 1.5 * 2**(e + 13),
+#: whose float32 ULP is 2**(e - 10), the float16 ULP of binade e.
+_F16_ROUNDING_SHIFT = np.uint32((13 << 23) | 0x00400000)
+#: Scaling a rounded value by 2**112 overflows exactly when it is past
+#: float16's range (>= 2**16); scaling back by 2**-112 is then exact.
+_F16_OVERFLOW_UP = np.float32(2.0**112)
+_F16_OVERFLOW_DOWN = np.float32(2.0**-112)
+#: Below this many elements numpy's own float16 cast is cheaper than the
+#: kernel's nine numpy calls (5-15 us of fixed cost, against ~5 ns saved
+#: per normal element and ~100 ns per subnormal one; EXPERIMENTS.md,
+#: "FP16 casts").
+FP16_KERNEL_MIN_SIZE = 2048
+
+
+def round_fp16(array: np.ndarray) -> np.ndarray:
+    """Round a float32 array to the nearest IEEE half, returned as float32.
+
+    Bit-identical to numpy's round trip through ``np.float16`` and back
+    (a NaN stays a NaN; its payload is not kept), without numpy's
+    float->half routine, which takes 90-130 ns per element on values in
+    float16's subnormal range against ~6 ns on normal ones. The kernel
+    uses float32 arithmetic only: each element's binade 2**e, clamped to
+    [2**-14, 2**15], gives ``C = 1.5 * 2**(e + 13)``, and ``(x + C) - C``
+    rounds ``x`` to the float16 grid of that binade, ties to even (C is
+    an even multiple of the grid step, so this holds for negative ``x``
+    too). A scale by 2**112 and back turns results past 65504 (inputs
+    >= 65520) into inf, with numpy's overflow warning as its cast gives,
+    and ``copysign`` restores the sign of zeros. Arrays smaller than
+    ``FP16_KERNEL_MIN_SIZE`` take numpy's cast, which is cheaper there
+    and gives the same bits. Only float32 is accepted: a float64 caller
+    would otherwise be rounded twice. As any float arithmetic on one
+    does, a signalling NaN input raises numpy's invalid-value warning.
+    """
+    if array.dtype != np.float32:
+        raise TypeError(f"round_fp16 takes float32, not {array.dtype}")
+    if array.size < FP16_KERNEL_MIN_SIZE:
+        half = array.astype(np.float16)
+        return half.astype(np.float32)
+    shift = np.bitwise_and(array.view(np.uint32), _F16_EXPONENT_MASK)
+    np.maximum(shift, _F16_MIN_BINADE, out=shift)
+    np.minimum(shift, _F16_MAX_BINADE, out=shift)
+    shift += _F16_ROUNDING_SHIFT
+    shift = shift.view(np.float32)
+    out = np.add(array, shift)
+    out -= shift
+    out *= _F16_OVERFLOW_UP
+    out *= _F16_OVERFLOW_DOWN
+    return np.copysign(out, array, out=out)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -303,12 +364,13 @@ class Tensor:
     def cast_fp16(self) -> "Tensor":
         """Mixed-precision cast: round values through IEEE half precision.
 
-        The rounding is real (data passes through float16), so half-
-        precision quantization effects appear in training, while the graph
-        stays float32 for numpy efficiency. The gradient is the straight-
-        through identity, as in standard mixed-precision training.
+        The rounding is real (``round_fp16``: each value becomes its
+        nearest float16, bit for bit), so half-precision quantization
+        effects appear in training, while the graph stays float32 for
+        numpy efficiency. The gradient is the straight-through identity,
+        as in standard mixed-precision training.
         """
-        out_data = self.data.astype(np.float16).astype(np.float32)
+        out_data = round_fp16(self.data)
 
         def backward(grad, a=self):
             if a.requires_grad:

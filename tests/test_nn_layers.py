@@ -142,6 +142,33 @@ class TestOptimizers:
         expected = 1.0 - 0.1 * mhat / (np.sqrt(vhat) + 1e-8)
         np.testing.assert_allclose(param.data, [expected], rtol=1e-6)
 
+    def test_adam_bitwise_equals_unbuffered_expressions(self):
+        """Scratch-buffered Adam == the temporaries-allocating formula,
+        bit for bit, with two same-shape parameters sharing the scratch."""
+        rng = np.random.default_rng(0)
+        params = [Tensor(rng.standard_normal((3, 5)).astype(np.float32), requires_grad=True)
+                  for _ in range(2)]
+        ref = [p.data.copy() for p in params]
+        ms = [np.zeros_like(r) for r in ref]
+        vs = [np.zeros_like(r) for r in ref]
+        b1, b2, lr, eps = 0.9, 0.999, 1e-2, 1e-8
+        opt = Adam(params, lr=lr, betas=(b1, b2), eps=eps)
+        for t in range(1, 6):
+            for i, param in enumerate(params):
+                grad = (rng.standard_normal((3, 5)) * 10.0**-t).astype(np.float32)
+                param.grad = grad
+                ms[i] *= b1
+                ms[i] += (1 - b1) * grad
+                vs[i] *= b2
+                vs[i] += (1 - b2) * grad * grad
+                mhat = ms[i] / (1 - b1**t)
+                vhat = vs[i] / (1 - b2**t)
+                ref[i] -= lr * mhat / (np.sqrt(vhat) + eps)
+            opt.step()
+            for i, param in enumerate(params):
+                np.testing.assert_array_equal(param.data.view(np.uint32), ref[i].view(np.uint32))
+                np.testing.assert_array_equal(opt.v[i], vs[i])
+
     def test_mixed_precision_master_stays_fp32(self):
         param = Tensor(np.array([1.0 + 2**-20], dtype=np.float32), requires_grad=True)
         opt = MixedPrecisionAdam([param], lr=0.0)
@@ -232,6 +259,22 @@ class TestBF16:
         # Exactly halfway between two bf16 values with even low bit: down.
         value = np.array([1.0 + 2**-8], dtype=np.float32)
         assert round_bf16(value)[0] == np.float32(1.0)
+
+    @pytest.mark.parametrize("bits", [0x7FFFFFFF, 0xFFFFFFFF, 0x7F800001])
+    def test_round_bf16_keeps_nan_a_nan(self, bits):
+        from repro.nn import round_bf16
+
+        value = np.array([bits], dtype=np.uint32).view(np.float32)
+        rounded = round_bf16(value)
+        assert np.isnan(rounded[0])
+        assert rounded.view(np.uint32)[0] & 0xFFFF == 0  # still a bf16 pattern
+        assert np.signbit(rounded[0]) == np.signbit(value[0])
+
+    def test_round_bf16_keeps_infinities(self):
+        from repro.nn import round_bf16
+
+        value = np.array([np.inf, -np.inf], dtype=np.float32)
+        np.testing.assert_array_equal(round_bf16(value), value)
 
     def test_bf16_wider_range_than_fp16(self):
         from repro.nn import round_bf16
