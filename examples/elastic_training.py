@@ -1,82 +1,53 @@
-"""Elastic training: checkpoint, crash, recover, rescale — Section 3.1.
+"""Elastic training: checkpoint on 2 ranks, resume on 4 — Section 3.1.
 
-The paper's production requirements in one script:
+The paper's seamless-scalability requirement in one script:
 
-1. train under ZeRO data parallelism on 2 simulated ranks, with a warmup
-   LR schedule, gradient-norm clipping and a metrics recorder;
-2. checkpoint to disk, then "crash";
-3. restore the snapshot and *rescale to 4 ranks* (exact ZeRO re-sharding —
-   "no need to re-configure their parallel schemes");
-4. continue training and show the loss curve never noticed.
+1. train the cluster's ZeRO step on 2 thread ranks (4 fixed data shards,
+   so the global batch does not depend on the rank count);
+2. checkpoint to disk and stop — the "failed" or paused job;
+3. resume from the snapshot on 4 ranks: each rank takes its even slice
+   of the FP32 master and Adam moments ("no need to re-configure their
+   parallel schemes");
+4. finish, and compare every loss with the single-process reference.
+
+Checkpoints go to a temporary directory that is removed afterwards.
 
 Run::
 
     python examples/elastic_training.py
 """
 
-import numpy as np
+import tempfile
+from dataclasses import replace
 
-from repro.dp import ZeroDataParallelTrainer
-from repro.metrics import MetricsRecorder
-from repro.nn import TinyTransformerLM, lm_synthetic_batches
-from repro.nn.schedule import WarmupCosineLR, clip_grad_norm
+from repro.cluster import ClusterConfig, run_cluster_in_process, run_cluster_reference
 
-TOTAL_STEPS = 120
-CRASH_AT = 60
-
-
-def factory():
-    return TinyTransformerLM(
-        vocab_size=32, d_model=32, d_ffn=64, num_heads=4, num_layers=2,
-        max_seq=16, seed=3,
-    )
-
-
-def run_steps(trainer, batches, schedule, recorder, start_step):
-    for offset, batch in enumerate(batches):
-        step = start_step + offset
-        for optimizer in trainer.optimizers:
-            schedule.apply(optimizer, step)
-        recorder.start_step()
-        loss = trainer.train_step(batch)
-        norm = clip_grad_norm(trainer._params[0], max_norm=1.0)
-        recorder.end_step(loss, samples=batch.inputs.shape[0],
-                          lr=trainer.optimizers[0].lr, grad_norm=norm)
-        if step % 20 == 0:
-            print(f"step {step:4d}  ranks={trainer.num_ranks}  "
-                  f"loss {loss:.4f}  lr {trainer.optimizers[0].lr:.2e}")
+TOTAL_STEPS = 40
+PAUSE_AT = 20
 
 
 def main() -> None:
-    batches = list(lm_synthetic_batches(32, 16, 8, TOTAL_STEPS, seed=4))
-    schedule = WarmupCosineLR(2e-3, warmup_steps=10, total_steps=TOTAL_STEPS)
-    recorder = MetricsRecorder()
+    config = ClusterConfig(world_size=4, steps=TOTAL_STEPS,
+                           checkpoint_every=10, seed=3)
+    with tempfile.TemporaryDirectory(prefix="elastic-") as workdir:
+        print("phase 1: 2-rank ZeRO data parallelism")
+        first = run_cluster_in_process(replace(config, steps=PAUSE_AT), 2,
+                                       workdir)
+        print(f"  steps 0-{PAUSE_AT - 1}: loss {first[0]:.4f} -> "
+              f"{first[-1]:.4f}, checkpointed at step {PAUSE_AT}")
 
-    print("phase 1: 2-rank ZeRO data parallelism")
-    trainer = ZeroDataParallelTrainer(factory, num_ranks=2, lr=2e-3)
-    run_steps(trainer, batches[:CRASH_AT], schedule, recorder, start_step=0)
+        print("phase 2: resumed on 4 ranks (state re-sharded 2 -> 4)")
+        losses = run_cluster_in_process(config, 4, workdir)
+        print(f"  steps {PAUSE_AT}-{TOTAL_STEPS - 1}: loss "
+              f"{losses[PAUSE_AT]:.4f} -> {losses[-1]:.4f}")
 
-    print(f"\n-- checkpoint at step {CRASH_AT}, simulate a failure, "
-          "and rescale 2 -> 4 ranks --\n")
-    resumed = ZeroDataParallelTrainer.rescale(trainer, factory, new_num_ranks=4)
-    del trainer  # the "failed" job
-
-    print("phase 2: resumed on 4 ranks (exact ZeRO state re-shard)")
-    run_steps(resumed, batches[CRASH_AT:], schedule, recorder,
-              start_step=CRASH_AT)
-
-    summary = recorder.summary()
-    print(f"\n{summary['steps']} steps, final loss "
-          f"{summary['final_loss']:.4f}, "
-          f"{summary['throughput']:.1f} samples/s wall-clock")
-    losses = [r.loss for r in recorder.records]
-    around_crash = np.mean(losses[CRASH_AT - 5:CRASH_AT])
-    after_crash = np.mean(losses[CRASH_AT:CRASH_AT + 5])
-    print(f"loss around the rescale: {around_crash:.4f} -> {after_crash:.4f} "
-          "(no discontinuity: optimizer state survived the re-shard)")
-
-    recorder.to_csv("elastic_training_metrics.csv")
-    print("per-step metrics written to elastic_training_metrics.csv")
+    reference = run_cluster_reference(config)
+    delta = max(abs(a - b) for a, b in zip(losses, reference))
+    for step in range(0, TOTAL_STEPS, 10):
+        print(f"step {step:3d}  loss {losses[step]:.4f}  "
+              f"(reference {reference[step]:.4f})")
+    print(f"final loss {losses[-1]:.4f}; max |delta| vs the 1-process "
+          f"reference {delta:.2e} (rank-order summation only)")
 
 
 if __name__ == "__main__":

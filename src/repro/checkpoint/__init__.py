@@ -10,8 +10,9 @@ package serves:
   through durable snapshots.
 - **Seamless scalability**: "when users wish to tune the amount of
   resources for their tasks, there should be no need to re-configure
-  their parallel schemes" — ZeRO-sharded state written by K ranks can be
-  re-sharded and restored onto any other rank count.
+  their parallel schemes" — ZeRO-sharded state written by K ranks is
+  re-sharded (:mod:`repro.checkpoint.reshard`) and restored
+  onto any other rank count.
 """
 
 from repro.checkpoint.snapshot import (
@@ -29,7 +30,6 @@ from repro.checkpoint.trainer_state import (
     restore_engine_state,
     restore_training_state,
 )
-from repro.checkpoint.reshard import ShardedCheckpoint, reshard
 
 __all__ = [
     "Snapshot",
@@ -43,6 +43,4 @@ __all__ = [
     "restore_training_state",
     "capture_engine_state",
     "restore_engine_state",
-    "ShardedCheckpoint",
-    "reshard",
 ]

@@ -1,16 +1,15 @@
-"""Elastic re-sharding of ZeRO-partitioned optimizer state.
+"""Elastic re-sharding of ZeRO-partitioned flat state.
 
 The paper's seamless-scalability requirement (Section 1): scaling a job
 from K to N GPUs must not require re-configuring the parallel scheme.
 Under ZeRO, each rank owns a contiguous 1/K slice of every flattened
 state tensor; re-sharding concatenates the slices and re-splits them for
 the new rank count. Elementwise optimizers (Adam) make this exact — no
-state is recomputed.
+state is recomputed. The cluster re-shards this way whenever a
+generation forms (:func:`repro.cluster.worker.load_rank_state`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,62 +45,3 @@ def merge_shards(shards: list[np.ndarray], true_size: int) -> np.ndarray:
             f"shards cover {merged.size} elements, expected {true_size}"
         )
     return merged[:true_size].copy()
-
-
-@dataclass
-class ShardedCheckpoint:
-    """ZeRO-sharded state: per-rank slices of each named flat tensor."""
-
-    num_ranks: int
-    true_sizes: dict[str, int] = field(default_factory=dict)
-    dtypes: dict[str, np.dtype] = field(default_factory=dict)
-    #: name -> list of per-rank shards
-    shards: dict[str, list[np.ndarray]] = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
-
-    @staticmethod
-    def from_full_state(
-        state: dict[str, np.ndarray], num_ranks: int, metadata: dict | None = None
-    ) -> "ShardedCheckpoint":
-        """Shard a full (rank-agnostic) state dict across ``num_ranks``."""
-        checkpoint = ShardedCheckpoint(num_ranks=num_ranks, metadata=metadata or {})
-        for name, array in state.items():
-            flat = np.asarray(array).reshape(-1)
-            checkpoint.true_sizes[name] = flat.size
-            checkpoint.dtypes[name] = flat.dtype
-            checkpoint.shards[name] = split_even(flat, num_ranks)
-        return checkpoint
-
-    def rank_state(self, rank: int) -> dict[str, np.ndarray]:
-        """The slice of every tensor owned by ``rank``."""
-        if not 0 <= rank < self.num_ranks:
-            raise ShardingError(f"rank {rank} outside [0, {self.num_ranks})")
-        return {name: shards[rank] for name, shards in self.shards.items()}
-
-    def to_full_state(self) -> dict[str, np.ndarray]:
-        """Reassemble the rank-agnostic state dict."""
-        return {
-            name: merge_shards(self.shards[name], self.true_sizes[name]).astype(
-                self.dtypes[name]
-            )
-            for name in self.shards
-        }
-
-
-def reshard(checkpoint: ShardedCheckpoint, new_num_ranks: int) -> ShardedCheckpoint:
-    """Re-partition a K-rank checkpoint for ``new_num_ranks`` ranks.
-
-    Exact for elementwise optimizer state: merge, then re-split. The
-    resulting checkpoint restores training identically on the new
-    cluster size — the paper's pause-and-rescale workflow.
-    """
-    if new_num_ranks <= 0:
-        raise ShardingError("new_num_ranks must be positive")
-    full = checkpoint.to_full_state()
-    resharded = ShardedCheckpoint.from_full_state(
-        full, new_num_ranks, metadata=dict(checkpoint.metadata)
-    )
-    # dtype/true-size bookkeeping must survive the round trip.
-    resharded.true_sizes = dict(checkpoint.true_sizes)
-    resharded.dtypes = dict(checkpoint.dtypes)
-    return resharded

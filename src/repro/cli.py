@@ -541,23 +541,25 @@ def _run_cluster_scenario(args: argparse.Namespace, prog: str,
     import tempfile
 
     from repro.cluster import ClusterConfig, run_cluster, run_cluster_reference
+    from repro.errors import ConfigurationError
     from repro.memory.arena import segment_names, session_token
     from repro.telemetry import Telemetry
 
-    if args.kill_rank is not None and not 0 <= args.kill_rank < args.workers:
-        print(f"{prog}: --kill-rank must name a worker slot", file=sys.stderr)
+    try:
+        config = ClusterConfig(
+            world_size=args.workers,
+            steps=args.steps,
+            checkpoint_every=args.ckpt_every,
+            seed=args.seed,
+            layers=args.layers,
+            kill_rank=args.kill_rank,
+            kill_at_step=args.at_step if args.at_step is not None
+            else args.steps // 2,
+            **membership,
+        )
+    except ConfigurationError as exc:
+        print(f"{prog}: {exc}", file=sys.stderr)
         return 2
-    config = ClusterConfig(
-        world_size=args.workers,
-        steps=args.steps,
-        checkpoint_every=args.ckpt_every,
-        seed=args.seed,
-        layers=args.layers,
-        kill_rank=args.kill_rank,
-        kill_at_step=args.at_step if args.at_step is not None
-        else args.steps // 2,
-        **membership,
-    )
     tolerance = args.tolerance
     report_path = getattr(args, "report", None)
     workdir = args.workdir or tempfile.mkdtemp(prefix="repro-cluster-")
@@ -631,12 +633,6 @@ def _run_cluster_scenario(args: argparse.Namespace, prog: str,
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    if args.steps < 1:
-        print("cluster: --steps must be >= 1", file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print("cluster: --workers must be >= 1", file=sys.stderr)
-        return 2
     return _run_cluster_scenario(
         args, "cluster", step_delay=args.step_delay,
         rendezvous_grace=args.grace, run_timeout=args.timeout,
@@ -671,7 +667,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         max_torn_writes=args.max_torn,
         die_after_ops=args.tier_death_after,
         rank_failure_at_step=args.rank_failure_at,
-        world_size=args.world_size,
     )
     reference = run_reference(
         ChaosConfig(steps=args.steps, checkpoint_every=args.ckpt_every,
@@ -682,7 +677,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     report = run_chaos(config, workdir, telemetry=telemetry)
     print(f"steps completed : {report.steps_completed} "
           f"({report.step_attempts} attempts)")
-    print(f"world size      : {config.world_size} -> {report.final_world_size}")
     print(f"degraded to CPU : {report.degraded}")
     print(f"recoveries at   : {report.recovery_steps or '-'}")
     print("injected faults :")
@@ -868,7 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--layers", type=int, default=2)
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--ckpt-every", type=int, default=3)
-    chaos.add_argument("--world-size", type=int, default=2)
     chaos.add_argument("--transient-rate", type=float, default=0.02,
                        help="per-request transient fault probability on the "
                             "SSD tier (a step issues ~40 requests)")

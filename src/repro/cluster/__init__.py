@@ -10,6 +10,8 @@ Recovery is resume: survivors re-shard the newest crash-consistent
 checkpoint for the shrunken world and replay — exact for elementwise
 Adam, so a killed-and-healed run converges with the fault-free
 reference (:func:`run_cluster_reference`).
+The same ZeRO step also runs on thread ranks of one process
+(:func:`run_cluster_in_process`), checkpointing the same way.
 """
 
 from repro.cluster.coordinator import Coordinator, coordinator_main
@@ -19,6 +21,7 @@ from repro.cluster.transport import SharedMemoryTransport
 from repro.cluster.worker import (
     CoordinatorClient,
     HeartbeatPump,
+    run_cluster_in_process,
     run_cluster_reference,
     run_worker,
     worker_entry,
@@ -33,6 +36,7 @@ __all__ = [
     "SharedMemoryTransport",
     "coordinator_main",
     "run_cluster",
+    "run_cluster_in_process",
     "run_cluster_reference",
     "run_worker",
     "worker_entry",

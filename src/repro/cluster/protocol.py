@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from multiprocessing.connection import Client
 
+from repro.errors import ConfigurationError
 from repro.protocols import TelemetryLike
 from repro.telemetry.export import SinkSpec
 from repro.units import KiB
@@ -82,6 +83,20 @@ class ClusterConfig:
     #: metrics are exported instead of silently dropped. ``run_cluster``
     #: fills it from ``workdir`` when unset.
     sink: SinkSpec | None = None
+
+    def __post_init__(self) -> None:
+        for ok, rule in (
+            (self.steps >= 1, "steps >= 1"),
+            (self.world_size >= 1, "world_size >= 1"),
+            (self.checkpoint_every >= 1, "checkpoint_every >= 1"),
+            (self.shard_batch >= 1, "shard_batch >= 1"),
+            (1 <= self.min_world <= self.world_size,
+             "1 <= min_world <= world_size"),
+            (self.kill_rank in (None, *range(self.world_size)),
+             "kill_rank to be None or a slot in [0, world_size)"),
+        ):
+            if not ok:
+                raise ConfigurationError(f"ClusterConfig needs {rule}")
 
     @property
     def num_data_shards(self) -> int:

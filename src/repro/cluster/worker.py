@@ -1,9 +1,6 @@
-"""Elastic ZeRO trainer workers: join, train, survive, re-join.
+"""Elastic ZeRO training: one step, driven by worker processes or threads.
 
-Each worker process runs the outer rendezvous loop: join the next
-generation, build a :class:`SharedMemoryTransport`, and train until the
-workload completes or the generation fences. The inner loop is the ZeRO
-step over a tiny transformer LM:
+The ZeRO step (:func:`zero_step`) trains a tiny transformer LM:
 
 1. compute gradients for the **data shards this rank owns** (shard ``s``
    belongs to rank ``s % world``; the shard count is fixed at the launch
@@ -15,12 +12,18 @@ step over a tiny transformer LM:
    refresh FP16 parameters via ``all_gather``;
 4. ``all_gather`` the per-rank float64 loss sums for the global loss.
 
+Two drivers run it. :func:`run_worker` is one OS process: it joins a
+generation, builds a :class:`SharedMemoryTransport`, and trains until the
+workload completes or the generation fences. :func:`run_cluster_in_process`
+runs every rank as a thread on one :class:`InProcessGroup`.
+
 Every ``checkpoint_every`` steps (and before a graceful rescale) the
 group all-gathers full master/m/v state and rank 0 persists it through
 the crash-consistent :mod:`repro.checkpoint.snapshot` path. Recovery is
-resume: a new generation loads the newest good snapshot, re-shards it
-for the new world size (the elastic path — exact for elementwise Adam),
-and replays the batch stream from the checkpointed step.
+resume (:func:`load_rank_state`): a new generation, or a new in-process
+run at any world size, loads the newest good snapshot, re-shards it for
+its world size (exact for elementwise Adam), and replays the batch
+stream from the checkpointed step.
 
 A configured kill (``kill_rank``/``kill_at_step``) SIGKILLs the worker
 *between gradient computation and the reduce-scatter* — mid-step, with
@@ -34,6 +37,7 @@ import os
 import signal
 import threading
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,12 +61,17 @@ from repro.cluster.protocol import (
     worker_id,
 )
 from repro.cluster.transport import SharedMemoryTransport
-from repro.errors import GenerationFencedError, RendezvousError, join_or_raise
+from repro.errors import (
+    ConfigurationError,
+    GenerationFencedError,
+    RendezvousError,
+    join_or_raise,
+)
 from repro.memory.arena import session_token
 from repro.nn import MixedPrecisionAdam, round_fp16
 from repro.nn.functional import cross_entropy
 from repro.telemetry.core import NULL_TELEMETRY
-from repro.zero.collectives import shard_length
+from repro.zero.collectives import InProcessGroup, shard_length
 
 
 # ----------------------------------------------------------------------
@@ -255,6 +264,149 @@ def run_cluster_reference(config: ClusterConfig) -> list[float]:
 
 
 # ----------------------------------------------------------------------
+# The ZeRO step (shared by the worker process and the in-process driver)
+# ----------------------------------------------------------------------
+@dataclass
+class RankState:
+    """One rank's 1/world slice of the FP32 state and its run position."""
+
+    master: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    adam: MixedPrecisionAdam  # its ``t`` counts the steps applied
+    start: int  # the first step to run: the resumed snapshot's
+    losses: list[float]
+    size: int  # unpadded element count of the full state
+
+
+def load_rank_state(config: ClusterConfig, workdir: str, params, rank: int,
+                    world: int) -> RankState:
+    """Resume from the newest good snapshot (or start fresh) and keep
+    this rank's ``split_even`` slice: the elastic re-shard, exact for
+    elementwise Adam whatever world wrote the snapshot."""
+    adam = MixedPrecisionAdam([], lr=config.lr)
+    start, losses = 0, []
+    resumed = latest_good_snapshot(workdir)
+    if resumed is None:
+        master = _flatten_params(params)
+        full = [master, np.zeros_like(master), np.zeros_like(master)]
+    else:
+        snapshot = resumed[0]
+        full = [snapshot.arrays[name].astype(np.float32)
+                for name in ("master", "m", "v")]
+        adam.t = int(snapshot.metadata["adam_t"])
+        start = int(snapshot.metadata["step"])
+        losses = [float(x) for x in snapshot.metadata["losses"]]
+        _assign_params(params, round_fp16(full[0]))
+    master, m, v = (split_even(array, world)[rank] for array in full)
+    return RankState(master, m, v, adam, start, losses, full[0].size)
+
+
+def zero_step(config: ClusterConfig, model, params, batch, transport,
+              state: RankState, telemetry=NULL_TELEMETRY,
+              before_reduce=None) -> None:
+    """One ZeRO step on this rank; appends the global loss to ``state``.
+
+    Gradients of the data shards this rank owns, ``reduce_scatter`` of
+    their sum, Adam on this rank's state slice, ``all_gather`` of the
+    FP16-rounded slices into every replica, then ``all_gather`` of the
+    per-rank float64 loss sums. ``before_reduce`` runs between the
+    gradients and the first collective (the worker's kill window).
+    """
+    with telemetry.span("grads", track="train"):
+        loss_sum, grad = _shard_grads(
+            model, params, batch, config, transport.rank, transport.world
+        )
+    if before_reduce is not None:
+        before_reduce()
+    with telemetry.span("reduce_scatter", track="train", nbytes=grad.nbytes):
+        grad_shard = transport.reduce_scatter(grad)
+    telemetry.record_collective("reduce_scatter", grad.nbytes)
+    grad_shard /= config.num_data_shards
+    state.adam.t += 1
+    with telemetry.span("adam", track="train"):
+        state.adam._apply(state.master, grad_shard, state.m, state.v)
+    param_shard = round_fp16(state.master)
+    with telemetry.span("all_gather", track="train",
+                        nbytes=param_shard.nbytes):
+        flat = np.concatenate(transport.all_gather(param_shard))
+    telemetry.record_collective("all_gather", param_shard.nbytes)
+    _assign_params(params, flat)
+    sums = transport.all_gather(np.array([loss_sum], dtype=np.float64))
+    # Ascending rank order == shard order.
+    step_loss = sum(float(partial[0]) for partial in sums)
+    state.losses.append(step_loss / config.num_data_shards)
+
+
+def _save_group_checkpoint(workdir: str, transport, state: RankState,
+                           completed: int) -> None:
+    """All-gather full state; rank 0 persists it; everyone waits."""
+    arrays = {
+        name: np.concatenate(transport.all_gather(getattr(state, name)))[:state.size]
+        for name in ("master", "m", "v")
+    }
+    if transport.rank == 0:
+        snapshot = Snapshot(arrays=arrays, metadata={
+            "step": completed,
+            "adam_t": state.adam.t,
+            "losses": state.losses,
+            "generation": transport.generation,
+            "world": transport.world,
+        })
+        save_snapshot(snapshot, snapshot_path(workdir, completed))
+    # Nobody proceeds (or retires) until the save is published.
+    transport.barrier(f"ckpt{completed}")
+
+
+def run_cluster_in_process(config: ClusterConfig, world: int,
+                           workdir: str) -> list[float]:
+    """Run the ZeRO step on ``world`` thread ranks; returns the losses.
+
+    The ranks share one :class:`InProcessGroup` and resume from and
+    checkpoint into ``workdir`` as a process generation does, so a run
+    at one world size resumes at another. At ``world ==
+    num_data_shards`` (and 1) the losses equal
+    :func:`run_cluster_reference` bit for bit. A rank that raises aborts
+    the group, and its error is re-raised here.
+    """
+    if not 1 <= world <= config.num_data_shards:
+        raise ConfigurationError(f"world {world} outside [1, {config.num_data_shards}]")
+    os.makedirs(workdir, exist_ok=True)
+    telemetry = config.telemetry or NULL_TELEMETRY
+    group = InProcessGroup(world, page_bytes=config.page_bytes)
+    batches = make_batches(config)
+    losses: list[float] = []
+    failures: list[BaseException] = []  # the first is the cause
+
+    def rank_main(rank: int) -> None:
+        transport = group.transport(rank)
+        try:
+            model, params = _build_model(config)
+            state = load_rank_state(config, workdir, params, rank, world)
+            for step in range(state.start, config.steps):
+                zero_step(config, model, params, batches[step], transport,
+                          state, telemetry)
+                if (step + 1) % config.checkpoint_every == 0:
+                    _save_group_checkpoint(workdir, transport, state, step + 1)
+            if rank == 0:
+                losses.extend(state.losses)
+        except BaseException as exc:
+            failures.append(exc)
+            group.abort()  # peers fail on the barrier after the cause
+
+    threads = [threading.Thread(target=rank_main, args=(rank,),
+                                name=f"rank{rank}", daemon=True)
+               for rank in range(world)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        join_or_raise(thread, config.run_timeout, "a collective never met")
+    if failures:
+        raise failures[0]
+    return losses
+
+
+# ----------------------------------------------------------------------
 # The worker process
 # ----------------------------------------------------------------------
 def _maybe_kill(config: ClusterConfig, slot: int, incarnation: int,
@@ -274,27 +426,6 @@ def _maybe_kill(config: ClusterConfig, slot: int, incarnation: int,
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _save_group_checkpoint(workdir: str, transport, true_size: int,
-                           master: np.ndarray, moment_m: np.ndarray,
-                           moment_v: np.ndarray, completed: int, adam_t: int,
-                           losses: list[float]) -> None:
-    """All-gather full state; rank 0 persists it; everyone waits."""
-    arrays = {}
-    for name, shard in (("master", master), ("m", moment_m), ("v", moment_v)):
-        arrays[name] = np.concatenate(transport.all_gather(shard))[:true_size]
-    if transport.rank == 0:
-        snapshot = Snapshot(arrays=arrays, metadata={
-            "step": completed,
-            "adam_t": adam_t,
-            "losses": losses,
-            "generation": transport.generation,
-            "world": transport.world,
-        })
-        save_snapshot(snapshot, snapshot_path(workdir, completed))
-    # Nobody proceeds (or retires) until the save is published.
-    transport.barrier(f"ckpt{completed}")
-
-
 def _run_generation(config: ClusterConfig, workdir: str,
                     client: CoordinatorClient, pump: HeartbeatPump,
                     transport, model, params, slot: int, incarnation: int,
@@ -309,66 +440,20 @@ def _run_generation(config: ClusterConfig, workdir: str,
     telemetry = sink.telemetry if sink is not None else NULL_TELEMETRY
     steps_counter = telemetry.counter("worker.steps")
     step_gauge = telemetry.gauge("worker.step")
-    true_size = sum(p.data.size for p in params)
     batches = make_batches(config)
+    state = load_rank_state(config, workdir, params, rank, world)
 
-    resumed = latest_good_snapshot(workdir)
-    if resumed is not None:
-        snapshot, _ = resumed
-        master = snapshot.arrays["master"].astype(np.float32)
-        moment_m = snapshot.arrays["m"].astype(np.float32)
-        moment_v = snapshot.arrays["v"].astype(np.float32)
-        adam_t = int(snapshot.metadata["adam_t"])
-        start = int(snapshot.metadata["step"])
-        losses = [float(x) for x in snapshot.metadata["losses"]]
-        _assign_params(params, round_fp16(master))
-    else:
-        master = _flatten_params(params)
-        moment_m = np.zeros_like(master)
-        moment_v = np.zeros_like(master)
-        adam_t = 0
-        start = 0
-        losses = []
-
-    # Elastic re-shard: slice the full state for *this* generation's world.
-    master_shard = split_even(master, world)[rank]
-    m_shard = split_even(moment_m, world)[rank]
-    v_shard = split_even(moment_v, world)[rank]
-    adam = MixedPrecisionAdam([], lr=config.lr)
-
-    for step in range(start, config.steps):
+    for step in range(state.start, config.steps):
         pump.advance(step)
         if config.step_delay:
             time.sleep(config.step_delay)
         with telemetry.span(f"step{step}", track="train", step=step,
                             generation=generation, rank=rank):
-            with telemetry.span("grads", track="train"):
-                loss_sum, grad = _shard_grads(
-                    model, params, batches[step], config, rank, world
-                )
-            _maybe_kill(config, slot, incarnation, step, sink)
-            with telemetry.span("reduce_scatter", track="train",
-                                nbytes=grad.nbytes):
-                grad_shard = transport.reduce_scatter(grad)
-            telemetry.record_collective("reduce_scatter", grad.nbytes)
-            grad_shard /= config.num_data_shards
-            adam_t += 1
-            adam.t = adam_t
-            with telemetry.span("adam", track="train"):
-                adam._apply(master_shard, grad_shard, m_shard, v_shard)
-            param_shard = round_fp16(master_shard)
-            with telemetry.span("all_gather", track="train",
-                                nbytes=param_shard.nbytes):
-                flat = np.concatenate(
-                    transport.all_gather(param_shard)
-                )[:true_size]
-            telemetry.record_collective("all_gather", param_shard.nbytes)
-            _assign_params(params, flat)
-            sums = transport.all_gather(np.array([loss_sum], dtype=np.float64))
-            step_loss = 0.0
-            for partial in sums:  # ascending rank order == shard order
-                step_loss += float(partial[0])
-            losses.append(step_loss / config.num_data_shards)
+            zero_step(
+                config, model, params, batches[step], transport, state,
+                telemetry, before_reduce=lambda: _maybe_kill(
+                    config, slot, incarnation, step, sink),
+            )
 
         completed = step + 1
         steps_counter.inc()
@@ -377,11 +462,7 @@ def _run_generation(config: ClusterConfig, workdir: str,
         rejoin = bool(reply.get("rejoin")) and completed < config.steps
         if completed % config.checkpoint_every == 0 or rejoin:
             with telemetry.span("checkpoint", track="train", step=completed):
-                _save_group_checkpoint(
-                    workdir, transport, true_size,
-                    master_shard, m_shard, v_shard,
-                    completed, adam_t, losses,
-                )
+                _save_group_checkpoint(workdir, transport, state, completed)
         if sink is not None:
             sink.step(completed)
         if rejoin:
@@ -390,7 +471,7 @@ def _run_generation(config: ClusterConfig, workdir: str,
             return False
 
     client.call(OP_REPORT, payload={
-        "losses": losses,
+        "losses": state.losses,
         "rank": rank,
         "world": world,
         "generation": generation,

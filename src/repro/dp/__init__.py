@@ -1,16 +1,11 @@
-"""Functional ZeRO data parallelism (in-process, numerically real).
+"""Functional in-process ZeRO-3 and expert parallelism.
 
-Section 3.2's underlying design — data parallelism with parameter
-sharding — executed for real: K simulated ranks each hold a model
-replica, gradients synchronize by averaging (the all-reduce), each
-parameter's optimizer state lives on exactly one owner rank (the ZeRO
-partition), and updated parameters broadcast back (the all-gather). The
-result is numerically identical to single-process training on the global
-batch, which the test suite asserts.
+:class:`Zero3Engine` shards every parameter across K simulated ranks
+(Section 3.2); :class:`ExpertParallelTrainer` shards MoE experts. The
+ZeRO data-parallel step itself is :func:`repro.cluster.worker.zero_step`.
 """
 
-from repro.dp.trainer import ZeroDataParallelTrainer
 from repro.dp.zero3 import Zero3Engine
 from repro.dp.expert import ExpertParallelTrainer
 
-__all__ = ["ZeroDataParallelTrainer", "Zero3Engine", "ExpertParallelTrainer"]
+__all__ = ["Zero3Engine", "ExpertParallelTrainer"]

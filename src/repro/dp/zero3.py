@@ -5,9 +5,10 @@ which evenly splits each parameter among multiple GPUs. When a parameter
 needs to be calculated, the complete parameter is obtained through an
 all-gather operation."
 
-Unlike :class:`~repro.dp.trainer.ZeroDataParallelTrainer` (which keeps a
-full replica per rank and shards only optimizer state — ZeRO-1), this
-engine keeps exactly one flat shard of every parameter per rank. A single
+Unlike the cluster's ZeRO step (:func:`repro.cluster.worker.zero_step`,
+which keeps a full replica per rank and shards gradients and optimizer
+state), this engine keeps exactly one flat shard of every parameter per
+rank. A single
 shared module executes the math; before each module's forward its
 parameters are assembled from the shards (the all-gather) and afterwards
 the gathered copies are dropped, so full parameters exist only around

@@ -41,7 +41,6 @@ class ChaosConfig:
     cpu_memory_bytes: int = 64 * MiB
     ssd_bytes: int = 32 * MiB
     page_bytes: int = 64 * KiB
-    world_size: int = 2
     # Fault schedule (all off by default — the reference scenario).
     transient_read_rate: float = 0.0
     transient_write_rate: float = 0.0
@@ -179,7 +178,6 @@ def run_chaos(
         counters=counters,
         bus=bus,
         retry_policy=policy,
-        world_size=config.world_size,
         watchdog=watchdog,
     )
     try:

@@ -9,9 +9,9 @@ fault-tolerance ladder the paper claims in production:
    the surviving CPU tier (:meth:`AngelModel.degrade_tier`) and replays
    the interrupted step;
 3. **recover** — a rank failure (or an exhausted retry budget) discards
-   the engine, restores the latest *good* checkpoint — re-sharding the
-   state when the rank count changed, via ``checkpoint.reshard`` — and
-   replays from there.
+   the engine, restores the latest *good* checkpoint and replays from
+   there. (Re-sharding for a changed rank count is the cluster's resume,
+   :func:`repro.cluster.worker.load_rank_state`.)
 
 Checkpoints are taken every ``checkpoint_every`` steps through the
 crash-consistent ``checkpoint.snapshot`` path; every cure is counted in
@@ -24,7 +24,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.checkpoint.reshard import ShardedCheckpoint, reshard
 from repro.checkpoint.snapshot import (
     Snapshot,
     latest_good_snapshot,
@@ -56,7 +55,6 @@ class ChaosReport:
     counters: FaultCounters = field(default_factory=FaultCounters)
     recovery_steps: list[int] = field(default_factory=list)
     degraded: bool = False
-    final_world_size: int = 1
     fault_log: list = field(default_factory=list)
     #: Watchdog alerts fired during the supervised run (repro.observe).
     alerts: list = field(default_factory=list)
@@ -84,15 +82,12 @@ class ResilientTrainer:
         counters: FaultCounters | None = None,
         bus: EventBus | None = None,
         retry_policy: RetryPolicy | None = None,
-        world_size: int = 2,
         max_recoveries: int = 8,
         keep_checkpoints: int = 3,
         watchdog=None,
     ):
         if checkpoint_every < 1:
             raise ConfigurationError("checkpoint_every must be >= 1")
-        if world_size < 1:
-            raise ConfigurationError("world_size must be >= 1")
         #: ``engine_factory(use_ssd: bool) -> AngelModel`` builds a fresh
         #: engine; called again after every unrecoverable crash.
         self._factory = engine_factory
@@ -102,7 +97,6 @@ class ResilientTrainer:
         self.counters = counters if counters is not None else FaultCounters()
         self.bus = bus if bus is not None else EventBus()
         self._retry = retry_policy or RetryPolicy()
-        self.world_size = world_size
         self.max_recoveries = max_recoveries
         self.keep_checkpoints = keep_checkpoints
         #: Optional repro.observe.Watchdog evaluated at every completed
@@ -119,7 +113,6 @@ class ResilientTrainer:
     def save_checkpoint(self, engine, step: int) -> str:
         """Capture the engine's paged state and persist it atomically."""
         snapshot = self._retry.run(lambda: capture_engine_state(engine, step=step))
-        snapshot.metadata["world_size"] = self.world_size
         path = snapshot_path(self.checkpoint_dir, step)
         save_snapshot(snapshot, path)
         self.counters.checkpoints_saved += 1
@@ -166,21 +159,7 @@ class ResilientTrainer:
         self.counters.degradations += 1
         self.bus.complete(f"resilience.degrade.{self.counters.degradations}")
 
-    def _reshard_snapshot(self, snapshot: Snapshot, old_ws: int, new_ws: int) -> None:
-        """Round-trip the state through ZeRO re-sharding for ``new_ws`` ranks.
-
-        Elementwise optimizer state makes this exact (checkpoint.reshard),
-        so restoring on the shrunken cluster is bit-identical.
-        """
-        shapes = {name: array.shape for name, array in snapshot.arrays.items()}
-        sharded = ShardedCheckpoint.from_full_state(snapshot.arrays, old_ws)
-        full = reshard(sharded, new_ws).to_full_state()
-        snapshot.arrays = {
-            name: full[name].reshape(shapes[name]) for name in full
-        }
-        self.counters.reshards += 1
-
-    def _recover(self, engine, shrink: bool = False):
+    def _recover(self, engine):
         """Discard the engine, restore the latest good snapshot, replay.
 
         Returns ``(engine, step)`` — the fresh engine and the step to
@@ -194,10 +173,6 @@ class ResilientTrainer:
                 pass  # a dying engine must not block recovery
         snapshot, step = self.latest_good_checkpoint()
         self.counters.checkpoints_restored += 1
-        if shrink and self.world_size > 1:
-            old_ws = self.world_size
-            self.world_size -= 1
-            self._reshard_snapshot(snapshot, old_ws, self.world_size)
         engine = self._build()
         # The restore writes through the (possibly still-faulty) tier
         # backends; a full re-restore heals any torn/transient write.
@@ -230,9 +205,7 @@ class ResilientTrainer:
         from the restored step.
         """
         batches = list(batches)
-        report = ChaosReport(
-            counters=self.counters, final_world_size=self.world_size
-        )
+        report = ChaosReport(counters=self.counters)
         engine = self._build()
         step = 0
         # An initial checkpoint makes even a step-0 crash recoverable.
@@ -245,7 +218,7 @@ class ResilientTrainer:
                 )
                 if self.counters.recoveries >= self.max_recoveries:
                     raise RankFailedError(step=step)
-                engine, step = self._recover(engine, shrink=True)
+                engine, step = self._recover(engine)
                 del report.losses[step:]
                 report.recovery_steps.append(step)
                 continue
@@ -273,7 +246,6 @@ class ResilientTrainer:
             self.counters.absorb_plan(self.plan)
         self.counters.retries += self._retry.retries
         report.steps_completed = step
-        report.final_world_size = self.world_size
         self._final_engine = engine
         return report
 

@@ -14,7 +14,7 @@ Two halves of Section 5's Communicator live here:
   page-granular (the unit of inter-process traffic, per §4.1 and
   PatrickStar), and reductions sum rank slots in ascending rank order so
   every implementation is deterministic. :class:`InProcessGroup` backs
-  single-process ranks (threads or the sequential reference loop);
+  ranks that are threads of one process;
   :class:`repro.cluster.transport.SharedMemoryTransport` carries the same
   contract across real OS processes via ``multiprocessing.shared_memory``.
 """
@@ -255,11 +255,12 @@ class Transport(abc.ABC):
 class InProcessGroup:
     """A world of :class:`InProcessTransport` ranks in one process.
 
-    Ranks run as threads (tests, the threaded trainer); a shared slot
-    board plus a cyclic :class:`threading.Barrier` sequence the exchange.
-    Deadline-bounded: a rank that never arrives breaks the barrier and
-    every peer raises :class:`~repro.errors.CommunicationError` instead
-    of hanging.
+    Ranks run as threads (tests, :func:`repro.cluster.run_cluster_in_process`);
+    a shared slot board plus a cyclic :class:`threading.Barrier` sequence
+    the exchange. Deadline-bounded: a rank that never arrives breaks the
+    barrier, and a rank that fails calls :meth:`abort`; either way every
+    peer raises :class:`~repro.errors.CommunicationError` instead of
+    hanging.
     """
 
     def __init__(self, world: int, page_bytes: int = 64 * KiB,
@@ -276,6 +277,10 @@ class InProcessGroup:
     def transport(self, rank: int) -> "InProcessTransport":
         return InProcessTransport(rank, self, self.page_bytes, self.telemetry)
 
+    def abort(self) -> None:
+        """Break the barrier: every waiting and later collective raises."""
+        self._barrier.abort()
+
     def _sync(self) -> None:
         try:
             self._barrier.wait(timeout=self.timeout)
@@ -288,10 +293,17 @@ class InProcessGroup:
 class InProcessTransport(Transport):
     """One rank's view of an :class:`InProcessGroup`: the board is a list."""
 
+    #: A group never re-forms, so it has one membership generation.
+    generation = 0
+
     def __init__(self, rank: int, group: InProcessGroup, page_bytes: int,
                  telemetry=None):
         super().__init__(rank, group.world, page_bytes, telemetry)
         self._group = group
+
+    def barrier(self, name: str) -> None:
+        """Meet every rank of the group (``name`` is only a label)."""
+        self._group._sync()
 
     def _exchange(self, payload: np.ndarray, reader) -> tuple:
         staged = np.empty_like(payload)

@@ -83,7 +83,7 @@ class TestFacade:
     def test_chaos_runs_reference_scenario(self, tmp_path):
         from repro.resilience import ChaosConfig
 
-        config = ChaosConfig(steps=4, checkpoint_every=2, world_size=1)
+        config = ChaosConfig(steps=4, checkpoint_every=2)
         result = api.chaos(config, workdir=str(tmp_path))
         assert result.steps_completed == 4
         assert not result.degraded

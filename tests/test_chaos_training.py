@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.errors import RankFailedError
-from repro.metrics import FaultCounters, MetricsRecorder
+from repro.metrics import FaultCounters
 from repro.resilience import (
     ChaosConfig,
     FaultKind,
@@ -86,7 +86,6 @@ class TestFullRecoveryLadder:
         assert report.steps_completed == 10
         assert len(report.losses) == 10
         assert report.degraded
-        assert report.final_world_size == 1  # elastic shrink 2 -> 1
 
         # Every rung of the ladder is observable in the counters.
         assert counters.tier_deaths == 1
@@ -94,7 +93,6 @@ class TestFullRecoveryLadder:
         assert counters.rank_failures == 1
         assert counters.recoveries == 1
         assert counters.checkpoints_restored == 1
-        assert counters.reshards == 1
         assert counters.retries >= 1
         assert counters.checkpoints_saved >= 2
 
@@ -108,10 +106,6 @@ class TestFullRecoveryLadder:
         assert max(
             abs(a - b) for a, b in zip(reference, report.losses)
         ) < 0.25
-
-        # Counters surface through the standard metrics summary.
-        recorder = MetricsRecorder(resilience=counters)
-        assert recorder.summary()["resilience"]["recoveries"] == 1
 
     def test_ladder_is_deterministic(self, tmp_path):
         config = ChaosConfig(**self.CONFIG)
@@ -155,7 +149,6 @@ class TestRecoveryMechanics:
             checkpoint_dir=str(tmp_path),
             checkpoint_every=2,
             fault_plan=plan,
-            world_size=2,
         )
         batches = make_batches(config)
         # Corrupt the newest checkpoint as soon as it lands by truncating
@@ -185,7 +178,6 @@ class TestRecoveryMechanics:
             checkpoint_dir=str(tmp_path),
             checkpoint_every=2,
             fault_plan=plan,
-            world_size=2,
             max_recoveries=0,
         )
         with pytest.raises(RankFailedError):

@@ -56,7 +56,7 @@ class TestCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "steps completed : 6" in out
-        assert "world size      : 2 -> 1" in out
+        assert "recoveries at   : [4]" in out
         assert "tier_death" in out and "rank_failure" in out
         assert "recoveries" in out and "degradations" in out
         assert "final loss" in out and "Young/Daly" in out

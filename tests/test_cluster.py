@@ -30,6 +30,7 @@ from repro.cluster.transport import SharedMemoryTransport
 from repro.errors import (
     ClusterError,
     CommunicationError,
+    ConfigurationError,
     GenerationFencedError,
 )
 from repro.memory.arena import segment_names, session_token
@@ -503,7 +504,30 @@ class TestClusterIntegration:
         assert verification.stats["collectives_observed"] > 0
 
 
+class TestClusterConfig:
+    @pytest.mark.parametrize("fields", [
+        dict(steps=0), dict(world_size=0), dict(checkpoint_every=0),
+        dict(shard_batch=0), dict(min_world=0),
+        dict(world_size=2, min_world=3), dict(kill_rank=3),
+        dict(kill_rank=-1),
+    ])
+    def test_rejects_configs_no_run_can_satisfy(self, fields):
+        with pytest.raises(ConfigurationError):
+            ClusterConfig(**fields)
+
+
 class TestClusterCli:
+    def test_cluster_rejects_bad_config_before_spawning(self, tmp_path,
+                                                        capsys):
+        from repro.cli import main
+
+        code = main([
+            "cluster", "--ckpt-every", "0", "--workdir", str(tmp_path / "run"),
+        ])
+        assert code == 2
+        assert "checkpoint_every >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_cluster_command_writes_report(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -1,11 +1,19 @@
-"""Activation recomputation and functional ZeRO data parallelism."""
+"""Activation recomputation and the ZeRO data-parallel step on thread ranks."""
+
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.dp import ZeroDataParallelTrainer
-from repro.errors import GradientError, ShardingError
+from repro.checkpoint.snapshot import latest_good_snapshot
+from repro.cluster import ClusterConfig, run_cluster_in_process, run_cluster_reference
+from repro.cluster import worker as worker_module
+from repro.cluster.worker import _build_model, load_rank_state, make_batches, zero_step
+from repro.errors import ConfigurationError, GradientError
+from repro.telemetry import Telemetry
+from repro.zero.collectives import InProcessGroup
 from repro.nn import (
     FFN,
     MixedPrecisionAdam,
@@ -104,58 +112,129 @@ class TestRecompute:
             out.sum().backward()
 
 
+def zero_config(**kwargs) -> ClusterConfig:
+    """Four data shards, so thread worlds 1-4 all split the batch."""
+    kwargs.setdefault("world_size", 4)
+    kwargs.setdefault("steps", 6)
+    kwargs.setdefault("checkpoint_every", 3)
+    return ClusterConfig(**kwargs)
+
+
 class TestZeroDataParallel:
-    def test_matches_single_rank_training(self):
-        """K-rank DP == 1-rank training on the same global batches."""
-        batches = list(lm_synthetic_batches(16, 8, 8, 6, seed=6))
+    """The cluster's ZeRO step on thread ranks (``run_cluster_in_process``)."""
 
-        single = ZeroDataParallelTrainer(lambda: tiny(seed=7), num_ranks=1, lr=1e-3)
-        for batch in batches:
-            single.train_step(batch)
+    def test_matches_single_rank_training(self, tmp_path):
+        """At world == data shards (and 1) gradients sum in shard order,
+        bit-equal to the one-process reference; other worlds regroup the
+        FP32 sum and stay within rounding."""
+        config = zero_config()
+        reference = run_cluster_reference(config)
+        for world in (1, 2, 3, 4):
+            losses = run_cluster_in_process(config, world, str(tmp_path / str(world)))
+            if world in (1, config.num_data_shards):
+                assert losses == reference, world
+            else:
+                np.testing.assert_allclose(losses, reference, rtol=0, atol=1e-6)
 
-        multi = ZeroDataParallelTrainer(lambda: tiny(seed=7), num_ranks=4, lr=1e-3)
-        for batch in batches:
-            multi.train_step(batch)
+    def test_replicas_stay_in_sync(self, tmp_path):
+        """After every step each rank holds the same FP16 parameters."""
+        config = zero_config()
+        world = 3
+        group = InProcessGroup(world, page_bytes=config.page_bytes)
+        batches = make_batches(config)
+        replicas = [None] * world
+        errors = []
 
-        for a, b in zip(single._params[0], multi._params[0]):
-            np.testing.assert_allclose(a.data, b.data, atol=1e-6)
+        def rank_main(rank):
+            try:
+                model, params = _build_model(config)
+                transport = group.transport(rank)
+                state = load_rank_state(config, str(tmp_path), params, rank, world)
+                for batch in batches:
+                    zero_step(config, model, params, batch, transport, state)
+                replicas[rank] = [p.data.copy() for p in params]
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+                group.abort()
 
-    def test_replicas_stay_in_sync(self):
-        trainer = ZeroDataParallelTrainer(lambda: tiny(seed=8), num_ranks=2, lr=1e-3)
-        for batch in lm_synthetic_batches(16, 8, 4, 4, seed=9):
-            trainer.train_step(batch)
-        assert trainer.replicas_in_sync()
+        threads = [threading.Thread(target=rank_main, args=(rank,))
+                   for rank in range(world)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not errors, errors
+        for replica in replicas[1:]:
+            for a, b in zip(replicas[0], replica):
+                np.testing.assert_array_equal(a, b)
 
-    def test_optimizer_states_partitioned(self):
-        """ZeRO: each rank holds ~1/N of the FP32 states, none shared."""
-        trainer = ZeroDataParallelTrainer(lambda: tiny(seed=8), num_ranks=4, lr=1e-3)
-        owned = trainer._owned_indices
-        all_indices = sorted(i for rank in owned for i in rank)
-        assert all_indices == list(range(len(trainer._params[0])))
-        total = sum(trainer.optimizer_state_bytes(r) for r in range(4))
-        single = ZeroDataParallelTrainer(lambda: tiny(seed=8), num_ranks=1, lr=1e-3)
-        assert total == single.optimizer_state_bytes(0)
+    def test_optimizer_states_partitioned(self, tmp_path):
+        """ZeRO: each rank holds a ceil(N/world) slice of the FP32 states,
+        and the slices tile the state once, fresh or resumed."""
+        config = zero_config()
+        run_cluster_in_process(config, 4, str(tmp_path))
+        saved = latest_good_snapshot(str(tmp_path))[0].arrays
+        for workdir, full in ((str(tmp_path / "fresh"), None),
+                              (str(tmp_path), saved)):
+            for world in (1, 2, 3, 4):
+                _, params = _build_model(config)
+                size = sum(p.data.size for p in params)
+                if full is None:
+                    expected = np.concatenate([p.data.reshape(-1) for p in params])
+                else:
+                    expected = full["master"]
+                states = [load_rank_state(config, workdir, params, rank, world)
+                          for rank in range(world)]
+                for state in states:
+                    for shard in (state.master, state.m, state.v):
+                        assert shard.size == -(-size // world)
+                masters = np.concatenate([s.master for s in states])
+                np.testing.assert_array_equal(masters[:size], expected)
+                assert not masters[size:].any()  # the zero-padded tail
 
-    def test_communication_volume_accounting(self):
-        trainer = ZeroDataParallelTrainer(lambda: tiny(seed=8), num_ranks=2, lr=1e-3)
-        batch = next(lm_synthetic_batches(16, 8, 4, 1, seed=9))
-        trainer.train_step(batch)
-        param_bytes = sum(p.data.nbytes for p in trainer._params[0])
-        # All-reduce touches every gradient once; the ZeRO gather streams
-        # every refreshed parameter once.
-        assert trainer.comm.allreduce_bytes == param_bytes
-        assert trainer.comm.gather_bytes == param_bytes
+    def test_communication_volume_accounting(self, tmp_path):
+        """Per step, every rank reduce-scatters the full gradient and
+        all-gathers its FP16 parameter slice."""
+        world, steps = 2, 3
+        telemetry = Telemetry()
+        config = zero_config(steps=steps, telemetry=telemetry)
+        run_cluster_in_process(config, world, str(tmp_path))
+        _, params = _build_model(config)
+        size = sum(p.data.size for p in params)
+        counters = telemetry.dump()["metrics"]["counters"]
+        assert counters["collective.reduce_scatter_bytes"] == steps * world * 4 * size
+        assert counters["collective.all_gather_bytes"] == (
+            steps * world * 4 * -(-size // world)
+        )
 
-    def test_uneven_batch_rejected(self):
-        trainer = ZeroDataParallelTrainer(lambda: tiny(seed=8), num_ranks=3, lr=1e-3)
-        batch = next(lm_synthetic_batches(16, 8, 4, 1, seed=9))
-        with pytest.raises(ShardingError):
-            trainer.train_step(batch)
+    def test_uneven_batch_rejected(self, tmp_path):
+        """The global batch is num_data_shards shards: a world with more
+        ranks than shards (or none) cannot split it."""
+        config = zero_config()
+        for world in (0, config.num_data_shards + 1):
+            with pytest.raises(ConfigurationError):
+                run_cluster_in_process(config, world, str(tmp_path))
 
-    def test_dp_losses_decrease(self):
-        trainer = ZeroDataParallelTrainer(lambda: tiny(seed=10), num_ranks=2, lr=2e-3)
-        losses = [
-            trainer.train_step(batch)
-            for batch in lm_synthetic_batches(16, 8, 8, 60, seed=11)
-        ]
-        assert np.mean(losses[-6:]) < np.mean(losses[:6]) - 0.2
+    def test_failing_rank_raises_instead_of_hanging(self, tmp_path, monkeypatch):
+        """A rank that raises aborts the group; the driver re-raises that
+        rank's own error, not a peer's broken barrier."""
+        real = worker_module._shard_grads
+        calls = {}
+
+        def flaky(model, params, batch, config, rank, world):
+            calls[rank] = calls.get(rank, 0) + 1
+            if rank == 1 and calls[rank] == 2:
+                raise RuntimeError("rank 1 lost its device")
+            return real(model, params, batch, config, rank, world)
+
+        monkeypatch.setattr(worker_module, "_shard_grads", flaky)
+        began = time.perf_counter()
+        with pytest.raises(RuntimeError, match="rank 1 lost its device"):
+            run_cluster_in_process(zero_config(), 3, str(tmp_path))
+        assert time.perf_counter() - began < 10.0
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("rank") and t.is_alive()]
+
+    def test_dp_losses_decrease(self, tmp_path):
+        losses = run_cluster_in_process(zero_config(steps=30), 2, str(tmp_path))
+        assert np.mean(losses[-5:]) < np.mean(losses[:5]) - 0.2

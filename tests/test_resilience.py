@@ -17,7 +17,7 @@ from repro.errors import (
 from repro.hardware.device import DeviceKind
 from repro.memory.allocator import PageAllocator
 from repro.memory.pool import DevicePool
-from repro.metrics import FaultCounters, MetricsRecorder
+from repro.metrics import FaultCounters
 from repro.nn import MixedPrecisionAdam, TinyTransformerLM
 from repro.resilience import (
     AvailabilityModel,
@@ -428,13 +428,6 @@ class TestAvailabilityModel:
 
 
 class TestFaultCounters:
-    def test_summary_includes_resilience_block(self):
-        counters = FaultCounters(retries=3, recoveries=1)
-        recorder = MetricsRecorder(resilience=counters)
-        summary = recorder.summary()
-        assert summary["resilience"]["retries"] == 3
-        assert summary["resilience"]["recoveries"] == 1
-
     def test_absorb_plan_folds_injection_log(self):
         plan = FaultPlan(seed=0, transient_read_rate=1.0, max_transients=2)
         for _ in range(2):

@@ -1,4 +1,4 @@
-"""LR schedules, gradient clipping, metrics recorder, cluster config I/O."""
+"""LR schedules, gradient clipping, cluster config I/O."""
 
 import json
 
@@ -13,7 +13,6 @@ from repro.hardware.config_io import (
     save_cluster,
 )
 from repro.hardware.cluster import a100_cluster
-from repro.metrics import MetricsRecorder
 from repro.nn import Adam, Tensor
 from repro.nn.schedule import ConstantLR, WarmupCosineLR, WarmupLinearLR, clip_grad_norm
 from repro.units import GB, GiB
@@ -86,58 +85,6 @@ class TestSchedules:
             WarmupCosineLR(1.0, warmup_steps=1, total_steps=5, min_lr=2.0)
         with pytest.raises(ConfigurationError):
             ConstantLR(0.0)
-
-
-class TestMetricsRecorder:
-    def test_records_and_summarizes(self):
-        recorder = MetricsRecorder()
-        for i in range(5):
-            recorder.start_step()
-            recorder.end_step(loss=5.0 - i, samples=8, lr=0.1)
-        assert recorder.num_steps == 5
-        assert recorder.throughput() > 0
-        assert recorder.mean_loss(tail=1) == pytest.approx(1.0)
-        summary = recorder.summary()
-        assert summary["steps"] == 5
-        assert summary["final_loss"] == pytest.approx(1.0)
-
-    def test_end_without_start_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MetricsRecorder().end_step(loss=1.0, samples=1)
-
-    def test_engine_memory_snapshot(self):
-        from repro.engine import AngelConfig, initialize
-        from repro.nn import MixedPrecisionAdam, TinyTransformerLM, lm_synthetic_batches
-        from repro.units import KiB, MiB
-
-        model = TinyTransformerLM(
-            vocab_size=16, d_model=16, d_ffn=32, num_heads=2, num_layers=2,
-            max_seq=8,
-        )
-        opt = MixedPrecisionAdam(model.parameters())
-        with initialize(model, opt, AngelConfig(
-            gpu_memory_bytes=2 * MiB, cpu_memory_bytes=16 * MiB,
-            page_bytes=32 * KiB,
-        )) as engine:
-            recorder = MetricsRecorder()
-            batch = next(lm_synthetic_batches(16, 8, 4, 1, seed=1))
-            recorder.start_step()
-            loss = engine(batch)
-            engine.backward(loss)
-            engine.step()
-            record = recorder.end_step(loss.item(), samples=4, engine=engine)
-        assert record.gpu_pages > 0
-        assert recorder.peak_pages("gpu") == record.gpu_pages
-
-    def test_csv_export(self, tmp_path):
-        recorder = MetricsRecorder()
-        recorder.start_step()
-        recorder.end_step(loss=2.0, samples=4, lr=0.3, grad_norm=1.5)
-        path = tmp_path / "metrics.csv"
-        recorder.to_csv(str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("step,loss,samples")
-        assert lines[1].split(",")[1] == "2.0"
 
 
 class TestClusterConfigIO:

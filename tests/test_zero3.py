@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.dp import Zero3Engine, ZeroDataParallelTrainer
+from repro.checkpoint.snapshot import latest_good_snapshot
+from repro.cluster import ClusterConfig, run_cluster_in_process
+from repro.cluster.worker import _build_model, make_batches
+from repro.dp import Zero3Engine
 from repro.errors import ShardingError
-from repro.nn import TinyTransformerLM, lm_synthetic_batches
+from repro.nn import TinyTransformerLM, lm_synthetic_batches, round_fp16
 
 
 def tiny(seed=0):
@@ -53,18 +56,23 @@ class TestZero3Semantics:
             for a, b in zip(finals[1], finals[ranks]):
                 np.testing.assert_allclose(a, b, atol=1e-5)
 
-    def test_matches_zero1_replica_trainer(self):
-        """ZeRO-3 and the replica (ZeRO-1) trainer optimize identically."""
-        batches = list(lm_synthetic_batches(16, 8, 8, 5, seed=6))
-        z3 = Zero3Engine(tiny(seed=7), num_ranks=2, lr=1e-3)
-        z1 = ZeroDataParallelTrainer(lambda: tiny(seed=7), num_ranks=2, lr=1e-3)
-        for batch in batches:
-            z3.train_step(batch)
-            z1.train_step(batch)
-        for index, param in enumerate(z1._params[0]):
+    def test_matches_zero1_replica_trainer(self, tmp_path):
+        """ZeRO-3 and the cluster's replica ZeRO step (full FP16 replicas,
+        sharded FP32 state) optimize identically."""
+        config = ClusterConfig(world_size=2, steps=5, checkpoint_every=5)
+        model, _ = _build_model(config)
+        z3 = Zero3Engine(model, num_ranks=2, lr=config.lr)
+        z3_losses = [z3.train_step(batch) for batch in make_batches(config)]
+        losses = run_cluster_in_process(config, 2, str(tmp_path))
+        np.testing.assert_allclose(z3_losses, losses, rtol=0, atol=1e-6)
+        master = latest_good_snapshot(str(tmp_path))[0].arrays["master"]
+        offset = 0
+        for index, param in enumerate(model.parameters()):
+            expected = round_fp16(master[offset:offset + param.data.size])
             np.testing.assert_allclose(
-                z3.full_parameter(index), param.data, atol=1e-6
+                z3.full_parameter(index).reshape(-1), expected, atol=1e-6
             )
+            offset += param.data.size
 
     def test_learns(self):
         engine = Zero3Engine(tiny(seed=8), num_ranks=2, lr=2e-3)
