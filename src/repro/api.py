@@ -102,18 +102,6 @@ def fleet(config=None, workdir=None, telemetry=None, jobs=None):
     return gateway.run(jobs=jobs)
 
 
-def fleet_bench(config=None, telemetry=None):
-    """Run the fleet benchmark; returns ``(payload, report)``.
-
-    The payload dict is what ``repro fleet bench`` writes to
-    ``BENCH_fleet.json``: jobs/hour, p99 queue latency, preemption
-    events, per-tenant fairness, and the full per-job ledger.
-    """
-    from repro.fleet import run_fleet_bench
-
-    return run_fleet_bench(config, telemetry=telemetry)
-
-
 def trace_collect(workdir, out=None, rollup=None):
     """Merge a run's per-process event streams; returns a ``CollectedTrace``.
 
@@ -202,7 +190,6 @@ __all__ = [
     "check_protocol",
     "cluster",
     "fleet",
-    "fleet_bench",
     "initialize",
     "profile",
     "report",

@@ -5,14 +5,15 @@ package serves:
 
 - **Failure and recovery**: "pre-training tasks would encounter GPU
   failure with a high probability, and should be restarted after
-  failure" — training state (FP32 master parameters, Adam moments, the
-  FP16 buffers, step counters and data-stream position) round-trips
-  through durable snapshots.
+  failure" — an engine's training state (FP32 master parameters, Adam
+  moments, the FP16 buffers, buffered gradients and step counters)
+  round-trips through durable snapshots
+  (:func:`capture_engine_state` / :func:`restore_engine_state`).
 - **Seamless scalability**: "when users wish to tune the amount of
   resources for their tasks, there should be no need to re-configure
   their parallel schemes" — ZeRO-sharded state written by K ranks is
-  re-sharded (:mod:`repro.checkpoint.reshard`) and restored
-  onto any other rank count.
+  re-sharded (:mod:`repro.checkpoint.reshard`) and restored onto any
+  other rank count when a cluster generation forms.
 """
 
 from repro.checkpoint.snapshot import (
@@ -26,9 +27,7 @@ from repro.checkpoint.snapshot import (
 )
 from repro.checkpoint.trainer_state import (
     capture_engine_state,
-    capture_training_state,
     restore_engine_state,
-    restore_training_state,
 )
 
 __all__ = [
@@ -39,8 +38,6 @@ __all__ = [
     "list_snapshots",
     "prune_snapshots",
     "snapshot_path",
-    "capture_training_state",
-    "restore_training_state",
     "capture_engine_state",
     "restore_engine_state",
 ]

@@ -1,11 +1,8 @@
-"""Capturing and restoring full training state.
+"""Capturing and restoring a functional engine's full training state.
 
-Two levels:
-
-- plain model + :class:`MixedPrecisionAdam` (any training loop), and
-- a full functional :class:`~repro.engine.angel.AngelModel`, whose
-  authoritative FP32 states live in paged (possibly file-backed SSD)
-  tensors — exactly what survives the GPU-failure restart of Section 3.1.
+A :class:`~repro.engine.angel.AngelModel`'s authoritative FP32 states
+live in paged (possibly file-backed SSD) tensors — exactly what survives
+the GPU-failure restart of Section 3.1.
 """
 
 from __future__ import annotations
@@ -15,63 +12,6 @@ import numpy as np
 from repro.errors import CheckpointError
 from repro.checkpoint.snapshot import Snapshot
 from repro.memory.tensor import gather, scatter
-from repro.nn.layers import Module
-from repro.nn.optim import MixedPrecisionAdam
-
-
-def capture_training_state(
-    model: Module,
-    optimizer: MixedPrecisionAdam,
-    step: int = 0,
-    extra_metadata: dict | None = None,
-) -> Snapshot:
-    """Snapshot parameters, master states and Adam moments."""
-    names = [name for name, _ in model.named_parameters()]
-    if len(names) != len(optimizer.params):
-        raise CheckpointError("optimizer does not cover the model's parameters")
-    snapshot = Snapshot(
-        metadata={
-            "step": step,
-            "adam_t": optimizer.t,
-            "param_names": names,
-            **(extra_metadata or {}),
-        }
-    )
-    for index, (name, param) in enumerate(model.named_parameters()):
-        snapshot.add_array(f"param/{name}", param.data)
-        snapshot.add_array(f"master/{name}", optimizer.master[index])
-        snapshot.add_array(f"m/{name}", optimizer.m[index])
-        snapshot.add_array(f"v/{name}", optimizer.v[index])
-    return snapshot
-
-
-def restore_training_state(
-    snapshot: Snapshot, model: Module, optimizer: MixedPrecisionAdam
-) -> int:
-    """Load a snapshot into ``model``/``optimizer``; returns the step."""
-    names = snapshot.metadata["param_names"]
-    current = [name for name, _ in model.named_parameters()]
-    if names != current:
-        raise CheckpointError(
-            "model architecture does not match the checkpoint "
-            f"({len(names)} vs {len(current)} parameters)"
-        )
-    for index, (name, param) in enumerate(model.named_parameters()):
-        for prefix, destination in (
-            ("param", param.data),
-            ("master", optimizer.master[index]),
-            ("m", optimizer.m[index]),
-            ("v", optimizer.v[index]),
-        ):
-            source = snapshot.arrays[f"{prefix}/{name}"]
-            if source.shape != destination.shape:
-                raise CheckpointError(
-                    f"shape mismatch restoring {prefix}/{name}: "
-                    f"{source.shape} vs {destination.shape}"
-                )
-            destination[...] = source
-    optimizer.t = int(snapshot.metadata["adam_t"])
-    return int(snapshot.metadata["step"])
 
 
 def capture_engine_state(engine, step: int = 0) -> Snapshot:

@@ -97,6 +97,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     from repro.engine.angel import AngelConfig
     from repro.fleet.factory import JobFactory, JobWorkload
 
+    for flag, value in (("--steps", args.steps), ("--gpu-mib", args.gpu_mib)):
+        if value < 1:
+            print(f"train: {flag} must be >= 1", file=sys.stderr)
+            return 2
     factory = JobFactory(
         JobWorkload(layers=args.layers, lr=args.lr, seed=args.seed)
     )
@@ -233,94 +237,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
         for path in written:
             print(f"wrote           : {path}")
-    return 0
-
-
-def _cmd_fleet_bench(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-    from pathlib import Path
-
-    from repro.fleet import (
-        FleetConfig,
-        TrafficConfig,
-        run_fleet_bench,
-        save_fleet_bench,
-    )
-
-    if args.jobs < 1:
-        print("fleet: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.nodes < 1:
-        print("fleet: --nodes must be >= 1", file=sys.stderr)
-        return 2
-    config = FleetConfig(
-        seed=args.seed,
-        traffic=TrafficConfig(seed=args.seed, num_jobs=args.jobs),
-        num_nodes=args.nodes,
-    )
-    if args.workdir:
-        config = replace(config, workdir=args.workdir)
-    payload, report = run_fleet_bench(config)
-
-    fleet = payload["fleet"]
-    print(f"traffic         : {fleet['jobs_submitted']} job(s), seed "
-          f"{args.seed}, {args.nodes} node(s)")
-    print(f"completed       : {fleet['jobs_completed']}"
-          f"/{fleet['jobs_submitted']} "
-          f"in {fleet['makespan_seconds']:.1f} virtual s")
-    print(f"throughput      : {fleet['jobs_per_hour']:.1f} jobs/hour")
-    print(f"p99 queue wait  : {fleet['p99_queue_latency_seconds']:.3f} s")
-    print(f"preemptions     : {fleet['preemptions']}")
-    fairness = fleet.get("fairness") or {}
-    per_tenant = fairness.get("per_tenant_service_seconds") or {}
-    if per_tenant:
-        print("tenant service  :")
-        for tenant, seconds in sorted(per_tenant.items()):
-            print(f"  {tenant:<8} {seconds:8.1f} virtual s")
-        print(f"fairness        : max/min service ratio "
-              f"{fairness.get('max_min_ratio', 0.0):.2f}")
-    for event in payload.get("preemption_events", []):
-        print(f"  t={event['time']:.1f}: job {event['victim']} "
-              f"({event['victim_tenant']}, prio {event['victim_priority']}) "
-              f"preempted at step {event['at_step']} by job "
-              f"{event['by_job']} (prio {event['by_priority']}) "
-              f"on {event['node']}")
-
-    # Default outdir is the repo root, matching `repro profile`, so CI's
-    # fleet-smoke job leaves BENCH_fleet.json at the top level.
-    outdir = Path(args.outdir) if args.outdir else _repo_root()
-    outdir.mkdir(parents=True, exist_ok=True)
-    bench_path = outdir / "BENCH_fleet.json"
-    save_fleet_bench(payload, bench_path)
-    print(f"wrote           : {bench_path}")
-    if args.report:
-        from repro.observe.report import write_report
-
-        written = write_report(
-            payload, outdir / "fleet_run_report.md",
-            html=True, title="Fleet run report",
-        )
-        for path in written:
-            print(f"wrote           : {path}")
-
-    failures = []
-    if fleet["jobs_per_hour"] <= 0:
-        failures.append("jobs/hour is zero — nothing completed")
-    if fleet["jobs_completed"] < fleet["jobs_submitted"]:
-        failures.append(
-            f"only {fleet['jobs_completed']}/{fleet['jobs_submitted']} "
-            f"job(s) completed"
-        )
-    if fleet["preemptions"] < args.min_preemptions:
-        failures.append(
-            f"{fleet['preemptions']} preemption(s) < required "
-            f"{args.min_preemptions}"
-        )
-    if failures:
-        for failure in failures:
-            print(f"fleet: FAIL: {failure}", file=sys.stderr)
-        return 1
-    print("verdict         : fleet bench gates passed")
     return 0
 
 
@@ -498,33 +414,30 @@ def _cmd_report_build(args: argparse.Namespace) -> int:
     from repro.observe.report import load_payload, write_report
 
     bench_path = Path(args.bench)
-    if not bench_path.exists():
-        print(f"report: no such file {bench_path}", file=sys.stderr)
-        return 2
-    bench = load_payload(bench_path)
-    trace = load_payload(args.trace) if args.trace else None
+    payloads = []
+    for path in (bench_path, args.trace):
+        if path is None:
+            payloads.append(None)
+            continue
+        if not Path(path).exists():
+            print(f"report: no such file {path}", file=sys.stderr)
+            return 2
+        try:
+            payload = load_payload(path)
+        except ValueError as exc:
+            print(f"report: {path} is not JSON ({exc})", file=sys.stderr)
+            return 2
+        if not isinstance(payload, dict):
+            print(f"report: {path} holds a JSON {type(payload).__name__}, "
+                  f"not an object", file=sys.stderr)
+            return 2
+        payloads.append(payload)
+    bench, trace = payloads
     out = Path(args.out) if args.out else bench_path.parent / "run_report.md"
     written = write_report(bench, out, trace=trace, html=args.html)
     for path in written:
         print(f"wrote {path}")
     return 0
-
-
-def _cmd_report_compare(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.observe.report import compare, format_compare, load_payload
-
-    for path in (args.baseline, args.current):
-        if not Path(path).exists():
-            print(f"report: no such file {path}", file=sys.stderr)
-            return 2
-    result = compare(
-        load_payload(args.baseline), load_payload(args.current),
-        threshold=args.threshold,
-    )
-    print(format_compare(result))
-    return 0 if result["ok"] else 1
 
 
 def _run_cluster_scenario(args: argparse.Namespace, prog: str,
@@ -982,35 +895,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the machine-readable result instead")
     check.set_defaults(func=_cmd_check)
 
-    fleet = sub.add_parser(
-        "fleet", help="multi-tenant control plane (repro.fleet)"
-    )
-    fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-    fleet_bench = fleet_sub.add_parser(
-        "bench",
-        help="run the deterministic fleet benchmark -> BENCH_fleet.json",
-    )
-    fleet_bench.add_argument("--seed", type=int, default=7,
-                             help="traffic seed (default 7, the CI stream)")
-    fleet_bench.add_argument("--jobs", type=int, default=12,
-                             help="jobs in the generated traffic stream")
-    fleet_bench.add_argument("--nodes", type=int, default=2,
-                             help="simulated nodes in the fleet")
-    fleet_bench.add_argument("--workdir", default=None,
-                             help="directory for preemption snapshots "
-                                  "(default: fresh temp dir)")
-    fleet_bench.add_argument("--outdir", default=None,
-                             help="where BENCH_fleet.json lands "
-                                  "(default: repo root)")
-    fleet_bench.add_argument("--report", action="store_true",
-                             help="also render fleet_run_report.md/.html")
-    fleet_bench.add_argument("--min-preemptions", type=int, default=0,
-                             help="fail unless at least this many "
-                                  "preemptions occurred")
-    fleet_bench.set_defaults(func=_cmd_fleet_bench)
-
     report = sub.add_parser(
-        "report", help="render or compare run reports (repro.observe)"
+        "report", help="render a run report (repro.observe)"
     )
     report_sub = report.add_subparsers(dest="report_command", required=True)
     build = report_sub.add_parser(
@@ -1026,15 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--html", action="store_true",
                        help="also write a self-contained .html next to the .md")
     build.set_defaults(func=_cmd_report_build)
-    compare = report_sub.add_parser(
-        "compare", help="flag metric regressions between two BENCH payloads"
-    )
-    compare.add_argument("baseline")
-    compare.add_argument("current")
-    compare.add_argument("--threshold", type=float, default=0.05,
-                         help="relative change beyond which a metric is "
-                              "flagged (default 0.05)")
-    compare.set_defaults(func=_cmd_report_compare)
 
     top = sub.add_parser(
         "top",

@@ -82,9 +82,6 @@ class ExpertParallelTrainer:
         self.allreduce_bytes = 0
 
     # ------------------------------------------------------------------
-    def expert_owner(self, moe: MoEFFN, expert_index: int) -> int:
-        return expert_index // (moe.num_experts // self.num_ranks)
-
     def _account_alltoall(self, batch: Batch) -> None:
         """Measure the dispatch/combine traffic of this batch's routing."""
         from repro.nn.tensor import Tensor, no_grad

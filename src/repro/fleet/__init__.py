@@ -13,12 +13,12 @@ laptop scale:
   DES-cost-model-priced first-fit packing with per-tenant page quotas;
 - :mod:`repro.fleet.gateway` — the virtual-time event loop: admission,
   placement, checkpointed preemption, bit-identical resume, fleet-wide
-  watchdog rollup;
-- :mod:`repro.fleet.bench` — ``repro fleet bench`` → ``BENCH_fleet.json``
-  (jobs/hour, p99 queue latency, preemptions, fairness).
+  watchdog rollup.
+
+``python3 -m bench run --workload fleet_stream`` drives the gateway and
+reports its jobs/hour, p99 queue latency and preemptions.
 """
 
-from repro.fleet.bench import run_fleet_bench, save_fleet_bench
 from repro.fleet.factory import JobFactory, JobWorkload
 from repro.fleet.gateway import FleetConfig, FleetGateway, FleetReport
 from repro.fleet.jobs import JobRecord, JobSpec, JobState
@@ -38,6 +38,4 @@ __all__ = [
     "JobWorkload",
     "TrafficConfig",
     "generate_jobs",
-    "run_fleet_bench",
-    "save_fleet_bench",
 ]

@@ -1,8 +1,8 @@
 """The fleet gateway: admission, scheduling, preemption, rollup.
 
 A single-threaded discrete-event loop over *virtual* time drives the
-whole control plane, which is what makes ``repro fleet bench``
-deterministic: arrivals come from the seeded traffic generator, each
+whole control plane, which is what makes a run deterministic for a
+given seed: arrivals come from the seeded traffic generator, each
 running job's next quantum completion is an event priced by the DES cost
 model, and every decision (placement, preemption victim, admission
 order) is a pure function of that state.
@@ -131,27 +131,6 @@ class FleetReport:
         if not waits:
             return None
         return nearest_rank(waits, fraction * 100)
-
-    def to_dict(self) -> dict:
-        waits = self.queue_latencies()
-        return {
-            "jobs_per_hour": round(self.jobs_per_hour(), 6),
-            "jobs_completed": len(self.completed),
-            "jobs_submitted": len(self.jobs),
-            "makespan_seconds": round(self.makespan_seconds, 6),
-            "preemptions": self.preemptions,
-            "queue_latency_seconds": {
-                "mean": round(sum(waits) / len(waits), 6) if waits else None,
-                "p50": self.latency_percentile(0.50),
-                "p99": self.latency_percentile(0.99),
-                "max": waits[-1] if waits else None,
-            },
-            "fairness": self.fairness,
-            "admission_order": list(self.admission_order),
-            "preemption_events": list(self.preemption_events),
-            "jobs": [job.to_dict() for job in self.jobs],
-            "alerts": list(self.alerts),
-        }
 
 
 class FleetGateway:

@@ -81,26 +81,5 @@ class JobRecord:
     def remaining_steps(self) -> int:
         return self.spec.steps - self.steps_done
 
-    def to_dict(self) -> dict:
-        return {
-            "job_id": self.spec.job_id,
-            "tenant": self.spec.tenant,
-            "priority": self.spec.priority,
-            "model": self.spec.model_name,
-            "state": self.state.value,
-            "submit_time": self.spec.submit_time,
-            "first_start": self.first_start,
-            "finish_time": self.finish_time,
-            "queue_latency_seconds": self.queue_latency,
-            "steps": self.spec.steps,
-            "steps_done": self.steps_done,
-            "preemptions": self.preemptions,
-            "resumes": self.resumes,
-            "service_seconds": self.service_seconds,
-            "lost_seconds": self.lost_seconds,
-            "pages": self.pages,
-            "final_loss": self.losses[-1] if self.losses else None,
-        }
-
 
 __all__ = ["JobRecord", "JobSpec", "JobState"]

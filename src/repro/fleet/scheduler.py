@@ -61,7 +61,7 @@ class FairShareScheduler:
         self.est_seq_len = est_seq_len
         self.est_micro_batch = est_micro_batch
         #: Virtual compute seconds delivered per tenant — the fair-share
-        #: deficit counter and the bench's fairness numerator.
+        #: deficit counter and the fairness numerator.
         self.tenant_service: dict[str, float] = {}
         self._step_cache: dict[str, float] = {}
         self._pages_cache: dict[tuple, int] = {}
@@ -141,7 +141,7 @@ class FairShareScheduler:
 
         Victims are considered lowest priority first, then the tenant
         holding the largest service share, then youngest submission —
-        deterministic, so the bench reports identical victims run to run.
+        deterministic, so a replay of one seed picks identical victims.
         """
         pages = self.estimate(record.spec).pages
         tenant = record.spec.tenant
@@ -182,7 +182,7 @@ class FairShareScheduler:
         return limit - node.quota.used(tenant)
 
     # ------------------------------------------------------------------
-    # Fairness accounting (the bench metric)
+    # Fairness accounting
     # ------------------------------------------------------------------
     def fairness(self) -> dict:
         """Per-tenant virtual service and the max/min share ratio."""

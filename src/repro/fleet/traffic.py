@@ -5,8 +5,8 @@ training jobs" submitted by many teams (Section 2) — with a Poisson-ish
 arrival process over a small tenant set, mixed nominal model sizes and
 mixed priorities. Everything is drawn from one
 ``numpy.random.default_rng(seed)``: the same seed yields the same job
-stream, which is what makes ``repro fleet bench`` reproducible down to
-the admission order and the preemption victims.
+stream, which is what makes a gateway run reproducible down to the
+admission order and the preemption victims.
 """
 
 from __future__ import annotations

@@ -49,12 +49,6 @@ class ClusterSpec:
         return self.server.pcie.bandwidth * self.num_gpus
 
     @property
-    def aggregate_ssd_bandwidth(self) -> float:
-        if self.server.ssd_io is None:
-            return 0.0
-        return self.server.ssd_io.bandwidth * self.num_servers
-
-    @property
     def cross_server(self) -> bool:
         return self.num_servers > 1
 

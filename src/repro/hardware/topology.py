@@ -54,10 +54,6 @@ class Topology:
             self._add_device(server.ssd)
             self._add_link(server.cpu, server.ssd, server.ssd_io)
 
-    @property
-    def device_names(self) -> list[str]:
-        return sorted(self._devices)
-
     def device(self, name: str) -> DeviceSpec:
         try:
             return self._devices[name]

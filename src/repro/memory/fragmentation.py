@@ -64,13 +64,6 @@ class FragmentationStats:
             return 1.0
         return self.peak_reserved_bytes / self.peak_live_bytes
 
-    @property
-    def wasted_fraction(self) -> float:
-        """Fraction of reserved bytes that never held live data at peak."""
-        if self.peak_reserved_bytes == 0:
-            return 0.0
-        return 1.0 - self.peak_live_bytes / self.peak_reserved_bytes
-
 
 def replay(allocator, trace: list[TraceEvent]) -> FragmentationStats:
     """Run ``trace`` through ``allocator`` and collect fragmentation stats.

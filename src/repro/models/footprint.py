@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.models.transformer import LayerSpec, ModelSpec
-from repro.units import GiB, MiB
+from repro.units import MiB
 
 
 @dataclass(frozen=True)
@@ -30,13 +30,6 @@ class FootprintReport:
     @property
     def total_bytes(self) -> int:
         return self.params_bytes + self.acts_bytes + self.optims_bytes
-
-    def as_gib(self) -> tuple[float, float, float]:
-        return (
-            self.params_bytes / GiB,
-            self.acts_bytes / GiB,
-            self.optims_bytes / GiB,
-        )
 
 
 def closed_form_layer_bytes(

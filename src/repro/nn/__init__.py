@@ -30,12 +30,6 @@ from repro.nn.layers import (
 )
 from repro.nn.optim import SGD, Adam, MixedPrecisionAdam
 from repro.nn.recompute import checkpoint
-from repro.nn.schedule import (
-    ConstantLR,
-    WarmupCosineLR,
-    WarmupLinearLR,
-    clip_grad_norm,
-)
 from repro.nn.data import Batch, copy_task_batches, lm_synthetic_batches
 from repro.nn.functional import cross_entropy, gelu, layer_norm, mse_loss, softmax
 
@@ -61,10 +55,6 @@ __all__ = [
     "Adam",
     "MixedPrecisionAdam",
     "checkpoint",
-    "ConstantLR",
-    "WarmupCosineLR",
-    "WarmupLinearLR",
-    "clip_grad_norm",
     "Batch",
     "copy_task_batches",
     "lm_synthetic_batches",

@@ -8,8 +8,7 @@ Three consumers of the recording layer (:mod:`repro.telemetry`):
 - :mod:`repro.observe.forensics` — per-tier residency timelines and the
   forensic dump attached to every :class:`~repro.errors.OutOfMemoryError`;
 - :mod:`repro.observe.report` — the ``repro report`` generator merging
-  BENCH payloads, traces and alert logs into one run report, plus the
-  BENCH-vs-BENCH regression comparison.
+  BENCH payloads, traces and alert logs into one run report.
 """
 
 from repro.observe.alerts import (
@@ -20,8 +19,6 @@ from repro.observe.alerts import (
 )
 from repro.observe.forensics import ForensicDump, ForensicRecorder, ResidencySample
 from repro.observe.report import (
-    compare,
-    format_compare,
     render_html,
     render_markdown,
     write_report,
@@ -48,8 +45,6 @@ __all__ = [
     "ForensicDump",
     "ForensicRecorder",
     "ResidencySample",
-    "compare",
-    "format_compare",
     "render_html",
     "render_markdown",
     "write_report",

@@ -136,9 +136,6 @@ class ForensicRecorder:
         if pinned is not None:
             self._context["pinned"] = list(pinned)
 
-    def clear_context(self) -> None:
-        self._context.clear()
-
     # ------------------------------------------------------------------
     # Capture
     # ------------------------------------------------------------------

@@ -5,10 +5,8 @@ when present, the Chrome trace and the alert log embedded in it) into one
 self-contained markdown — optionally HTML — document: a summary table, a
 per-tier **memory waterfall**, the **tier-traffic table**, the static
 **verification verdict** (from :mod:`repro.analysis`), the watchdog's
-**anomaly section**, and the span breakdown. ``repro report compare``
-diffs two BENCH payloads and flags metric regressions, which is how the
-``BENCH_*.json`` history becomes a perf trajectory instead of a pile of
-JSON.
+**anomaly section**, and the span breakdown. Timing comparisons between
+two trees belong to ``python3 -m bench compare``, which carries spread.
 """
 
 from __future__ import annotations
@@ -19,31 +17,11 @@ from pathlib import Path
 
 from repro.units import GiB, KiB, MiB
 
-#: Metrics compared by :func:`compare`: (json path, higher_is_better).
-COMPARED_METRICS = [
-    (("train", "steps_per_second"), True),
-    (("train", "elapsed_seconds"), False),
-    (("simulated", "samples_per_second"), True),
-    (("simulated", "iteration_time_seconds"), False),
-    (("fleet", "jobs_per_hour"), True),
-    (("fleet", "p99_queue_latency_seconds"), False),
-    (("fleet", "makespan_seconds"), False),
-]
-
 _BAR_WIDTH = 30
 
 
 def load_payload(path) -> dict:
     return json.loads(Path(path).read_text())
-
-
-def _get(payload: dict, path: tuple) -> float | None:
-    node = payload
-    for key in path:
-        if not isinstance(node, dict) or key not in node or node[key] is None:
-            return None
-        node = node[key]
-    return node if isinstance(node, (int, float)) else None
 
 
 def _fmt_bytes(nbytes: float) -> str:
@@ -224,60 +202,11 @@ def _protocol_subsection(bench: dict) -> list[str]:
     return lines
 
 
-def _fleet_section(bench: dict) -> list[str]:
-    """Control-plane verdict for a ``fleet_bench`` payload."""
-    fleet = bench.get("fleet")
-    if not fleet:
-        return []
-    fairness = fleet.get("fairness") or {}
-    rows = [
-        ("jobs", f"{fleet.get('jobs_completed', 0)}"
-                 f"/{fleet.get('jobs_submitted', 0)} completed"),
-        ("throughput", f"{fleet.get('jobs_per_hour', 0.0):.1f} jobs/hour"),
-        ("makespan", f"{fleet.get('makespan_seconds', 0.0):.1f} s (virtual)"),
-        ("p99 queue latency",
-         f"{fleet.get('p99_queue_latency_seconds', 0.0):.3f} s"),
-        ("preemptions", f"{fleet.get('preemptions', 0)}"),
-    ]
-    if fairness.get("max_min_ratio") is not None:
-        rows.append(
-            ("fairness (max/min service)", f"{fairness['max_min_ratio']:.2f}")
-        )
-    lines = ["## Fleet", "", "| metric | value |", "|---|---|"]
-    lines += [f"| {name} | {value} |" for name, value in rows]
-    lines.append("")
-    per_tenant = fairness.get("per_tenant_service_seconds") or {}
-    if per_tenant:
-        lines += ["### Per-tenant service", "",
-                  "| tenant | service (virtual s) |", "|---|---|"]
-        lines += [
-            f"| `{tenant}` | {seconds:.1f} |"
-            for tenant, seconds in sorted(per_tenant.items())
-        ]
-        lines.append("")
-    preemptions = bench.get("preemption_events") or []
-    if preemptions:
-        lines += ["### Preemptions", "",
-                  "| time | victim | tenant | prio | by | at step | node |",
-                  "|---|---|---|---|---|---|---|"]
-        for event in preemptions:
-            lines.append(
-                f"| {event.get('time', 0.0):.1f} | {event.get('victim', '?')} "
-                f"| `{event.get('victim_tenant', '?')}` "
-                f"| {event.get('victim_priority', '?')} "
-                f"| job {event.get('by_job', '?')} (prio "
-                f"{event.get('by_priority', '?')}) "
-                f"| {event.get('at_step', '?')} | {event.get('node', '?')} |"
-            )
-        lines.append("")
-    return lines
-
-
 def _rank_timeline_section(bench: dict) -> list[str]:
-    """Per-rank/job view of the merged telemetry rollup.
+    """Per-rank view of the merged telemetry rollup.
 
-    Renders for any payload carrying a collected ``rollup`` (cluster run
-    reports, fleet bench payloads): one row per event stream — every
+    Renders for any payload carrying a collected ``rollup`` (the
+    ``repro cluster --report`` payload): one row per event stream — every
     rank *incarnation* gets its own row, so a killed-and-respawned
     worker shows both lives — with how its clock was aligned and how
     many truncated lines the collector skipped.
@@ -305,30 +234,6 @@ def _rank_timeline_section(bench: dict) -> list[str]:
         lines.append(f"Rank lanes in the merged trace: {listed}.")
         lines.append("")
     return lines
-
-
-def _tenant_traffic_section(bench: dict) -> list[str]:
-    """Per-tenant page/IO traffic from the merged rollup."""
-    traffic = (
-        (bench.get("fleet") or {}).get("tenant_traffic")
-        or (bench.get("rollup") or {}).get("tenant_traffic")
-        or {}
-    )
-    if not traffic:
-        return []
-    lines = ["## Tenant traffic", "",
-             "| tenant | job streams | pages moved | page moves | "
-             "IO read | IO written |",
-             "|---|---|---|---|---|---|"]
-    for tenant, bucket in sorted(traffic.items()):
-        lines.append(
-            f"| `{tenant}` | {bucket.get('jobs', 0)} "
-            f"| {_fmt_bytes(bucket.get('pages_moved_bytes', 0))} "
-            f"| {bucket.get('page_moves', 0)} "
-            f"| {_fmt_bytes(bucket.get('io_read_bytes', 0))} "
-            f"| {_fmt_bytes(bucket.get('io_write_bytes', 0))} |"
-        )
-    return lines + [""]
 
 
 def _anomaly_section(bench: dict) -> list[str]:
@@ -417,29 +322,16 @@ def _trace_section(trace: dict | None) -> list[str]:
     ]
 
 
-def render_markdown(
-    bench: dict, trace: dict | None = None, title: str = "Run report"
-) -> str:
+def render_markdown(bench: dict, trace: dict | None = None) -> str:
     """Assemble the full markdown run report from one BENCH payload."""
-    lines = [f"# {title}", ""]
+    lines = ["# Run report", ""]
     benchmark = bench.get("benchmark")
     if benchmark:
         lines.append(f"Benchmark: `{benchmark}`")
         lines.append("")
-    if bench.get("fleet"):
-        # Fleet payloads have no single-engine profile; render the
-        # control-plane sections instead of engine placeholders.
-        lines += _fleet_section(bench)
-        lines += _tenant_traffic_section(bench)
-        lines += _rank_timeline_section(bench)
-        lines += _anomaly_section(bench)
-        lines += _span_section(bench)
-        lines += _trace_section(trace)
-        return "\n".join(lines).rstrip() + "\n"
     lines += _summary_section(bench)
     lines += _waterfall_section(bench)
     lines += _traffic_section(bench)
-    lines += _tenant_traffic_section(bench)
     lines += _rank_timeline_section(bench)
     lines += _pipeline_section(bench)
     lines += _verification_section(bench)
@@ -452,10 +344,10 @@ def render_markdown(
 # ----------------------------------------------------------------------
 # Minimal markdown -> HTML (no external deps; tables/headers/code only)
 # ----------------------------------------------------------------------
-def render_html(markdown: str, title: str = "Run report") -> str:
+def render_html(markdown: str) -> str:
     out = [
         "<!DOCTYPE html><html><head><meta charset='utf-8'>",
-        f"<title>{_html.escape(title)}</title>",
+        "<title>Run report</title>",
         "<style>body{font-family:sans-serif;max-width:60em;margin:2em auto}"
         "table{border-collapse:collapse}td,th{border:1px solid #999;"
         "padding:.25em .6em}pre{background:#f4f4f4;padding:.6em}</style>",
@@ -513,111 +405,14 @@ def write_report(
     out_path,
     trace: dict | None = None,
     html: bool = False,
-    title: str = "Run report",
 ) -> list[str]:
     """Write the markdown (and optionally HTML) report; returns paths."""
     out_path = Path(out_path)
-    markdown = render_markdown(bench, trace=trace, title=title)
+    markdown = render_markdown(bench, trace=trace)
     out_path.write_text(markdown)
     written = [str(out_path)]
     if html:
         html_path = out_path.with_suffix(".html")
-        html_path.write_text(render_html(markdown, title=title))
+        html_path.write_text(render_html(markdown))
         written.append(str(html_path))
     return written
-
-
-# ----------------------------------------------------------------------
-# Regression comparison
-# ----------------------------------------------------------------------
-def compare(baseline: dict, current: dict, threshold: float = 0.05) -> dict:
-    """Diff two BENCH payloads; flag changes beyond ``threshold``.
-
-    Returns ``{regressions, improvements, unchanged, only_in_baseline,
-    only_in_current, ok}`` where each of the first three entries is
-    ``{metric, baseline, current, delta_fraction}`` and ``ok`` is True
-    iff nothing regressed.
-
-    Payloads from different benchmarks (e.g. ``BENCH_telemetry.json`` vs
-    ``BENCH_fleet.json``) rarely carry the same sections. A metric that
-    resolves on only one side is never an error: only metrics present in
-    *both* payloads are scored, and one-sided metrics are listed in
-    ``only_in_baseline``/``only_in_current`` so the asymmetry is visible
-    in the verdict instead of raised at the caller.
-    """
-    regressions, improvements, unchanged = [], [], []
-    only_in_baseline, only_in_current = [], []
-    for path, higher_is_better in COMPARED_METRICS:
-        base = _get(baseline, path)
-        cur = _get(current, path)
-        if base is None and cur is None:
-            continue
-        if cur is None:
-            only_in_baseline.append(".".join(path))
-            continue
-        if base is None:
-            only_in_current.append(".".join(path))
-            continue
-        if base == 0:
-            delta = 0.0 if cur == 0 else float("inf")
-        else:
-            delta = (cur - base) / abs(base)
-        entry = {
-            "metric": ".".join(path),
-            "baseline": base,
-            "current": cur,
-            "delta_fraction": delta,
-        }
-        improved = delta > 0 if higher_is_better else delta < 0
-        if abs(delta) <= threshold:
-            unchanged.append(entry)
-        elif improved:
-            improvements.append(entry)
-        else:
-            regressions.append(entry)
-    return {
-        "regressions": regressions,
-        "improvements": improvements,
-        "unchanged": unchanged,
-        "only_in_baseline": only_in_baseline,
-        "only_in_current": only_in_current,
-        "ok": not regressions,
-    }
-
-
-def format_compare(result: dict) -> str:
-    """Render a :func:`compare` result as markdown."""
-    lines = ["# BENCH comparison", ""]
-    verdict = "OK — no regressions" if result["ok"] else (
-        f"REGRESSED — {len(result['regressions'])} metric(s) worse"
-    )
-    lines += [f"**{verdict}**", ""]
-    for heading, key in (
-        ("Regressions", "regressions"),
-        ("Improvements", "improvements"),
-        ("Unchanged", "unchanged"),
-    ):
-        entries = result[key]
-        if not entries:
-            continue
-        lines += [f"## {heading}", "", "| metric | baseline | current | delta |",
-                  "|---|---|---|---|"]
-        for e in entries:
-            lines.append(
-                f"| `{e['metric']}` | {e['baseline']:.4g} | {e['current']:.4g} "
-                f"| {e['delta_fraction']:+.1%} |"
-            )
-        lines.append("")
-    asymmetries = [
-        (side, result.get(key) or [])
-        for side, key in (("baseline", "only_in_baseline"),
-                          ("current", "only_in_current"))
-    ]
-    if any(metrics for _, metrics in asymmetries):
-        lines += ["## Not comparable", ""]
-        for side, metrics in asymmetries:
-            if metrics:
-                listed = ", ".join(f"`{m}`" for m in metrics)
-                lines.append(f"- only in {side}: {listed}")
-        lines.append("")
-    return "\n".join(lines).rstrip() + "\n"

@@ -32,10 +32,6 @@ class LayerPages:
                 f"layer {self.layer_index} has no pages; shard too small?"
             )
 
-    @property
-    def total_page_bytes(self) -> int:
-        return self.num_pages * self.page_bytes
-
     def page_nbytes(self, page_id: int) -> int:
         """Physical size of one page.
 

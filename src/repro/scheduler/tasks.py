@@ -118,9 +118,6 @@ class Schedule:
                 return self.tasks.pop(index)
         raise SchedulingError("no movement task left to pop")
 
-    def has_movement(self) -> bool:
-        return any(t.operation in MOVEMENT_OPS for t in self.tasks)
-
     def __len__(self) -> int:
         return len(self.tasks)
 

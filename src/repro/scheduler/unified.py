@@ -179,15 +179,6 @@ class UnifiedScheduler:
                 telemetry=self.telemetry,
             )
 
-    def validate(self, plan: IterationPlan):
-        """Replay ``plan`` against physical page pools (see
-        :mod:`repro.runtime`): raises if the schedule would OOM or gather
-        a layer before its pages arrive. Returns the execution report."""
-        from repro.runtime.executor import ScheduleExecutor
-
-        with ScheduleExecutor(plan, self.gpu_budget, self.page_bytes) as executor:
-            return executor.run()
-
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------

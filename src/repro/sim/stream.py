@@ -34,7 +34,3 @@ class Stream:
             raise SimulationError("task name must be non-empty")
         self._task_names.append(task_name)
         return len(self._task_names) - 1
-
-    @property
-    def task_names(self) -> tuple[str, ...]:
-        return tuple(self._task_names)

@@ -74,10 +74,6 @@ class IterationTrace:
     def total_optim_bytes(self) -> int:
         return sum(layer.optim_bytes_fp32 for layer in self.layers)
 
-    @property
-    def total_compute_time(self) -> float:
-        return sum(layer.fwd_time + layer.bwd_time for layer in self.layers)
-
 
 class Tracer:
     """Derives the access pattern of one training iteration.

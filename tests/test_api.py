@@ -117,6 +117,22 @@ class TestTopLevelNamespace:
             assert repro.errors is not None
             assert repro.units.MiB == MiB
 
+    def test_every_module_all_resolves(self):
+        """Every ``repro.*`` module imports and exports only names it has."""
+        import importlib
+        import pkgutil
+
+        modules = [info.name for info in
+                   pkgutil.walk_packages(repro.__path__, "repro.")]
+        assert "repro.api" in modules and "repro.cli" in modules
+        dangling = [
+            f"{name}.{export}"
+            for name in modules
+            for export in getattr(importlib.import_module(name), "__all__", ())
+            if not hasattr(importlib.import_module(name), export)
+        ]
+        assert dangling == []
+
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no attribute"):
             repro.does_not_exist

@@ -8,18 +8,16 @@ import pytest
 from repro.checkpoint import (
     Snapshot,
     capture_engine_state,
-    capture_training_state,
     latest_good_snapshot,
     load_snapshot,
     restore_engine_state,
-    restore_training_state,
     save_snapshot,
 )
 from repro.checkpoint.reshard import merge_shards, split_even
 from repro.cluster import ClusterConfig, run_cluster_in_process
 from repro.engine import AngelConfig, initialize
 from repro.errors import CheckpointError, ShardingError
-from repro.nn import MixedPrecisionAdam, TinyTransformerLM, cross_entropy, lm_synthetic_batches
+from repro.nn import MixedPrecisionAdam, TinyTransformerLM, lm_synthetic_batches
 from repro.units import KiB, MiB
 
 
@@ -28,17 +26,6 @@ def tiny_model(seed=0):
         vocab_size=16, d_model=16, d_ffn=32, num_heads=2, num_layers=2,
         max_seq=8, seed=seed,
     )
-
-
-def train_steps(model, optimizer, batches):
-    losses = []
-    for batch in batches:
-        loss = cross_entropy(model(batch.inputs, True), batch.targets)
-        model.zero_grad()
-        loss.backward()
-        optimizer.step()
-        losses.append(loss.item())
-    return losses
 
 
 class TestSnapshotIO:
@@ -84,43 +71,60 @@ class TestCrashRecovery:
     def test_resume_is_bitwise_identical(self, tmp_path):
         """Train 10 steps; vs train 5, checkpoint, 'crash', restore, 5."""
         batches = list(lm_synthetic_batches(16, 8, 4, 10, seed=2))
-
-        straight = tiny_model(seed=1)
-        opt_straight = MixedPrecisionAdam(straight.parameters(), lr=1e-3)
-        train_steps(straight, opt_straight, batches)
-
-        first = tiny_model(seed=1)
-        opt_first = MixedPrecisionAdam(first.parameters(), lr=1e-3)
-        train_steps(first, opt_first, batches[:5])
-        path = str(tmp_path / "ckpt.npz")
-        save_snapshot(capture_training_state(first, opt_first, step=5), path)
-
-        resumed = tiny_model(seed=99)  # different init: must be overwritten
-        opt_resumed = MixedPrecisionAdam(resumed.parameters(), lr=1e-3)
-        step = restore_training_state(load_snapshot(path), resumed, opt_resumed)
-        assert step == 5
-        losses = train_steps(resumed, opt_resumed, batches[5:])
-        assert losses  # the run continued
-
-        for (name, a), (_, b) in zip(
-            straight.named_parameters(), resumed.named_parameters()
-        ):
-            np.testing.assert_array_equal(a.data, b.data, err_msg=name)
-        for m_a, m_b in zip(opt_straight.m, opt_resumed.m):
-            np.testing.assert_array_equal(m_a, m_b)
-
-    def test_architecture_mismatch_rejected(self, tmp_path):
-        model = tiny_model()
-        opt = MixedPrecisionAdam(model.parameters())
-        snapshot = capture_training_state(model, opt)
-        other = TinyTransformerLM(
-            vocab_size=16, d_model=16, d_ffn=32, num_heads=2, num_layers=3,
-            max_seq=8,
+        config = AngelConfig(
+            gpu_memory_bytes=2 * MiB, cpu_memory_bytes=16 * MiB,
+            page_bytes=64 * KiB,
         )
-        with pytest.raises(CheckpointError):
-            restore_training_state(
-                snapshot, other, MixedPrecisionAdam(other.parameters())
+
+        def engine(seed):
+            model = tiny_model(seed=seed)
+            return initialize(
+                model, MixedPrecisionAdam(model.parameters(), lr=1e-3), config
             )
+
+        def train(engine, batches):
+            for batch in batches:
+                engine.backward(engine(batch))
+                engine.step()
+
+        with engine(seed=1) as straight:
+            train(straight, batches)
+            expected = [(m.master.read_array(), straight.optimizer.m[m.index])
+                        for m in straight._managed]
+        path = str(tmp_path / "ckpt.npz")
+        with engine(seed=1) as first:
+            train(first, batches[:5])
+            save_snapshot(capture_engine_state(first, step=5), path)
+        # A different init: the restore must overwrite every state.
+        with engine(seed=99) as resumed:
+            assert restore_engine_state(load_snapshot(path), resumed) == 5
+            train(resumed, batches[5:])
+            for (master, m), managed in zip(expected, resumed._managed):
+                np.testing.assert_array_equal(
+                    master, managed.master.read_array(), err_msg=managed.name
+                )
+                np.testing.assert_array_equal(
+                    m, resumed.optimizer.m[managed.index]
+                )
+
+    def test_architecture_mismatch_rejected(self):
+        def engine(num_layers):
+            model = TinyTransformerLM(
+                vocab_size=16, d_model=16, d_ffn=32, num_heads=2,
+                num_layers=num_layers, max_seq=8,
+            )
+            config = AngelConfig(
+                gpu_memory_bytes=2 * MiB, cpu_memory_bytes=16 * MiB,
+                page_bytes=64 * KiB,
+            )
+            return initialize(
+                model, MixedPrecisionAdam(model.parameters()), config
+            )
+
+        with engine(2) as source:
+            snapshot = capture_engine_state(source)
+        with engine(3) as other, pytest.raises(CheckpointError):
+            restore_engine_state(snapshot, other)
 
 
 class TestEngineCheckpoint:

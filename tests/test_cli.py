@@ -36,6 +36,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "final loss" in out
 
+    @pytest.mark.parametrize("flag", ["--steps", "--gpu-mib"])
+    def test_train_rejects_nonpositive(self, capsys, flag):
+        assert main(["train", flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert f"train: {flag} must be >= 1" in captured.err
+        assert "final loss" not in captured.out
+
     def test_experiment_dispatch(self, capsys):
         assert main(["experiment", "table1"]) == 0
         assert "Table 1" in capsys.readouterr().out
@@ -174,33 +181,23 @@ class TestReportCli:
         ]) == 2
         assert "no such file" in capsys.readouterr().err
 
-    def test_report_compare_flags_injected_regression(self, capsys, tmp_path):
-        import json
-
-        self._profile(tmp_path)
-        capsys.readouterr()
-        baseline = json.loads((tmp_path / "BENCH_telemetry.json").read_text())
-        regressed = json.loads(json.dumps(baseline))
-        regressed["train"]["steps_per_second"] *= 0.5  # injected regression
-        regressed["train"]["elapsed_seconds"] *= 2.0
-        base_path = tmp_path / "BENCH_base.json"
-        cur_path = tmp_path / "BENCH_cur.json"
-        base_path.write_text(json.dumps(baseline))
-        cur_path.write_text(json.dumps(regressed))
-        # Regressions exit nonzero so CI can gate on the comparison.
-        assert main(["report", "compare", str(base_path), str(cur_path)]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out and "train.steps_per_second" in out
-        # Identical payloads pass.
-        assert main(["report", "compare", str(base_path), str(base_path)]) == 0
-        assert "OK — no regressions" in capsys.readouterr().out
-
-    def test_report_compare_missing_file(self, capsys, tmp_path):
-        assert main([
-            "report", "compare", str(tmp_path / "a.json"),
-            str(tmp_path / "b.json"),
-        ]) == 2
-        assert "no such file" in capsys.readouterr().err
+    @pytest.mark.parametrize("bench, trace, message", [
+        ("{}", "missing.json", "no such file"),
+        ("not json", None, "is not JSON"),
+        ("[1, 2]", None, "holds a JSON list, not an object"),
+        ("{}", "list.json", "holds a JSON list, not an object"),
+    ])
+    def test_report_build_bad_input_exits_2(self, capsys, tmp_path, bench,
+                                             trace, message):
+        (tmp_path / "bench.json").write_text(bench)
+        (tmp_path / "list.json").write_text("[]")
+        argv = ["report", "build", "--bench", str(tmp_path / "bench.json")]
+        if trace is not None:
+            argv += ["--trace", str(tmp_path / trace)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("report: ") and message in err
+        assert not (tmp_path / "run_report.md").exists()
 
 
 class TestCheckCli:

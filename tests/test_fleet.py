@@ -1,6 +1,4 @@
-"""Fleet control plane: traffic, quotas, scheduling, preemption, bench."""
-
-import json
+"""Fleet control plane: traffic, quotas, scheduling, preemption."""
 
 import pytest
 
@@ -16,26 +14,13 @@ from repro.fleet import (
     JobWorkload,
     TrafficConfig,
     generate_jobs,
-    run_fleet_bench,
 )
 from repro.hardware.device import DeviceKind
 from repro.memory.allocator import PageAllocator, PageQuota
 from repro.memory.pool import DevicePool
-from repro.observe.report import compare, format_compare, render_markdown
 from repro.telemetry import Telemetry
+from repro.telemetry.collect import TraceCollector
 from repro.units import KiB, MiB
-
-
-def _payload_sans_telemetry(payload):
-    payload = dict(payload)
-    # Wall-clock-contaminated keys: the registry dump and the merged
-    # rollup carry real histogram samples, and the workdir is a temp
-    # path. Everything else — including tenant_traffic, which is pure
-    # counter sums — must be bit-stable for a fixed seed.
-    payload.pop("telemetry", None)
-    payload.pop("rollup", None)
-    payload.pop("workdir", None)
-    return payload
 
 
 class TestTraffic:
@@ -204,101 +189,43 @@ class TestPreemptResume:
 
 
 class TestFleetBench:
+    """The seed-7 stream: deterministic, fully completed, preempting."""
+
+    def _run(self, workdir):
+        gateway = FleetGateway(FleetConfig(seed=7), workdir=str(workdir))
+        return gateway.run(), TraceCollector(gateway.workdir).collect()
+
     def test_seed7_deterministic_and_gated(self, tmp_path):
-        payload_a, report_a = run_fleet_bench(FleetConfig(seed=7))
-        payload_b, _ = run_fleet_bench(FleetConfig(seed=7))
-        assert _payload_sans_telemetry(payload_a) == \
-            _payload_sans_telemetry(payload_b)
-        fleet = payload_a["fleet"]
-        # The CI gates: everything completes, p99 reported, >= 1
-        # preemption exercising the snapshot path.
-        assert fleet["jobs_per_hour"] > 0
-        assert fleet["jobs_completed"] == fleet["jobs_submitted"]
-        assert fleet["p99_queue_latency_seconds"] >= 0
-        assert fleet["preemptions"] >= 1
-        started = {job["job_id"] for job in payload_a["jobs"]
-                   if job["first_start"] is not None}
-        assert set(payload_a["admission_order"]) == started
-        # Watchdog rollup and fairness are present fleet-wide.
-        assert "alerts" in payload_a
-        assert set(fleet["fairness"]["per_tenant_service_seconds"]) <= \
-            set(FleetConfig(seed=7).resolved_traffic().tenants)
+        report_a, collected_a = self._run(tmp_path / "a")
+        report_b, collected_b = self._run(tmp_path / "b")
+        # Virtual time makes a seed replay decision for decision and
+        # loss for loss.
+        for field in ("jobs", "admission_order", "preemption_events",
+                      "fairness", "makespan_seconds", "events", "alerts"):
+            assert getattr(report_a, field) == getattr(report_b, field), field
+        # Everything completes, p99 is reported, and >= 1 preemption
+        # exercises the snapshot path.
+        assert report_a.jobs_per_hour() > 0
+        assert len(report_a.completed) == len(report_a.jobs)
+        assert report_a.latency_percentile(0.99) >= 0
+        assert report_a.preemptions >= 1
+        started = {job.spec.job_id for job in report_a.jobs
+                   if job.first_start is not None}
+        assert set(report_a.admission_order) == started
+        tenants = set(FleetConfig(seed=7).resolved_traffic().tenants)
+        assert set(report_a.fairness["per_tenant_service_seconds"]) <= tenants
         # Per-tenant page traffic comes from the merged per-job event
-        # streams (deterministic: counters only) and agrees with the
-        # full rollup's copy.
-        traffic = fleet["tenant_traffic"]
-        assert traffic == payload_b["fleet"]["tenant_traffic"]
-        assert traffic == payload_a["rollup"]["tenant_traffic"]
-        assert set(traffic) <= \
-            set(FleetConfig(seed=7).resolved_traffic().tenants)
+        # streams (deterministic: counters only).
+        traffic = collected_a.rollup["tenant_traffic"]
+        assert traffic == collected_b.rollup["tenant_traffic"]
+        assert set(traffic) <= tenants
         assert any(t["pages_moved_bytes"] > 0 for t in traffic.values())
-        assert sum(t["jobs"] for t in traffic.values()) == \
-            fleet["jobs_submitted"]
+        assert sum(t["jobs"] for t in traffic.values()) == len(report_a.jobs)
         # Every job stream landed in the rollup with its tenant label.
-        jobs = [s for s in payload_a["rollup"]["per_source"].values()
+        jobs = [s for s in collected_a.rollup["per_source"].values()
                 if s["role"] == "job"]
-        assert len(jobs) == fleet["jobs_submitted"]
+        assert len(jobs) == len(report_a.jobs)
         assert all(j["tenant"] in traffic for j in jobs)
-
-    def test_fleet_report_renders(self):
-        payload, _ = run_fleet_bench(FleetConfig(seed=7))
-        markdown = render_markdown(payload, title="Fleet run")
-        assert "## Fleet" in markdown
-        assert "jobs/hour" in markdown
-        assert "### Preemptions" in markdown
-        # Engine placeholders don't leak into the fleet report.
-        assert "_No residency timeline" not in markdown
-
-    def test_cli_fleet_bench(self, tmp_path, capsys):
-        from repro.cli import main
-
-        rc = main([
-            "fleet", "bench", "--seed", "7",
-            "--outdir", str(tmp_path), "--min-preemptions", "1",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "jobs/hour" in out
-        payload = json.loads((tmp_path / "BENCH_fleet.json").read_text())
-        assert payload["benchmark"] == "fleet_bench"
-        assert payload["fleet"]["preemptions"] >= 1
-
-
-class TestReportCompareAsymmetry:
-    def test_shared_keys_only_and_asymmetry_noted(self):
-        fleet_payload, _ = run_fleet_bench(
-            FleetConfig(seed=7, traffic=TrafficConfig(seed=7, num_jobs=3))
-        )
-        telemetry_payload = {
-            "train": {"steps_per_second": 10.0, "elapsed_seconds": 1.0},
-        }
-        # Neither direction raises; one-sided sections are noted.
-        result = compare(telemetry_payload, fleet_payload)
-        assert result["ok"]
-        assert "train.steps_per_second" in result["only_in_baseline"]
-        assert "fleet.jobs_per_hour" in result["only_in_current"]
-        text = format_compare(result)
-        assert "Not comparable" in text
-        reverse = compare(fleet_payload, telemetry_payload)
-        assert "fleet.jobs_per_hour" in reverse["only_in_baseline"]
-
-    def test_symmetric_payloads_have_no_asymmetry_section(self):
-        payload = {"train": {"steps_per_second": 10.0}}
-        result = compare(payload, dict(payload))
-        assert result["only_in_baseline"] == []
-        assert result["only_in_current"] == []
-        assert "Not comparable" not in format_compare(result)
-
-    def test_fleet_metrics_compared_when_shared(self):
-        base = {"fleet": {"jobs_per_hour": 100.0,
-                          "p99_queue_latency_seconds": 1.0}}
-        worse = {"fleet": {"jobs_per_hour": 50.0,
-                           "p99_queue_latency_seconds": 3.0}}
-        result = compare(base, worse)
-        assert not result["ok"]
-        regressed = {e["metric"] for e in result["regressions"]}
-        assert "fleet.jobs_per_hour" in regressed
-        assert "fleet.p99_queue_latency_seconds" in regressed
 
 
 class TestApiThreading:
@@ -350,14 +277,10 @@ class TestApiThreading:
 
 
 class TestApiFleet:
-    def test_api_fleet_and_bench(self, tmp_path):
+    def test_api_fleet(self, tmp_path):
         config = FleetConfig(
             seed=3, traffic=TrafficConfig(seed=3, num_jobs=3),
             workdir=str(tmp_path),
         )
         report = api.fleet(config)
         assert report.jobs
-        payload, _ = api.fleet_bench(
-            FleetConfig(seed=3, traffic=TrafficConfig(seed=3, num_jobs=3))
-        )
-        assert payload["benchmark"] == "fleet_bench"

@@ -22,9 +22,7 @@ from repro.observe import (
     WaterlineRule,
     WorkerLivenessRule,
     alert_from_dict,
-    compare,
     degrade_recommendation,
-    format_compare,
     render_html,
     render_markdown,
     write_report,
@@ -423,28 +421,6 @@ class TestReport:
         assert "<td>&lt;x&gt;</td>" in html
         assert "<pre>" in html and "bar" in html
 
-    def test_compare_flags_injected_regression(self):
-        result = compare(make_bench(steps_per_second=10.0),
-                         make_bench(steps_per_second=7.0))
-        assert not result["ok"]
-        regressed = {e["metric"] for e in result["regressions"]}
-        assert "train.steps_per_second" in regressed
-        assert "train.elapsed_seconds" in regressed
-        text = format_compare(result)
-        assert "REGRESSED" in text and "train.steps_per_second" in text
-
-    def test_compare_ok_within_threshold(self):
-        result = compare(make_bench(10.0), make_bench(9.8))
-        assert result["ok"] and not result["regressions"]
-        assert "OK — no regressions" in format_compare(result)
-
-    def test_compare_counts_improvements(self):
-        result = compare(make_bench(10.0), make_bench(14.0))
-        assert result["ok"]
-        improved = {e["metric"] for e in result["improvements"]}
-        assert "train.steps_per_second" in improved
-
-
     def test_payload_keys_the_profile_no_longer_writes_are_ignored(self):
         """A BENCH_telemetry.json written before the comparison re-runs
         were removed still renders; its stale sections are not shown."""
@@ -456,7 +432,6 @@ class TestReport:
         assert "## Summary" in markdown
         assert "overhead" not in markdown
         assert "## Pipelined runtime" not in markdown
-        assert compare(bench, make_bench())["ok"]
 
 
 class TestProfileIntegration:
