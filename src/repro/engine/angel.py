@@ -48,7 +48,7 @@ from repro.nn.data import Batch
 from repro.nn.functional import cross_entropy
 from repro.nn.layers import Module
 from repro.nn.optim import MixedPrecisionAdam
-from repro.nn.tensor import Tensor, round_fp16
+from repro.nn.tensor import Tensor
 from repro.protocols import FaultPlanLike, RetryPolicyLike, TelemetryLike
 from repro.units import KiB, MiB
 
@@ -69,7 +69,6 @@ _ANGEL_CONFIG_FIELDS = (
     "ssd_path",
     "pipeline",
     "prefetch_window",
-    "io_workers",
     "owner",
 )
 
@@ -93,15 +92,6 @@ class AngelConfig:
     #: How many triggers ahead of the compute horizon the prefetch worker
     #: may run (the bounded in-flight window).
     prefetch_window: int = 2
-    #: Where the page-copy data plane runs. ``"thread"`` keeps every byte
-    #: copy in-process (the PR 5 behaviour); ``"process"`` backs the GPU
-    #: and CPU pools with named shared-memory arenas and routes coalesced
-    #: page copies plus FP32-state scatters through a
-    #: :class:`~repro.runtime.ioproc.PageCopyService` worker process —
-    #: outside this interpreter's GIL. The prefetch/writeback *control*
-    #: plane stays on threads either way (it shares condition variables
-    #: with the compute loop); only the data plane moves.
-    io_workers: str = "thread"
     #: Tenant this engine's pages belong to under multi-tenancy
     #: (``repro.fleet``); labels every page and names the pools.
     owner: str | None = None
@@ -135,11 +125,6 @@ class AngelConfig:
             )
         if self.prefetch_window < 1:
             raise ConfigurationError("prefetch_window must be >= 1")
-        if self.io_workers not in ("thread", "process"):
-            raise ConfigurationError(
-                "io_workers must be 'thread' or 'process', "
-                f"got {self.io_workers!r}"
-            )
         if self.quota is not None and self.owner is None:
             raise ConfigurationError("quota enforcement requires an owner")
 
@@ -210,17 +195,14 @@ class AngelModel:
             self.telemetry = NULL_TELEMETRY
         telemetry = self.telemetry if self.telemetry.enabled else None
 
-        # Process-mode data plane: RAM tiers live in *named* shared-memory
-        # arenas so the copy worker can attach them by descriptor.
-        ram_backend = "shm" if config.io_workers == "process" else "ram"
         pools = {
             DeviceKind.GPU: DevicePool(
                 DeviceKind.GPU, config.gpu_memory_bytes, config.page_bytes,
-                backend=ram_backend, telemetry=telemetry, owner=config.owner,
+                telemetry=telemetry, owner=config.owner,
             ),
             DeviceKind.CPU: DevicePool(
                 DeviceKind.CPU, config.cpu_memory_bytes, config.page_bytes,
-                backend=ram_backend, telemetry=telemetry, owner=config.owner,
+                telemetry=telemetry, owner=config.owner,
             ),
         }
         if config.ssd_bytes:
@@ -244,19 +226,6 @@ class AngelModel:
             pools, retry_policy=config.retry_policy, telemetry=telemetry,
             forensics=self.forensics, owner=config.owner, quota=config.quota,
         )
-        self._state_tier = DeviceKind.SSD if config.ssd_bytes else DeviceKind.CPU
-
-        #: Out-of-process data plane (io_workers="process"): coalesced
-        #: page-run copies and FP32-state scatters execute in the copy
-        #: worker, leaving this interpreter's GIL to the compute thread.
-        self._io_service = None
-        if config.io_workers == "process":
-            # Deferred import: multiprocessing spawn machinery is only
-            # paid for by engines that opt in.
-            from repro.runtime.ioproc import PageCopyService
-
-            self._io_service = PageCopyService()
-            self.allocator.io_service = self._io_service
 
         self._managed: list[_Managed] = []
         self._by_param: dict[int, _Managed] = {}
@@ -271,8 +240,6 @@ class AngelModel:
             # return the pages (and any quota charges) before propagating —
             # a tenant rejected at its quota must not leak charged pages.
             self.allocator.close()
-            if self._io_service is not None:
-                self._io_service.close()
             raise
         self._buffers = GradientBuffers([m.param for m in self._managed])
         self._install_hooks()
@@ -318,11 +285,12 @@ class AngelModel:
         params = list(self.module.named_parameters())
         if len(params) != len(self.optimizer.params):
             raise ConfigurationError("optimizer does not cover the model's parameters")
+        state_tier = DeviceKind.SSD if self.config.ssd_bytes else DeviceKind.CPU
         for index, (name, param) in enumerate(params):
             fp16 = self.allocator.allocate(param.shape, np.float16, DeviceKind.CPU)
             fp16.write_array(param.data.astype(np.float16))
             master, moment1, moment2 = (
-                self.allocator.allocate(param.shape, np.float32, self._state_tier)
+                self.allocator.allocate(param.shape, np.float32, state_tier)
                 for _ in range(3)
             )
             zeros = np.zeros(param.shape, np.float32)
@@ -734,85 +702,12 @@ class AngelModel:
                 with self._move_lock:
                     managed.fp16.write_array(refreshed.astype(np.float16))
                 managed.param.data = refreshed
-            flush = partial(scatter, states, hosts, self._io_service)
+            flush = partial(scatter, states, hosts)
             if threaded:
                 writeback.submit(layer, flush)  # off the critical path
             else:
                 # No pipeline, or GPU-cache-resident states: a pool write.
                 self._io(flush)
-
-    # ------------------------------------------------------------------
-    # Graceful degradation (Section 3.1's failure model)
-    # ------------------------------------------------------------------
-    @property
-    def state_tier(self) -> DeviceKind:
-        """Where the FP32 master states currently live."""
-        return self._state_tier
-
-    def degrade_tier(
-        self,
-        dead: DeviceKind = DeviceKind.SSD,
-        survivor: DeviceKind = DeviceKind.CPU,
-    ) -> int:
-        """Evacuate the FP32 states off a permanently failed tier.
-
-        The dead tier's bytes are unreadable, but the optimizer's host
-        arrays mirror the paged states as of the last completed update
-        sweep (they are written back together), so the states are rebuilt
-        exactly on ``survivor`` and the dead pool is dropped. Any
-        gradients buffered for the aborted step are discarded — the
-        supervised driver replays that step. Returns the number of
-        tensors rebuilt.
-        """
-        if self._state_tier != dead:
-            raise ConfigurationError(
-                f"FP32 states live on {self._state_tier.name}, not {dead.name}"
-            )
-        if self._writeback is not None:
-            # State I/O on the dead tier can never land (the thread may
-            # already have died on it): drop the queue and the reads it
-            # held; restart it with a clean error state for the survivor.
-            from repro.runtime.pipeline import WritebackQueue
-
-            self._writeback.abort()
-            self._writeback.close()
-            self._read_ahead.clear()
-            self._writeback = WritebackQueue(self._io, telemetry=self.telemetry)
-            self._writeback.start()
-        with self._move_lock:
-            return self._degrade_locked(dead, survivor)
-
-    def _degrade_locked(self, dead: DeviceKind, survivor: DeviceKind) -> int:
-        opt = self.optimizer
-        rebuilt = 0
-        for managed in self._managed:
-            index = managed.index
-            for attr, host in (
-                ("master", opt.master[index]),
-                ("moment1", opt.m[index]),
-                ("moment2", opt.v[index]),
-            ):
-                old = getattr(managed, attr)
-                if old.device_kind != dead:
-                    continue
-                self.allocator.release(old)
-                fresh = self.allocator.allocate(
-                    managed.param.shape, np.float32, survivor
-                )
-                fresh.write_array(host)
-                setattr(managed, attr, fresh)
-                rebuilt += 1
-            # Re-derive the FP16 working copy from the authoritative
-            # master so every layer is consistent with the rebuilt state.
-            refreshed = round_fp16(opt.master[index])
-            managed.fp16.write_array(refreshed.astype(np.float16))
-            managed.param.data = refreshed
-        for index in range(len(self._managed)):
-            self._buffers.drain(index)
-        self._pending = 0
-        self.allocator.drop_pool(dead)
-        self._state_tier = survivor
-        return rebuilt
 
     # ------------------------------------------------------------------
     # Introspection
@@ -847,10 +742,6 @@ class AngelModel:
                     writeback.close()
         finally:
             self.allocator.close()
-            if self._io_service is not None:
-                service, self._io_service = self._io_service, None
-                self.allocator.io_service = None
-                service.close()
 
     def __enter__(self) -> "AngelModel":
         return self

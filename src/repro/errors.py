@@ -109,7 +109,7 @@ class TransientIOError(ReproError):
 class TierFailedError(ReproError):
     """A memory tier died permanently; no retry will succeed.
 
-    Carries the tier name so callers can degrade onto the survivors.
+    Carries the tier name so callers can rebuild without it.
     """
 
     def __init__(self, tier: str, message: str | None = None):

@@ -53,35 +53,21 @@ class MoveReport:
 _arena_slot = attrgetter("_storage.index")
 
 
-def _copy_page_run(src_pool, dst_pool, src_start, dst_start, npages,
-                   io_service=None):
+def _copy_page_run(src_pool, dst_pool, src_start, dst_start, npages):
     """Copy ``npages`` physically-consecutive pages between two arenas.
 
     One slice copy when both ends expose arena views; a single
     ``readinto``/``write_from`` when one end is view-less (file tiers,
     fault-injection wrappers); a staging buffer only when both are —
-    and nothing at all between two capacity-only null backends. When
-    an ``io_service`` (the out-of-process page copy worker) is provided
-    and both backends export attachable descriptors, the copy happens in
-    the worker process — outside this interpreter's GIL.
+    and nothing at all between two capacity-only null backends.
     """
-    page_bytes = src_pool.page_bytes
-    nbytes = npages * page_bytes
+    nbytes = npages * src_pool.page_bytes
     read_counter = src_pool._read_bytes
     if read_counter is not None:
         read_counter.inc(nbytes)
     write_counter = dst_pool._write_bytes
     if write_counter is not None:
         write_counter.inc(nbytes)
-    if io_service is not None:
-        src_desc = src_pool.backend_descriptor()
-        dst_desc = dst_pool.backend_descriptor()
-        if src_desc is not None and dst_desc is not None:
-            io_service.copy(
-                src_desc, dst_desc,
-                [(src_start * page_bytes, dst_start * page_bytes, nbytes)],
-            )
-            return
     src_backend = src_pool._backend
     dst_backend = dst_pool._backend
     src_view = (
@@ -252,10 +238,6 @@ class PageAllocator:
         # Pages currently charged to the ledger by *this* allocator, so
         # close() can return the whole footprint in one credit.
         self._pages_charged = 0
-        #: Optional repro.runtime.ioproc.PageCopyService: when set, page
-        #: run copies between descriptor-exporting arenas execute in the
-        #: copy worker process instead of under this interpreter's GIL.
-        self.io_service = None
         self.page_bytes = page_sizes.pop()
         self._tensor_ids = itertools.count()
         self._tensors: dict[int, PagedTensor] = {}
@@ -529,32 +511,10 @@ class PageAllocator:
 
     def _copy_run(self, src_pool, target, src_start, dst_start, npages) -> None:
         if self.retry_policy is None:
-            _copy_page_run(src_pool, target, src_start, dst_start, npages,
-                           io_service=self.io_service)
+            _copy_page_run(src_pool, target, src_start, dst_start, npages)
         else:
             self.retry_policy.run(lambda: _copy_page_run(
-                src_pool, target, src_start, dst_start, npages,
-                io_service=self.io_service,
-            ))
-
-    def drop_pool(self, device: DeviceKind) -> None:
-        """Remove a (dead) tier's pool; no live tensor may still use it.
-
-        The degradation path: after a permanent tier failure, callers
-        evacuate or rebuild the tier's tensors on a survivor and then drop
-        the pool so no future allocation or move targets it.
-        """
-        pool = self.pool(device)
-        for tensor in self._tensors.values():
-            if any(page.has_storage and page.pool is pool for page in tensor.page_list):
-                raise AllocationError(
-                    f"cannot drop {device.name}: tensor {tensor.tensor_id} "
-                    "still has pages there"
-                )
-        for key in [key for key in self._open_shared if key[0] == device]:
-            del self._open_shared[key]
-        del self._pools[device]
-        pool.close()
+                src_pool, target, src_start, dst_start, npages))
 
     def merge(self, tensor: PagedTensor) -> None:
         """Re-pack into exclusive pages on the tensor's current device.

@@ -18,15 +18,14 @@ or a preallocated arena file — and speaks the buffer-protocol storage API
 - because pages are physically consecutive, a *run* of pages is one call:
   ``PageAllocator.move_pages`` coalesces a MoveGroup into O(runs) copies.
 
-Named shared-memory arenas (``shared=True``) plus arena files are also
-**process-shareable**: they export a :func:`descriptor` that the
-:class:`~repro.runtime.ioproc.PageCopyService` worker process attaches by
-name, so prefetch/writeback copies run outside this process's GIL
-entirely.
+Named shared-memory arenas (``shared=True``) are **process-shareable**:
+another process attaches them by name (the cluster transport's per-rank
+arenas), or by the :meth:`~ArenaPoolBackend.descriptor` they export (the
+:class:`~repro.runtime.ioproc.PageCopyService` that the benchmark's
+ladder measures).
 
 This module is the only one that names, creates, attaches or unlinks a
-``multiprocessing.shared_memory`` segment: pool arenas, the cluster
-transport's per-rank arena and the copy service's staging arena are all
+``multiprocessing.shared_memory`` segment: every shared arena is an
 :class:`ArenaPoolBackend`; whoever maps someone else's arena goes
 through :func:`attach_segment`.
 """
@@ -42,9 +41,8 @@ import threading
 
 from repro.errors import AllocationError
 
-#: Descriptor kinds understood by the page copy service.
+#: The descriptor kind of a named shared-memory arena.
 SHM_DESCRIPTOR = "shm"
-FILE_DESCRIPTOR = "file"
 
 #: Serialises creates and attaches in this process against the attach
 #: path's temporary ``resource_tracker.register`` override.
@@ -319,13 +317,6 @@ class FilePoolBackend(SegmentLoopIO):
             return len(source)
         pwrite_full(self._fd, start, source)
         return len(source)
-
-    # ------------------------------------------------------------------
-    # Process sharing
-    # ------------------------------------------------------------------
-    def descriptor(self) -> tuple[str, str]:
-        """(kind, path): the copy service opens the arena file itself."""
-        return (FILE_DESCRIPTOR, self._path)
 
     def close(self) -> None:
         if self._closed:

@@ -8,9 +8,7 @@ pages are acquired from and returned to sorted free runs, and the backend
 decides where the bytes physically live:
 
 - :class:`~repro.memory.arena.ArenaPoolBackend` — an anonymous ``mmap``
-  arena (``backend="ram"``, the simulated "GPU" and the real CPU tier) or
-  a named ``multiprocessing.shared_memory`` segment (``backend="shm"``)
-  that worker processes can attach by name,
+  arena (``backend="ram"``, the simulated "GPU" and the real CPU tier),
 - :class:`~repro.memory.arena.FilePoolBackend` — one preallocated,
   memory-mapped arena file (the SSD tier, exercising genuine storage I/O),
 - :class:`NullPoolBackend` — capacity accounting only, for pure
@@ -111,8 +109,6 @@ def _build_backend(backend, num_pages: int, page_bytes: int, file_path):
         return _checked_backend(backend)
     if backend == "ram":
         return ArenaPoolBackend(num_pages, page_bytes, shared=False)
-    if backend == "shm":
-        return ArenaPoolBackend(num_pages, page_bytes, shared=True)
     if backend == "file":
         return FilePoolBackend(num_pages, page_bytes, path=file_path)
     if backend == "null":
@@ -180,18 +176,11 @@ class DevicePool:
         the pool, pages or tensors knowing; the wrapper must expose the
         backend protocol (:class:`repro.protocols.PoolBackend`) and is
         rejected with :class:`~repro.errors.AllocationError` otherwise.
-        A wrapper that does not re-export ``view``/``descriptor`` forces
-        every copy through its ``readinto``/``write_from`` — exactly
-        what fault injection wants.
+        A wrapper that does not re-export ``view`` forces every copy
+        through its ``readinto``/``write_from`` — exactly what fault
+        injection wants.
         """
         self._backend = _checked_backend(wrapper(self._backend))
-
-    def backend_descriptor(self) -> tuple[str, str] | None:
-        """(kind, address) the page copy service can attach, or None."""
-        descriptor = getattr(self._backend, "descriptor", None)
-        if descriptor is None:
-            return None
-        return descriptor()
 
     # ------------------------------------------------------------------
     # Vectored I/O: one request per call, ``[(slot, offset, buf), ...]``
@@ -202,15 +191,10 @@ class DevicePool:
             self._read_bytes.inc(sum(memoryview(b).nbytes for _, _, b in requests))
         self._backend.preadv(requests)
 
-    def pwritev(self, requests, io_service=None) -> None:
+    def pwritev(self, requests) -> None:
         if self._write_bytes is not None:
             self._write_bytes.inc(sum(memoryview(b).nbytes for _, _, b in requests))
-        descriptor = io_service and io_service.alive and self.backend_descriptor()
-        if not descriptor:
-            return self._backend.pwritev(requests)
-        io_service.scatter(descriptor, [
-            (index * self.page_bytes + offset, buf) for index, offset, buf in requests
-        ])
+        self._backend.pwritev(requests)
 
     # ------------------------------------------------------------------
     # Storage lifecycle (used by page moves and by acquire/release below)

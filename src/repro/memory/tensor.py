@@ -154,13 +154,12 @@ def gather(tensors, outs) -> None:
         pool.preadv(requests)
 
 
-def scatter(tensors, arrays, io_service=None) -> None:
+def scatter(tensors, arrays) -> None:
     """Write ``arrays`` into ``tensors``' pages: ONE vectored write per
-    pool, run by ``io_service`` (the out-of-process copy worker) where
-    the pool's arena exports a descriptor."""
+    pool."""
     arrays = [
         np.ascontiguousarray(array, dtype=tensor.dtype)
         for tensor, array in zip(tensors, arrays, strict=True)
     ]
     for pool, requests in _requests_by_pool(tensors, arrays).items():
-        pool.pwritev(requests, io_service)
+        pool.pwritev(requests)

@@ -9,7 +9,7 @@ from repro.telemetry.registry import MetricsRegistry
 #: The fault/cure vocabulary, in export order.
 _FAULT_FIELDS = (
     "retries", "transient_faults", "torn_writes",
-    "latency_injections", "tier_deaths", "degradations",
+    "latency_injections", "tier_deaths",
     "rank_failures", "recoveries",
     "checkpoints_saved", "checkpoints_restored",
 )
@@ -18,7 +18,7 @@ _FAULT_FIELDS = (
 class FaultCounters:
     """Resilience observability: every fault seen and every cure applied.
 
-    Incremented by the retry/degradation/recovery machinery in
+    Incremented by the retry/recovery machinery in
     ``repro.resilience`` so chaos tests (and operators) can assert exactly
     what happened during a run — Section 3.1's fault tolerance made
     countable.

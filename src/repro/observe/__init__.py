@@ -11,12 +11,7 @@ Three consumers of the recording layer (:mod:`repro.telemetry`):
   BENCH payloads, traces and alert logs into one run report.
 """
 
-from repro.observe.alerts import (
-    Alert,
-    Severity,
-    alert_from_dict,
-    degrade_recommendation,
-)
+from repro.observe.alerts import Alert, Severity, alert_from_dict
 from repro.observe.forensics import ForensicDump, ForensicRecorder, ResidencySample
 from repro.observe.report import (
     render_html,
@@ -41,7 +36,6 @@ __all__ = [
     "Alert",
     "Severity",
     "alert_from_dict",
-    "degrade_recommendation",
     "ForensicDump",
     "ForensicRecorder",
     "ResidencySample",

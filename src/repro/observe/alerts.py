@@ -55,28 +55,3 @@ def alert_from_dict(payload: dict) -> Alert:
         evidence=dict(payload.get("evidence", {})),
     )
 
-
-def degrade_recommendation(alert: Alert) -> str | None:
-    """Map an alert to a tier-degradation recommendation, if any.
-
-    Closes the loop between the resilience and telemetry subsystems: a
-    sustained retry storm or a saturated SSD edge suggests the SSD tier
-    is unhealthy, and the supervisor *may* evacuate the FP32 states via
-    ``AngelModel.degrade_tier`` — the recommendation never forces it.
-    """
-    if alert.severity < Severity.WARNING:
-        return None
-    if alert.rule == "retry_storm":
-        return (
-            "degrade_tier: sustained retry storm on tier I/O "
-            f"({alert.evidence.get('retries_in_window', '?')} retries in "
-            f"{alert.evidence.get('window_steps', '?')} steps) — consider "
-            "AngelModel.degrade_tier(SSD, CPU)"
-        )
-    if alert.rule == "tier_bandwidth" and "ssd" in str(alert.evidence.get("edge", "")):
-        return (
-            f"degrade_tier: {alert.evidence.get('edge')} edge saturated at "
-            f"{alert.evidence.get('bytes_per_step', 0)} B/step — consider "
-            "AngelModel.degrade_tier(SSD, CPU)"
-        )
-    return None

@@ -10,7 +10,8 @@ half:
 - :mod:`repro.resilience.retry` — exponential backoff with jitter and a
   deadline, applied to page moves and FP32-state round trips;
 - :mod:`repro.resilience.trainer` — the supervised driver: checkpoint
-  every K steps, degrade on tier death, restore + replay on crashes;
+  every K steps; on a rank crash, a spent retry budget or a dead tier,
+  restore the latest good checkpoint and replay;
 - :mod:`repro.resilience.availability` — Young/Daly checkpoint-interval
   math and failure-timeline replay for the simulated (DES) path;
 - :mod:`repro.resilience.chaos` — canned scenarios backing the

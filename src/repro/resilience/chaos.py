@@ -3,11 +3,11 @@
 ``run_reference`` trains a tiny functional model fault-free;
 ``run_chaos`` trains the *same* model, seed and batches under a
 :class:`~repro.resilience.faults.FaultPlan` supervised by
-:class:`~repro.resilience.trainer.ResilientTrainer`. Because transient
-faults are healed by full rewrites and degradation rebuilds exact state,
-a transient-only chaos run matches the reference bit for bit; runs with
-checkpoint recovery match within a small tolerance. The ``repro chaos``
-CLI subcommand and the chaos tests are both thin wrappers over this
+:class:`~repro.resilience.trainer.ResilientTrainer`. Transient faults are
+healed by full rewrites, and every other fault (a dead tier, a crashed
+rank) restores a snapshot and replays deterministic batches, so a chaos
+run matches the reference bit for bit. The ``repro chaos`` CLI
+subcommand and the chaos tests are both thin wrappers over this
 module.
 """
 
@@ -148,8 +148,7 @@ def run_chaos(
     unified view of ``faults.*``, ``retry.*`` and any span breakdowns —
     and a :class:`~repro.observe.watchdog.Watchdog` (built automatically
     unless one is passed) watches every step: its alerts land in
-    ``report.alerts`` and sustained SSD-pressure/retry-storm alerts in
-    ``report.recommendations``.
+    ``report.alerts``.
     """
     if checkpoint_dir is None:
         checkpoint_dir = config.workdir

@@ -13,7 +13,8 @@ or write request (a vectored ``preadv``/``pwritev`` is one), injecting:
 - **torn writes** (a prefix of the bytes lands, then the error) — the
   retried full rewrite heals them,
 - **permanent tier death** (:class:`~repro.errors.TierFailedError` from
-  then on) triggering degradation onto the surviving tiers,
+  then on), which the supervised driver survives by restoring the latest
+  checkpoint onto a CPU-only engine and replaying,
 - **rank failures** at a scheduled training step, consumed by the
   supervised driver (:class:`~repro.resilience.trainer.ResilientTrainer`).
 
@@ -202,12 +203,10 @@ class FaultyBackend:
 
     Speaks the buffer-protocol storage API
     (:class:`repro.protocols.PoolBackend`) and deliberately does NOT
-    re-export the inner backend's ``view`` or ``descriptor``: hiding the
-    zero-copy window and the cross-process address forces every page
-    copy touching this tier through ``readinto``/``write_from`` — and
-    therefore through the plan. (A view handed out once would let later
-    copies bypass injection; a descriptor would let the out-of-process
-    copy worker do the same.)
+    re-export the inner backend's ``view``: hiding the zero-copy window
+    forces every page copy touching this tier through
+    ``readinto``/``write_from`` — and therefore through the plan. (A
+    view handed out once would let later copies bypass injection.)
 
     A torn write lands a deterministic prefix of the bytes before raising
     :class:`~repro.errors.TransientIOError`, so the caller's retried full

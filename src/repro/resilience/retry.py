@@ -2,8 +2,8 @@
 
 The retry ladder of the fault model (docs/resilience.md): transient tier
 I/O errors are absorbed here; permanent failures (``TierFailedError``,
-``RankFailedError``) are *not* retried — they escalate to the degradation
-and recovery layers above.
+``RankFailedError``) are *not* retried — they escalate to the recovery
+layer above.
 
 Jitter is drawn from a seeded RNG so chaos runs are bit-reproducible, and
 time comes from an injectable :class:`~repro.telemetry.clock.Clock` —

@@ -5,12 +5,14 @@ fault-tolerance ladder the paper claims in production:
 
 1. **retry** — transient tier I/O is absorbed inside the engine by its
    :class:`~repro.resilience.retry.RetryPolicy`;
-2. **degrade** — a permanent SSD-tier death rebuilds the FP32 states on
-   the surviving CPU tier (:meth:`AngelModel.degrade_tier`) and replays
-   the interrupted step;
-3. **recover** — a rank failure (or an exhausted retry budget) discards
-   the engine, restores the latest *good* checkpoint and replays from
-   there. (Re-sharding for a changed rank count is the cluster's resume,
+2. **recover** — anything the retries cannot heal discards the engine,
+   restores the latest *good* checkpoint onto a fresh one and replays
+   from there. That covers a rank failure, an exhausted retry budget and
+   a permanent SSD-tier death; after a tier death every later engine is
+   built CPU-only. A dead tier's states come back from the snapshot,
+   never from the dying engine, whose sweep may have updated some
+   parameters before the tier died. (Re-sharding for a changed rank
+   count is the cluster's resume,
    :func:`repro.cluster.worker.load_rank_state`.)
 
 Checkpoints are taken every ``checkpoint_every`` steps through the
@@ -39,7 +41,6 @@ from repro.errors import (
     RetryExhaustedError,
     TierFailedError,
 )
-from repro.hardware.device import DeviceKind
 from repro.metrics import FaultCounters
 from repro.resilience.retry import RetryPolicy
 from repro.runtime.events import EventBus
@@ -54,14 +55,9 @@ class ChaosReport:
     step_attempts: int = 0
     counters: FaultCounters = field(default_factory=FaultCounters)
     recovery_steps: list[int] = field(default_factory=list)
-    degraded: bool = False
     fault_log: list = field(default_factory=list)
     #: Watchdog alerts fired during the supervised run (repro.observe).
     alerts: list = field(default_factory=list)
-    #: Advisory actions derived from sustained alerts — e.g. a retry
-    #: storm or a saturated SSD edge recommending ``degrade_tier``. The
-    #: supervisor never acts on these automatically.
-    recommendations: list[str] = field(default_factory=list)
 
     @property
     def final_loss(self) -> float:
@@ -71,7 +67,7 @@ class ChaosReport:
 
 
 class ResilientTrainer:
-    """Checkpoint, watch, degrade, restore, replay."""
+    """Checkpoint, watch, restore, replay."""
 
     def __init__(
         self,
@@ -100,9 +96,7 @@ class ResilientTrainer:
         self.max_recoveries = max_recoveries
         self.keep_checkpoints = keep_checkpoints
         #: Optional repro.observe.Watchdog evaluated at every completed
-        #: step; its alerts land in the ChaosReport, and sustained
-        #: SSD-latency / retry-storm alerts surface a ``degrade_tier``
-        #: recommendation (never an automatic action).
+        #: step; its alerts land in the ChaosReport.
         self.watchdog = watchdog
         self._ssd_alive = True
         os.makedirs(checkpoint_dir, exist_ok=True)
@@ -141,59 +135,60 @@ class ResilientTrainer:
     # ------------------------------------------------------------------
     # Recovery ladder
     # ------------------------------------------------------------------
-    def _build(self):
-        """Build a fresh engine, falling back to CPU-only if the SSD tier
-        dies during construction (state registration does tier I/O)."""
-        try:
-            return self._factory(use_ssd=self._ssd_alive)
-        except TierFailedError:
-            self._ssd_alive = False
-            self.counters.tier_deaths += 1
-            return self._factory(use_ssd=False)
+    def _build(self, prepare):
+        """Build a fresh engine and ``prepare`` it (restore a snapshot, or
+        take the first checkpoint).
 
-    def _degrade(self, engine) -> None:
-        """Tier died: rebuild the FP32 states on the CPU tier."""
+        State registration and ``prepare`` both do SSD-tier I/O. If the
+        tier dies under either, it is marked dead and the engine is rebuilt
+        CPU-only and prepared again.
+        """
+        engine = None
+        try:
+            engine = self._factory(use_ssd=self._ssd_alive)
+            prepare(engine)
+            return engine
+        except TierFailedError:
+            self._tier_died()
+            self._discard(engine)
+        engine = self._factory(use_ssd=False)
+        prepare(engine)
+        return engine
+
+    def _tier_died(self) -> None:
+        """The SSD tier is gone for good: every later engine is CPU-only."""
         self._ssd_alive = False
         self.counters.tier_deaths += 1
-        engine.degrade_tier(DeviceKind.SSD, DeviceKind.CPU)
-        self.counters.degradations += 1
-        self.bus.complete(f"resilience.degrade.{self.counters.degradations}")
 
-    def _recover(self, engine):
-        """Discard the engine, restore the latest good snapshot, replay.
-
-        Returns ``(engine, step)`` — the fresh engine and the step to
-        resume from.
-        """
-        self.counters.recoveries += 1
+    @staticmethod
+    def _discard(engine) -> None:
         if engine is not None:
             try:
                 engine.close()
             except Exception:
                 pass  # a dying engine must not block recovery
+
+    def _recover(self, engine, report: ChaosReport, error: BaseException):
+        """Discard the engine, restore the latest good snapshot onto a
+        fresh one, and rewind the report to the restored step.
+
+        Re-raises ``error`` once ``max_recoveries`` are spent. Returns
+        ``(engine, step)`` — the fresh engine and the step to replay from.
+        """
+        if self.counters.recoveries >= self.max_recoveries:
+            raise error
+        self.counters.recoveries += 1
+        self._discard(engine)
         snapshot, step = self.latest_good_checkpoint()
         self.counters.checkpoints_restored += 1
-        engine = self._build()
         # The restore writes through the (possibly still-faulty) tier
         # backends; a full re-restore heals any torn/transient write.
-        self._retry.run(lambda: restore_engine_state(snapshot, engine))
+        engine = self._build(lambda fresh: self._retry.run(
+            lambda: restore_engine_state(snapshot, fresh)))
         self.bus.complete(f"resilience.recovery.{self.counters.recoveries}")
+        del report.losses[step:]
+        report.recovery_steps.append(step)
         return engine, step
-
-    # ------------------------------------------------------------------
-    # Health watching (repro.observe)
-    # ------------------------------------------------------------------
-    def _watch(self, engine, step: int, report: ChaosReport) -> None:
-        """Run the watchdog at a step boundary; collect alerts + advice."""
-        if self.watchdog is None:
-            return
-        from repro.observe.alerts import degrade_recommendation
-
-        for alert in self.watchdog.observe_engine(engine, step=step):
-            report.alerts.append(alert)
-            recommendation = degrade_recommendation(alert)
-            if recommendation and recommendation not in report.recommendations:
-                report.recommendations.append(recommendation)
 
     # ------------------------------------------------------------------
     # Supervised loop
@@ -206,21 +201,17 @@ class ResilientTrainer:
         """
         batches = list(batches)
         report = ChaosReport(counters=self.counters)
-        engine = self._build()
-        step = 0
         # An initial checkpoint makes even a step-0 crash recoverable.
-        self.save_checkpoint(engine, step)
+        engine = self._build(lambda fresh: self.save_checkpoint(fresh, 0))
+        step = 0
         while step < len(batches):
             if self.plan is not None and self.plan.take_rank_failure(step):
                 self.counters.rank_failures += 1
                 self.bus.complete(
                     f"resilience.rank_failure.{self.counters.rank_failures}"
                 )
-                if self.counters.recoveries >= self.max_recoveries:
-                    raise RankFailedError(step=step)
-                engine, step = self._recover(engine)
-                del report.losses[step:]
-                report.recovery_steps.append(step)
+                engine, step = self._recover(
+                    engine, report, RankFailedError(step=step))
                 continue
             report.step_attempts += 1
             try:
@@ -229,19 +220,14 @@ class ResilientTrainer:
                 engine.step()
                 report.losses.append(loss.item())
                 step += 1
-                self._watch(engine, step, report)
+                if self.watchdog is not None:
+                    report.alerts += self.watchdog.observe_engine(engine, step=step)
                 if step % self.checkpoint_every == 0:
                     self.save_checkpoint(engine, step)
-            except TierFailedError:
-                self._degrade(engine)
-                report.degraded = True
-                continue  # replay the interrupted step on the CPU tier
-            except (RetryExhaustedError, CheckpointError):
-                if self.counters.recoveries >= self.max_recoveries:
-                    raise
-                engine, step = self._recover(engine)
-                del report.losses[step:]
-                report.recovery_steps.append(step)
+            except (TierFailedError, RetryExhaustedError, CheckpointError) as exc:
+                if isinstance(exc, TierFailedError):
+                    self._tier_died()
+                engine, step = self._recover(engine, report, exc)
         if self.plan is not None:
             self.counters.absorb_plan(self.plan)
         self.counters.retries += self._retry.retries

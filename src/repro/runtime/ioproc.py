@@ -1,85 +1,46 @@
-"""Out-of-process page copies over named shared arenas.
+"""Out-of-process page copies between named shared arenas.
 
-The GIL is the last serialization point on the page hot path: threads
-overlap compute with I/O *waits* (PR 5), but the byte copies themselves
-still contend for the interpreter. :class:`PageCopyService` runs those
-copies in a dedicated **worker process** that attaches the pools' named
-arenas — ``multiprocessing.shared_memory`` segments for RAM tiers, the
-preallocated arena file for the SSD tier — by the descriptors the
-backends export (:meth:`repro.memory.pool.DevicePool.backend_descriptor`;
-naming and attaching live in :mod:`repro.memory.arena`). While the
-parent blocks on the worker's ack it holds no GIL, so the compute thread
-runs at full speed.
+:class:`PageCopyService` runs byte copies in a dedicated **worker
+process** that attaches ``multiprocessing.shared_memory`` arenas by the
+descriptors they export
+(:meth:`repro.memory.arena.ArenaPoolBackend.descriptor`; naming and
+attaching live in :mod:`repro.memory.arena`). While the parent blocks on
+the worker's ack it holds no GIL.
 
-Division of labour with :mod:`repro.runtime.pipeline`: the
-:class:`~repro.runtime.pipeline.PrefetchWorker` and
-:class:`~repro.runtime.pipeline.WritebackQueue` remain the *control
-plane* — they share condition variables and iteration state with the
-engine, which only threads can do cheaply — and hand the *data plane*
-(the physical gather/scatter) to this service whenever both endpoints
-export a descriptor. A fault-injection wrapper deliberately exports
-none, so chaos tests keep intercepting every byte in-process.
+The engine does not use it: every page it moves goes through the
+in-process data plane (``PageAllocator.move_pages`` and
+``DevicePool.pwritev``). The service stays only because the benchmark's
+ladder measures its round trip and copy bandwidth (the ``ioproc.*``
+rungs); it goes when a benchmark change drops those rungs.
 
-The worker is started with the ``spawn`` context: the engine runs
-prefetch/writeback threads, and forking a multi-threaded process is
-undefined behaviour. The worker function lives at module level so spawn
-can import it.
+The worker is started with the ``spawn`` context: forking a
+multi-threaded process is undefined behaviour. The worker function lives
+at module level so spawn can import it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 
 from repro.errors import TransientIOError, join_or_raise
-from repro.memory.arena import (
-    FILE_DESCRIPTOR,
-    SHM_DESCRIPTOR,
-    ArenaPoolBackend,
-    attach_segment,
-    pread_full,
-    pwrite_full,
-)
+from repro.memory.arena import SHM_DESCRIPTOR, attach_segment
 
 
-def _attach_view(desc, segments, files):
-    """Resolve a descriptor to (kind, handle) in the worker, caching;
+def _attach_view(desc, segments):
+    """Resolve a descriptor to the worker's view of its arena, caching;
     ``_copy_worker``'s shutdown path closes what was attached."""
     kind, address = desc
-    if kind == SHM_DESCRIPTOR:
-        if address not in segments:
-            segments[address] = attach_segment(address)
-        return SHM_DESCRIPTOR, segments[address].buf
-    if kind == FILE_DESCRIPTOR:
-        if address not in files:
-            files[address] = os.open(address, os.O_RDWR)
-        return FILE_DESCRIPTOR, files[address]
-    raise ValueError(f"unknown arena descriptor kind {kind!r}")
-
-
-def _copy_range(src, dst, src_off: int, dst_off: int, nbytes: int) -> None:
-    src_kind, src_handle = src
-    dst_kind, dst_handle = dst
-    if src_kind == SHM_DESCRIPTOR and dst_kind == SHM_DESCRIPTOR:
-        dst_handle[dst_off:dst_off + nbytes] = (
-            src_handle[src_off:src_off + nbytes]
-        )
-    elif src_kind == SHM_DESCRIPTOR:
-        pwrite_full(dst_handle, dst_off, src_handle[src_off:src_off + nbytes])
-    elif dst_kind == SHM_DESCRIPTOR:
-        pread_full(src_handle, src_off, dst_handle[dst_off:dst_off + nbytes])
-    else:
-        staging = bytearray(nbytes)
-        view = memoryview(staging)
-        pread_full(src_handle, src_off, view)
-        pwrite_full(dst_handle, dst_off, view)
+    if kind != SHM_DESCRIPTOR:
+        raise ValueError(f"unknown arena descriptor kind {kind!r}")
+    if address not in segments:
+        segments[address] = attach_segment(address)
+    return segments[address].buf
 
 
 def _copy_worker(conn) -> None:
     """Worker-process main loop: attach arenas, execute copy batches."""
     segments: dict = {}
-    files: dict = {}
     try:
         while True:
             # Bounded block: wake periodically so a vanished parent (pipe
@@ -91,10 +52,10 @@ def _copy_worker(conn) -> None:
                 break
             src_desc, dst_desc, runs = message
             try:
-                src = _attach_view(src_desc, segments, files)
-                dst = _attach_view(dst_desc, segments, files)
+                src = _attach_view(src_desc, segments)
+                dst = _attach_view(dst_desc, segments)
                 for src_off, dst_off, nbytes in runs:
-                    _copy_range(src, dst, src_off, dst_off, nbytes)
+                    dst[dst_off:dst_off + nbytes] = src[src_off:src_off + nbytes]
             except Exception as exc:  # report, keep serving
                 conn.send(("err", f"{type(exc).__name__}: {exc}"))
             else:
@@ -107,21 +68,14 @@ def _copy_worker(conn) -> None:
                 segment.close()
             except OSError:
                 pass
-        for fd in files.values():
-            try:
-                os.close(fd)
-            except OSError:
-                pass
         conn.close()
 
 
 class PageCopyService:
     """A copy worker process plus the parent-side RPC to drive it.
 
-    ``copy`` is synchronous — the caller's move already happens on an
-    I/O thread (prefetch worker / writeback queue), so blocking here
-    *is* the overlap: the parent blocks in an OS pipe read with the GIL
-    released while the worker does the memcpy/file I/O.
+    ``copy`` is synchronous: the parent blocks in an OS pipe read with
+    the GIL released while the worker does the memcpy.
     """
 
     def __init__(self):
@@ -134,9 +88,8 @@ class PageCopyService:
         self._proc.start()
         child.close()
         # One outstanding batch at a time; the lock serializes callers
-        # (prefetch thread vs writeback threads) onto the single pipe.
+        # onto the single pipe.
         self._lock = threading.Lock()
-        self._staging: ArenaPoolBackend | None = None
         self._closed = False
 
     @property
@@ -148,8 +101,7 @@ class PageCopyService:
 
         The poll loop bounds every wait: if the worker process dies the
         next 1 s tick notices and raises instead of blocking forever.
-        While this thread sits in ``poll`` it holds no GIL, so the
-        compute thread runs at full speed — that wait IS the overlap.
+        While this thread sits in ``poll`` it holds no GIL.
         """
         self._parent.send(message)
         try:
@@ -175,41 +127,6 @@ class PageCopyService:
         if status != "ok":
             raise TransientIOError(f"page copy worker failed: {detail}")
 
-    # ------------------------------------------------------------------
-    # Writeback staging: scatter a parent-side payload into an arena
-    # ------------------------------------------------------------------
-    def _staging_view(self, nbytes: int) -> memoryview:
-        """The staging arena's first ``nbytes`` (regrown when too small)."""
-        if self._staging is None or self._staging.page_bytes < nbytes:
-            if self._staging is not None:
-                self._staging.close()
-            self._staging = ArenaPoolBackend(1, max(nbytes, 1), shared=True)
-        return self._staging.view(0, 0, nbytes)
-
-    def scatter(self, dst_desc, requests) -> None:
-        """Stage ``[(dst_off, buf), ...]`` and scatter it into ``dst_desc``.
-
-        The parent pays one GIL-releasing memcpy per segment into the
-        staging segment; the worker does the per-page scatter against the
-        destination arena, in one round trip.
-        """
-        sources = [memoryview(buf).cast("B") for _, buf in requests]
-        runs, cursor = [], 0
-        for (dst_off, _), source in zip(requests, sources):
-            runs.append((cursor, dst_off, len(source)))
-            cursor += len(source)
-        with self._lock:
-            if self._closed:
-                raise TransientIOError("page copy service is closed")
-            staging = self._staging_view(cursor)
-            for (staged, _, nbytes), source in zip(runs, sources):
-                staging[staged:staged + nbytes] = source
-            status, detail = self._roundtrip(
-                (self._staging.descriptor(), tuple(dst_desc), list(runs))
-            )
-        if status != "ok":
-            raise TransientIOError(f"page copy worker failed: {detail}")
-
     def close(self) -> None:
         with self._lock:
             if self._closed:
@@ -220,9 +137,6 @@ class PageCopyService:
             except (BrokenPipeError, OSError):
                 pass
         self._parent.close()
-        if self._staging is not None:
-            self._staging.close()
-            self._staging = None
         join_or_raise(self._proc, 5.0, "stuck in a copy?")
 
     def __enter__(self) -> "PageCopyService":

@@ -23,9 +23,10 @@ gap:
   consumes it (``submit_read``), behind the previous sweep's *writes*
   (``submit``), so read-your-writes holds by queue order alone.
   ``wait(key)`` blocks on one layer's queued I/O; ``barrier()`` on
-  everything (the sweep's start, checkpoints, close); ``abort()``
-  discards queued I/O when the tier dies (the optimizer's host arrays
-  stay authoritative, matching ``AngelModel.degrade_tier``).
+  everything (the sweep's start, checkpoints, close). An I/O error stops
+  the thread and drops the queue; it surfaces on the training thread,
+  and a dead tier's engine is discarded and rebuilt from a snapshot
+  (:mod:`repro.resilience.trainer`).
 
 Both workers follow the repo's threading discipline (checked by
 ``repro check --self``): daemon threads, every cross-thread attribute
@@ -445,17 +446,6 @@ class WritebackQueue:
             self.raise_if_failed()
             raise
         self.raise_if_failed()
-
-    def abort(self) -> int:
-        """Drop queued reads and writes and outlast the in-flight one.
-
-        Used on tier death: the optimizer's host arrays mirror the paged
-        states, so dropping the queue loses nothing the degradation path
-        cannot rebuild. Returns the number of requests dropped.
-        """
-        dropped = len(self._queue.abort())
-        self._queue.wait_idle(self._wait_timeout)
-        return dropped
 
     def raise_if_failed(self) -> None:
         with self._cond:

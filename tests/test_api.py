@@ -81,12 +81,14 @@ class TestFacade:
         assert payload["train"]["steps"] == 1
 
     def test_chaos_runs_reference_scenario(self, tmp_path):
-        from repro.resilience import ChaosConfig
+        from repro.resilience import ChaosConfig, run_reference
 
         config = ChaosConfig(steps=4, checkpoint_every=2)
         result = api.chaos(config, workdir=str(tmp_path))
         assert result.steps_completed == 4
-        assert not result.degraded
+        assert result.counters.tier_deaths == 0
+        assert result.recovery_steps == []
+        assert result.losses == run_reference(config)
 
     def test_report_renders_from_dict(self, tmp_path):
         from repro.telemetry.bench import ProfileConfig

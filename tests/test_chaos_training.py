@@ -2,12 +2,11 @@
 
 The acceptance bar for the resilience subsystem: with a fixed seed, a run
 that suffers transient SSD faults heals bit-for-bit; a run that addition-
-ally loses the SSD tier permanently and crashes a rank mid-run recovers
-from checkpoint, finishes, and lands within tolerance of the fault-free
-loss — with every retry/degradation/recovery observable in the counters.
+ally loses the SSD tier permanently and crashes a rank mid-run restores
+checkpoints, replays, finishes, and matches the fault-free losses bit for
+bit — with every retry/recovery observable in the counters.
 """
 
-import numpy as np
 import pytest
 
 from repro.errors import RankFailedError
@@ -67,8 +66,9 @@ class TestTransientFaultsHealBitForBit:
 
 
 class TestFullRecoveryLadder:
-    # Step 5 spans requests ~190-231: the tier dies inside it, is
-    # replayed as engine iteration 6, before the step-7 rank failure.
+    # Step 5 spans requests ~190-231: the tier dies inside it and the
+    # step-3 checkpoint is restored on a CPU-only engine; the step-7 rank
+    # failure then restores the step-6 checkpoint.
     CONFIG = dict(
         steps=10, checkpoint_every=3, seed=3,
         transient_read_rate=0.02, transient_write_rate=0.02,
@@ -76,6 +76,7 @@ class TestFullRecoveryLadder:
     )
 
     def test_tier_death_and_rank_failure_recover_within_tolerance(self, tmp_path):
+        """The tolerance is zero: both recoveries replay exactly."""
         config = ChaosConfig(**self.CONFIG)
         reference = reference_losses(steps=10, seed=3)
         counters = FaultCounters()
@@ -84,28 +85,22 @@ class TestFullRecoveryLadder:
 
         # The run completed all steps despite losing the SSD tier and a rank.
         assert report.steps_completed == 10
-        assert len(report.losses) == 10
-        assert report.degraded
+        assert report.recovery_steps == [3, 6]
 
         # Every rung of the ladder is observable in the counters.
         assert counters.tier_deaths == 1
-        assert counters.degradations == 1
         assert counters.rank_failures == 1
-        assert counters.recoveries == 1
-        assert counters.checkpoints_restored == 1
+        assert counters.recoveries == 2
+        assert counters.checkpoints_restored == 2
         assert counters.retries >= 1
         assert counters.checkpoints_saved >= 2
 
         # Recovery events were published on the bus.
-        assert bus.event("resilience.degrade.1").done
         assert bus.event("resilience.recovery.1").done
+        assert bus.event("resilience.recovery.2").done
         assert bus.event("resilience.rank_failure.1").done
 
-        # Convergence matches the fault-free run within tolerance.
-        assert abs(report.final_loss - reference[-1]) < 0.1
-        assert max(
-            abs(a - b) for a, b in zip(reference, report.losses)
-        ) < 0.25
+        assert report.losses == reference  # bit-for-bit
 
     def test_ladder_is_deterministic(self, tmp_path):
         config = ChaosConfig(**self.CONFIG)
@@ -137,7 +132,7 @@ class TestRecoveryMechanics:
         assert report.steps_completed == 5
         assert report.recovery_steps == [0]
         # Restore + replay of deterministic batches reproduces the run.
-        np.testing.assert_allclose(report.losses, reference, atol=1e-2)
+        assert report.losses == reference
 
     def test_corrupt_newest_checkpoint_falls_back_to_older(self, tmp_path):
         config = ChaosConfig(steps=6, checkpoint_every=2, seed=4)
@@ -182,3 +177,54 @@ class TestRecoveryMechanics:
         )
         with pytest.raises(RankFailedError):
             trainer.train(make_batches(config))
+
+
+class TestTierDeathReplaysExactly:
+    """A dead SSD tier takes the recover rung: the newest good snapshot is
+    restored on a CPU-only engine and replayed, whenever the tier dies."""
+
+    # Requests 1-25 register, 26 is the initial checkpoint capture, each
+    # step issues 40 (a sweep read, then a write, per module), 147 is the
+    # step-3 capture; the step-4 rank failure re-registers (188-212) and
+    # restores (213) before steps 4-5 replay and 334 captures step 6.
+    CONFIG = dict(steps=6, checkpoint_every=3, seed=2, rank_failure_at_step=4)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return run_reference(ChaosConfig(**self.CONFIG))
+
+    @pytest.mark.parametrize("die_after_ops", [
+        0,    # registration
+        25,   # initial checkpoint capture
+        26,   # first sweep read
+        27,   # first sweep write
+        60, 99,
+        146,  # step-3 checkpoint capture
+        150, 187,
+        200,  # registration after the rank failure
+        212,  # the rank failure's restore
+        240, 300,
+        333,  # step-6 checkpoint capture
+    ])
+    def test_every_tier_death_replays_bit_for_bit(
+        self, die_after_ops, reference, tmp_path
+    ):
+        config = ChaosConfig(die_after_ops=die_after_ops, **self.CONFIG)
+        report = run_chaos(config, str(tmp_path))
+        assert report.steps_completed == 6
+        assert report.counters.tier_deaths == 1
+        assert report.losses == reference
+
+    def test_tier_death_during_recovery_restore_rebuilds_on_cpu(
+        self, reference, tmp_path
+    ):
+        """Regression: a tier dying under the rank failure's restore used
+        to escape the supervisor as a TierFailedError."""
+        config = ChaosConfig(die_after_ops=212, **self.CONFIG)
+        report = run_chaos(config, str(tmp_path))
+        assert [r.kind for r in report.fault_log] == [
+            FaultKind.RANK_FAILURE, FaultKind.TIER_DEATH]
+        assert report.counters.recoveries == 1
+        assert report.counters.tier_deaths == 1
+        assert report.recovery_steps == [3]
+        assert report.losses == reference

@@ -63,10 +63,13 @@ class TestCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "steps completed : 6" in out
-        assert "recoveries at   : [4]" in out
+        # The tier dies in step 3 and restores the step-2 checkpoint; the
+        # step-4 rank failure restores the step-4 one.
+        assert "tier deaths     : 1" in out
+        assert "recoveries at   : [2, 4]" in out
         assert "tier_death" in out and "rank_failure" in out
-        assert "recoveries" in out and "degradations" in out
-        assert "final loss" in out and "Young/Daly" in out
+        assert "faults.recoveries        2" in out
+        assert "max |delta| 0.00e+00" in out and "Young/Daly" in out
 
     def test_profile_writes_bench_and_trace(self, capsys, tmp_path):
         import json
@@ -136,7 +139,7 @@ class TestCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "(none)" in out  # empty fault log
-        assert "|delta| 0.0000" in out  # bit-for-bit with the reference
+        assert "max |delta| 0.00e+00" in out  # bit-for-bit with the reference
 
 
 class TestReportCli:

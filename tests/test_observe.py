@@ -22,7 +22,6 @@ from repro.observe import (
     WaterlineRule,
     WorkerLivenessRule,
     alert_from_dict,
-    degrade_recommendation,
     render_html,
     render_markdown,
     write_report,
@@ -50,32 +49,6 @@ class TestAlerts:
             message="gpu nearly full", step=7, evidence={"tier": "gpu"},
         )
         assert alert_from_dict(alert.to_dict()) == alert
-
-    def test_degrade_recommendation_for_retry_storm(self):
-        alert = Alert(
-            rule="retry_storm", severity=Severity.WARNING, message="", step=3,
-            evidence={"retries_in_window": 9.0, "window_steps": 4},
-        )
-        recommendation = degrade_recommendation(alert)
-        assert recommendation and "degrade_tier" in recommendation
-
-    def test_degrade_recommendation_for_saturated_ssd_edge(self):
-        alert = Alert(
-            rule="tier_bandwidth", severity=Severity.WARNING, message="",
-            step=3, evidence={"edge": "cpu->ssd", "bytes_per_step": 1e9},
-        )
-        assert "degrade_tier" in degrade_recommendation(alert)
-
-    def test_no_recommendation_for_gpu_edge_or_info(self):
-        gpu_edge = Alert(
-            rule="tier_bandwidth", severity=Severity.WARNING, message="",
-            step=1, evidence={"edge": "cpu->gpu"},
-        )
-        assert degrade_recommendation(gpu_edge) is None
-        info = Alert(
-            rule="retry_storm", severity=Severity.INFO, message="", step=1
-        )
-        assert degrade_recommendation(info) is None
 
 
 class TestRules:
@@ -483,7 +456,7 @@ class TestProfileIntegration:
 
 
 class TestResilienceIntegration:
-    def test_chaos_run_collects_alerts_and_recommendations(self, tmp_path):
+    def test_chaos_run_collects_alerts(self, tmp_path):
         from repro.resilience import ChaosConfig, run_chaos
 
         telemetry = Telemetry()
@@ -501,11 +474,9 @@ class TestResilienceIntegration:
             config, str(tmp_path), telemetry=telemetry, watchdog=watchdog
         )
         assert report.steps_completed == 8
-        # Heavy transient rates retry constantly: the retry storm fires
-        # and recommends (never forces) degrading the SSD tier.
+        # Heavy transient rates retry constantly: the retry storm fires.
         rules = {a.rule for a in report.alerts}
         assert "retry_storm" in rules
-        assert any("degrade_tier" in r for r in report.recommendations)
         assert telemetry.registry.value(
             "watchdog.alerts", rule="retry_storm", severity="WARNING"
         ) >= 1

@@ -343,6 +343,10 @@ class TestStateReadAhead:
                           (0, 0, 0)]
 
     def test_read_ahead_death_surfaces_at_step_and_replays_exactly(self):
+        from repro.checkpoint.trainer_state import (
+            capture_engine_state,
+            restore_engine_state,
+        )
         from repro.errors import TierFailedError
         from repro.resilience import FaultKind
 
@@ -355,7 +359,7 @@ class TestStateReadAhead:
             for index, batch in enumerate(batches):
                 losses.append(self.step(reference, batch))
                 if index == 2:
-                    reference.barrier()
+                    capture_engine_state(reference, step=3)
                     before_fourth = plan.ops_seen
             params = [m.param.data.copy() for m in reference._managed]
         finally:
@@ -366,6 +370,7 @@ class TestStateReadAhead:
         engine = self.ssd_engine(factory, dying)
         try:
             replayed = [self.step(engine, b) for b in batches[:3]]
+            snapshot = capture_engine_state(engine, step=3)
             engine.backward(engine(batches[3]))
             with pytest.raises(TierFailedError):
                 engine.step()
@@ -373,13 +378,21 @@ class TestStateReadAhead:
             assert dying.log[0].op_index == before_fourth + 3
             # Steps 2 and 3 read 16 layers ahead each; step 4 read two.
             assert engine.pipeline_report()["writeback"]["read_ahead"] == 34
-            engine.degrade_tier()
-            assert engine._read_ahead == set()
-            replayed += [self.step(engine, b) for b in batches[3:]]
-            assert engine.pipeline_report()["inline_state_reads"] == 0
-            got = [m.param.data.copy() for m in engine._managed]
         finally:
-            engine.close()
+            # Teardown re-raises the recorded death once the pipeline is
+            # down: close returns, never hangs on the dead I/O thread.
+            with pytest.raises(TierFailedError):
+                engine.close()
+
+        # The recover rung: the pre-step snapshot on a CPU-only engine.
+        survivor = self.ssd_engine(factory, FaultPlan(), ssd_bytes=0)
+        try:
+            assert restore_engine_state(snapshot, survivor) == 3
+            replayed += [self.step(survivor, b) for b in batches[3:]]
+            assert survivor.pipeline_report()["inline_state_reads"] == 0
+            got = [m.param.data.copy() for m in survivor._managed]
+        finally:
+            survivor.close()
         assert replayed == losses
         for a, b in zip(params, got):
             assert np.array_equal(a, b)
@@ -546,40 +559,6 @@ class TestStatePageRule:
             assert np.array_equal(a, b)
 
 
-class TestProcessDataPlane:
-    """io_workers="process": copies leave the GIL, numerics must not."""
-
-    def test_process_mode_bit_identical_to_thread(self, tmp_path):
-        common = dict(pipeline=True, ssd_bytes=16 * MiB)
-        thread_losses, thread_params, _ = train(
-            io_workers="thread", ssd_path=str(tmp_path / "t.bin"), **common
-        )
-        proc_losses, proc_params, facts = train(
-            io_workers="process", ssd_path=str(tmp_path / "p.bin"), **common
-        )
-        assert thread_losses == proc_losses
-        for name, array in thread_params.items():
-            assert np.array_equal(array, proc_params[name]), name
-        assert facts["report"]["writeback"]["flushed"] > 0
-
-    def test_process_mode_bit_identical_to_sync(self):
-        sync_losses, sync_params, _ = train(pipeline=False)
-        proc_losses, proc_params, _ = train(
-            pipeline=True, io_workers="process"
-        )
-        assert sync_losses == proc_losses
-        for name, array in sync_params.items():
-            assert np.array_equal(array, proc_params[name]), name
-
-    def test_invalid_io_workers_rejected(self):
-        with pytest.raises(ConfigurationError, match="io_workers"):
-            AngelConfig(io_workers="goroutine")
-
-    def test_io_workers_roundtrips_through_dict(self):
-        config = AngelConfig(io_workers="process")
-        assert AngelConfig.from_dict(config.to_dict()) == config
-
-
 class TestPageCopyService:
     def test_copy_between_shared_arenas(self):
         from repro.memory.arena import ArenaPoolBackend
@@ -600,27 +579,6 @@ class TestPageCopyService:
             assert bytes(out) == payload
         finally:
             src.close()
-            dst.close()
-
-    def test_scatter_stages_payload_into_arena(self):
-        from repro.memory.arena import ArenaPoolBackend
-        from repro.runtime.ioproc import PageCopyService
-
-        dst = ArenaPoolBackend(num_pages=4, page_bytes=128, shared=True)
-        try:
-            payload = np.arange(256, dtype=np.uint8)
-            with PageCopyService() as service:
-                # Scatter halves of the payload into pages 3 and 1.
-                service.scatter(
-                    dst.descriptor(),
-                    [(3 * 128, payload[:128]), (1 * 128, payload[128:])],
-                )
-            out = bytearray(128)
-            dst.readinto(3, 0, out)
-            assert bytes(out) == payload[:128].tobytes()
-            dst.readinto(1, 0, out)
-            assert bytes(out) == payload[128:].tobytes()
-        finally:
             dst.close()
 
     def test_copy_after_close_rejected(self):

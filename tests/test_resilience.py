@@ -1,4 +1,4 @@
-"""Fault injection, retry/backoff, tier degradation and availability math."""
+"""Fault injection, retry/backoff, tier-death restores and availability math."""
 
 import sys
 import threading
@@ -8,7 +8,6 @@ import pytest
 
 from repro.engine.angel import AngelConfig, initialize
 from repro.errors import (
-    AllocationError,
     ConfigurationError,
     RetryExhaustedError,
     TierFailedError,
@@ -18,7 +17,7 @@ from repro.hardware.device import DeviceKind
 from repro.memory.allocator import PageAllocator
 from repro.memory.pool import DevicePool
 from repro.metrics import FaultCounters
-from repro.nn import MixedPrecisionAdam, TinyTransformerLM
+from repro.nn import MixedPrecisionAdam, TinyTransformerLM, lm_synthetic_batches
 from repro.resilience import (
     AvailabilityModel,
     FaultKind,
@@ -309,20 +308,8 @@ class TestAllocatorRetry:
             with pytest.raises(TransientIOError):
                 allocator.move_pages([tensor], DeviceKind.SSD)
 
-    def test_drop_pool_refuses_while_occupied(self):
-        plan = FaultPlan(seed=0)
-        with PageAllocator(self._pools(plan)) as allocator:
-            tensor = allocator.allocate((PAGE // 4,), np.float32, DeviceKind.SSD)
-            with pytest.raises(AllocationError):
-                allocator.drop_pool(DeviceKind.SSD)
-            tensor.release()
-            allocator.drop_pool(DeviceKind.SSD)
-            with pytest.raises(AllocationError):
-                allocator.pool(DeviceKind.SSD)
-
-
 class TestEngineDegradation:
-    def _engine(self, plan=None, policy=None):
+    def _engine(self, plan=None, policy=None, ssd_bytes=16 * MiB):
         model = TinyTransformerLM(
             vocab_size=16, d_model=16, d_ffn=32, num_heads=2, num_layers=2,
             max_seq=8, seed=0,
@@ -330,38 +317,43 @@ class TestEngineDegradation:
         optimizer = MixedPrecisionAdam(model.parameters(), lr=1e-3)
         config = AngelConfig(
             gpu_memory_bytes=4 * MiB, cpu_memory_bytes=64 * MiB,
-            ssd_bytes=16 * MiB, page_bytes=64 * KiB,
+            ssd_bytes=ssd_bytes, page_bytes=64 * KiB,
             fault_plan=plan, retry_policy=policy,
         )
         return initialize(model, optimizer, config)
 
-    def test_degrade_rebuilds_states_on_cpu_exactly(self):
-        engine = self._engine()
-        try:
-            masters = [m.master.read_array().copy() for m in engine._managed]
-            assert engine.state_tier == DeviceKind.SSD
-            rebuilt = engine.degrade_tier(DeviceKind.SSD, DeviceKind.CPU)
-            assert rebuilt == 3 * len(engine._managed)
-            assert engine.state_tier == DeviceKind.CPU
-            for managed, expected in zip(engine._managed, masters):
-                assert managed.master.device_kind == DeviceKind.CPU
-                np.testing.assert_array_equal(managed.master.read_array(), expected)
-            assert "ssd" not in engine.memory_report()
-        finally:
-            engine.close()
-
-    def test_degrade_requires_states_on_dead_tier(self):
-        model = TinyTransformerLM(
-            vocab_size=16, d_model=16, d_ffn=32, num_heads=2, num_layers=2,
-            max_seq=8, seed=0,
+    def test_snapshot_restores_ssd_states_on_cpu_exactly(self):
+        """The recover rung's engine half: an SSD-tier engine's snapshot
+        restores onto a CPU-only engine, which trains on bit for bit."""
+        from repro.checkpoint.trainer_state import (
+            capture_engine_state,
+            restore_engine_state,
         )
-        optimizer = MixedPrecisionAdam(model.parameters(), lr=1e-3)
-        engine = initialize(model, optimizer, AngelConfig())
-        try:
-            with pytest.raises(ConfigurationError):
-                engine.degrade_tier(DeviceKind.SSD, DeviceKind.CPU)
-        finally:
-            engine.close()
+
+        batches = list(lm_synthetic_batches(16, 8, 4, 4, seed=0))
+
+        def step(engine, batch):
+            loss = engine(batch)
+            engine.backward(loss)
+            engine.step()
+            return loss.item()
+
+        with self._engine() as engine:
+            losses = [step(engine, b) for b in batches]
+        with self._engine() as engine:
+            replayed = [step(engine, b) for b in batches[:2]]
+            snapshot = capture_engine_state(engine, step=2)
+        with self._engine(ssd_bytes=0) as survivor:
+            assert restore_engine_state(snapshot, survivor) == 2
+            assert "ssd" not in survivor.memory_report()
+            for managed in survivor._managed:
+                assert managed.master.device_kind == DeviceKind.CPU
+                np.testing.assert_array_equal(
+                    managed.master.read_array(),
+                    snapshot.arrays[f"master/{managed.name}"],
+                )
+            replayed += [step(survivor, b) for b in batches[2:]]
+        assert replayed == losses
 
     def test_engine_retries_transient_state_io(self):
         plan = FaultPlan(seed=1, transient_write_rate=0.05, max_transients=5)
