@@ -1,8 +1,8 @@
 """Capturing and restoring a functional engine's full training state.
 
-A :class:`~repro.engine.angel.AngelModel`'s authoritative FP32 states
-live in paged (possibly file-backed SSD) tensors — exactly what survives
-the GPU-failure restart of Section 3.1.
+A :class:`~repro.engine.angel.AngelModel`'s FP32 states live only in
+paged (possibly file-backed SSD) tensors — exactly what survives the
+GPU-failure restart of Section 3.1.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from repro.memory.tensor import gather, scatter
 def capture_engine_state(engine, step: int = 0) -> Snapshot:
     """Snapshot a functional AngelModel from its *paged* tensors.
 
-    The pages are authoritative (they may live on the file-backed SSD
-    tier); reading through them exercises the same path a production
-    checkpointer would, once the engine's queued state flushes landed:
-    one vectored read per pool for every FP32 state.
+    The pages are the only copy of the FP32 states (they may live on the
+    file-backed SSD tier); reading through them exercises the same path a
+    production checkpointer would, once the engine's queued state flushes
+    landed: one vectored read per pool for every FP32 state.
     """
     engine.barrier()
     snapshot = Snapshot(
@@ -64,7 +64,7 @@ def _fp32_states(engine) -> dict:
 
 def restore_engine_state(snapshot: Snapshot, engine) -> int:
     """Restore a snapshot into a (freshly initialized) AngelModel."""
-    engine.barrier()  # no queued flush may still read the host arrays
+    engine.barrier()  # no queued flush may land on top of the restore
     names = snapshot.metadata["param_names"]
     current = [m.name for m in engine._managed]
     if names != current:
@@ -76,17 +76,13 @@ def restore_engine_state(snapshot: Snapshot, engine) -> int:
         managed.fp16.write_array(
             snapshot.arrays[f"fp16/{managed.name}"].view(np.float16)
         )
-        index = managed.index
-        engine.optimizer.master[index][...] = snapshot.arrays[f"master/{managed.name}"]
-        engine.optimizer.m[index][...] = snapshot.arrays[f"m/{managed.name}"]
-        engine.optimizer.v[index][...] = snapshot.arrays[f"v/{managed.name}"]
         if "grad_counts" in snapshot.metadata:
             engine._buffers.load(
-                index, snapshot.arrays[f"grad/{managed.name}"],
-                snapshot.metadata["grad_counts"][index],
+                managed.index, snapshot.arrays[f"grad/{managed.name}"],
+                snapshot.metadata["grad_counts"][managed.index],
             )
     engine.optimizer.t = int(snapshot.metadata["adam_t"])
     engine._iteration = int(snapshot.metadata["iteration"])
     engine._pending = int(snapshot.metadata["pending"])
-    engine._read_ahead.clear()  # those reads landed pre-restore bytes
+    engine._read_ahead.clear()  # those arrays hold pre-restore bytes
     return int(snapshot.metadata["step"])

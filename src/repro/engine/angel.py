@@ -7,7 +7,8 @@ optional file-backed SSD pool. Forward hooks fetch each module's parameter
 pages into the GPU pool on first touch (evicting least-recently-used pages
 under pressure), the backward pass deposits gradients into CPU buffers,
 and ``step()`` round-trips the FP32 master states through their pages —
-through real file I/O when the SSD tier is enabled.
+through real file I/O when the SSD tier is enabled. They are the only copy:
+each sweep stages one layer's states in transient arrays.
 
 With ``pipeline=True`` the engine becomes schedule-driven after its first
 (recording) iteration: the recorded access pattern is planned by the same
@@ -48,7 +49,7 @@ from repro.nn.data import Batch
 from repro.nn.functional import cross_entropy
 from repro.nn.layers import Module
 from repro.nn.optim import MixedPrecisionAdam
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, round_fp16
 from repro.protocols import FaultPlanLike, RetryPolicyLike, TelemetryLike
 from repro.units import KiB, MiB
 
@@ -271,9 +272,10 @@ class AngelModel:
         self._cache_resident: set[int] = set()
         self._stall_seconds = 0.0
         self._demand_seconds = 0.0
-        #: Layers (``_groups`` index) whose FP32 states the state I/O
-        #: thread reads ahead for the next sweep.
-        self._read_ahead: set[int] = set()
+        #: Layer (``_groups`` index) -> the arrays the state I/O thread
+        #: reads its FP32 states into for the next sweep (master, m, v per
+        #: parameter). Only that sweep and its queued write hold them.
+        self._read_ahead: dict[int, list[np.ndarray]] = {}
         #: Sweep reads of off-GPU states on the pipelined path that did
         #: not come from a read ahead (ROADMAP: no silent fallbacks).
         self.inline_state_reads = 0
@@ -283,8 +285,11 @@ class AngelModel:
     # ------------------------------------------------------------------
     def _register_parameters(self) -> None:
         params = list(self.module.named_parameters())
-        if len(params) != len(self.optimizer.params):
+        opt = self.optimizer
+        if len(params) != len(opt.params):
             raise ConfigurationError("optimizer does not cover the model's parameters")
+        if any(master is None for master in opt.master):
+            raise ConfigurationError("the optimizer's FP32 states already live in an engine's pages")
         state_tier = DeviceKind.SSD if self.config.ssd_bytes else DeviceKind.CPU
         for index, (name, param) in enumerate(params):
             fp16 = self.allocator.allocate(param.shape, np.float16, DeviceKind.CPU)
@@ -293,9 +298,10 @@ class AngelModel:
                 self.allocator.allocate(param.shape, np.float32, state_tier)
                 for _ in range(3)
             )
-            zeros = np.zeros(param.shape, np.float32)
+            # The optimizer's own states, so a stepped optimizer keeps them.
             self._io(lambda: scatter(
-                [master, moment1, moment2], [param.data, zeros, zeros]
+                [master, moment1, moment2],
+                [opt.master[index], opt.m[index], opt.v[index]],
             ))
             managed = _Managed(
                 index=index, name=name, param=param, fp16=fp16,
@@ -311,6 +317,8 @@ class AngelModel:
                  if fp16_ids.intersection(t.page_list[-1].tensor_ids)]
         if mixed:
             raise ConfigurationError(f"FP32 states share a page with FP16 parameters: {mixed}")
+        # From here on the pages are the only copy (Section 4.1).
+        opt.master[:] = opt.m[:] = opt.v[:] = [None] * len(params)
 
     def _io(self, fn):
         """Run a paged-state I/O op under the configured retry policy."""
@@ -637,14 +645,10 @@ class AngelModel:
             )
             telemetry.counter("engine.update_sweeps").inc()
 
-    def _layer_states(self, group) -> tuple[list, list]:
-        """``group``'s paged FP32 states and the host arrays mirroring them."""
-        opt = self.optimizer
-        states, hosts = [], []
-        for m in group:
-            states += (m.master, m.moment1, m.moment2)
-            hosts += (opt.master[m.index], opt.m[m.index], opt.v[m.index])
-        return states, hosts
+    @staticmethod
+    def _layer_states(group) -> list[PagedTensor]:
+        """``group``'s paged FP32 states: master, m, v per parameter."""
+        return [t for m in group for t in (m.master, m.moment1, m.moment2)]
 
     def _read_states_ahead(self) -> None:
         """If this iteration's step will sweep, queue each off-GPU layer's
@@ -653,14 +657,15 @@ class AngelModel:
         if self._read_ahead or self._pending + 1 < self._interval:
             return
         for layer in reversed(range(len(self._groups))):
-            states, hosts = self._layer_states(self._groups[layer])
+            states = self._layer_states(self._groups[layer])
             if all(t.device_kind == DeviceKind.GPU for t in states):
                 continue  # GPU-cache-resident: a pool read in the sweep
+            hosts = [np.empty(t.shape, t.dtype) for t in states]
             if not self._writeback.submit_read(
                 layer, partial(gather, states, hosts)
             ):
                 return  # the thread failed; step() raises its error
-            self._read_ahead.add(layer)
+            self._read_ahead[layer] = hosts
 
     def _sweep_body(self) -> None:
         """Per layer, last first: its FP32 states (read ahead, or ONE
@@ -668,40 +673,47 @@ class AngelModel:
         (Algorithm 2, lines 2-7)."""
         opt = self.optimizer
         writeback = self._writeback
-        read_ahead, self._read_ahead = self._read_ahead, set()
+        read_ahead, self._read_ahead = self._read_ahead, {}
         if writeback is not None:
             # The previous sweep's writes, then this iteration's reads:
-            # once the FIFO drains the host arrays are the sweep's, and a
-            # tier death surfaces here, before any state has changed.
+            # once the FIFO drains the staged arrays are the sweep's, and
+            # a tier death surfaces here, before any state has changed.
             writeback.barrier()
         opt.bump_step()
         for layer in reversed(range(len(self._groups))):
             live = []
-            for managed in self._groups[layer]:
+            for slot, managed in enumerate(self._groups[layer]):
                 grad, count = self._buffers.drain(managed.index)
                 if count:
                     if count > 1:
                         grad /= count
-                    live.append((managed, grad))
+                    live.append((slot, managed, grad))
             if not live:
                 continue
-            states, hosts = self._layer_states(m for m, _ in live)
+            states = self._layer_states(m for _, m, _ in live)
             threaded = writeback is not None and any(
                 t.device_kind != DeviceKind.GPU for t in states)
-            if layer not in read_ahead:
+            staged = read_ahead.get(layer)
+            if staged is not None:
+                hosts = [a for slot, _, _ in live for a in staged[3 * slot:3 * slot + 3]]
+            else:
+                hosts = [np.empty(t.shape, t.dtype) for t in states]
                 if threaded:
                     self.inline_state_reads += 1
                 # Transient faults are retried; permanent tier death escalates.
                 self._io(partial(gather, states, hosts))
-            for managed, grad in live:
+            for k, (_, managed, grad) in enumerate(live):
+                master, m, v = hosts[3 * k:3 * k + 3]
+                opt._apply(master, grad, m, v)
                 # p'16 is rounded once (line 13); the page stores its float16
                 # encoding and the parameter keeps the array itself.
-                refreshed = opt.apply_gradient(managed.index, grad)
+                refreshed = round_fp16(master)
                 # The FP16 refresh stays synchronous: the very next forward
                 # reads it, and deferring it would reintroduce staleness.
                 with self._move_lock:
                     managed.fp16.write_array(refreshed.astype(np.float16))
                 managed.param.data = refreshed
+            # The queued write holds ``hosts`` until it lands.
             flush = partial(scatter, states, hosts)
             if threaded:
                 writeback.submit(layer, flush)  # off the critical path
@@ -724,8 +736,8 @@ class AngelModel:
         return self.allocator.residency_report()
 
     def barrier(self) -> None:
-        """Block until all queued FP32-state I/O has landed, so the paged
-        states equal the optimizer's host arrays (checkpoints)."""
+        """Block until all queued FP32-state I/O has landed, so the pages
+        hold every FP32 state's latest value (checkpoints)."""
         if self._writeback is not None:
             self._writeback.barrier()
 

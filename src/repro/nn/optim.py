@@ -101,7 +101,10 @@ class MixedPrecisionAdam(Adam):
 
     The optimizer owns the FP32 master copy; after each step the model's
     parameters are refreshed with the FP16-rounded master values,
-    mirroring ``cast(p32, FP16)`` on line 13 of Algorithm 2.
+    mirroring ``cast(p32, FP16)`` on line 13 of Algorithm 2. Once
+    ``initialize`` wraps it, the engine's pages hold ``master``/``m``/``v``
+    instead: each entry is ``None`` and the engine's sweep calls ``_apply``
+    on one layer's staged states at a time.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3, **kwargs):
@@ -120,21 +123,6 @@ class MixedPrecisionAdam(Adam):
                 )
             self._apply(self.master[i], param.grad, self.m[i], self.v[i])
             param.data[...] = round_fp16(self.master[i])
-
-    def apply_gradient(self, index: int, grad: np.ndarray) -> np.ndarray:
-        """Update one parameter from an externally supplied gradient.
-
-        Used by the engine's update sweep (Algorithm 2's updating
-        thread), which consumes *buffered* gradients rather than the
-        tensors' ``.grad`` fields. Returns ``p'16 = cast(p32, FP16)``
-        (line 13): a new float32 array holding the master's nearest
-        float16 values (``round_fp16``), which the caller may keep as
-        the parameter's data and encode once into its FP16 page.
-        """
-        if self.t < 1:
-            raise GradientError("bump_step() must precede apply_gradient()")
-        self._apply(self.master[index], grad, self.m[index], self.v[index])
-        return round_fp16(self.master[index])
 
     def bump_step(self) -> None:
         """Advance the bias-correction step counter by one sweep."""

@@ -1,12 +1,17 @@
 """Functional Angel engine: the Figure 6 API over paged memory tiers."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.engine import AngelConfig, initialize
 from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.hardware.device import DeviceKind
-from repro.nn import Adam, MixedPrecisionAdam, TinyTransformerLM, lm_synthetic_batches
+from repro.nn import (
+    Adam, MixedPrecisionAdam, TinyTransformerLM, cross_entropy, lm_synthetic_batches,
+)
 from repro.telemetry import Telemetry
 from repro.units import KiB, MiB
 
@@ -18,9 +23,9 @@ def tiny_model(seed=1, num_layers=2):
     )
 
 
-def make_engine(model=None, **config_kwargs):
+def make_engine(model=None, optimizer=None, **config_kwargs):
     model = model or tiny_model()
-    opt = MixedPrecisionAdam(model.parameters(), lr=2e-3)
+    opt = optimizer or MixedPrecisionAdam(model.parameters(), lr=2e-3)
     defaults = dict(
         gpu_memory_bytes=2 * MiB,
         cpu_memory_bytes=16 * MiB,
@@ -67,21 +72,70 @@ class TestTrainingLoop:
             assert np.mean(losses[-8:]) < np.mean(losses[:8]) - 0.2
 
     def test_pages_are_authoritative_for_master_state(self):
-        """After a step, the paged FP32 master equals the optimizer's."""
+        """After three steps the paged FP32 master, m and v equal a plain
+        MixedPrecisionAdam loop's — and the pages are their only copy."""
+        batches = list(lm_synthetic_batches(16, 8, 4, 3, seed=3))
         with make_engine() as engine:
-            for batch in lm_synthetic_batches(16, 8, 4, 3, seed=3):
+            for batch in batches:
                 loss = engine(batch)
                 engine.backward(loss)
                 engine.step()
+            pages = [[t.read_array() for t in (m.master, m.moment1, m.moment2)]
+                     for m in engine._managed]
             for managed in engine._managed:
-                np.testing.assert_array_equal(
-                    managed.master.read_array(),
-                    engine.optimizer.master[managed.index],
-                )
                 np.testing.assert_array_equal(
                     managed.fp16.read_array().astype(np.float32),
                     managed.param.data,
                 )
+            opt = engine.optimizer
+            assert opt.master == opt.m == opt.v == [None] * len(engine._managed)
+        model = tiny_model()
+        opt = MixedPrecisionAdam(model.parameters(), lr=2e-3)
+        for param in model.parameters():  # compute reads the buffered p'16
+            param.data[...] = param.data.astype(np.float16).astype(np.float32)
+        for batch in batches:
+            loss = cross_entropy(model(batch.inputs, True), batch.targets)
+            model.zero_grad()
+            loss.backward()
+            for param in model.parameters():  # the FP16 gradient buffer
+                param.grad = param.grad.astype(np.float16).astype(np.float32)
+            opt.step()
+        for i, states in enumerate(pages):
+            for got, want in zip(states, (opt.master[i], opt.m[i], opt.v[i])):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("ssd", [False, True])
+    def test_initialize_keeps_a_stepped_optimizers_states(self, ssd):
+        """Wrapping an optimizer that already stepped moves its FP32
+        master, m and v into the pages bit for bit, not the FP16-rounded
+        parameters and zeros."""
+        model = tiny_model()
+        opt = MixedPrecisionAdam(model.parameters(), lr=2e-3)
+        for batch in lm_synthetic_batches(16, 8, 4, 2, seed=5):
+            loss = cross_entropy(model(batch.inputs, True), batch.targets)
+            model.zero_grad()
+            loss.backward()
+            opt.step()
+        before = [[a.copy() for a in (opt.master[i], opt.m[i], opt.v[i])]
+                  for i in range(len(opt.params))]
+        with make_engine(model, ssd_bytes=16 * MiB if ssd else 0,
+                         optimizer=opt) as engine:
+            assert engine.optimizer.t == 2
+            for managed in engine._managed:
+                pages = (managed.master, managed.moment1, managed.moment2)
+                for page, want in zip(pages, before[managed.index]):
+                    np.testing.assert_array_equal(
+                        page.read_array().view(np.uint32), want.view(np.uint32),
+                        err_msg=managed.name,
+                    )
+
+    def test_wrapped_optimizer_cannot_be_wrapped_again(self):
+        with make_engine() as engine:
+            with pytest.raises(ConfigurationError, match="already live"):
+                initialize(engine.module, engine.optimizer, AngelConfig(
+                    gpu_memory_bytes=2 * MiB, cpu_memory_bytes=16 * MiB,
+                    page_bytes=32 * KiB,
+                ))
 
     def test_parameters_move_to_gpu_on_forward(self):
         with make_engine() as engine:
@@ -135,6 +189,55 @@ class TestTrainingLoop:
                 engine.step()
                 losses.append(loss.item())
             assert np.mean(losses[-8:]) < np.mean(losses[:8]) - 0.2
+
+
+class TestHostMemory:
+    """The pages are the only copy of the FP32 states: between steps the
+    host holds the FP32 parameter, its gradient and its gradient buffer
+    (12 B/param), and no master, m or v array."""
+
+    @staticmethod
+    def traced_bytes(d_model, path, **config) -> tuple[int, int]:
+        """Host bytes tracemalloc sees held by an engine built from the
+        ``JobWorkload(layers=2, d_model)`` model after 3 steps and a
+        barrier, and the model's parameter count."""
+        from repro.fleet.factory import JobFactory, JobWorkload
+
+        factory = JobFactory(JobWorkload(layers=2, d_model=d_model))
+        batches = factory.batches(3)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            engine = factory.engine(AngelConfig(
+                page_bytes=64 * KiB, gpu_memory_bytes=16 * MiB,
+                cpu_memory_bytes=96 * MiB, ssd_path=str(path), **config,
+            ))
+            try:
+                for batch in batches:
+                    engine.backward(engine(batch))  # drops the autograd graph
+                    engine.step()
+                engine.barrier()
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0] - base
+                params = sum(p.data.size for p in engine.module.parameters())
+            finally:
+                engine.close()
+        finally:
+            tracemalloc.stop()
+        return held, params
+
+    @pytest.mark.parametrize("pipeline", [False, True], ids=["sync", "pipelined"])
+    @pytest.mark.parametrize("ssd_bytes", [0, 64 * MiB], ids=["cpu", "ssd"])
+    def test_marginal_host_bytes_per_parameter(self, tmp_path, pipeline, ssd_bytes):
+        """d_model 128 -> 256 adds ~437k parameters. A host mirror of
+        master, m and v adds 12 B each (~25 B/param in all); one mirrored
+        state alone would add 4 B and break the 16 B bound."""
+        small, n_small = self.traced_bytes(
+            128, tmp_path / "small.bin", pipeline=pipeline, ssd_bytes=ssd_bytes)
+        large, n_large = self.traced_bytes(
+            256, tmp_path / "large.bin", pipeline=pipeline, ssd_bytes=ssd_bytes)
+        assert (large - small) / (n_large - n_small) <= 16
 
 
 class TestIntrospection:

@@ -11,6 +11,7 @@ from repro.lockfree import GradientBuffers
 from repro.nn import (
     MixedPrecisionAdam, Tensor, TinyTransformerLM, cross_entropy, lm_synthetic_batches,
 )
+from repro.nn.tensor import round_fp16
 from repro.telemetry import Telemetry
 from repro.units import KiB, MiB
 
@@ -126,6 +127,8 @@ class TestEngineLockFree:
                 engine.backward(loss)
                 engine.step()
                 engine_losses.append(loss.item())
+            pages = [[t.read_array() for t in (m.master, m.moment1, m.moment2)]
+                     for m in engine._managed]
 
         model_b = tiny_model(seed=3)
         opt_b = MixedPrecisionAdam(model_b.parameters(), lr=1e-3)
@@ -142,11 +145,17 @@ class TestEngineLockFree:
             for acc, param in zip(buffered, params):
                 acc[...] = (acc + param.grad).astype(np.float16).astype(np.float32)
             if step % interval == 0:
+                # The sweep's kernel: one Adam step, then cast(p32, FP16).
                 opt_b.bump_step()
                 for i, param in enumerate(params):
-                    param.data[...] = opt_b.apply_gradient(i, buffered[i] / interval)
+                    opt_b._apply(opt_b.master[i], buffered[i] / interval,
+                                 opt_b.m[i], opt_b.v[i])
+                    param.data[...] = round_fp16(opt_b.master[i])
                     buffered[i][...] = 0.0
         assert engine_losses == losses
+        for i, states in enumerate(pages):
+            for got, want in zip(states, (opt_b.master[i], opt_b.m[i], opt_b.v[i])):
+                np.testing.assert_array_equal(got, want)
 
     def test_lag_gauge_counts_iterations_behind_the_sweep(self):
         telemetry = Telemetry()

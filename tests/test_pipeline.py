@@ -280,16 +280,24 @@ class TestVectoredStateIO:
             reference = [self.step(whole, b) for b in batches]
         finally:
             whole.close()
+        # A synchronous engine's pages are final when step() returns.
+        sync = self.ssd_engine(factory, FaultPlan(), pipeline=False,
+                               ssd_path=str(tmp_path / "sync.bin"))
+        try:
+            for b in batches[:3]:
+                self.step(sync, b)
+            settled = {f"{prefix}/{m.name}": t.read_array() for m in sync._managed
+                       for prefix, t in (("master", m.master), ("m", m.moment1),
+                                         ("v", m.moment2))}
+        finally:
+            sync.close()
 
         first = engine("first")
         try:
             losses = [self.step(first, b) for b in batches[:3]]
             snapshot = capture_engine_state(first, step=3)
-            for m in first._managed:
-                assert np.array_equal(
-                    snapshot.arrays[f"master/{m.name}"],
-                    first.optimizer.master[m.index],
-                ), m.name
+            for name, pages in settled.items():
+                assert np.array_equal(snapshot.arrays[name], pages), name
         finally:
             first.close()
         resumed = engine("resumed")
@@ -429,7 +437,13 @@ class TestStateReadAhead:
             resumed(batches[5])
             assert len(resumed._read_ahead) == 16
             assert restore_engine_state(snapshot, resumed) == 3
-            assert resumed._read_ahead == set()
+            assert resumed._read_ahead == {}
+            for m in resumed._managed:
+                for prefix, t in (("master", m.master), ("m", m.moment1),
+                                  ("v", m.moment2)):
+                    assert np.array_equal(
+                        t.read_array(), snapshot.arrays[f"{prefix}/{m.name}"]
+                    ), m.name
             losses += [self.step(resumed, b) for b in batches[3:]]
         finally:
             resumed.close()

@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.nn import MixedPrecisionAdam, Tensor, softmax
 from repro.nn.functional import layer_norm
+from repro.nn.tensor import round_fp16
 
 
 small_floats = hnp.arrays(
@@ -84,8 +85,9 @@ def test_gradient_buffer_accumulation_matches_fp16_sum(grads):
         elements=st.floats(min_value=-2, max_value=2, width=32),
     ),
 )
-def test_apply_gradient_equals_step(grad):
-    """apply_gradient on buffered grads == step() with .grad set."""
+def test_sweep_kernel_equals_step(grad):
+    """The engine sweep's kernel — ``bump_step``, ``_apply`` on staged
+    copies of the states, ``round_fp16`` — == step() with .grad set."""
     a = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     b = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     opt_a = MixedPrecisionAdam([a], lr=1e-2)
@@ -95,7 +97,10 @@ def test_apply_gradient_equals_step(grad):
     opt_a.step()
 
     opt_b.bump_step()
-    b.data[...] = opt_b.apply_gradient(0, grad.copy())
+    staged = [opt_b.master[0].copy(), opt_b.m[0].copy(), opt_b.v[0].copy()]
+    opt_b._apply(staged[0], grad.copy(), staged[1], staged[2])
+    b.data[...] = round_fp16(staged[0])
 
     np.testing.assert_array_equal(a.data, b.data)
-    np.testing.assert_array_equal(opt_a.master[0], opt_b.master[0])
+    for want, got in zip((opt_a.master[0], opt_a.m[0], opt_a.v[0]), staged):
+        np.testing.assert_array_equal(want, got)

@@ -139,6 +139,7 @@ def test_engine_bytes_match_numpy_cast(monkeypatch, interval):
     """20 steps of the bench model at 64 KiB pages, kernel vs numpy cast
     at every call site: losses, FP16 pages and FP32 states all equal."""
     from repro.checkpoint.trainer_state import capture_engine_state
+    from repro.engine import angel
     from repro.engine.angel import AngelConfig
     from repro.fleet.factory import JobFactory, JobWorkload
     from repro.lockfree import buffers
@@ -169,7 +170,7 @@ def test_engine_bytes_match_numpy_cast(monkeypatch, interval):
         calls.append(x.size)
         return numpy_fp16(x)
 
-    for module in (tensor, optim, buffers):
+    for module in (tensor, optim, buffers, angel):
         monkeypatch.setattr(module, "round_fp16", counted)
     ref_losses, ref_arrays = run()
     assert max(calls) >= FP16_KERNEL_MIN_SIZE  # the kernel path was replaced
