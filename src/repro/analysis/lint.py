@@ -1,8 +1,7 @@
 """AST concurrency lint over the repo's own sources.
 
 The pipelined runtime's prefetch worker and state I/O thread
-(:mod:`repro.runtime.pipeline`) and the event-bus callbacks
-(:mod:`repro.runtime.events`) are where code in this repo runs off the
+(:mod:`repro.runtime.pipeline`) are where code in this repo runs off the
 trainer thread — exactly where PatrickStar-style systems historically
 grew unguarded cross-thread state. This linter
 builds a **thread-role map** per class and flags:

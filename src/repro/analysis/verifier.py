@@ -50,8 +50,8 @@ from repro.scheduler.pages import LayerPages
 from repro.scheduler.tasks import Operation, Schedule, index_by_trigger
 from repro.tracer.tracer import IterationTrace
 
-#: Release order within one trigger, mirroring the runtime executor:
-#: evictions free space first, staging moves fill it, gathers consume it.
+#: Release order within one trigger: evictions free space first,
+#: staging moves fill it, gathers consume it.
 _RELEASE_ORDER = {
     Operation.MOVE_TO_CPU: 0,
     Operation.MOVE_TO_GPU: 1,
@@ -222,7 +222,7 @@ class ScheduleVerifier:
 
         Residency intervals are ``{(layer, page): [[start, end], ...]}``
         over logical ops, derived purely from the task list (plus the
-        executor's post-backward release of a layer's shard pages).
+        post-backward release of a layer's shard pages).
         """
         by_trigger = index_by_trigger(
             tasks, exclude=frozenset({Operation.COMPUTE})
@@ -333,7 +333,7 @@ class ScheduleVerifier:
                             ),
                         ))
                     gathers.append(task)
-            # The executor returns a layer's shard to the CPU right after
+            # The runtime returns a layer's shard to the CPU right after
             # its backward; mirror that implicit release.
             for layer_index, bwd_id in self._bwd_of.items():
                 if bwd_id != trigger:

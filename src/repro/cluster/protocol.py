@@ -45,7 +45,6 @@ class ClusterConfig:
     #: Rows per data shard; the global batch is num_data_shards * this.
     shard_batch: int = 2
     page_bytes: int = 16 * KiB
-    mixed_precision: bool = True
     #: Artificial per-step duration (simulated compute). Gives slow
     #: joiners a window to be admitted mid-run in tests and demos.
     step_delay: float = 0.0

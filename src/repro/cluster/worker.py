@@ -226,7 +226,7 @@ def _shard_grads(model, params, batch, config: ClusterConfig, rank: int,
             continue
         lo = shard * config.shard_batch
         hi = lo + config.shard_batch
-        logits = model(batch.inputs[lo:hi], config.mixed_precision)
+        logits = model(batch.inputs[lo:hi], mixed_precision=True)
         loss = cross_entropy(logits, batch.targets[lo:hi])
         model.zero_grad()
         loss.backward()

@@ -64,14 +64,17 @@ _ANGEL_CONFIG_FIELDS = (
     "cpu_memory_bytes",
     "ssd_bytes",
     "page_bytes",
-    "mixed_precision",
     "lock_free",
     "update_interval",
     "ssd_path",
     "pipeline",
-    "prefetch_window",
     "owner",
 )
+
+
+#: How many triggers ahead of the compute horizon the prefetch worker may
+#: run (the bounded in-flight window).
+PREFETCH_WINDOW = 2
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,9 @@ class AngelConfig:
     cpu_memory_bytes: int = 256 * MiB
     ssd_bytes: int = 0
     page_bytes: int = 256 * KiB
-    mixed_precision: bool = True
+    #: Lock-free updating (Algorithm 2): the update sweep runs once every
+    #: ``update_interval`` steps. Set together: ``lock_free`` exactly
+    #: when ``update_interval > 1``.
     lock_free: bool = False
     update_interval: int = 1
     ssd_path: str | None = None
@@ -90,9 +95,6 @@ class AngelConfig:
     #: plan the access pattern and drive prefetch/eviction/writeback from
     #: background workers (Section 4.3's hierarchical pipeline, live).
     pipeline: bool = False
-    #: How many triggers ahead of the compute horizon the prefetch worker
-    #: may run (the bounded in-flight window).
-    prefetch_window: int = 2
     #: Tenant this engine's pages belong to under multi-tenancy
     #: (``repro.fleet``); labels every page and names the pools.
     owner: str | None = None
@@ -119,13 +121,13 @@ class AngelConfig:
     def __post_init__(self) -> None:
         if self.update_interval < 1:
             raise ConfigurationError("update_interval must be >= 1")
-        if self.lock_free and self.update_interval < 2:
+        if self.lock_free != (self.update_interval > 1):
             raise ConfigurationError(
-                "lock-free mode implies update_interval >= 2 "
-                "(1 is synchronous training)"
+                "lock_free must be set exactly when update_interval >= 2 "
+                f"(got lock_free={self.lock_free}, "
+                f"update_interval={self.update_interval}; 1 is synchronous "
+                "training)"
             )
-        if self.prefetch_window < 1:
-            raise ConfigurationError("prefetch_window must be >= 1")
         if self.quota is not None and self.owner is None:
             raise ConfigurationError("quota enforcement requires an owner")
 
@@ -179,8 +181,6 @@ class AngelModel:
         self._clock = 0
         self._iteration = 0
         self._pending = 0
-        #: Steps per update sweep (lock-free mode defers the sweep).
-        self._interval = config.update_interval if config.lock_free else 1
         # _move_lock serializes page movement between the prefetch worker
         # and the demand-fetch / sweep paths. State-tier I/O takes no
         # lock: backends copy positionally (mmap slices, pread/pwrite),
@@ -476,7 +476,7 @@ class AngelModel:
             self._pipeline_fetch,
             self._pipeline_evict,
             num_ops=plan.trace.num_ops,
-            window=self.config.prefetch_window,
+            window=PREFETCH_WINDOW,
             telemetry=self.telemetry,
         )
         worker.start()
@@ -585,7 +585,7 @@ class AngelModel:
         with self.telemetry.span(
             f"fwd/iter{self._iteration}", track="train"
         ):
-            logits = self.module(batch.inputs, self.config.mixed_precision)
+            logits = self.module(batch.inputs, mixed_precision=True)
             return cross_entropy(logits, batch.targets)
 
     def backward(self, loss: Tensor) -> None:
@@ -617,7 +617,7 @@ class AngelModel:
             self._pipeline.raise_if_failed()
         if self._writeback is not None:
             self._writeback.raise_if_failed()
-        ran = self._pending >= self._interval
+        ran = self._pending >= self.config.update_interval
         if ran:
             self._update_sweep()
             self._pending = 0
@@ -654,7 +654,7 @@ class AngelModel:
         """If this iteration's step will sweep, queue each off-GPU layer's
         FP32-state read on the state I/O thread, in sweep order, behind
         the previous sweep's writes (one FIFO: read-your-writes)."""
-        if self._read_ahead or self._pending + 1 < self._interval:
+        if self._read_ahead or self._pending + 1 < self.config.update_interval:
             return
         for layer in reversed(range(len(self._groups))):
             states = self._layer_states(self._groups[layer])

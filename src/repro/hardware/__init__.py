@@ -9,7 +9,6 @@ from repro.hardware.device import DeviceKind, DeviceSpec
 from repro.hardware.link import LinkKind, LinkSpec
 from repro.hardware.server import ServerSpec, a100_server
 from repro.hardware.cluster import ClusterSpec
-from repro.hardware.topology import ClusterTopology, Topology
 
 __all__ = [
     "DeviceKind",
@@ -18,7 +17,5 @@ __all__ = [
     "LinkSpec",
     "ServerSpec",
     "ClusterSpec",
-    "Topology",
-    "ClusterTopology",
     "a100_server",
 ]

@@ -43,15 +43,6 @@ class ClusterSpec:
             return 0
         return self.server.ssd.memory_bytes * self.num_servers
 
-    @property
-    def aggregate_pcie_bandwidth(self) -> float:
-        """All GPUs can move data over their own PCIe path in parallel."""
-        return self.server.pcie.bandwidth * self.num_gpus
-
-    @property
-    def cross_server(self) -> bool:
-        return self.num_servers > 1
-
 
 def a100_cluster(num_servers: int, **server_kwargs) -> ClusterSpec:
     """Convenience constructor for a cluster of Table 3 servers."""

@@ -20,11 +20,6 @@ class DeviceKind(enum.IntEnum):
     CPU = 1
     SSD = 2
 
-    @property
-    def is_compute(self) -> bool:
-        """SSD stores bytes but never executes kernels."""
-        return self in (DeviceKind.GPU, DeviceKind.CPU)
-
 
 @dataclass(frozen=True)
 class DeviceSpec:

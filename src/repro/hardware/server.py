@@ -50,29 +50,6 @@ class ServerSpec:
         """Total GPU memory across the server."""
         return sum(gpu.memory_bytes for gpu in self.gpus)
 
-    @property
-    def total_memory_bytes(self) -> int:
-        """GPU + CPU (+ SSD) capacity available to model states."""
-        total = self.gpu_memory_bytes + self.cpu.memory_bytes
-        if self.ssd is not None:
-            total += self.ssd.memory_bytes
-        return total
-
-    def link_between(self, src: DeviceKind, dst: DeviceKind) -> LinkSpec:
-        """Resolve the intra-server link connecting two device tiers."""
-        pair = frozenset((src, dst))
-        if pair == frozenset((DeviceKind.CPU, DeviceKind.GPU)):
-            return self.pcie
-        if pair == frozenset((DeviceKind.GPU,)):
-            return self.nvlink
-        if pair == frozenset((DeviceKind.CPU, DeviceKind.SSD)):
-            if self.ssd_io is None:
-                raise ConfigurationError(f"{self.name} has no SSD tier")
-            return self.ssd_io
-        if pair == frozenset((DeviceKind.GPU, DeviceKind.SSD)):
-            raise ConfigurationError("GPU<->SSD transfers must stage through CPU")
-        raise ConfigurationError(f"no link between {src.name} and {dst.name}")
-
 
 def a100_server(
     name: str = "a100",

@@ -24,7 +24,6 @@ from repro.nn.layers import (
     MoEFFN,
     Module,
     MultiHeadAttention,
-    Sequential,
     TinyTransformerLM,
     TransformerBlock,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "TransformerBlock",
     "MoEFFN",
     "Embedding",
-    "Sequential",
     "TinyTransformerLM",
     "SGD",
     "Adam",

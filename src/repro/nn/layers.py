@@ -122,19 +122,6 @@ class GELU(Module):
         return gelu(x)
 
 
-class Sequential(Module):
-    def __init__(self, *layers: Module):
-        super().__init__()
-        self.layers = list(layers)
-        for index, layer in enumerate(layers):
-            self._modules[str(index)] = layer
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-
 class Embedding(Module):
     def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
         super().__init__()

@@ -4,7 +4,7 @@ Three consumers of the recording layer (:mod:`repro.telemetry`):
 
 - :mod:`repro.observe.watchdog` — streaming anomaly detectors evaluated
   at step boundaries, emitting :class:`~repro.observe.alerts.Alert`
-  records onto the event bus;
+  records;
 - :mod:`repro.observe.forensics` — per-tier residency timelines and the
   forensic dump attached to every :class:`~repro.errors.OutOfMemoryError`;
 - :mod:`repro.observe.report` — the ``repro report`` generator merging

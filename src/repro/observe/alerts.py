@@ -3,9 +3,8 @@
 The watchdog engine (:mod:`repro.observe.watchdog`) turns telemetry
 streams into :class:`Alert` records — a severity, the rule that fired,
 a human-readable message and a machine-readable evidence dict. Alerts
-are plain data: they serialize into the ``BENCH_telemetry.json`` payload,
-publish onto the :class:`~repro.runtime.events.EventBus`, and render in
-the ``repro report`` anomaly section.
+are plain data: they serialize into the ``BENCH_telemetry.json`` payload
+and render in the ``repro report`` anomaly section.
 """
 
 from __future__ import annotations

@@ -2,15 +2,13 @@
 
 A :class:`ForensicRecorder` rides along with a
 :class:`~repro.memory.allocator.PageAllocator`: it samples per-tier
-page-residency waterlines at step boundaries, and callers staging work
-(the engine's eviction loop, the schedule executor) deposit *context* —
-the failing trigger id, the unified scheduler's tasks released there, the
-currently pinned tensors. When any tier pool raises
-:class:`~repro.errors.OutOfMemoryError`, the recorder captures a
+page-residency waterlines at step boundaries, and the engine's demand
+path deposits *context* — the currently pinned tensors. When any tier pool
+raises :class:`~repro.errors.OutOfMemoryError`, the recorder captures a
 :class:`ForensicDump` — resident pages and tensors per tier, the pinned
-set, the planned tasks, the recent waterline history — and attaches it to
-the raised error as ``exc.forensics``, so the failure explains itself all
-the way up the stack.
+set, the recent waterline history — and attaches it to the raised error
+as ``exc.forensics``, so the failure explains itself all the way up the
+stack.
 """
 
 from __future__ import annotations
@@ -43,10 +41,6 @@ class ForensicDump:
     resident_tensors: dict = field(default_factory=dict)
     #: Tensors the failing operation could not evict (names or ids).
     pinned: list = field(default_factory=list)
-    #: The unified scheduler's logical op at which the failure happened.
-    trigger_id: int | None = None
-    #: The scheduler's tasks released at that trigger.
-    planned_tasks: list = field(default_factory=list)
     #: Recent per-tier waterline samples, oldest first.
     waterline_history: list = field(default_factory=list)
 
@@ -60,8 +54,6 @@ class ForensicDump:
                 k: [dict(t) for t in v] for k, v in self.resident_tensors.items()
             },
             "pinned": list(self.pinned),
-            "trigger_id": self.trigger_id,
-            "planned_tasks": [dict(t) for t in self.planned_tasks],
             "waterline_history": list(self.waterline_history),
         }
 
@@ -76,27 +68,7 @@ class ForensicDump:
             )
         if self.pinned:
             lines.append(f"  pinned: {', '.join(str(p) for p in self.pinned)}")
-        if self.trigger_id is not None:
-            ops = ", ".join(
-                f"{t.get('operation')}(l{t.get('layer_index')})"
-                for t in self.planned_tasks[:6]
-            ) or "none"
-            lines.append(f"  trigger {self.trigger_id}: planned {ops}")
         return "\n".join(lines)
-
-
-def _task_to_dict(task) -> dict:
-    """Serialize a ScheduledTask (or a ready-made dict) for the dump."""
-    if isinstance(task, dict):
-        return dict(task)
-    return {
-        "operation": getattr(task.operation, "value", str(task.operation)),
-        "layer_index": task.layer_index,
-        "page_id": task.page_id,
-        "trigger_id": task.trigger_id,
-        "nbytes": task.nbytes,
-        "op_id": task.op_id,
-    }
 
 
 class ForensicRecorder:
@@ -104,7 +76,7 @@ class ForensicRecorder:
 
     def __init__(self, capacity: int = 512, top_tensors: int = 8):
         self._timeline: deque[ResidencySample] = deque(maxlen=capacity)
-        self._context: dict = {}
+        self._pinned: list = []
         self.top_tensors = top_tensors
         #: The most recent dump captured (also attached to the error).
         self.last_dump: ForensicDump | None = None
@@ -126,15 +98,8 @@ class ForensicRecorder:
     # ------------------------------------------------------------------
     # Failure context (set by whoever is driving the allocator)
     # ------------------------------------------------------------------
-    def set_context(self, *, trigger_id=None, planned_tasks=None, pinned=None) -> None:
-        if trigger_id is not None:
-            self._context["trigger_id"] = trigger_id
-        if planned_tasks is not None:
-            self._context["planned_tasks"] = [
-                _task_to_dict(t) for t in planned_tasks
-            ]
-        if pinned is not None:
-            self._context["pinned"] = list(pinned)
+    def set_context(self, *, pinned) -> None:
+        self._pinned = list(pinned)
 
     # ------------------------------------------------------------------
     # Capture
@@ -168,9 +133,7 @@ class ForensicRecorder:
             available_bytes=getattr(exc, "available_bytes", 0),
             resident_pages=resident_pages,
             resident_tensors=resident_tensors,
-            pinned=list(self._context.get("pinned", [])),
-            trigger_id=self._context.get("trigger_id"),
-            planned_tasks=list(self._context.get("planned_tasks", [])),
+            pinned=list(self._pinned),
             waterline_history=[s.to_dict() for s in list(self._timeline)[-16:]],
         )
         self.last_dump = dump

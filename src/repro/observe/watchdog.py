@@ -6,8 +6,8 @@ sweep lag — and the :class:`Watchdog` watches exactly those signals.
 Callers invoke :meth:`Watchdog.observe_step` at step boundaries; each
 :class:`Rule` keeps its own sliding window over the registry's cumulative
 counters and emits :class:`~repro.observe.alerts.Alert` records, which are
-published onto the :class:`~repro.runtime.events.EventBus` and counted in
-the registry itself (``watchdog.alerts{rule,severity}``).
+kept in :attr:`Watchdog.alerts` and counted in the registry itself
+(``watchdog.alerts{rule,severity}``).
 
 Detectors shipped by :func:`default_rules`:
 
@@ -456,7 +456,7 @@ def default_rules(config: WatchdogConfig) -> list[Rule]:
 class Watchdog:
     """Evaluates the rule set at step boundaries and publishes alerts."""
 
-    def __init__(self, telemetry=None, bus=None, config: WatchdogConfig | None = None,
+    def __init__(self, telemetry=None, config: WatchdogConfig | None = None,
                  rules: list[Rule] | None = None):
         if telemetry is None:
             from repro.telemetry.core import NULL_TELEMETRY
@@ -465,13 +465,9 @@ class Watchdog:
         #: The telemetry whose registry the watchdog both reads (rule
         #: inputs) and writes (``watchdog.alerts`` counters).
         self.telemetry = telemetry
-        #: Optional repro.runtime.events.EventBus: every alert completes a
-        #: uniquely named ``observe.alert.<seq>.<rule>`` event.
-        self.bus = bus
         self.config = config or WatchdogConfig()
         self.rules = rules if rules is not None else default_rules(self.config)
         self.alerts: list[Alert] = []
-        self._seq = 0
 
     # ------------------------------------------------------------------
     # Observation
@@ -512,7 +508,6 @@ class Watchdog:
 
     def _emit(self, alert: Alert) -> None:
         self.alerts.append(alert)
-        self._seq += 1
         if self.telemetry.enabled:
             self.telemetry.counter(
                 "watchdog.alerts", rule=alert.rule, severity=alert.severity.name
@@ -521,8 +516,6 @@ class Watchdog:
                 f"alert/{alert.rule}", track="watchdog",
                 severity=alert.severity.name, step=alert.step,
             )
-        if self.bus is not None:
-            self.bus.complete(f"observe.alert.{self._seq}.{alert.rule}")
 
     # ------------------------------------------------------------------
     # Export

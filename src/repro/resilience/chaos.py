@@ -132,7 +132,6 @@ def run_reference(config: ChaosConfig) -> list[float]:
 def run_chaos(
     config: ChaosConfig,
     checkpoint_dir: str | None = None,
-    bus=None,
     counters: FaultCounters | None = None,
     telemetry=None,
     watchdog=None,
@@ -168,14 +167,13 @@ def run_chaos(
     if telemetry is not None and watchdog is None:
         from repro.observe.watchdog import Watchdog
 
-        watchdog = Watchdog(telemetry=telemetry, bus=bus)
+        watchdog = Watchdog(telemetry=telemetry)
     trainer = ResilientTrainer(
         engine_factory(config, plan, policy),
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=config.checkpoint_every,
         fault_plan=plan,
         counters=counters,
-        bus=bus,
         retry_policy=policy,
         watchdog=watchdog,
     )

@@ -17,8 +17,7 @@ fault-tolerance ladder the paper claims in production:
 
 Checkpoints are taken every ``checkpoint_every`` steps through the
 crash-consistent ``checkpoint.snapshot`` path; every cure is counted in
-:class:`~repro.metrics.FaultCounters` and published as a completion event
-on a :class:`~repro.runtime.events.EventBus`.
+:class:`~repro.metrics.FaultCounters`.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from repro.errors import (
 )
 from repro.metrics import FaultCounters
 from repro.resilience.retry import RetryPolicy
-from repro.runtime.events import EventBus
 
 
 @dataclass
@@ -76,7 +74,6 @@ class ResilientTrainer:
         checkpoint_every: int = 10,
         fault_plan=None,
         counters: FaultCounters | None = None,
-        bus: EventBus | None = None,
         retry_policy: RetryPolicy | None = None,
         max_recoveries: int = 8,
         keep_checkpoints: int = 3,
@@ -91,7 +88,6 @@ class ResilientTrainer:
         self.checkpoint_every = checkpoint_every
         self.plan = fault_plan
         self.counters = counters if counters is not None else FaultCounters()
-        self.bus = bus if bus is not None else EventBus()
         self._retry = retry_policy or RetryPolicy()
         self.max_recoveries = max_recoveries
         self.keep_checkpoints = keep_checkpoints
@@ -110,12 +106,6 @@ class ResilientTrainer:
         path = snapshot_path(self.checkpoint_dir, step)
         save_snapshot(snapshot, path)
         self.counters.checkpoints_saved += 1
-        # Event names carry the save sequence number, not the step — a
-        # replayed step can checkpoint the same boundary twice, and events
-        # are one-shot latches.
-        self.bus.complete(
-            f"resilience.checkpoint.{self.counters.checkpoints_saved}.step{step}"
-        )
         self._prune_checkpoints()
         return path
 
@@ -185,7 +175,6 @@ class ResilientTrainer:
         # backends; a full re-restore heals any torn/transient write.
         engine = self._build(lambda fresh: self._retry.run(
             lambda: restore_engine_state(snapshot, fresh)))
-        self.bus.complete(f"resilience.recovery.{self.counters.recoveries}")
         del report.losses[step:]
         report.recovery_steps.append(step)
         return engine, step
@@ -207,9 +196,6 @@ class ResilientTrainer:
         while step < len(batches):
             if self.plan is not None and self.plan.take_rank_failure(step):
                 self.counters.rank_failures += 1
-                self.bus.complete(
-                    f"resilience.rank_failure.{self.counters.rank_failures}"
-                )
                 engine, step = self._recover(
                     engine, report, RankFailedError(step=step))
                 continue

@@ -1,21 +1,17 @@
-"""Event-driven schedule execution (Section 5's component architecture).
+"""The live runtime of an Algorithm-1 schedule (Section 5).
 
-The Unified Scheduler emits a static task plan; at run time an
-event-driven loop dispatches those tasks to three components exactly as
-the paper describes — the **Allocator** moves pages between tiers, the
-**Executor** launches computations when their inputs' events complete,
-and the **Communicator** runs collectives from its queue. This package
-executes an Algorithm-1 schedule against the *functional* memory pools,
-so the plan's feasibility claims (no OOM, every page present before its
-gather) are validated with real page movements rather than arithmetic.
+The Unified Scheduler emits a static ``{operation, page, trigger_id}``
+task plan. Inside the training engine, the background prefetch worker
+releases that plan's page movements ahead of the compute that needs them,
+and the async writeback queue returns evicted pages, overlapping page
+movement with compute. The plan's feasibility (no OOM, every page present
+before its gather) is proved statically by
+:mod:`repro.analysis.verifier`.
 
-``pipeline`` is the live counterpart: the background prefetch worker and
-async writeback queue that drive the same schedule inside the training
-engine, overlapping page movement with compute.
+``ioproc`` is an out-of-process page-copy service that only the
+benchmark's ladder measures.
 """
 
-from repro.runtime.events import Event, EventBus
-from repro.runtime.executor import ScheduleExecutor, ExecutionReport
 from repro.runtime.pipeline import (
     MoveGroup,
     PrefetchWorker,
@@ -24,10 +20,6 @@ from repro.runtime.pipeline import (
 )
 
 __all__ = [
-    "Event",
-    "EventBus",
-    "ScheduleExecutor",
-    "ExecutionReport",
     "MoveGroup",
     "PrefetchWorker",
     "WritebackQueue",

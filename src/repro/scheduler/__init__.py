@@ -6,7 +6,7 @@ fine-grained life-time based scheduling of Algorithm 1. The
 :class:`UnifiedScheduler` then coordinates the Allocator (page movements),
 Executor (compute streams) and Communicator (collectives) to replay that
 schedule, either on the discrete-event simulator (paper-scale experiments)
-or against the functional memory tiers.
+or against the functional memory tiers (the engine's prefetch worker).
 """
 
 from repro.scheduler.tasks import Operation, Schedule, ScheduledTask

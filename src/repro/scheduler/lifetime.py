@@ -15,8 +15,9 @@ computation. A gather can never advance before the movement interval that
 makes its layer's pages resident.
 
 Every page's GPU presence is tracked as explicit residency intervals, so
-the emitted schedule is *executable*: the runtime executor replays it
-against physical pools and verifies that every gather finds its pages.
+the emitted schedule is *executable*: the static schedule verifier
+(:mod:`repro.analysis.verifier`) replays it against the same memory model
+and proves that every gather finds its pages.
 """
 
 from __future__ import annotations

@@ -40,11 +40,9 @@ def index_by_trigger(
 ) -> dict[int, list["ScheduledTask"]]:
     """Group tasks by their release trigger, preserving schedule order.
 
-    The one trigger-indexed view of a schedule, shared by the runtime
-    executor (release loop), the forensic recorder (failing-trigger
-    context) and the static schedule verifier (symbolic replay).
-    ``exclude`` drops operations the caller dispatches separately (the
-    executor releases everything except COMPUTE by trigger).
+    The static schedule verifier's symbolic replay walks this view.
+    ``exclude`` drops operations the caller handles separately (the
+    verifier releases everything except COMPUTE by trigger).
     """
     grouped: dict[int, list[ScheduledTask]] = defaultdict(list)
     for task in tasks:
@@ -96,20 +94,6 @@ class Schedule:
 
     def of(self, operation: Operation) -> list[ScheduledTask]:
         return [t for t in self.tasks if t.operation == operation]
-
-    def by_trigger(
-        self, exclude: frozenset = frozenset()
-    ) -> dict[int, list[ScheduledTask]]:
-        """Trigger -> released tasks (see :func:`index_by_trigger`).
-
-        Built fresh on each call: Phase 1 edits the task list in place,
-        so a cached index would go stale mid-scheduling.
-        """
-        return index_by_trigger(self.tasks, exclude=exclude)
-
-    def at_trigger(self, trigger_id: int) -> list[ScheduledTask]:
-        """Tasks released at one logical op (the forensics' failure view)."""
-        return self.by_trigger().get(trigger_id, [])
 
     def pop_last_movement(self) -> ScheduledTask:
         """Phase 1, lines 7-9: remove the most recent movement task."""

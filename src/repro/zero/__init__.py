@@ -9,7 +9,7 @@ by T5-MoE training (Section 6.4).
 """
 
 from repro.zero.collectives import CollectiveModel
-from repro.zero.sharding import ShardingPlan, shard_bytes
+from repro.zero.sharding import shard_bytes
 from repro.zero.expert_parallel import ExpertParallelPlan
 
-__all__ = ["CollectiveModel", "ShardingPlan", "shard_bytes", "ExpertParallelPlan"]
+__all__ = ["CollectiveModel", "shard_bytes", "ExpertParallelPlan"]

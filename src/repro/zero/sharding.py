@@ -9,11 +9,8 @@ operation."
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.errors import ShardingError
-from repro.models.transformer import ModelSpec
-from repro.tracer.tracer import IterationTrace
 
 
 def shard_bytes(total_bytes: int, num_ranks: int, page_bytes: int = 1) -> int:
@@ -26,63 +23,3 @@ def shard_bytes(total_bytes: int, num_ranks: int, page_bytes: int = 1) -> int:
     if page_bytes > 1:
         per_rank = math.ceil(per_rank / page_bytes) * page_bytes
     return per_rank
-
-
-@dataclass(frozen=True)
-class ShardingPlan:
-    """Per-rank memory view of a model's states under ZeRO-3 sharding.
-
-    Every byte figure is *per rank*: the FP16 parameter shard, the FP16
-    gradient shard, and the FP32 optimizer shard (master + momentum +
-    variance). Gathered (transient) parameters are accounted separately
-    because they exist only around a layer's computation.
-    """
-
-    num_ranks: int
-    param_shard_bytes: int
-    grad_shard_bytes: int
-    optim_shard_bytes: int
-    largest_layer_params_fp16: int
-
-    @staticmethod
-    def from_model(model: ModelSpec, num_ranks: int, page_bytes: int = 1) -> "ShardingPlan":
-        if num_ranks <= 0:
-            raise ShardingError("num_ranks must be positive")
-        params_fp16 = sum(
-            p.bytes_single for layer in model.layers for p in layer.params
-        )
-        optim_fp32 = model.optims_bytes
-        largest = max(
-            sum(p.bytes_single for p in layer.params) for layer in model.layers
-        )
-        return ShardingPlan(
-            num_ranks=num_ranks,
-            param_shard_bytes=shard_bytes(params_fp16, num_ranks, page_bytes),
-            grad_shard_bytes=shard_bytes(params_fp16, num_ranks, page_bytes),
-            optim_shard_bytes=shard_bytes(optim_fp32, num_ranks, page_bytes),
-            largest_layer_params_fp16=largest,
-        )
-
-    @staticmethod
-    def from_trace(trace: IterationTrace, num_ranks: int, page_bytes: int = 1) -> "ShardingPlan":
-        params_fp16 = trace.total_fp16_param_bytes
-        optim = trace.total_optim_bytes
-        largest = max(layer.param_bytes_fp16 for layer in trace.layers)
-        return ShardingPlan(
-            num_ranks=num_ranks,
-            param_shard_bytes=shard_bytes(params_fp16, num_ranks, page_bytes),
-            grad_shard_bytes=shard_bytes(params_fp16, num_ranks, page_bytes),
-            optim_shard_bytes=shard_bytes(optim, num_ranks, page_bytes),
-            largest_layer_params_fp16=largest,
-        )
-
-    @property
-    def model_state_shard_bytes(self) -> int:
-        """Resident model-state bytes each rank is responsible for."""
-        return self.param_shard_bytes + self.grad_shard_bytes + self.optim_shard_bytes
-
-    @property
-    def gathered_working_set_bytes(self) -> int:
-        """Transient GPU bytes needed to compute the largest layer: the
-        fully gathered FP16 parameters of that layer."""
-        return self.largest_layer_params_fp16

@@ -328,3 +328,77 @@ class TestStalenessBound:
         self._verifier(layers, accesses)._check_staleness(violations)
         assert [v.invariant for v in violations] == [STALENESS_BOUND]
         assert violations[0].tensor_id == 7
+
+
+class TestSmallPlans:
+    """Small gpt3-1.7b plans on one A100 server, each proved (or refuted)
+    by the verifier against the budget it was planned for."""
+
+    def _plan(self, num_layers=6, micro_batch=2):
+        scheduler = UnifiedScheduler(a100_cluster(1))
+        config = get_model("gpt3-1.7b").with_layers(num_layers)
+        return scheduler, scheduler.plan(config, micro_batch=micro_batch)
+
+    def test_small_plan_verifies_with_expected_counts(self):
+        scheduler, plan = self._plan()
+        result = verify_plan(plan, scheduler.gpu_budget)
+        assert result.ok, [v.message for v in result.violations]
+        schedule = plan.schedule
+        num_layers = plan.trace.num_layers
+        # Every page is staged once; every layer computes and gathers
+        # once forward and once backward.
+        assert len(schedule.of(Operation.MOVE_TO_GPU)) == sum(
+            t.num_pages for t in plan.layer_pages
+        )
+        assert len(schedule.of(Operation.COMPUTE)) == 2 * num_layers
+        assert len(schedule.of(Operation.ALL_GATHER)) == 2 * num_layers
+        ops = [t.op_id for t in schedule.of(Operation.COMPUTE)]
+        assert sorted(ops) == list(range(2 * num_layers))
+
+    def test_twelve_layer_plan_verifies_within_budget(self):
+        scheduler, plan = self._plan(num_layers=12, micro_batch=4)
+        result = verify_plan(plan, scheduler.gpu_budget)
+        assert result.ok, [v.message for v in result.violations]
+
+    def test_tight_budget_plan_verifies(self):
+        """A schedule planned under a tight budget (moves deferred and
+        staged in waves) stays within that same budget."""
+        from repro.scheduler.cache import CachePlan
+        from repro.scheduler.lifetime import LifetimeScheduler
+        from repro.scheduler.memory_model import MemoryModel
+        from repro.scheduler.pages import build_layer_pages
+        from repro.scheduler.unified import IterationPlan
+        from repro.tracer import Tracer
+        from repro.units import GiB
+
+        scheduler = UnifiedScheduler(a100_cluster(1))
+        config = get_model("gpt3-1.7b").with_layers(16)
+        trace = Tracer(scheduler.cost).trace(config.build(1, 512))
+        pages = build_layer_pages(trace, 1, scheduler.page_bytes)
+        budget = int(1.5 * GiB)
+        memory = MemoryModel(trace, budget, num_ranks=1)
+        schedule = LifetimeScheduler(trace, pages, memory).schedule()
+        plan = IterationPlan(
+            trace=trace, schedule=schedule,
+            cache=CachePlan(frozenset(), 0, {}),
+            layer_pages=pages, num_ranks=1, micro_batch=1,
+        )
+        result = verify_plan(plan, budget)
+        assert result.ok, [v.message for v in result.violations]
+
+    def test_dropped_moves_are_use_before_fetch(self):
+        scheduler, plan = self._plan()
+        tasks = [
+            t for t in plan.schedule if t.operation != Operation.MOVE_TO_GPU
+        ]
+        result = verify_plan(_mutated(plan, tasks), scheduler.gpu_budget)
+        assert not result.ok
+        assert USE_BEFORE_FETCH in {v.invariant for v in result.violations}
+
+    def test_undersized_budget_is_oom_at_trigger(self):
+        from repro.units import MiB
+
+        _, plan = self._plan(num_layers=6, micro_batch=4)
+        result = verify_plan(plan, 32 * MiB)
+        assert not result.ok
+        assert OOM_AT_TRIGGER in {v.invariant for v in result.violations}

@@ -58,6 +58,12 @@ class TestInitialize:
     def test_lock_free_needs_interval(self):
         with pytest.raises(ConfigurationError):
             AngelConfig(lock_free=True, update_interval=1)
+        # ...and an interval needs lock_free: a deferred sweep without it
+        # must not silently train synchronously.
+        with pytest.raises(ConfigurationError, match="lock_free"):
+            AngelConfig(update_interval=4)
+        with pytest.raises(ConfigurationError, match="lock_free"):
+            AngelConfig.from_dict({"lock_free": False, "update_interval": 4})
 
 
 class TestTrainingLoop:

@@ -1,4 +1,4 @@
-"""Hardware specs: devices, links, servers, clusters, topology routing."""
+"""Hardware specs: devices, links, servers, clusters."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.hardware import (
     DeviceSpec,
     LinkKind,
     LinkSpec,
-    Topology,
     a100_server,
 )
 from repro.hardware.cluster import a100_cluster
@@ -21,10 +20,6 @@ class TestDeviceSpec:
         assert int(DeviceKind.GPU) == 0
         assert int(DeviceKind.CPU) == 1
         assert int(DeviceKind.SSD) == 2
-
-    def test_ssd_is_not_compute(self):
-        assert not DeviceKind.SSD.is_compute
-        assert DeviceKind.GPU.is_compute and DeviceKind.CPU.is_compute
 
     def test_rejects_nonpositive_memory(self):
         with pytest.raises(ConfigurationError):
@@ -64,109 +59,16 @@ class TestA100Server:
         assert server.ssd_io.bandwidth == pytest.approx(3.5 * GB)
         assert server.nic.bandwidth == pytest.approx(16 * 12.5 * GB)
 
-    def test_link_between_tiers(self):
-        server = a100_server()
-        assert server.link_between(DeviceKind.CPU, DeviceKind.GPU) is server.pcie
-        assert server.link_between(DeviceKind.GPU, DeviceKind.GPU) is server.nvlink
-        assert server.link_between(DeviceKind.CPU, DeviceKind.SSD) is server.ssd_io
-
-    def test_gpu_to_ssd_must_stage(self):
-        server = a100_server()
-        with pytest.raises(ConfigurationError):
-            server.link_between(DeviceKind.GPU, DeviceKind.SSD)
-
     def test_server_without_ssd(self):
         server = a100_server(ssd_bytes=None)
         assert server.ssd is None
-        with pytest.raises(ConfigurationError):
-            server.link_between(DeviceKind.CPU, DeviceKind.SSD)
-
-    def test_total_memory_sums_tiers(self):
-        server = a100_server()
-        expected = 8 * 40 * GiB + 1024 * GiB + server.ssd.memory_bytes
-        assert server.total_memory_bytes == expected
+        assert server.ssd_io is None
 
 
 class TestClusterSpec:
     def test_gpu_count_scales(self):
         assert a100_cluster(4).num_gpus == 32
 
-    def test_aggregate_pcie_scales_per_gpu(self):
-        cluster = a100_cluster(2)
-        assert cluster.aggregate_pcie_bandwidth == pytest.approx(16 * 32 * GB)
-
-    def test_cross_server_flag(self):
-        assert not a100_cluster(1).cross_server
-        assert a100_cluster(2).cross_server
-
     def test_rejects_zero_servers(self):
         with pytest.raises(ConfigurationError):
             ClusterSpec(server=a100_server(), num_servers=0)
-
-
-class TestTopology:
-    def test_routes_gpu_to_ssd_through_cpu(self):
-        topo = Topology(a100_server())
-        route = topo.route("a100.gpu0", "a100.ssd")
-        assert [link.kind for link in route] == [LinkKind.PCIE, LinkKind.SSD_IO]
-
-    def test_gpu_to_gpu_uses_nvlink(self):
-        topo = Topology(a100_server())
-        route = topo.route("a100.gpu0", "a100.gpu7")
-        assert [link.kind for link in route] == [LinkKind.NVLINK]
-
-    def test_self_route_is_empty(self):
-        topo = Topology(a100_server())
-        assert topo.route("a100.cpu", "a100.cpu") == []
-
-    def test_transfer_time_serializes_hops(self):
-        topo = Topology(a100_server())
-        direct = topo.transfer_time("a100.cpu", "a100.ssd", 3_500_000_000)
-        assert direct == pytest.approx(1.0, rel=1e-3)
-
-    def test_unknown_endpoint_rejected(self):
-        topo = Topology(a100_server())
-        with pytest.raises(ConfigurationError):
-            topo.route("a100.gpu0", "nope")
-
-    def test_devices_of_kind(self):
-        topo = Topology(a100_server())
-        assert len(topo.devices_of_kind(DeviceKind.GPU)) == 8
-        assert len(topo.devices_of_kind(DeviceKind.SSD)) == 1
-
-
-class TestClusterTopology:
-    def test_cross_server_route_uses_nic(self):
-        from repro.hardware import ClusterTopology
-        from repro.hardware.cluster import a100_cluster
-
-        topo = ClusterTopology(a100_cluster(3))
-        route = topo.route("a1000.gpu0", "a1001.gpu5")
-        kinds = [link.kind for link in route]
-        assert LinkKind.NIC in kinds
-        assert kinds[0] == LinkKind.PCIE and kinds[-1] == LinkKind.PCIE
-
-    def test_any_server_pair_is_one_nic_hop(self):
-        from repro.hardware import ClusterTopology
-        from repro.hardware.cluster import a100_cluster
-
-        topo = ClusterTopology(a100_cluster(4))
-        # Switched fabric: server 0 -> 3 does not traverse 1 and 2.
-        route = topo.route("a1000.cpu", "a1003.cpu")
-        assert [link.kind for link in route] == [LinkKind.NIC]
-
-    def test_local_routes_unchanged(self):
-        from repro.hardware import ClusterTopology
-        from repro.hardware.cluster import a100_cluster
-
-        topo = ClusterTopology(a100_cluster(2))
-        route = topo.route("a1000.gpu0", "a1000.gpu1")
-        assert [link.kind for link in route] == [LinkKind.NVLINK]
-
-    def test_device_count_scales(self):
-        from repro.hardware import ClusterTopology
-        from repro.hardware.cluster import a100_cluster
-
-        topo = ClusterTopology(a100_cluster(2))
-        assert len(topo.devices_of_kind(DeviceKind.GPU)) == 16
-        assert len(topo.devices_of_kind(DeviceKind.CPU)) == 2

@@ -26,8 +26,6 @@ from repro.observe import (
     render_markdown,
     write_report,
 )
-from repro.runtime.events import EventBus
-from repro.scheduler.tasks import Operation, Schedule, ScheduledTask
 from repro.telemetry import Telemetry
 from repro.units import GiB, KiB, MiB
 
@@ -179,8 +177,7 @@ class TestRules:
 class TestWatchdog:
     def test_observe_step_publishes_everywhere(self):
         telemetry = Telemetry()
-        bus = EventBus()
-        watchdog = Watchdog(telemetry=telemetry, bus=bus)
+        watchdog = Watchdog(telemetry=telemetry)
         telemetry.gauge("updater.lag_iterations").set(10)
         fired = watchdog.observe_step(step=1)
         assert [a.rule for a in fired] == ["staleness_lag"]
@@ -190,8 +187,6 @@ class TestWatchdog:
         assert telemetry.registry.value(
             "watchdog.alerts", rule="staleness_lag", severity="CRITICAL"
         ) == 1
-        # ...published on the bus under a unique one-shot name...
-        assert bus.event("observe.alert.1.staleness_lag").done
         # ...and serializable for the BENCH payload.
         assert watchdog.payload()[0]["rule"] == "staleness_lag"
 
@@ -223,18 +218,7 @@ class TestForensics:
     def test_oom_error_carries_forensic_dump(self):
         recorder = ForensicRecorder()
         allocator = build_allocator(gpu_pages=2, forensics=recorder)
-        schedule = Schedule([
-            ScheduledTask(Operation.MOVE_TO_GPU, layer_index=0,
-                          trigger_id=7, page_id=1, nbytes=1024),
-            ScheduledTask(Operation.COMPUTE, layer_index=0, trigger_id=7,
-                          op_id=7),
-            ScheduledTask(Operation.COMPUTE, layer_index=1, trigger_id=9,
-                          op_id=9),
-        ])
-        recorder.set_context(
-            trigger_id=7, planned_tasks=schedule.at_trigger(7),
-            pinned=["layer0.weight"],
-        )
+        recorder.set_context(pinned=["layer0.weight"])
         recorder.sample(0, allocator.residency_report())
         allocator.allocate((256,), "float32", DeviceKind.GPU)
         allocator.allocate((256,), "float32", DeviceKind.GPU)
@@ -247,17 +231,12 @@ class TestForensics:
         assert dump.resident_pages["gpu"]["num_pages"] == 2
         assert dump.resident_pages["cpu"]["pages_in_use"] == 0
         assert len(dump.resident_tensors["gpu"]) == 2
-        # The scheduler's plan at the failing trigger — and only that one.
-        assert dump.trigger_id == 7
-        assert [t["operation"] for t in dump.planned_tasks] == [
-            "move_to_gpu", "compute",
-        ]
         # The pinned set and the waterline trajectory.
         assert dump.pinned == ["layer0.weight"]
         assert [s["step"] for s in dump.waterline_history] == [0, 1]
         assert dump.requested_bytes == 1 * KiB
         # Human-readable, JSON-serializable.
-        assert "trigger 7" in dump.summary()
+        assert "pinned: layer0.weight" in dump.summary()
         assert "2/2 pages resident" in dump.summary()
         json.dumps(dump.to_dict())
         allocator.close()
@@ -266,13 +245,13 @@ class TestForensics:
         recorder = ForensicRecorder()
         allocator = build_allocator(forensics=recorder)
         exc = OutOfMemoryError("gpu-pool", 1024, 0)
-        recorder.set_context(trigger_id=3)
+        recorder.set_context(pinned=["first"])
         recorder.attach(exc, allocator)
         first = exc.forensics
-        recorder.set_context(trigger_id=99)
+        recorder.set_context(pinned=["second"])
         recorder.attach(exc, allocator)  # no-op: already attached
         assert exc.forensics is first
-        assert exc.forensics.trigger_id == 3
+        assert exc.forensics.pinned == ["first"]
         allocator.close()
 
     def test_timeline_is_bounded(self):

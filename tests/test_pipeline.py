@@ -1032,10 +1032,12 @@ class TestPrefetchWorker:
 class TestConfigRoundTrip:
     def test_to_dict_from_dict(self):
         config = AngelConfig(
-            gpu_memory_bytes=2 * MiB, pipeline=True, prefetch_window=3,
+            gpu_memory_bytes=2 * MiB, pipeline=True, lock_free=True,
+            update_interval=3,
         )
         rebuilt = AngelConfig.from_dict(config.to_dict())
         assert rebuilt == config
+        assert len(config.to_dict()) == 9
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown engine fields"):
@@ -1046,5 +1048,5 @@ class TestConfigRoundTrip:
         assert "retry_policy" not in config.to_dict()
 
     def test_validation_shared_with_post_init(self):
-        with pytest.raises(ConfigurationError, match="prefetch_window"):
-            AngelConfig.from_dict({"prefetch_window": 0})
+        with pytest.raises(ConfigurationError, match="update_interval"):
+            AngelConfig.from_dict({"update_interval": 0})

@@ -4,10 +4,9 @@ import pytest
 
 from repro.errors import CommunicationError, ShardingError
 from repro.hardware.cluster import a100_cluster
-from repro.models import get_model
 from repro.models.moe import MoEConfig
 from repro.units import GB, MiB
-from repro.zero import CollectiveModel, ExpertParallelPlan, ShardingPlan, shard_bytes
+from repro.zero import CollectiveModel, ExpertParallelPlan, shard_bytes
 
 
 class TestShardBytes:
@@ -24,39 +23,6 @@ class TestShardBytes:
     def test_invalid_ranks_rejected(self):
         with pytest.raises(ShardingError):
             shard_bytes(100, 0)
-
-
-class TestShardingPlan:
-    def test_per_rank_totals(self):
-        model = get_model("gpt3-1.7b").with_layers(4).build(1, 64)
-        plan = ShardingPlan.from_model(model, num_ranks=8)
-        params_fp16 = sum(
-            p.bytes_single for layer in model.layers for p in layer.params
-        )
-        assert plan.param_shard_bytes == shard_bytes(params_fp16, 8)
-        assert plan.grad_shard_bytes == plan.param_shard_bytes
-        assert plan.optim_shard_bytes == shard_bytes(model.optims_bytes, 8)
-        assert plan.model_state_shard_bytes == (
-            2 * plan.param_shard_bytes + plan.optim_shard_bytes
-        )
-
-    def test_gathered_working_set_is_largest_layer(self):
-        model = get_model("gpt3-1.7b").with_layers(4).build(1, 64)
-        plan = ShardingPlan.from_model(model, num_ranks=8)
-        assert plan.gathered_working_set_bytes == max(
-            sum(p.bytes_single for p in layer.params) for layer in model.layers
-        )
-
-    def test_from_trace_matches_from_model(self):
-        from repro.hardware.server import a100_server
-        from repro.tracer import CostModel, Tracer
-
-        server = a100_server()
-        model = get_model("gpt3-1.7b").with_layers(3).build(1, 64)
-        trace = Tracer(CostModel(gpu=server.gpus[0], cpu=server.cpu)).trace(model)
-        a = ShardingPlan.from_model(model, 4)
-        b = ShardingPlan.from_trace(trace, 4)
-        assert a == b
 
 
 class TestCollectives:
