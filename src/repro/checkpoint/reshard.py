@@ -3,7 +3,7 @@
 The paper's seamless-scalability requirement (Section 1): scaling a job
 from K to N GPUs must not require re-configuring the parallel scheme.
 Under ZeRO, each rank owns a contiguous 1/K slice of every flattened
-state tensor; re-sharding concatenates the slices and re-splits them for
+state tensor; re-sharding gathers the slices and re-splits them for
 the new rank count. Elementwise optimizers (Adam) make this exact — no
 state is recomputed. The cluster re-shards this way whenever a
 generation forms (:func:`repro.cluster.worker.load_rank_state`).
@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import CheckpointError, ShardingError
+from repro.errors import ShardingError
 
 
 def split_even(array: np.ndarray, num_ranks: int) -> list[np.ndarray]:
     """Split a flat array into ``num_ranks`` shards, padding the tail.
 
     ZeRO pads the flattened state so every rank holds the same shard
-    size; the pad is tracked and stripped on merge.
+    size; whoever gathers the shards strips the pad (``[:array.size]``).
     """
     if array.ndim != 1:
         raise ShardingError("shards operate on flattened state")
@@ -34,14 +34,3 @@ def split_even(array: np.ndarray, num_ranks: int) -> list[np.ndarray]:
         for rank in range(num_ranks)
     ]
 
-
-def merge_shards(shards: list[np.ndarray], true_size: int) -> np.ndarray:
-    """Concatenate rank shards and strip the padding."""
-    if not shards:
-        raise ShardingError("no shards to merge")
-    merged = np.concatenate(shards)
-    if merged.size < true_size:
-        raise CheckpointError(
-            f"shards cover {merged.size} elements, expected {true_size}"
-        )
-    return merged[:true_size].copy()

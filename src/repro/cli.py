@@ -555,32 +555,31 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import tempfile
 
-    from repro.resilience import AvailabilityModel, ChaosConfig, run_chaos, run_reference
+    from repro.errors import ConfigurationError
+    from repro.resilience import ChaosConfig, run_chaos, run_reference
     from repro.telemetry import Telemetry
 
-    if args.steps < 1:
-        print("chaos: --steps must be >= 1", file=sys.stderr)
-        return 2
-    if args.ckpt_every < 1:
-        print("chaos: --ckpt-every must be >= 1", file=sys.stderr)
-        return 2
     if args.kill_rank is not None:
         # Process-cluster chaos: SIGKILL a real worker mid-step and
         # demand full recovery (the elastic rendezvous path).
         return _run_cluster_scenario(args, "chaos")
-    config = ChaosConfig(
-        steps=args.steps,
-        checkpoint_every=args.ckpt_every,
-        seed=args.seed,
-        layers=args.layers,
-        transient_read_rate=args.transient_rate,
-        transient_write_rate=args.transient_rate,
-        max_transients=args.max_transients,
-        torn_write_rate=args.torn_rate,
-        max_torn_writes=args.max_torn,
-        die_after_ops=args.tier_death_after,
-        rank_failure_at_step=args.rank_failure_at,
-    )
+    try:
+        config = ChaosConfig(
+            steps=args.steps,
+            checkpoint_every=args.ckpt_every,
+            seed=args.seed,
+            layers=args.layers,
+            transient_read_rate=args.transient_rate,
+            transient_write_rate=args.transient_rate,
+            max_transients=args.max_transients,
+            torn_write_rate=args.torn_rate,
+            max_torn_writes=args.max_torn,
+            die_after_ops=args.tier_death_after,
+            rank_failure_at_step=args.rank_failure_at,
+        )
+    except ConfigurationError as exc:
+        print(f"chaos: {exc}", file=sys.stderr)
+        return 2
     reference = run_reference(
         ChaosConfig(steps=args.steps, checkpoint_every=args.ckpt_every,
                     seed=args.seed, layers=args.layers)
@@ -617,17 +616,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     delta = max(abs(a - b) for a, b in zip(reference, report.losses))
     print(f"final loss      : {report.final_loss:.4f} "
           f"(fault-free {reference[-1]:.4f}, max |delta| {delta:.2e})")
-    model = AvailabilityModel(
-        iteration_time=args.iteration_time,
-        checkpoint_time=args.checkpoint_time,
-        restart_time=args.restart_time,
-        mtbf=args.mtbf,
-    )
-    interval = model.optimal_checkpoint_interval()
-    print(f"Young/Daly      : checkpoint every {interval:.0f}s "
-          f"(= {model.optimal_checkpoint_every()} steps at "
-          f"{args.iteration_time:.0f}s/step), "
-          f"efficiency {model.efficiency(interval):.1%}")
     failures = []
     if report.steps_completed < args.steps:
         failures.append(
@@ -794,11 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: steps // 2)")
     chaos.add_argument("--workers", type=int, default=3,
                        help="process count for --kill-rank mode")
-    chaos.add_argument("--iteration-time", type=float, default=60.0,
-                       help="per-step seconds for the Young/Daly summary")
-    chaos.add_argument("--checkpoint-time", type=float, default=120.0)
-    chaos.add_argument("--restart-time", type=float, default=300.0)
-    chaos.add_argument("--mtbf", type=float, default=12 * 3600.0)
     chaos.set_defaults(func=_cmd_chaos)
 
     cluster = sub.add_parser(

@@ -93,6 +93,8 @@ class ClusterConfig:
              "1 <= min_world <= world_size"),
             (self.kill_rank in (None, *range(self.world_size)),
              "kill_rank to be None or a slot in [0, world_size)"),
+            (self.kill_at_step is None or self.kill_at_step in range(self.steps),
+             "kill_at_step to be None or a step in [0, steps)"),
         ):
             if not ok:
                 raise ConfigurationError(f"ClusterConfig needs {rule}")

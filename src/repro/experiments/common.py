@@ -43,14 +43,6 @@ class Report:
         return "\n".join(lines)
 
 
-def ratio_str(value: float) -> str:
-    return f"{value:.2f}x"
-
-
-def pct_str(value: float) -> str:
-    return f"{100 * value:.1f}%"
-
-
 def train_and_validate(
     model: Module,
     update_interval: int,

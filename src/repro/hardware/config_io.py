@@ -1,4 +1,4 @@
-"""Serialization of hardware specs to/from JSON.
+"""Reading hardware specs from JSON.
 
 A downstream operator describes their cluster once — GPU count and memory,
 DDR capacity, link bandwidths, SSD size — and every planner, simulator and
@@ -72,30 +72,6 @@ def cluster_from_dict(config: dict) -> ClusterSpec:
     return ClusterSpec(server=a100_server(**kwargs), num_servers=num_servers)
 
 
-def cluster_to_dict(cluster: ClusterSpec) -> dict:
-    """Serialize a cluster back to the JSON schema."""
-    server = cluster.server
-    config = {
-        "num_servers": cluster.num_servers,
-        "server": {
-            "name": server.name,
-            "num_gpus": server.num_gpus,
-            "gpu_memory_gib": server.gpus[0].memory_bytes / GiB,
-            "cpu_memory_gib": server.cpu.memory_bytes / GiB,
-            "pcie_gbps": server.pcie.bandwidth / GB,
-            "nvlink_gbps": server.nvlink.bandwidth / GB,
-            "nic_gbps": server.nic.bandwidth / GB,
-            "gpu_tflops": server.gpus[0].compute_flops / 1e12,
-        },
-    }
-    if server.ssd is not None:
-        config["server"]["ssd_tb"] = server.ssd.memory_bytes / TB
-        config["server"]["ssd_gbps"] = server.ssd_io.bandwidth / GB
-    else:
-        config["server"]["ssd_tb"] = None
-    return config
-
-
 def load_cluster(path: str) -> ClusterSpec:
     """Read a cluster description from a JSON file."""
     try:
@@ -104,9 +80,3 @@ def load_cluster(path: str) -> ClusterSpec:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read cluster config {path!r}: {exc}") from exc
     return cluster_from_dict(config)
-
-
-def save_cluster(cluster: ClusterSpec, path: str) -> None:
-    """Write a cluster description to a JSON file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(cluster_to_dict(cluster), handle, indent=2)

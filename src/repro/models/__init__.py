@@ -19,7 +19,6 @@ from repro.models.footprint import (
     FootprintReport,
     closed_form_layer_bytes,
     layer_footprint,
-    model_footprint,
     tensor_size_distribution,
 )
 from repro.models.moe import MoEConfig, moe_layer
@@ -37,7 +36,6 @@ __all__ = [
     "get_model",
     "FootprintReport",
     "layer_footprint",
-    "model_footprint",
     "tensor_size_distribution",
     "closed_form_layer_bytes",
     "MoEConfig",

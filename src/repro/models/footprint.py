@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.models.transformer import LayerSpec, ModelSpec
+from repro.models.transformer import LayerSpec
 from repro.units import MiB
 
 
@@ -53,16 +53,6 @@ def layer_footprint(layer: LayerSpec) -> FootprintReport:
         params_bytes=layer.params_bytes,
         acts_bytes=layer.acts_bytes,
         optims_bytes=layer.optims_bytes,
-    )
-
-
-def model_footprint(model: ModelSpec) -> FootprintReport:
-    """Whole-model totals (embedding lookup and loss excluded, as in the
-    paper's Memory Usage Analysis)."""
-    return FootprintReport(
-        params_bytes=model.params_bytes,
-        acts_bytes=model.acts_bytes,
-        optims_bytes=model.optims_bytes,
     )
 
 

@@ -9,16 +9,12 @@ with FP32 master states, and synthetic datasets.
 
 from repro.nn.tensor import (
     Tensor,
-    get_compute_dtype,
     no_grad,
-    round_bf16,
     round_fp16,
-    set_compute_dtype,
 )
 from repro.nn.layers import (
     FFN,
     Embedding,
-    GELU,
     LayerNorm,
     Linear,
     MoEFFN,
@@ -27,29 +23,24 @@ from repro.nn.layers import (
     TinyTransformerLM,
     TransformerBlock,
 )
-from repro.nn.optim import SGD, Adam, MixedPrecisionAdam
+from repro.nn.optim import Adam, MixedPrecisionAdam
 from repro.nn.recompute import checkpoint
 from repro.nn.data import Batch, copy_task_batches, lm_synthetic_batches
-from repro.nn.functional import cross_entropy, gelu, layer_norm, mse_loss, softmax
+from repro.nn.functional import cross_entropy, gelu, layer_norm, softmax
 
 __all__ = [
     "Tensor",
     "no_grad",
-    "set_compute_dtype",
-    "get_compute_dtype",
-    "round_bf16",
     "round_fp16",
     "Module",
     "Linear",
     "LayerNorm",
-    "GELU",
     "FFN",
     "MultiHeadAttention",
     "TransformerBlock",
     "MoEFFN",
     "Embedding",
     "TinyTransformerLM",
-    "SGD",
     "Adam",
     "MixedPrecisionAdam",
     "checkpoint",
@@ -59,6 +50,5 @@ __all__ = [
     "cross_entropy",
     "gelu",
     "layer_norm",
-    "mse_loss",
     "softmax",
 ]

@@ -1,4 +1,4 @@
-"""Composite differentiable functions: softmax, GELU, layernorm, losses.
+"""Composite differentiable functions: softmax, GELU, layernorm, cross-entropy.
 
 Each function is implemented with a fused backward closure rather than
 chains of primitive ops, keeping tapes short for the Transformer layers.
@@ -95,15 +95,3 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
             a._accumulate(grad * flat_probs.reshape(a.data.shape) / t.size)
 
     return Tensor._make(np.asarray(out_data), (logits,), backward)
-
-
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    target = np.asarray(target, dtype=np.float32)
-    diff = pred.data - target
-    out_data = np.asarray(np.float32((diff * diff).mean()))
-
-    def backward(grad, a=pred, d=diff):
-        if a.requires_grad:
-            a._accumulate(grad * 2.0 * d / d.size)
-
-    return Tensor._make(out_data, (pred,), backward)

@@ -3,6 +3,8 @@
 The module tree mirrors the paper's layer anatomy — Linear(Q,K,V),
 ScaledMaskSoftmax, residual Add + LayerNorm, the two-FC GELU FFN — plus a
 top-1-routed MoE FFN (Switch-Transformer style) for the T5-MoE experiments.
+Under mixed precision, ``Linear`` computes with its weight rounded through
+FP16 (:meth:`~repro.nn.tensor.Tensor.cast_fp16`).
 Forward hooks let the functional Angel engine trace parameter accesses the
 way the paper instruments PyTorch's Parameter class.
 """
@@ -95,7 +97,7 @@ class Linear(Module):
             )
 
     def forward(self, x: Tensor, mixed_precision: bool = False) -> Tensor:
-        weight = self.weight.cast_compute() if mixed_precision else self.weight
+        weight = self.weight.cast_fp16() if mixed_precision else self.weight
         out = x @ weight
         if self.bias is not None:
             out = out + self.bias
@@ -115,11 +117,6 @@ class LayerNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.weight, self.bias, eps=self.eps)
-
-
-class GELU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return gelu(x)
 
 
 class Embedding(Module):

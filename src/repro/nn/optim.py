@@ -1,4 +1,4 @@
-"""Optimizers: SGD, Adam, and mixed-precision Adam with FP32 master states.
+"""Optimizers: Adam, and mixed-precision Adam with FP32 master states.
 
 ``MixedPrecisionAdam`` realizes the memory layout of Section 2.1: the model
 computes with FP16-rounded parameters while the optimizer maintains FP32
@@ -12,31 +12,6 @@ import numpy as np
 
 from repro.errors import GradientError
 from repro.nn.tensor import Tensor, round_fp16
-
-
-class SGD:
-    """Plain stochastic gradient descent (optionally with momentum)."""
-
-    def __init__(self, params: list[Tensor], lr: float = 0.01, momentum: float = 0.0):
-        self.params = list(params)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.params, self._velocity):
-            if param.grad is None:
-                continue
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += param.grad
-                param.data -= self.lr * velocity
-            else:
-                param.data -= self.lr * param.grad
-
-    def zero_grad(self) -> None:
-        for param in self.params:
-            param.zero_grad()
 
 
 class Adam:

@@ -21,28 +21,6 @@ _grad_enabled = True
 #: forward-pass graph (Section 4.2's recompute technique).
 tape_nodes_created = 0
 
-#: Low-precision compute format for mixed-precision layers. The paper
-#: "stores the model states in FP32 while computes in BF16" (Section 6.1);
-#: FP16 is the default here for its stronger (more visible) rounding.
-_compute_dtype = "fp16"
-
-_VALID_COMPUTE_DTYPES = ("fp16", "bf16", "fp32")
-
-
-def set_compute_dtype(name: str) -> None:
-    """Select the mixed-precision compute format: fp16, bf16 or fp32."""
-    global _compute_dtype
-    if name not in _VALID_COMPUTE_DTYPES:
-        raise GradientError(
-            f"unknown compute dtype {name!r}; choose from {_VALID_COMPUTE_DTYPES}"
-        )
-    _compute_dtype = name
-
-
-def get_compute_dtype() -> str:
-    return _compute_dtype
-
-
 @contextlib.contextmanager
 def no_grad():
     """Disable graph construction (evaluation / parameter updates)."""
@@ -53,25 +31,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
-
-
-def round_bf16(array: np.ndarray) -> np.ndarray:
-    """Round a float32 array to bfloat16 precision (round-to-nearest-even).
-
-    BF16 keeps float32's exponent and truncates the mantissa to 7 bits;
-    the rounding adds half a ULP (biased by the LSB for ties-to-even)
-    before truncation, matching hardware behaviour.
-    """
-    array = np.asarray(array, dtype=np.float32)
-    bits = array.view(np.uint32)
-    lsb = (bits >> 16) & 1
-    rounded = bits + 0x7FFF + lsb
-    rounded = (rounded & np.uint32(0xFFFF0000)).view(np.float32)
-    # The rounding add would carry a NaN's mantissa into its exponent or
-    # sign (0x7FFFFFFF -> -0.0, 0x7F800001 -> +inf): a NaN is truncated
-    # and made quiet instead, so it stays a NaN.
-    quiet = ((bits & np.uint32(0xFFFF0000)) | np.uint32(0x00400000)).view(np.float32)
-    return np.where(np.isnan(array), quiet, rounded)
 
 
 _F16_EXPONENT_MASK = np.uint32(0x7F800000)
@@ -364,10 +323,12 @@ class Tensor:
     def cast_fp16(self) -> "Tensor":
         """Mixed-precision cast: round values through IEEE half precision.
 
-        The rounding is real (``round_fp16``: each value becomes its
-        nearest float16, bit for bit), so half-precision quantization
-        effects appear in training, while the graph stays float32 for
-        numpy efficiency. The gradient is the straight-through identity,
+        The paper "stores the model states in FP32 while computes in
+        BF16" (Section 6.1); this reproduction computes in FP16 instead,
+        for its stronger (more visible) rounding. The rounding is real
+        (``round_fp16``: each value becomes its nearest float16, bit for
+        bit), so half-precision quantization effects appear in training,
+        while the graph stays float32 for numpy efficiency. The gradient is the straight-through identity,
         as in standard mixed-precision training.
         """
         out_data = round_fp16(self.data)
@@ -377,30 +338,6 @@ class Tensor:
                 a._accumulate(grad)
 
         return self._make(out_data, (self,), backward)
-
-    def cast_bf16(self) -> "Tensor":
-        """Round values through bfloat16 (the paper's compute format).
-
-        numpy has no native bfloat16; BF16 is float32 with the low 16
-        mantissa bits dropped, so the rounding is performed by
-        round-to-nearest-even on the raw bit pattern. Gradient is the
-        straight-through identity.
-        """
-        out_data = round_bf16(self.data)
-
-        def backward(grad, a=self):
-            if a.requires_grad:
-                a._accumulate(grad)
-
-        return self._make(out_data, (self,), backward)
-
-    def cast_compute(self) -> "Tensor":
-        """Cast through the configured mixed-precision compute format."""
-        if _compute_dtype == "fp16":
-            return self.cast_fp16()
-        if _compute_dtype == "bf16":
-            return self.cast_bf16()
-        return self
 
     # ------------------------------------------------------------------
     # Backward pass

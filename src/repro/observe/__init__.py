@@ -11,7 +11,7 @@ Three consumers of the recording layer (:mod:`repro.telemetry`):
   BENCH payloads, traces and alert logs into one run report.
 """
 
-from repro.observe.alerts import Alert, Severity, alert_from_dict
+from repro.observe.alerts import Alert, Severity
 from repro.observe.forensics import ForensicDump, ForensicRecorder, ResidencySample
 from repro.observe.report import (
     render_html,
@@ -35,7 +35,6 @@ from repro.observe.watchdog import (
 __all__ = [
     "Alert",
     "Severity",
-    "alert_from_dict",
     "ForensicDump",
     "ForensicRecorder",
     "ResidencySample",

@@ -42,15 +42,3 @@ class Alert:
             "step": self.step,
             "evidence": dict(self.evidence),
         }
-
-
-def alert_from_dict(payload: dict) -> Alert:
-    """Rebuild an :class:`Alert` from its ``to_dict`` form (report I/O)."""
-    return Alert(
-        rule=payload["rule"],
-        severity=Severity[payload.get("severity", "WARNING")],
-        message=payload.get("message", ""),
-        step=int(payload.get("step", 0)),
-        evidence=dict(payload.get("evidence", {})),
-    )
-

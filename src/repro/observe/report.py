@@ -15,23 +15,13 @@ import html as _html
 import json
 from pathlib import Path
 
-from repro.units import GiB, KiB, MiB
+from repro.units import MiB, fmt_bytes
 
 _BAR_WIDTH = 30
 
 
 def load_payload(path) -> dict:
     return json.loads(Path(path).read_text())
-
-
-def _fmt_bytes(nbytes: float) -> str:
-    if nbytes >= GiB:
-        return f"{nbytes / GiB:.2f} GiB"
-    if nbytes >= MiB:
-        return f"{nbytes / MiB:.2f} MiB"
-    if nbytes >= KiB:
-        return f"{nbytes / KiB:.1f} KiB"
-    return f"{nbytes:.0f} B"
 
 
 def _bar(fraction: float, width: int = _BAR_WIDTH) -> str:
@@ -87,7 +77,7 @@ def _waterfall_section(bench: dict) -> list[str]:
             + s["tiers"][tier].get("free_bytes", 0)
             for s in stats
         )
-        lines.append(f"### {tier} (capacity {_fmt_bytes(capacity)})")
+        lines.append(f"### {tier} (capacity {fmt_bytes(capacity)})")
         lines.append("")
         lines.append("```")
         for sample in stats:
@@ -96,7 +86,7 @@ def _waterfall_section(bench: dict) -> list[str]:
             fraction = used / capacity if capacity else 0.0
             lines.append(
                 f"step {sample['step']:>4}  {_bar(fraction)} "
-                f"{fraction:>5.0%}  {_fmt_bytes(used)}"
+                f"{fraction:>5.0%}  {fmt_bytes(used)}"
             )
         lines.append("```")
         lines.append("")
@@ -116,7 +106,7 @@ def _traffic_section(bench: dict) -> list[str]:
     for key in sorted(edges):
         labels = key[key.index("{"):] if "{" in key else ""
         moves = counters.get(f"pages.moves{labels}", "?")
-        lines.append(f"| `{key}` | {_fmt_bytes(edges[key])} | {moves} |")
+        lines.append(f"| `{key}` | {fmt_bytes(edges[key])} | {moves} |")
     return lines + [""]
 
 
@@ -157,11 +147,11 @@ def _verification_section(bench: dict) -> list[str]:
         budget = stats.get("gpu_budget_bytes") or 0
         peak = stats["peak_live_bytes"]
         headroom = (
-            f" ({peak / budget:.1%} of the {_fmt_bytes(budget)} budget)"
+            f" ({peak / budget:.1%} of the {fmt_bytes(budget)} budget)"
             if budget else ""
         )
         lines.append(
-            f"Replayed peak live bytes: {_fmt_bytes(peak)}{headroom}."
+            f"Replayed peak live bytes: {fmt_bytes(peak)}{headroom}."
         )
         lines.append("")
     lines += _protocol_subsection(bench)

@@ -13,9 +13,7 @@ engine relies on. Any object with the right methods satisfies them;
 The physical storage contract of the page pools lives here too:
 :class:`PoolBackend` is the buffer-protocol API every tier backend
 implements (``readinto``/``write_from`` operate on caller-supplied
-buffers, never intermediate ``bytes``), and :class:`ArenaBackendLike`
-extends it with ``view`` for RAM-like tiers whose arena can hand out
-zero-copy ``memoryview`` windows.
+buffers, never intermediate ``bytes``).
 """
 
 from __future__ import annotations
@@ -50,21 +48,6 @@ class PoolBackend(Protocol):
     def pwritev(self, requests) -> None: ...
 
     def close(self) -> None: ...
-
-
-@runtime_checkable
-class ArenaBackendLike(PoolBackend, Protocol):
-    """A :class:`PoolBackend` whose arena supports zero-copy windows.
-
-    RAM-like tiers (process memory, ``multiprocessing.shared_memory``)
-    additionally expose ``view``: a writable ``memoryview`` of the page
-    range starting at ``index * page_bytes + offset``, valid until
-    ``close``. Two arena backends move a page with a single
-    ``dst.view(...)[:] = src.view(...)`` slice copy; file tiers do not
-    implement ``view`` and take the ``readinto``/``write_from`` path.
-    """
-
-    def view(self, index: int, offset: int, nbytes: int) -> memoryview: ...
 
 
 @runtime_checkable
@@ -123,7 +106,6 @@ class TelemetryLike(Protocol):
 
 
 __all__ = [
-    "ArenaBackendLike",
     "FaultPlanLike",
     "PoolBackend",
     "RetryPolicyLike",

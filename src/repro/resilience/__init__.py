@@ -12,18 +12,10 @@ half:
 - :mod:`repro.resilience.trainer` — the supervised driver: checkpoint
   every K steps; on a rank crash, a spent retry budget or a dead tier,
   restore the latest good checkpoint and replay;
-- :mod:`repro.resilience.availability` — Young/Daly checkpoint-interval
-  math and failure-timeline replay for the simulated (DES) path;
 - :mod:`repro.resilience.chaos` — canned scenarios backing the
   ``repro chaos`` CLI subcommand and the chaos test suite.
 """
 
-from repro.resilience.availability import (
-    AvailabilityModel,
-    FailureReplay,
-    poisson_failure_steps,
-    replay_with_failures,
-)
 from repro.resilience.chaos import (
     ChaosConfig,
     engine_factory,
@@ -43,10 +35,8 @@ from repro.resilience.retry import RetryPolicy
 from repro.resilience.trainer import ChaosReport, ResilientTrainer
 
 __all__ = [
-    "AvailabilityModel",
     "ChaosConfig",
     "ChaosReport",
-    "FailureReplay",
     "FaultKind",
     "FaultPlan",
     "FaultRecord",
@@ -57,8 +47,6 @@ __all__ = [
     "inject_faults",
     "make_batches",
     "make_fault_plan",
-    "poisson_failure_steps",
-    "replay_with_failures",
     "run_chaos",
     "run_reference",
 ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine.angel import AngelConfig
+from repro.errors import ConfigurationError
 from repro.fleet.factory import JobFactory, JobWorkload
 from repro.metrics import FaultCounters
 from repro.protocols import TelemetryLike
@@ -57,6 +58,20 @@ class ChaosConfig:
     # ``run_chaos`` take precedence over these fields.
     workdir: str | None = None
     telemetry: "TelemetryLike | None" = None
+
+    def __post_init__(self) -> None:
+        if self.steps < 1:
+            raise ConfigurationError("steps must be >= 1")
+        if self.checkpoint_every < 1:
+            raise ConfigurationError("checkpoint_every must be >= 1")
+        at = self.rank_failure_at_step
+        if at is not None and not 0 <= at < self.steps:
+            raise ConfigurationError(
+                f"rank_failure_at_step {at} is outside the run's steps "
+                f"[0, {self.steps})"
+            )
+        # The fault schedule's own rules, checked before any training.
+        make_fault_plan(self)
 
 
 def make_workload(config: ChaosConfig) -> JobWorkload:

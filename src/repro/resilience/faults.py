@@ -97,6 +97,11 @@ class FaultPlan:
         ):
             if not 0.0 <= rate <= 1.0:
                 raise ConfigurationError("fault rates must be in [0, 1]")
+        if self.die_after_ops is not None and self.die_after_ops < 0:
+            raise ConfigurationError("die_after_ops must be >= 0")
+        for budget in (self.max_transients, self.max_torn_writes):
+            if budget is not None and budget < 0:
+                raise ConfigurationError("fault budgets must be >= 0")
         self._rng = random.Random(self.seed)
         self._lock = threading.Lock()
         self._rank_failure_pending = self.rank_failure_at_step is not None

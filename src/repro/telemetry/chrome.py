@@ -82,12 +82,3 @@ def build_chrome_trace(
 def save_chrome_trace_json(trace: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(trace, handle)
-
-
-def named_tracks(trace: dict) -> list[str]:
-    """The track names a viewer will display (from the metadata rows)."""
-    return [
-        event["args"]["name"]
-        for event in trace.get("traceEvents", [])
-        if event.get("ph") == "M"
-    ]

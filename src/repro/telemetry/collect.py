@@ -44,6 +44,7 @@ from repro.telemetry.export import (
     telemetry_dir,
 )
 from repro.telemetry.registry import Histogram, nearest_rank
+from repro.units import fmt_bytes
 
 #: Mirrors ``cluster.protocol.EVENTS_FILENAME`` (not imported: telemetry
 #: sits below the cluster layer).
@@ -523,15 +524,6 @@ def tail_state(workdir: str) -> dict:
     }
 
 
-def _fmt_bytes(n) -> str:
-    n = float(n or 0)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if n < 1024 or unit == "GiB":
-            return f"{n:,.0f}{unit}" if unit == "B" else f"{n:,.1f}{unit}"
-        n /= 1024
-    return f"{n:,.1f}GiB"
-
-
 def render_top(state: dict) -> str:
     """Render one :func:`tail_state` snapshot as the text dashboard."""
     lines = [
@@ -549,8 +541,8 @@ def render_top(state: dict) -> str:
             f"{info.get('step') if info.get('step') is not None else '-':>5} "
             f"{f'{age:.2f}s' if age is not None else '-':>8} "
             f"{f'{missed:.0f}' if missed is not None else '-':>6} "
-            f"{_fmt_bytes(info.get('moved_bytes', 0)):>12} "
-            f"{_fmt_bytes(info.get('io_bytes', 0)):>10}"
+            f"{fmt_bytes(info.get('moved_bytes', 0)):>12} "
+            f"{fmt_bytes(info.get('io_bytes', 0)):>10}"
         )
     if not state["ranks"]:
         lines.append("  (no rank/job streams yet)")
@@ -564,7 +556,7 @@ def render_top(state: dict) -> str:
             lines.append(
                 f"{tenant:<10} {info.get('pages_in_use', 0):>12} "
                 f"{info.get('rejections', 0):>10} "
-                f"{_fmt_bytes(info.get('pages_moved_bytes', 0)):>12}"
+                f"{fmt_bytes(info.get('pages_moved_bytes', 0)):>12}"
             )
     if state["alerts"]:
         lines += ["", "ALERTS"]

@@ -29,12 +29,3 @@ def fmt_bytes(num_bytes: float) -> str:
             return f"{value:.2f}{suffix}" if suffix != "B" else f"{int(value)}B"
         value /= 1024
     raise AssertionError("unreachable")
-
-
-def fmt_seconds(seconds: float) -> str:
-    """Render a duration, switching units for readability."""
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:.1f}us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.2f}ms"
-    return f"{seconds:.3f}s"

@@ -69,7 +69,7 @@ class TestCli:
         assert "recoveries at   : [2, 4]" in out
         assert "tier_death" in out and "rank_failure" in out
         assert "faults.recoveries        2" in out
-        assert "max |delta| 0.00e+00" in out and "Young/Daly" in out
+        assert "max |delta| 0.00e+00" in out
 
     def test_profile_writes_bench_and_trace(self, capsys, tmp_path):
         import json
@@ -131,6 +131,30 @@ class TestCli:
         # Fault counters and retry latencies share one registry.
         assert "faults.retries" in out
         assert "retry.backoff_seconds" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--steps", "0"],
+        ["chaos", "--ckpt-every", "0"],
+        ["chaos", "--steps", "3", "--rank-failure-at", "9"],
+        ["chaos", "--rank-failure-at", "-1"],
+        ["chaos", "--transient-rate", "1.5"],
+        ["chaos", "--torn-rate", "-0.1"],
+        ["chaos", "--tier-death-after", "-5"],
+        ["chaos", "--max-transients", "-1"],
+        ["chaos", "--max-torn", "-1"],
+        ["chaos", "--kill-rank", "1", "--steps", "3", "--at-step", "9"],
+        ["cluster", "--workers", "2", "--steps", "3", "--kill-rank", "1",
+         "--at-step", "9"],
+    ])
+    def test_fault_flags_no_run_can_inject_exit_2_before_training(
+            self, argv, capsys, tmp_path):
+        workdir = tmp_path / "run"
+        assert main([*argv, "--workdir", str(workdir)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"{argv[0]}: "), lines
+        assert captured.out == ""
+        assert not workdir.exists()
 
     def test_chaos_fault_free_run(self, capsys, tmp_path):
         assert main([

@@ -509,7 +509,8 @@ class TestClusterConfig:
         dict(steps=0), dict(world_size=0), dict(checkpoint_every=0),
         dict(shard_batch=0), dict(min_world=0),
         dict(world_size=2, min_world=3), dict(kill_rank=3),
-        dict(kill_rank=-1),
+        dict(kill_rank=-1), dict(steps=3, kill_at_step=3),
+        dict(steps=3, kill_rank=1, kill_at_step=9), dict(kill_at_step=-1),
     ])
     def test_rejects_configs_no_run_can_satisfy(self, fields):
         with pytest.raises(ConfigurationError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.common import Report, pct_str, ratio_str
+from repro.experiments.common import Report
 from repro.experiments.figure7 import Figure7Result, ThroughputCell
 from repro.experiments.figure8 import Figure8Result, ScalePoint
 from repro.experiments.table5 import ScaleRow, Table5Result
@@ -24,10 +24,6 @@ class TestReport:
         lines = report.render().splitlines()
         assert lines[-2].endswith("first")
         assert lines[-1].endswith("second")
-
-    def test_format_helpers(self):
-        assert ratio_str(1.5) == "1.50x"
-        assert pct_str(0.257) == "25.7%"
 
 
 class TestFigure7Result:

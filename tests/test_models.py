@@ -8,7 +8,6 @@ from repro.models import (
     closed_form_layer_bytes,
     get_model,
     layer_footprint,
-    model_footprint,
     moe_layer,
     tensor_size_distribution,
     transformer_layer,
@@ -156,12 +155,3 @@ class TestMoE:
     def test_invalid_topk_rejected(self):
         with pytest.raises(ConfigurationError):
             MoEConfig(d_model=8, d_ffn=16, num_experts=2, top_k=3)
-
-
-class TestModelFootprint:
-    def test_model_totals_sum_layers(self):
-        model = get_model("gpt3-1.7b").build(2, 256)
-        fp = model_footprint(model)
-        assert fp.params_bytes == sum(l.params_bytes for l in model.layers)
-        assert fp.model_state_bytes == fp.params_bytes + fp.optims_bytes
-        assert fp.total_bytes == fp.params_bytes + fp.acts_bytes + fp.optims_bytes

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GradientError
-from repro.nn import Tensor, cross_entropy, gelu, layer_norm, mse_loss, no_grad, softmax
+from repro.nn import Tensor, cross_entropy, gelu, layer_norm, no_grad, softmax
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:
@@ -135,11 +135,6 @@ class TestCompositeGradients:
         logits = Tensor(np.zeros((2, 3, 8), dtype=np.float32), requires_grad=True)
         targets = np.zeros((2, 3), dtype=np.int64)
         assert cross_entropy(logits, targets).item() == pytest.approx(np.log(8))
-
-    def test_mse(self):
-        pred = RNG.standard_normal((4, 2)).astype(np.float32)
-        target = RNG.standard_normal((4, 2)).astype(np.float32)
-        check_gradient(lambda x: mse_loss(x, target), pred)
 
     def test_cross_entropy_shape_mismatch(self):
         logits = Tensor(np.zeros((2, 3, 8), dtype=np.float32), requires_grad=True)

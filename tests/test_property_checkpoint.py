@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.checkpoint import Snapshot, load_snapshot, save_snapshot
-from repro.checkpoint.reshard import merge_shards, split_even
+from repro.checkpoint.reshard import split_even
 
 arrays = hnp.arrays(
     dtype=st.sampled_from([np.float32, np.float16, np.int64]),
@@ -41,7 +41,7 @@ def test_split_merge_identity(size, ranks):
     shards = split_even(array, ranks)
     assert len(shards) == ranks
     assert len({s.size for s in shards}) == 1  # equal shard sizes
-    np.testing.assert_array_equal(merge_shards(shards, size), array)
+    np.testing.assert_array_equal(np.concatenate(shards)[:size], array)
 
 
 @settings(max_examples=40, deadline=None)
@@ -57,9 +57,9 @@ def test_reshard_preserves_state_exactly(sizes, src, dst):
         for i, size in enumerate(sizes)
     }
     for name, array in state.items():
-        # K ranks' shards merged, then split for N: a resuming generation.
-        merged = merge_shards(split_even(array, src), array.size)
-        restored = merge_shards(split_even(merged, dst), array.size)
+        # K ranks' shards gathered, then split for N: a resuming generation.
+        merged = np.concatenate(split_even(array, src))[:array.size]
+        restored = np.concatenate(split_even(merged, dst))[:array.size]
         np.testing.assert_array_equal(restored, array)
 
 
@@ -71,8 +71,12 @@ def test_reshard_preserves_state_exactly(sizes, src, dst):
     with_ssd=st.booleans(),
 )
 def test_cluster_config_roundtrip(num_servers, num_gpus, gpu_gib, with_ssd):
-    """Random cluster descriptions survive dict serialization exactly."""
-    from repro.hardware.config_io import cluster_from_dict, cluster_to_dict
+    """Random cluster descriptions survive a JSON text round trip and
+    load exactly as written."""
+    import json
+
+    from repro.hardware.config_io import cluster_from_dict
+    from repro.units import GiB
 
     config = {
         "num_servers": num_servers,
@@ -82,10 +86,9 @@ def test_cluster_config_roundtrip(num_servers, num_gpus, gpu_gib, with_ssd):
             "ssd_tb": 11 if with_ssd else None,
         },
     }
-    cluster = cluster_from_dict(config)
+    cluster = cluster_from_dict(json.loads(json.dumps(config)))
     assert cluster.num_gpus == num_servers * num_gpus
-    rebuilt = cluster_from_dict(cluster_to_dict(cluster))
-    assert rebuilt.num_servers == cluster.num_servers
-    assert rebuilt.server.num_gpus == cluster.server.num_gpus
-    assert rebuilt.server.gpus[0].memory_bytes == cluster.server.gpus[0].memory_bytes
-    assert (rebuilt.server.ssd is None) == (cluster.server.ssd is None)
+    assert cluster.num_servers == num_servers
+    assert cluster.server.num_gpus == num_gpus
+    assert cluster.server.gpus[0].memory_bytes == gpu_gib * GiB
+    assert (cluster.server.ssd is None) == (not with_ssd)

@@ -1,4 +1,4 @@
-"""Fault injection, retry/backoff, tier-death restores and availability math."""
+"""Fault injection, retry/backoff and tier-death restores."""
 
 import sys
 import threading
@@ -19,14 +19,11 @@ from repro.memory.pool import DevicePool
 from repro.metrics import FaultCounters
 from repro.nn import MixedPrecisionAdam, TinyTransformerLM, lm_synthetic_batches
 from repro.resilience import (
-    AvailabilityModel,
     FaultKind,
     FaultPlan,
     FaultyBackend,
     RetryPolicy,
     inject_faults,
-    poisson_failure_steps,
-    replay_with_failures,
 )
 from repro.units import KiB, MiB
 
@@ -146,6 +143,14 @@ class TestFaultPlan:
     def test_rejects_bad_rates(self):
         with pytest.raises(ConfigurationError):
             FaultPlan(transient_read_rate=1.5)
+
+    @pytest.mark.parametrize("fields", [
+        dict(die_after_ops=-5), dict(max_transients=-1),
+        dict(max_torn_writes=-1),
+    ])
+    def test_rejects_negative_op_counts_and_budgets(self, fields):
+        with pytest.raises(ConfigurationError):
+            FaultPlan(**fields)
 
     def test_ops_counted_exactly_across_threads(self):
         """More threads than cores, a tiny switch interval: every request
@@ -363,60 +368,6 @@ class TestEngineDegradation:
         # Registration alone does enough SSD writes to consume the budget.
         assert plan.count(FaultKind.TRANSIENT_WRITE) == 5
         assert policy.retries >= 5
-
-
-class TestAvailabilityModel:
-    def test_young_daly_formula(self):
-        model = AvailabilityModel(
-            iteration_time=60.0, checkpoint_time=120.0,
-            restart_time=300.0, mtbf=12 * 3600.0,
-        )
-        expected = (2 * 12 * 3600.0 * 120.0) ** 0.5
-        assert model.optimal_checkpoint_interval() == pytest.approx(expected)
-        assert model.optimal_checkpoint_every() == round(expected / 60.0)
-
-    def test_efficiency_peaks_near_optimum(self):
-        model = AvailabilityModel(
-            iteration_time=60.0, checkpoint_time=120.0,
-            restart_time=300.0, mtbf=12 * 3600.0,
-        )
-        optimum = model.optimal_checkpoint_interval()
-        at_opt = model.efficiency(optimum)
-        assert at_opt > model.efficiency(optimum / 20)
-        assert at_opt > model.efficiency(optimum * 20)
-        assert 0.0 < at_opt < 1.0
-
-    def test_replay_failure_free_has_unit_goodput_minus_checkpoints(self):
-        replay = replay_with_failures(
-            total_steps=10, iteration_time=1.0, checkpoint_every=5,
-            checkpoint_time=0.5, restart_time=2.0, failure_steps=[],
-        )
-        assert replay.failures == 0
-        assert replay.steps_replayed == 0
-        assert replay.checkpoints == 2
-        assert replay.wall_clock == pytest.approx(10 * 1.0 + 2 * 0.5)
-
-    def test_replay_rolls_back_to_last_checkpoint(self):
-        replay = replay_with_failures(
-            total_steps=10, iteration_time=1.0, checkpoint_every=4,
-            checkpoint_time=0.0, restart_time=3.0, failure_steps=[6],
-        )
-        # Failed at step 6: replays steps 4 and 5 after a restart.
-        assert replay.failures == 1
-        assert replay.steps_replayed == 2
-        assert replay.wall_clock == pytest.approx(10 + 2 + 3)
-        assert replay.goodput == pytest.approx(10 / 15)
-
-    def test_poisson_failures_are_seeded(self):
-        a = poisson_failure_steps(1000, 1.0, mtbf=100.0, seed=5)
-        b = poisson_failure_steps(1000, 1.0, mtbf=100.0, seed=5)
-        assert a == b
-        assert all(0 <= s < 1000 for s in a)
-
-    def test_rejects_bad_config(self):
-        with pytest.raises(ConfigurationError):
-            AvailabilityModel(iteration_time=0, checkpoint_time=1,
-                              restart_time=1, mtbf=100)
 
 
 class TestFaultCounters:

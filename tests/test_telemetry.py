@@ -16,7 +16,11 @@ from repro.telemetry import (
     SpanTracer,
     Telemetry,
 )
-from repro.telemetry.chrome import named_tracks
+
+
+def named_tracks(trace: dict) -> list[str]:
+    """The track names a trace viewer displays: the ``"ph": "M"`` rows."""
+    return [e["args"]["name"] for e in trace["traceEvents"] if e.get("ph") == "M"]
 
 
 class TestClock:

@@ -333,7 +333,7 @@ class TestTop:
         assert state["tenants"]["ads"]["rejections"] == 1
         text = render_top(state)
         assert "w0i0" in text and "ads" in text
-        assert "2.0KiB" in text  # rank page traffic formatted
+        assert "2.00KiB" in text  # rank page traffic formatted
 
     def test_cli_top_once(self, tmp_path, capsys):
         from repro.cli import main

