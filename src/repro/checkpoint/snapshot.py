@@ -141,7 +141,8 @@ def load_snapshot(path: str) -> Snapshot:
     if not os.path.exists(path):
         raise CheckpointError(f"no checkpoint at {path!r}")
     try:
-        with np.load(path) as data:
+        # The handle is ours, so a zip parse that raises still closes it.
+        with open(path, "rb") as handle, np.load(handle) as data:
             if "__manifest__" not in data:
                 raise CheckpointError(f"{path!r} is not a repro snapshot")
             manifest = json.loads(bytes(data["__manifest__"]).decode("utf-8"))

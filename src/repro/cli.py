@@ -552,6 +552,12 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     )
 
 
+#: ``repro chaos``'s engine fault flags and the value an engine run takes
+#: for one not given: they parse to None, so ``--kill-rank`` can refuse them.
+_ENGINE_FAULTS = {"transient_rate": 0.02, "max_transients": 8, "torn_rate": 0.008,
+                  "max_torn": 2, "tier_death_after": None, "rank_failure_at": None}
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import tempfile
 
@@ -559,23 +565,30 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.resilience import ChaosConfig, run_chaos, run_reference
     from repro.telemetry import Telemetry
 
+    given = [name for name in _ENGINE_FAULTS if getattr(args, name) is not None]
     if args.kill_rank is not None:
         # Process-cluster chaos: SIGKILL a real worker mid-step and
-        # demand full recovery (the elastic rendezvous path).
+        # demand full recovery (the elastic rendezvous path). The engine
+        # fault plan does not reach those workers.
+        if given:
+            print(f"chaos: --{given[0].replace('_', '-')} does not apply "
+                  "with --kill-rank", file=sys.stderr)
+            return 2
         return _run_cluster_scenario(args, "chaos")
+    faults = {**_ENGINE_FAULTS, **{name: getattr(args, name) for name in given}}
     try:
         config = ChaosConfig(
             steps=args.steps,
             checkpoint_every=args.ckpt_every,
             seed=args.seed,
             layers=args.layers,
-            transient_read_rate=args.transient_rate,
-            transient_write_rate=args.transient_rate,
-            max_transients=args.max_transients,
-            torn_write_rate=args.torn_rate,
-            max_torn_writes=args.max_torn,
-            die_after_ops=args.tier_death_after,
-            rank_failure_at_step=args.rank_failure_at,
+            transient_read_rate=faults["transient_rate"],
+            transient_write_rate=faults["transient_rate"],
+            max_transients=faults["max_transients"],
+            torn_write_rate=faults["torn_rate"],
+            max_torn_writes=faults["max_torn"],
+            die_after_ops=faults["tier_death_after"],
+            rank_failure_at_step=faults["rank_failure_at"],
         )
     except ConfigurationError as exc:
         print(f"chaos: {exc}", file=sys.stderr)
@@ -759,12 +772,12 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--layers", type=int, default=2)
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--ckpt-every", type=int, default=3)
-    chaos.add_argument("--transient-rate", type=float, default=0.02,
+    chaos.add_argument("--transient-rate", type=float, default=None,
                        help="per-request transient fault probability on the "
-                            "SSD tier (a step issues ~40 requests)")
-    chaos.add_argument("--max-transients", type=int, default=8)
-    chaos.add_argument("--torn-rate", type=float, default=0.008)
-    chaos.add_argument("--max-torn", type=int, default=2)
+                            "SSD tier (default 0.02; a step issues ~40)")
+    chaos.add_argument("--max-transients", type=int, default=None)
+    chaos.add_argument("--torn-rate", type=float, default=None)
+    chaos.add_argument("--max-torn", type=int, default=None)
     chaos.add_argument("--tier-death-after", type=int, default=None,
                        help="kill the SSD tier permanently after N I/O requests")
     chaos.add_argument("--rank-failure-at", type=int, default=None,

@@ -183,7 +183,7 @@ class AngelModel:
         self._pending = 0
         # _move_lock serializes page movement between the prefetch worker
         # and the demand-fetch / sweep paths. State-tier I/O takes no
-        # lock: backends copy positionally (mmap slices, pread/pwrite),
+        # lock: backends copy positionally (arena slices, preadv/pwrite),
         # and no page holds both a state and an FP16 parameter (checked
         # at registration), so the state I/O thread runs beside moves.
         self._move_lock = threading.RLock()

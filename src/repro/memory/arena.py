@@ -214,19 +214,19 @@ class ArenaPoolBackend(SegmentLoopIO):
 def pread_full(fd: int, offset: int, view: memoryview) -> None:
     """Fill ``view`` from ``fd`` at ``offset``; a short read is an error.
 
-    Looped: one ``pread`` may return fewer bytes than asked even on a
-    regular file.
+    Looped: one ``preadv`` may return fewer bytes than asked even on a
+    regular file. Reads land straight in ``view``, with no ``bytes``
+    object between.
     """
     done = 0
     while done < len(view):
-        chunk = os.pread(fd, len(view) - done, offset + done)
-        if not chunk:
+        got = os.preadv(fd, [view[done:]], offset + done)
+        if not got:
             raise AllocationError(
                 f"short read: [{offset}, {offset + len(view)}) satisfied "
                 f"only {done} bytes"
             )
-        view[done:done + len(chunk)] = chunk
-        done += len(chunk)
+        done += got
 
 
 def pwrite_full(fd: int, offset: int, view: memoryview) -> None:
@@ -239,28 +239,20 @@ class FilePoolBackend(SegmentLoopIO):
     """Pages stored consecutively in one preallocated arena file.
 
     This is the reproduction's SSD tier: bytes land in a real file, so
-    SSD-path code is exercised end to end. The file is mapped once at
-    construction and every ``readinto``/``write_from`` is a slice copy
-    into the mapping — no per-call ``seek``+``read`` syscall pair, and a
-    run of consecutive pages is one copy. Should the mapping fail (some
-    filesystems refuse ``mmap``), the backend degrades to positioned
-    ``os.pread``/``os.pwrite`` — looped, because a single ``pread`` may
-    legally return fewer bytes than asked; the loop asserts the full
-    page range is satisfied (short reads are an error, never silent
-    truncation).
+    SSD-path code is exercised end to end. Every ``readinto``/
+    ``write_from`` is one positioned ``preadv``/``pwrite`` between the
+    file and the caller's buffer, so pages on this tier are held by the
+    file (and the kernel's page cache), never by the process's resident
+    set. Both are looped, because a single call may legally move fewer
+    bytes than asked; a read that hits end of file is an error, never
+    silent truncation.
 
     Deliberately no ``view``: file tiers take the ``readinto``/
     ``write_from`` path so interposing wrappers (fault injection,
     accounting) observe every I/O.
     """
 
-    def __init__(
-        self,
-        num_pages: int,
-        page_bytes: int,
-        path: str | None = None,
-        use_mmap: bool = True,
-    ):
+    def __init__(self, num_pages: int, page_bytes: int, path: str | None = None):
         self.num_pages = num_pages
         self.page_bytes = page_bytes
         self._nbytes = num_pages * page_bytes
@@ -274,14 +266,6 @@ class FilePoolBackend(SegmentLoopIO):
         with open(self._path, "wb") as f:
             f.truncate(self._nbytes)
         self._fd = os.open(self._path, os.O_RDWR)
-        self._mmap = None
-        self._buf = None
-        if use_mmap:
-            try:
-                self._mmap = mmap.mmap(self._fd, self._nbytes)
-                self._buf = memoryview(self._mmap)
-            except (OSError, ValueError):
-                self._mmap = None
         self._closed = False
 
     @property
@@ -302,9 +286,6 @@ class FilePoolBackend(SegmentLoopIO):
         target = memoryview(buf).cast("B")
         start = index * self.page_bytes + offset
         self._check_range(start, len(target))
-        if self._buf is not None:
-            target[:] = self._buf[start:start + len(target)]
-            return len(target)
         pread_full(self._fd, start, target)
         return len(target)
 
@@ -312,9 +293,6 @@ class FilePoolBackend(SegmentLoopIO):
         source = memoryview(buf).cast("B")
         start = index * self.page_bytes + offset
         self._check_range(start, len(source))
-        if self._buf is not None:
-            self._buf[start:start + len(source)] = source
-            return len(source)
         pwrite_full(self._fd, start, source)
         return len(source)
 
@@ -322,10 +300,6 @@ class FilePoolBackend(SegmentLoopIO):
         if self._closed:
             return
         self._closed = True
-        if self._buf is not None:
-            self._buf.release()
-        if self._mmap is not None:
-            self._mmap.close()
         os.close(self._fd)
         if self._owns_file and os.path.exists(self._path):
             os.unlink(self._path)

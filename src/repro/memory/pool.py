@@ -9,8 +9,9 @@ decides where the bytes physically live:
 
 - :class:`~repro.memory.arena.ArenaPoolBackend` — an anonymous ``mmap``
   arena (``backend="ram"``, the simulated "GPU" and the real CPU tier),
-- :class:`~repro.memory.arena.FilePoolBackend` — one preallocated,
-  memory-mapped arena file (the SSD tier, exercising genuine storage I/O),
+- :class:`~repro.memory.arena.FilePoolBackend` — one preallocated arena
+  file moved by positioned reads and writes (the SSD tier, exercising
+  genuine storage I/O),
 - :class:`NullPoolBackend` — capacity accounting only, for pure
   discrete-event simulation at paper scale.
 

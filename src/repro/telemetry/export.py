@@ -227,10 +227,12 @@ class TelemetrySink:
         behind, which is exactly what the collector's tolerant reader
         must skip. Used by the cluster kill-rank scenario right before
         the SIGKILL so crash tolerance is exercised deterministically.
+        The sink is closed afterwards: a later ``close()`` writes nothing.
         """
         self.flush()
         self._handle.write('{"kind": "metrics", "step": 4, "counters": {"tru')
-        self._handle.flush()
+        self._closed = True
+        self._handle.close()
 
     def close(self, final_step: int | None = None) -> None:
         if self._closed:

@@ -143,6 +143,18 @@ class TestCli:
         ["chaos", "--max-transients", "-1"],
         ["chaos", "--max-torn", "-1"],
         ["chaos", "--kill-rank", "1", "--steps", "3", "--at-step", "9"],
+        ["chaos", "--kill-rank", "1", "--workers", "2", "--steps", "3",
+         "--at-step", "1", "--tier-death-after", "-5"],
+        ["chaos", "--kill-rank", "1", "--workers", "2", "--steps", "3",
+         "--at-step", "1", "--rank-failure-at", "99"],
+        ["chaos", "--kill-rank", "1", "--workers", "2", "--steps", "3",
+         "--at-step", "1", "--transient-rate", "0.1"],
+        ["chaos", "--kill-rank", "1", "--workers", "2", "--steps", "3",
+         "--at-step", "1", "--max-transients", "4"],
+        ["chaos", "--kill-rank", "1", "--workers", "2", "--steps", "3",
+         "--at-step", "1", "--torn-rate", "0"],
+        ["chaos", "--kill-rank", "1", "--workers", "2", "--steps", "3",
+         "--at-step", "1", "--max-torn", "1"],
         ["cluster", "--workers", "2", "--steps", "3", "--kill-rank", "1",
          "--at-step", "9"],
     ])

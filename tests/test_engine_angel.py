@@ -1,6 +1,9 @@
 """Functional Angel engine: the Figure 6 API over paged memory tiers."""
 
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -244,6 +247,61 @@ class TestHostMemory:
         large, n_large = self.traced_bytes(
             256, tmp_path / "large.bin", pipeline=pipeline, ssd_bytes=ssd_bytes)
         assert (large - small) / (n_large - n_small) <= 16
+
+    #: Trains JobWorkload(layers=4, d_model=256, d_ffn=1024) for 3 steps
+    #: with the FP32 states on SSD (argv[1] names the file) or on CPU
+    #: (no argv[1]), then prints the parameter count and VmHWM in KiB.
+    PEAK_RSS_CHILD = """
+import sys
+from repro.engine import AngelConfig
+from repro.fleet.factory import JobFactory, JobWorkload
+from repro.units import KiB, MiB
+ssd_path = sys.argv[1] if len(sys.argv) > 1 else None
+factory = JobFactory(JobWorkload(layers=4, d_model=256, d_ffn=1024))
+engine = factory.engine(AngelConfig(
+    page_bytes=64 * KiB, gpu_memory_bytes=8 * MiB, cpu_memory_bytes=256 * MiB,
+    ssd_bytes=256 * MiB if ssd_path else 0, ssd_path=ssd_path,
+))
+for batch in factory.batches(3):
+    engine.backward(engine(batch))
+    engine.step()
+engine.barrier()
+params = sum(p.data.size for p in engine.module.parameters())
+with open("/proc/self/status") as status:
+    hwm = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+engine.close()
+print(params, hwm)
+"""
+
+    def test_ssd_resident_states_leave_the_resident_set(self, tmp_path):
+        """FP32 master, m and v are 12 B/param; on the SSD tier they live
+        in the file, so the SSD run peaks at least 8 B/param below the
+        CPU run. A mapped file would count them as resident again."""
+        try:
+            with open("/proc/self/status") as status:
+                has_hwm = any(line.startswith("VmHWM:") for line in status)
+        except OSError:
+            has_hwm = False
+        if not has_hwm:
+            pytest.skip("no VmHWM in /proc/self/status")
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+
+        def peak(*argv) -> tuple[int, int]:
+            result = subprocess.run(
+                [sys.executable, "-c", self.PEAK_RSS_CHILD, *argv],
+                capture_output=True, text=True, env=env, check=True,
+                timeout=120,
+            )
+            params, hwm_kib = result.stdout.split()
+            return int(params), int(hwm_kib) * KiB
+
+        params, ssd_peak = peak(str(tmp_path / "ssd.bin"))
+        _, cpu_peak = peak()
+        assert (cpu_peak - ssd_peak) / params >= 8, (ssd_peak, cpu_peak)
 
 
 class TestIntrospection:

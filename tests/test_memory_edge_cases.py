@@ -145,10 +145,10 @@ class TestArenaBackends:
             private.close()
             shared.close()
 
-    def test_file_backend_pread_fallback_roundtrip(self):
+    def test_file_backend_roundtrip(self):
         from repro.memory.arena import FilePoolBackend
 
-        backend = FilePoolBackend(num_pages=4, page_bytes=64, use_mmap=False)
+        backend = FilePoolBackend(num_pages=4, page_bytes=64)
         try:
             payload = bytes(range(64))
             assert backend.write_from(3, 0, payload) == 64
@@ -164,9 +164,9 @@ class TestArenaBackends:
 
         from repro.memory.arena import FilePoolBackend
 
-        backend = FilePoolBackend(num_pages=2, page_bytes=64, use_mmap=False)
+        backend = FilePoolBackend(num_pages=2, page_bytes=64)
         try:
-            monkeypatch.setattr(os, "pread", lambda fd, n, off: b"")
+            monkeypatch.setattr(os, "preadv", lambda fd, buffers, off: 0)
             with pytest.raises(AllocationError, match="short read"):
                 backend.readinto(0, 0, bytearray(64))
         finally:
