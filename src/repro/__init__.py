@@ -19,9 +19,8 @@ Quickstart (the paper's Figure 6 interface, via the unified facade)::
         engine.backward(loss)
         engine.step()
 
-``repro.api`` also fronts profiling (``api.profile``), chaos testing
-(``api.chaos``), run reports (``api.report``) and static verification
-(``api.check``).
+``repro.api`` also fronts chaos testing (``api.chaos``), run reports
+(``api.report``) and static verification (``api.check``).
 """
 
 from repro import api, errors, units

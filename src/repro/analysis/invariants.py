@@ -149,7 +149,7 @@ class VerificationResult:
         return [v for v in self.violations if v.invariant == invariant]
 
     def to_dict(self) -> dict:
-        """The machine-readable payload (lands in BENCH_telemetry.json)."""
+        """The machine-readable payload (``repro check --json``)."""
         return {
             "ok": self.ok,
             "kind": self.kind,

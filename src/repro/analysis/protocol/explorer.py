@@ -49,6 +49,7 @@ from repro.analysis.protocol.model import (
     live_workers,
 )
 from repro.cluster.rules import EVENT_COMPLETE
+from repro.errors import ConfigurationError
 
 __all__ = ["ProtocolExplorer", "check_transition", "explore_protocol"]
 
@@ -170,6 +171,8 @@ class ProtocolExplorer:
 
     def explore(self, depth: int = 6) -> VerificationResult:
         """BFS every reachable interleaving up to ``depth`` actions."""
+        if depth < 1:
+            raise ConfigurationError(f"depth must be >= 1, got {depth}")
         config, rules = self.config, self.rules
         start = initial_system(config)
         queue = deque([(start, ())])

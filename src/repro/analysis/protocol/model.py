@@ -38,6 +38,7 @@ from repro.cluster.rules import (
     MembershipState,
 )
 from repro.cluster.rules import RULES as COORDINATOR_RULES
+from repro.errors import ConfigurationError
 
 __all__ = [
     "COORDINATOR_RULES",
@@ -96,6 +97,12 @@ class ProtocolConfig:
     heartbeat_interval: float = 0.05
     suspect_after: float = 0.25
     evict_after: float = 0.75
+
+    def __post_init__(self):
+        if self.world_size < 1:
+            raise ConfigurationError(
+                f"world_size must be >= 1, got {self.world_size}"
+            )
 
     @property
     def num_slots(self) -> int:

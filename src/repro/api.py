@@ -1,9 +1,8 @@
 """The unified ``repro.api`` surface.
 
 One import gives a downstream user the whole toolkit — the Figure 6
-training interface, the instrumented profile run, chaos testing, run
-reports and static verification — without memorizing which subsystem owns
-what::
+training interface, chaos testing, run reports and static verification —
+without memorizing which subsystem owns what::
 
     from repro import api
 
@@ -13,8 +12,7 @@ what::
                        gpu_budget_bytes=engine.config.gpu_memory_bytes)
 
 Each function is a thin, documented entry point over the real subsystem
-(:mod:`repro.engine`, :mod:`repro.telemetry.bench`,
-:mod:`repro.resilience`, :mod:`repro.cluster`,
+(:mod:`repro.engine`, :mod:`repro.resilience`, :mod:`repro.cluster`,
 :mod:`repro.observe.report`, :mod:`repro.analysis.verifier`); the
 subsystems remain importable
 directly, and nothing here adds behavior — only a stable address.
@@ -25,26 +23,6 @@ from __future__ import annotations
 
 from repro.engine.angel import AngelConfig, AngelModel, initialize
 from repro.protocols import FaultPlanLike, RetryPolicyLike, TelemetryLike
-
-
-def profile(config=None, **overrides):
-    """One instrumented training run; returns ``(report, telemetry)``.
-
-    ``config`` is a :class:`repro.telemetry.bench.ProfileConfig` (defaults
-    to the CI smoke workload); keyword overrides replace individual
-    fields, e.g. ``api.profile(steps=20, pipeline=True)``. The report
-    dict is what ``repro profile`` writes to ``BENCH_telemetry.json``;
-    for throughput with repeats and spread use ``python3 -m bench``.
-    """
-    from dataclasses import replace
-
-    from repro.telemetry.bench import ProfileConfig, run_profile
-
-    if config is None:
-        config = ProfileConfig()
-    if overrides:
-        config = replace(config, **overrides)
-    return run_profile(config)
 
 
 def chaos(config=None, workdir=None, telemetry=None):
@@ -121,10 +99,11 @@ def trace_collect(workdir, out=None, rollup=None):
 
 
 def report(bench, out, trace=None, html=False):
-    """Render a run report from a ``BENCH_telemetry.json`` payload.
+    """Render a run report from a bench result or a cluster report.
 
-    ``bench`` is the payload dict (or a path to one); returns the list of
-    written paths, same as ``repro report build``.
+    ``bench`` is the payload dict (or a path to one): a ``python3 -m bench
+    run`` ``result.json`` or a ``repro cluster --report`` JSON. Returns the
+    list of written paths, same as ``repro report build``.
     """
     from repro.observe.report import load_payload, write_report
 
@@ -191,7 +170,6 @@ __all__ = [
     "cluster",
     "fleet",
     "initialize",
-    "profile",
     "report",
     "trace_collect",
 ]

@@ -148,98 +148,6 @@ def _repo_root():
     return here
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.telemetry.bench import ProfileConfig, run_profile, save_profile
-
-    if args.steps < 1:
-        print("profile: --steps must be >= 1", file=sys.stderr)
-        return 2
-    config = ProfileConfig(
-        steps=args.steps,
-        layers=args.layers,
-        seed=args.seed,
-        lock_free=args.lock_free,
-        pipeline=args.pipeline,
-        watch=not args.no_watch,
-    )
-    report, telemetry = run_profile(config)
-    # Default outdir is the repo root, so CI's benchmark-smoke job leaves
-    # BENCH_telemetry.json at the top level regardless of its cwd.
-    outdir = Path(args.outdir) if args.outdir else _repo_root()
-    outdir.mkdir(parents=True, exist_ok=True)
-    bench_path = outdir / "BENCH_telemetry.json"
-    trace_path = outdir / "telemetry_trace.json"
-    save_profile(report, bench_path)
-    telemetry.tracer.save_chrome_trace(
-        trace_path, track_order=["train", "updater", "pcie", "scheduler"]
-    )
-    train = report["train"]
-    print(f"steps           : {train['steps']} in {train['elapsed_seconds']:.3f}s "
-          f"({train['steps_per_second']:.2f} steps/s)")
-    sim = report["simulated"]
-    print(f"simulated       : {sim['model']} -> "
-          f"{sim['samples_per_second']:.2f} samples/s")
-    verification = report.get("verification")
-    if verification:
-        invariants = verification.get("invariants", [])
-        violations = verification.get("violations", [])
-        if verification.get("ok"):
-            print(f"verification    : schedule verified: {len(invariants)} "
-                  f"invariants, 0 violations")
-        else:
-            print(f"verification    : schedule INVALID: "
-                  f"{len(violations)} violation(s)")
-    protocol = report.get("protocol_verification")
-    if protocol:
-        stats = protocol.get("stats") or {}
-        if protocol.get("ok"):
-            print(f"protocol        : verified over {stats.get('states', '?')} "
-                  f"states ({len(protocol.get('invariants', []))} membership "
-                  f"invariants)")
-        else:
-            print(f"protocol        : INVALID: "
-                  f"{len(protocol.get('violations', []))} violation(s)")
-    print("per-tier traffic:")
-    for key, value in sorted(report["per_tier_edge_bytes"].items()):
-        print(f"  {key:<40} {value / MiB:8.2f} MiB")
-    pipeline = report["pipeline"]
-    if pipeline["enabled"]:
-        prefetch = pipeline["prefetch"]
-        print(f"pipeline        : stalled {pipeline['stall_seconds'] * 1e3:.1f} ms, "
-              f"demand fetches {pipeline['demand_fetch_seconds'] * 1e3:.1f} ms; "
-              f"{prefetch['prefetched_groups']} groups staged "
-              f"({prefetch['prefetched_bytes'] / MiB:.1f} MiB), "
-              f"{prefetch['abandoned']} abandoned, "
-              f"{prefetch['deferred']} deferred; "
-              f"{pipeline['cached_layers_live']} layers GPU-cached, "
-              f"{pipeline['writeback']['flushed']} async flushes")
-    alerts = report.get("alerts", [])
-    if alerts:
-        print(f"watchdog alerts : {len(alerts)} fired")
-        for payload in alerts[:8]:
-            print(f"  [{payload['severity']}] {payload['rule']}: "
-                  f"{payload['message']}")
-        if len(alerts) > 8:
-            print(f"  ... and {len(alerts) - 8} more")
-    print(f"span records    : {len(telemetry.tracer.records)}")
-    print(f"wrote           : {bench_path}")
-    print(f"wrote           : {trace_path}  (open in Perfetto / "
-          f"chrome://tracing)")
-    if args.report:
-        from repro.observe.report import write_report
-
-        written = write_report(
-            report, outdir / "run_report.md",
-            trace=telemetry.tracer.to_chrome_trace(),
-            html=True,
-        )
-        for path in written:
-            print(f"wrote           : {path}")
-    return 0
-
-
 def _live_engine_plan():
     """Train the tiny pipelined workload and return (plan, gpu_budget).
 
@@ -413,9 +321,9 @@ def _cmd_report_build(args: argparse.Namespace) -> int:
 
     from repro.observe.report import load_payload, write_report
 
-    bench_path = Path(args.bench)
+    payload_path = Path(args.payload)
     payloads = []
-    for path in (bench_path, args.trace):
+    for path in (payload_path, args.trace):
         if path is None:
             payloads.append(None)
             continue
@@ -432,9 +340,9 @@ def _cmd_report_build(args: argparse.Namespace) -> int:
                   f"not an object", file=sys.stderr)
             return 2
         payloads.append(payload)
-    bench, trace = payloads
-    out = Path(args.out) if args.out else bench_path.parent / "run_report.md"
-    written = write_report(bench, out, trace=trace, html=args.html)
+    payload, trace = payloads
+    out = Path(args.out) if args.out else payload_path.parent / "run_report.md"
+    written = write_report(payload, out, trace=trace, html=args.html)
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -454,25 +362,20 @@ def _run_cluster_scenario(args: argparse.Namespace, prog: str,
     import tempfile
 
     from repro.cluster import ClusterConfig, run_cluster, run_cluster_reference
-    from repro.errors import ConfigurationError
     from repro.memory.arena import segment_names, session_token
     from repro.telemetry import Telemetry
 
-    try:
-        config = ClusterConfig(
-            world_size=args.workers,
-            steps=args.steps,
-            checkpoint_every=args.ckpt_every,
-            seed=args.seed,
-            layers=args.layers,
-            kill_rank=args.kill_rank,
-            kill_at_step=args.at_step if args.at_step is not None
-            else args.steps // 2,
-            **membership,
-        )
-    except ConfigurationError as exc:
-        print(f"{prog}: {exc}", file=sys.stderr)
-        return 2
+    config = ClusterConfig(
+        world_size=args.workers,
+        steps=args.steps,
+        checkpoint_every=args.ckpt_every,
+        seed=args.seed,
+        layers=args.layers,
+        kill_rank=args.kill_rank,
+        kill_at_step=args.at_step if args.at_step is not None
+        else args.steps // 2,
+        **membership,
+    )
     tolerance = args.tolerance
     report_path = getattr(args, "report", None)
     workdir = args.workdir or tempfile.mkdtemp(prefix="repro-cluster-")
@@ -561,7 +464,6 @@ _ENGINE_FAULTS = {"transient_rate": 0.02, "max_transients": 8, "torn_rate": 0.00
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import tempfile
 
-    from repro.errors import ConfigurationError
     from repro.resilience import ChaosConfig, run_chaos, run_reference
     from repro.telemetry import Telemetry
 
@@ -576,23 +478,19 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             return 2
         return _run_cluster_scenario(args, "chaos")
     faults = {**_ENGINE_FAULTS, **{name: getattr(args, name) for name in given}}
-    try:
-        config = ChaosConfig(
-            steps=args.steps,
-            checkpoint_every=args.ckpt_every,
-            seed=args.seed,
-            layers=args.layers,
-            transient_read_rate=faults["transient_rate"],
-            transient_write_rate=faults["transient_rate"],
-            max_transients=faults["max_transients"],
-            torn_write_rate=faults["torn_rate"],
-            max_torn_writes=faults["max_torn"],
-            die_after_ops=faults["tier_death_after"],
-            rank_failure_at_step=faults["rank_failure_at"],
-        )
-    except ConfigurationError as exc:
-        print(f"chaos: {exc}", file=sys.stderr)
-        return 2
+    config = ChaosConfig(
+        steps=args.steps,
+        checkpoint_every=args.ckpt_every,
+        seed=args.seed,
+        layers=args.layers,
+        transient_read_rate=faults["transient_rate"],
+        transient_write_rate=faults["transient_rate"],
+        max_transients=faults["max_transients"],
+        torn_write_rate=faults["torn_rate"],
+        max_torn_writes=faults["max_torn"],
+        die_after_ops=faults["tier_death_after"],
+        rank_failure_at_step=faults["rank_failure_at"],
+    )
     reference = run_reference(
         ChaosConfig(steps=args.steps, checkpoint_every=args.ckpt_every,
                     seed=args.seed, layers=args.layers)
@@ -693,6 +591,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
     from repro.telemetry.collect import render_top, tail_state
 
+    if args.refresh <= 0:
+        print(f"top: --refresh must be > 0, got {args.refresh}", file=sys.stderr)
+        return 2
     if not os.path.isdir(args.workdir):
         print(f"top: no such workdir {args.workdir}", file=sys.stderr)
         return 2
@@ -824,27 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write a JSON run report to this path")
     cluster.set_defaults(func=_cmd_cluster)
 
-    profile = sub.add_parser(
-        "profile",
-        help="one instrumented training run; writes BENCH_telemetry.json "
-             "and a Chrome trace (timing questions: python3 -m bench)",
-    )
-    profile.add_argument("--steps", type=int, default=10)
-    profile.add_argument("--layers", type=int, default=2)
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--lock-free", action="store_true")
-    profile.add_argument("--pipeline", action="store_true",
-                         help="drive the profiled run through the "
-                              "pipelined runtime")
-    profile.add_argument("--no-watch", action="store_true",
-                         help="disable the step-boundary watchdog")
-    profile.add_argument("--outdir", default=None,
-                         help="where BENCH_telemetry.json and the trace go "
-                              "(default: the repo root)")
-    profile.add_argument("--report", action="store_true",
-                         help="also render run_report.md / .html from the run")
-    profile.set_defaults(func=_cmd_profile)
-
     check = sub.add_parser(
         "check",
         help="static analysis: schedule verifier, concurrency lint, "
@@ -861,8 +741,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "pipelined engine actually executed, instead of "
                             "a simulated workload's")
     check.add_argument("--model", default="gpt3-13b",
-                       help="model-zoo name for --schedule (default: the "
-                            "bench workload)")
+                       help="model-zoo name for --schedule (default: "
+                            "simulate's)")
     check.add_argument("--servers", type=int, default=1)
     check.add_argument("--batch", type=int, default=4)
     check.add_argument("--seq-len", type=int, default=2048)
@@ -893,15 +773,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_sub = report.add_subparsers(dest="report_command", required=True)
     build = report_sub.add_parser(
-        "build", help="merge BENCH payload + trace into one run report"
+        "build", help="render a bench result or a cluster report, with an "
+                      "optional trace, into one run report"
     )
-    build.add_argument("--bench", default="BENCH_telemetry.json",
-                       help="BENCH_telemetry.json payload to render")
+    build.add_argument("payload",
+                       help="a `python3 -m bench run` result.json or a "
+                            "`repro cluster --report` JSON")
     build.add_argument("--trace", default=None,
-                       help="optional Chrome trace to summarize alongside")
+                       help="optional Chrome trace to summarize alongside "
+                            "(a bench traced pass's or cluster_trace.json)")
     build.add_argument("--out", default=None,
                        help="output markdown path (default: run_report.md "
-                            "next to the bench payload)")
+                            "next to the payload)")
     build.add_argument("--html", action="store_true",
                        help="also write a self-contained .html next to the .md")
     build.set_defaults(func=_cmd_report_build)
@@ -956,8 +839,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.errors import ConfigurationError
+
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        # Bad input from the command line, whichever layer validated it:
+        # one line and exit 2, like argparse's own usage errors.
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -56,22 +56,6 @@ from repro.units import KiB, MiB
 if TYPE_CHECKING:  # pragma: no cover - the scheduler builds on the engine
     from repro.scheduler.unified import IterationPlan
 
-#: AngelConfig fields that round-trip through ``to_dict``/``from_dict``.
-#: Collaborator objects (fault_plan, retry_policy, telemetry) and a
-#: pre-built plan are live-only and intentionally excluded.
-_ANGEL_CONFIG_FIELDS = (
-    "gpu_memory_bytes",
-    "cpu_memory_bytes",
-    "ssd_bytes",
-    "page_bytes",
-    "lock_free",
-    "update_interval",
-    "ssd_path",
-    "pipeline",
-    "owner",
-)
-
-
 #: How many triggers ahead of the compute horizon the prefetch worker may
 #: run (the bounded in-flight window).
 PREFETCH_WINDOW = 2
@@ -130,25 +114,6 @@ class AngelConfig:
             )
         if self.quota is not None and self.owner is None:
             raise ConfigurationError("quota enforcement requires an owner")
-
-    def to_dict(self) -> dict:
-        """Serializable knobs; collaborators and plans stay live-only."""
-        return {name: getattr(self, name) for name in _ANGEL_CONFIG_FIELDS}
-
-    @classmethod
-    def from_dict(cls, config: dict) -> "AngelConfig":
-        """Build a config from a parsed JSON object.
-
-        Shares the unknown-field guard with the cluster schema
-        (:func:`repro.hardware.config_io.reject_unknown_fields`); value
-        validation is ``__post_init__``'s, same as direct construction.
-        """
-        # Deferred import: hardware.config_io is a leaf, but keep the
-        # engine's import set minimal for non-serializing users.
-        from repro.hardware.config_io import reject_unknown_fields
-
-        reject_unknown_fields(config, _ANGEL_CONFIG_FIELDS, "engine")
-        return cls(**config)
 
 
 @dataclass

@@ -33,11 +33,10 @@ _SERVER_FIELDS = {
 
 
 def reject_unknown_fields(mapping: dict, known, what: str) -> None:
-    """Shared schema guard: fail loudly on fields no consumer reads.
+    """Schema guard: fail loudly on fields no consumer reads.
 
-    Used by every from-dict construction path (cluster specs here,
-    ``AngelConfig.from_dict`` in the engine) so a typoed field is an
-    error everywhere instead of a silently ignored knob.
+    :func:`cluster_from_dict` checks the ``server`` object with it, so
+    a typoed server field is an error instead of a silently ignored knob.
     """
     if not isinstance(mapping, dict):
         raise ConfigurationError(f"{what} config must be a JSON object")

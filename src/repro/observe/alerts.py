@@ -3,7 +3,7 @@
 The watchdog engine (:mod:`repro.observe.watchdog`) turns telemetry
 streams into :class:`Alert` records — a severity, the rule that fired,
 a human-readable message and a machine-readable evidence dict. Alerts
-are plain data: they serialize into the ``BENCH_telemetry.json`` payload
+are plain data: they serialize into the ``repro cluster --report`` JSON
 and render in the ``repro report`` anomaly section.
 """
 

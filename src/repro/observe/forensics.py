@@ -92,9 +92,6 @@ class ForensicRecorder:
     def timeline(self) -> list[ResidencySample]:
         return list(self._timeline)
 
-    def timeline_payload(self) -> list[dict]:
-        return [sample.to_dict() for sample in self._timeline]
-
     # ------------------------------------------------------------------
     # Failure context (set by whoever is driving the allocator)
     # ------------------------------------------------------------------

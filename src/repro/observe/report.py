@@ -1,12 +1,18 @@
-"""The run-report layer: one readable verdict per profiling run.
+"""The run-report layer: one readable document per run.
 
-``repro report build`` merges a ``BENCH_telemetry.json`` payload (and,
-when present, the Chrome trace and the alert log embedded in it) into one
-self-contained markdown — optionally HTML — document: a summary table, a
-per-tier **memory waterfall**, the **tier-traffic table**, the static
-**verification verdict** (from :mod:`repro.analysis`), the watchdog's
-**anomaly section**, and the span breakdown. Timing comparisons between
-two trees belong to ``python3 -m bench compare``, which carries spread.
+``repro report build`` renders one of the two run artifacts into a
+self-contained markdown — optionally HTML — document:
+
+- a ``python3 -m bench run`` ``result.json``: per workload, the oracle
+  verdict, the end-to-end medians with their quartiles and, from a
+  ``--traced`` run, the per-layer table and the exact counts;
+- a ``repro cluster --report`` JSON: the **per-rank timeline** of the
+  merged telemetry and the watchdog's **anomaly section**.
+
+Either may come with a Chrome trace (a bench traced pass's or the
+collected cluster trace), summarised by its tracks. Timing comparisons
+between two trees belong to ``python3 -m bench compare``, which carries
+spread.
 """
 
 from __future__ import annotations
@@ -15,180 +21,56 @@ import html as _html
 import json
 from pathlib import Path
 
-from repro.units import MiB, fmt_bytes
-
-_BAR_WIDTH = 30
-
 
 def load_payload(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def _bar(fraction: float, width: int = _BAR_WIDTH) -> str:
-    fraction = min(1.0, max(0.0, fraction))
-    filled = round(fraction * width)
-    return "#" * filled + "." * (width - filled)
-
-
 # ----------------------------------------------------------------------
 # Sections
 # ----------------------------------------------------------------------
-def _summary_section(bench: dict) -> list[str]:
-    rows = []
-    train = bench.get("train", {})
-    sim = bench.get("simulated", {})
-    if train:
-        rows.append(("steps", f"{train.get('steps', '?')}"))
-        if train.get("elapsed_seconds") is not None:
-            rows.append(("elapsed", f"{train['elapsed_seconds']:.3f} s"))
-        if train.get("steps_per_second") is not None:
-            rows.append(("throughput", f"{train['steps_per_second']:.2f} steps/s"))
-        if train.get("final_loss") is not None:
-            rows.append(("final loss", f"{train['final_loss']:.4f}"))
-    if sim:
-        rows.append((
-            "simulated",
-            f"{sim.get('model', '?')} -> "
-            f"{sim.get('samples_per_second', 0):.2f} samples/s",
-        ))
-    lines = ["## Summary", "", "| metric | value |", "|---|---|"]
-    lines += [f"| {name} | {value} |" for name, value in rows]
-    return lines + [""]
-
-
-def _waterfall_section(bench: dict) -> list[str]:
-    """Per-tier residency bars over the sampled step timeline."""
-    timeline = bench.get("memory_timeline") or []
-    lines = ["## Memory waterfall", ""]
-    if not timeline:
-        return lines + ["_No residency timeline in this payload._", ""]
-    tiers = sorted({tier for sample in timeline for tier in sample["tiers"]})
-    # Downsample to at most 20 rows so long runs stay readable.
-    stride = max(1, len(timeline) // 20)
-    sampled = timeline[::stride]
-    if sampled[-1] is not timeline[-1]:
-        sampled.append(timeline[-1])
-    for tier in tiers:
-        stats = [s for s in sampled if tier in s["tiers"]]
-        if not stats:
-            continue
-        capacity = max(
-            s["tiers"][tier].get("used_bytes", 0)
-            + s["tiers"][tier].get("free_bytes", 0)
-            for s in stats
-        )
-        lines.append(f"### {tier} (capacity {fmt_bytes(capacity)})")
-        lines.append("")
-        lines.append("```")
-        for sample in stats:
-            t = sample["tiers"][tier]
-            used = t.get("used_bytes", 0)
-            fraction = used / capacity if capacity else 0.0
+def _workloads_section(result: dict) -> list[str]:
+    """One ``python3 -m bench run`` result: per workload, its oracle
+    verdict, the end-to-end medians with their quartiles and, from a
+    ``--traced`` run, the per-layer table and the exact counts."""
+    header = result.get("header") or {}
+    lines = ["## Workloads", ""]
+    if header:
+        lines += [
+            f"{header.get('repeats', '?')} repeat(s) of "
+            f"{header.get('seconds', '?')} s per workload on "
+            f"{header.get('nproc', '?')} CPU(s), Python "
+            f"{header.get('python', '?')}, numpy {header.get('numpy', '?')}, "
+            f"commit `{header.get('git_commit') or '-'}`.",
+            "",
+        ]
+    for name, entry in result["workloads"].items():
+        lines += [
+            f"### {name}", "",
+            f"correct: {str(entry.get('correct')).lower()}, failed_frac: "
+            f"{entry.get('failed_frac', '?')}", "",
+            "| metric | median | [q1, q3] | n | unit |", "|---|---|---|---|---|",
+        ]
+        for metric, stats in entry.get("end_to_end", {}).items():
             lines.append(
-                f"step {sample['step']:>4}  {_bar(fraction)} "
-                f"{fraction:>5.0%}  {fmt_bytes(used)}"
-            )
-        lines.append("```")
-        lines.append("")
-    return lines
-
-
-def _traffic_section(bench: dict) -> list[str]:
-    """Bytes and page-move counts per (src, dst) tier edge."""
-    edges = bench.get("per_tier_edge_bytes") or {}
-    counters = (
-        bench.get("telemetry", {}).get("metrics", {}).get("counters", {})
-    )
-    lines = ["## Tier traffic", ""]
-    if not edges:
-        return lines + ["_No page traffic recorded._", ""]
-    lines += ["| edge | moved | page moves |", "|---|---|---|"]
-    for key in sorted(edges):
-        labels = key[key.index("{"):] if "{" in key else ""
-        moves = counters.get(f"pages.moves{labels}", "?")
-        lines.append(f"| `{key}` | {fmt_bytes(edges[key])} | {moves} |")
-    return lines + [""]
-
-
-def _verification_section(bench: dict) -> list[str]:
-    """Static schedule-verification verdict (see repro.analysis)."""
-    verification = bench.get("verification")
-    lines = ["## Verification", ""]
-    if not verification:
-        return lines + ["_No schedule verification in this payload._", ""]
-    invariants = verification.get("invariants", [])
-    violations = verification.get("violations", [])
-    if verification.get("ok"):
-        lines.append(
-            f"schedule verified: {len(invariants)} invariants, 0 violations "
-            f"(model `{verification.get('model', '?')}`)"
-        )
-        lines.append("")
-    else:
-        lines.append(
-            f"**schedule INVALID**: {len(violations)} violation(s) on "
-            f"model `{verification.get('model', '?')}`"
-        )
-        lines += ["", "| invariant | trigger | layer | page | message |",
-                  "|---|---|---|---|---|"]
-        for v in violations:
-            lines.append(
-                f"| `{v.get('invariant')}` | {v.get('trigger_id')} "
-                f"| {v.get('layer_index')} | {v.get('page_id')} "
-                f"| {v.get('message', '')} |"
+                f"| {metric} | {stats['median']:.4g} "
+                f"| [{stats['q1']:.4g}, {stats['q3']:.4g}] "
+                f"| {stats['n']} | {stats['unit']} |"
             )
         lines.append("")
-    checked = ", ".join(f"`{i.get('name')}`" for i in invariants)
-    if checked:
-        lines.append(f"Invariants checked: {checked}.")
-        lines.append("")
-    stats = verification.get("stats") or {}
-    if stats.get("peak_live_bytes") is not None:
-        budget = stats.get("gpu_budget_bytes") or 0
-        peak = stats["peak_live_bytes"]
-        headroom = (
-            f" ({peak / budget:.1%} of the {fmt_bytes(budget)} budget)"
-            if budget else ""
-        )
-        lines.append(
-            f"Replayed peak live bytes: {fmt_bytes(peak)}{headroom}."
-        )
-        lines.append("")
-    lines += _protocol_subsection(bench)
-    return lines
-
-
-def _protocol_subsection(bench: dict) -> list[str]:
-    """Coordinator-protocol model-checking verdict, if the payload has one."""
-    protocol = bench.get("protocol_verification")
-    if not protocol:
-        return []
-    invariants = protocol.get("invariants", [])
-    violations = protocol.get("violations", [])
-    stats = protocol.get("stats") or {}
-    lines: list[str] = []
-    if protocol.get("ok"):
-        lines.append(
-            f"protocol verified: {len(invariants)} membership invariants, "
-            f"0 violations over {stats.get('states', '?')} states / "
-            f"{stats.get('transitions', '?')} transitions "
-            f"(model `{protocol.get('model', '?')}`)"
-        )
-        lines.append("")
-    else:
-        lines.append(
-            f"**protocol INVALID**: {len(violations)} violation(s) on "
-            f"model `{protocol.get('model', '?')}`"
-        )
-        lines.append("")
-        for v in violations:
-            lines.append(
-                f"- `{v.get('invariant')}`: {v.get('message', '')}"
-            )
-            trace = [event for _t, event in v.get("provenance", [])]
-            if trace:
-                lines.append(f"  counterexample: `{' -> '.join(trace)}`")
-        lines.append("")
+        measured = {metric: value for metric, value
+                    in (entry.get("per_layer") or {}).items() if value["value"]}
+        if measured:
+            lines += ["Per-layer (traced pass, nonzero values):", "",
+                      "| metric | value | unit |", "|---|---|---|"]
+            lines += [f"| {metric} | {value['value']:.4g} | {value['unit']} |"
+                      for metric, value in measured.items()]
+            lines.append("")
+        exact = entry.get("exact") or {}
+        if exact:
+            lines += ["Exact counts:", "", "| count | value |", "|---|---|"]
+            lines += [f"| {count} | {value} |" for count, value in exact.items()]
+            lines.append("")
     return lines
 
 
@@ -251,49 +133,6 @@ def _anomaly_section(bench: dict) -> list[str]:
     return lines + [""]
 
 
-def _pipeline_section(bench: dict) -> list[str]:
-    """The profiled run's own overlap accounting
-    (``AngelModel.pipeline_report()``); absent for a synchronous run."""
-    pipeline = bench.get("pipeline") or {}
-    if not pipeline.get("enabled"):
-        return []
-    prefetch = pipeline.get("prefetch") or {}
-    writeback = pipeline.get("writeback") or {}
-    return [
-        "## Pipelined runtime",
-        "",
-        f"- awaited prefetch for "
-        f"{pipeline.get('stall_seconds', 0.0) * 1e3:.1f} ms; demand "
-        f"fetches took {pipeline.get('demand_fetch_seconds', 0.0) * 1e3:.1f} ms",
-        f"- {prefetch.get('prefetched_groups', 0)} move groups staged in "
-        f"the background ({prefetch.get('prefetched_bytes', 0) / MiB:.1f} MiB), "
-        f"{prefetch.get('abandoned', 0)} abandoned to the demand path, "
-        f"{prefetch.get('deferred', 0)} deferred until their trigger was due",
-        f"- {pipeline.get('cached_layers_live', 0)} layers' FP32 states "
-        f"GPU-cache-resident; {writeback.get('flushed', 0)} state flushes "
-        f"ran asynchronously",
-        "",
-    ]
-
-
-def _span_section(bench: dict, top: int = 10) -> list[str]:
-    spans = bench.get("telemetry", {}).get("spans", {})
-    lines = ["## Span breakdown", ""]
-    if not spans:
-        return lines + ["_No spans recorded._", ""]
-    ranked = sorted(
-        spans.items(), key=lambda item: -item[1].get("total_seconds", 0.0)
-    )[:top]
-    lines += ["| span | count | total | max |", "|---|---|---|---|"]
-    for name, stats in ranked:
-        lines.append(
-            f"| `{name}` | {stats.get('count', 0):.0f} "
-            f"| {stats.get('total_seconds', 0.0):.4f} s "
-            f"| {stats.get('max_seconds', 0.0):.4f} s |"
-        )
-    return lines + [""]
-
-
 def _trace_section(trace: dict | None) -> list[str]:
     if not trace:
         return []
@@ -312,21 +151,15 @@ def _trace_section(trace: dict | None) -> list[str]:
     ]
 
 
-def render_markdown(bench: dict, trace: dict | None = None) -> str:
-    """Assemble the full markdown run report from one BENCH payload."""
+def render_markdown(payload: dict, trace: dict | None = None) -> str:
+    """Assemble the markdown run report from a bench result or a cluster
+    report."""
     lines = ["# Run report", ""]
-    benchmark = bench.get("benchmark")
-    if benchmark:
-        lines.append(f"Benchmark: `{benchmark}`")
-        lines.append("")
-    lines += _summary_section(bench)
-    lines += _waterfall_section(bench)
-    lines += _traffic_section(bench)
-    lines += _rank_timeline_section(bench)
-    lines += _pipeline_section(bench)
-    lines += _verification_section(bench)
-    lines += _anomaly_section(bench)
-    lines += _span_section(bench)
+    if "workloads" in payload:
+        lines += _workloads_section(payload)
+    else:
+        lines += _rank_timeline_section(payload)
+        lines += _anomaly_section(payload)
     lines += _trace_section(trace)
     return "\n".join(lines).rstrip() + "\n"
 
@@ -391,14 +224,14 @@ def render_html(markdown: str) -> str:
 
 
 def write_report(
-    bench: dict,
+    payload: dict,
     out_path,
     trace: dict | None = None,
     html: bool = False,
 ) -> list[str]:
     """Write the markdown (and optionally HTML) report; returns paths."""
     out_path = Path(out_path)
-    markdown = render_markdown(bench, trace=trace)
+    markdown = render_markdown(payload, trace=trace)
     out_path.write_text(markdown)
     written = [str(out_path)]
     if html:

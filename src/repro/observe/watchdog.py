@@ -521,7 +521,7 @@ class Watchdog:
     # Export
     # ------------------------------------------------------------------
     def payload(self) -> list[dict]:
-        """The alert log as plain dicts (lands in BENCH_telemetry.json)."""
+        """The alert log as plain dicts (lands in the fleet report)."""
         return [alert.to_dict() for alert in self.alerts]
 
     @property

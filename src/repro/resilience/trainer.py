@@ -166,6 +166,7 @@ class ResilientTrainer:
         ``(engine, step)`` — the fresh engine and the step to replay from.
         """
         if self.counters.recoveries >= self.max_recoveries:
+            self._discard(engine)  # nobody else holds it to close it
             raise error
         self.counters.recoveries += 1
         self._discard(engine)

@@ -132,7 +132,6 @@ class UnifiedScheduler:
         use_recompute: bool = True,
         gpu_reserve_fraction: float = 0.08,
         cost_model: CostModel | None = None,
-        telemetry=None,
     ):
         self.cluster = cluster
         self.page_bytes = page_bytes
@@ -142,16 +141,7 @@ class UnifiedScheduler:
         self.gpu_reserve_fraction = gpu_reserve_fraction
         server = cluster.server
         self.cost = cost_model or CostModel(gpu=server.gpus[0], cpu=server.cpu)
-        if telemetry is None:
-            from repro.telemetry.core import NULL_TELEMETRY
-
-            telemetry = NULL_TELEMETRY
-        #: repro.telemetry.Telemetry: planning/simulation spans, cache-plan
-        #: gauges and simulated collective byte counters.
-        self.telemetry = telemetry
-        self.collectives = CollectiveModel(
-            cluster, telemetry=telemetry if telemetry.enabled else None
-        )
+        self.collectives = CollectiveModel(cluster)
 
     # ------------------------------------------------------------------
     # Planning
@@ -165,19 +155,17 @@ class UnifiedScheduler:
 
     def plan(self, config: ModelConfig, micro_batch: int, seq_len: int = 2048) -> IterationPlan:
         """Trace the model, size the GPU cache and run Algorithm 1."""
-        with self.telemetry.span(f"plan/{config.name}", track="scheduler"):
-            model = config.build(batch_size=micro_batch, seq_len=seq_len)
-            tracer = Tracer(self.cost, use_recompute=self.use_recompute)
-            trace = tracer.trace(model)
-            return plan_iteration(
-                trace,
-                self.gpu_budget,
-                num_ranks=self.cluster.num_gpus,
-                page_bytes=self.page_bytes,
-                micro_batch=micro_batch,
-                use_recompute=self.use_recompute,
-                telemetry=self.telemetry,
-            )
+        model = config.build(batch_size=micro_batch, seq_len=seq_len)
+        tracer = Tracer(self.cost, use_recompute=self.use_recompute)
+        trace = tracer.trace(model)
+        return plan_iteration(
+            trace,
+            self.gpu_budget,
+            num_ranks=self.cluster.num_gpus,
+            page_bytes=self.page_bytes,
+            micro_batch=micro_batch,
+            use_recompute=self.use_recompute,
+        )
 
     # ------------------------------------------------------------------
     # Simulation
@@ -220,19 +208,6 @@ class UnifiedScheduler:
         and reports the marginal (steady-state) iteration time, which is
         what long pre-training runs actually observe.
         """
-        with self.telemetry.span("simulate_plan", track="scheduler"):
-            return self._simulate_plan(
-                plan, use_ssd=use_ssd, lock_free=lock_free,
-                steady_state=steady_state,
-            )
-
-    def _simulate_plan(
-        self,
-        plan: IterationPlan,
-        use_ssd: bool = False,
-        lock_free: bool = False,
-        steady_state: bool = False,
-    ) -> IterationResult:
         sim = Simulator()
         first = self._build_iteration(
             sim, plan, use_ssd=use_ssd, prefix="", prev=None,

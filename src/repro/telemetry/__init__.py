@@ -1,11 +1,12 @@
-"""Runtime telemetry: span tracing, metrics, clocks and profiling.
+"""Runtime telemetry: span tracing, metrics, clocks and trace collection.
 
 The observability layer the functional engine was missing: hierarchical
 :class:`SpanTracer` spans exported to the same Chrome trace-event format
 as simulated timelines, a labelled :class:`MetricsRegistry` absorbing
 per-tier page traffic and fault/retry accounting, injectable
 :class:`Clock` time sources for deterministic tests, and the
-``repro profile`` instrumented run (:mod:`repro.telemetry.bench`).
+collector that merges a run's per-process event streams into one trace
+(:mod:`repro.telemetry.collect`).
 """
 
 from repro.telemetry.clock import WALL_CLOCK, Clock, ManualClock

@@ -37,14 +37,6 @@ class CollectiveModel:
     """Collective durations for a given cluster."""
 
     cluster: ClusterSpec
-    #: Optional repro.telemetry.Telemetry: every costed collective adds
-    #: its logical byte volume to ``collective.<kind>_bytes`` counters, so
-    #: simulated traffic is accounted the same way runtime traffic is.
-    telemetry: object = None
-
-    def _record(self, kind: str, nbytes: int) -> None:
-        if self.telemetry is not None:
-            self.telemetry.record_collective(kind, nbytes)
 
     def _participants_ok(self, num_ranks: int, nbytes: int) -> None:
         if num_ranks <= 0:
@@ -81,21 +73,15 @@ class CollectiveModel:
 
     def all_gather(self, nbytes: int, num_ranks: int) -> float:
         """Assemble a sharded buffer of total size ``nbytes`` on every rank."""
-        duration = self._ring_time(nbytes, num_ranks, volume_factor=1.0)
-        self._record("all_gather", nbytes)
-        return duration
+        return self._ring_time(nbytes, num_ranks, volume_factor=1.0)
 
     def reduce_scatter(self, nbytes: int, num_ranks: int) -> float:
         """Reduce a replicated buffer and leave each rank its shard."""
-        duration = self._ring_time(nbytes, num_ranks, volume_factor=1.0)
-        self._record("reduce_scatter", nbytes)
-        return duration
+        return self._ring_time(nbytes, num_ranks, volume_factor=1.0)
 
     def all_reduce(self, nbytes: int, num_ranks: int) -> float:
         """Reduce-scatter followed by all-gather: twice the ring traffic."""
-        duration = self._ring_time(nbytes, num_ranks, volume_factor=2.0)
-        self._record("all_reduce", nbytes)
-        return duration
+        return self._ring_time(nbytes, num_ranks, volume_factor=2.0)
 
     def all_to_all(self, nbytes_per_rank: int, num_ranks: int) -> float:
         """Every rank exchanges ``nbytes_per_rank`` with all peers.
@@ -108,7 +94,6 @@ class CollectiveModel:
         the MoE layer, which can result in throughput degradation").
         """
         self._participants_ok(num_ranks, nbytes_per_rank)
-        self._record("all_to_all", nbytes_per_rank * num_ranks)
         if num_ranks == 1 or nbytes_per_rank == 0:
             return 0.0
         server = self.cluster.server

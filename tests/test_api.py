@@ -64,22 +64,6 @@ class TestFacade:
         result = api.check(plan, gpu_budget_bytes=scheduler.gpu_budget)
         assert result.ok, result.violations
 
-    def test_profile_returns_payload_and_telemetry(self):
-        from repro.telemetry.bench import ProfileConfig
-
-        config = ProfileConfig(steps=2, watch=False)
-        payload, telemetry = api.profile(config)
-        assert payload["benchmark"] == "telemetry_profile"
-        assert payload["train"]["steps"] == 2
-        assert telemetry.tracer.records
-
-    def test_profile_overrides_replace_fields(self):
-        from repro.telemetry.bench import ProfileConfig
-
-        config = ProfileConfig()
-        payload, _ = api.profile(config, steps=1, watch=False)
-        assert payload["train"]["steps"] == 1
-
     def test_chaos_runs_reference_scenario(self, tmp_path):
         from repro.resilience import ChaosConfig, run_reference
 
@@ -91,14 +75,12 @@ class TestFacade:
         assert result.losses == run_reference(config)
 
     def test_report_renders_from_dict(self, tmp_path):
-        from repro.telemetry.bench import ProfileConfig
-
-        config = ProfileConfig(steps=1, watch=False)
-        payload, _ = api.profile(config)
+        payload = {"alerts": [{"rule": "waterline", "severity": "WARNING",
+                               "step": 3, "message": "gpu headroom low"}]}
         written = api.report(payload, tmp_path / "run_report.md")
-        assert any(str(p).endswith(".md") for p in written)
+        assert written == [str(tmp_path / "run_report.md")]
         text = (tmp_path / "run_report.md").read_text()
-        assert "# " in text
+        assert "| 3 | WARNING | `waterline` | gpu headroom low |" in text
 
     def test_all_names_exist(self):
         for name in api.__all__:

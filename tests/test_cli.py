@@ -71,56 +71,6 @@ class TestCli:
         assert "faults.recoveries        2" in out
         assert "max |delta| 0.00e+00" in out
 
-    def test_profile_writes_bench_and_trace(self, capsys, tmp_path):
-        import json
-
-        assert main([
-            "profile", "--steps", "2", "--outdir", str(tmp_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "steps/s" in out and "per-tier traffic" in out
-        bench = json.loads((tmp_path / "BENCH_telemetry.json").read_text())
-        assert bench["train"]["steps_per_second"] > 0
-        assert bench["per_tier_edge_bytes"]
-        trace = json.loads((tmp_path / "telemetry_trace.json").read_text())
-        meta = [e for e in trace["traceEvents"] if e.get("ph") == "M"]
-        assert len(meta) >= 4  # train / updater / pcie / scheduler
-
-    def test_profile_rejects_bad_steps(self, capsys, tmp_path):
-        assert main(["profile", "--steps", "0",
-                     "--outdir", str(tmp_path)]) == 2
-
-    @pytest.mark.parametrize("rerun", ["overhead", "compare"])
-    def test_profile_has_no_comparison_flags(self, rerun, capsys):
-        """One run, so no flag to skip a second one (timing: ``bench/``)."""
-        with pytest.raises(SystemExit) as excinfo:
-            main(["profile", f"--no-{rerun}"])
-        assert excinfo.value.code == 2
-
-    def test_profile_accepts_exactly_its_eight_options(self):
-        profile = build_parser().parse_args(["profile"])
-        assert set(vars(profile)) - {"command", "func"} == {
-            "steps", "layers", "seed", "lock_free", "pipeline", "no_watch",
-            "outdir", "report",
-        }
-
-    def test_profile_pipeline_prints_its_own_overlap(self, capsys, tmp_path):
-        import json
-
-        assert main([
-            "profile", "--steps", "4", "--pipeline", "--no-watch",
-            "--outdir", str(tmp_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        pipeline = json.loads(
-            (tmp_path / "BENCH_telemetry.json").read_text()
-        )["pipeline"]
-        line = next(l for l in out.splitlines() if l.startswith("pipeline        :"))
-        assert f"{pipeline['prefetch']['abandoned']} abandoned" in line
-        assert f"{pipeline['prefetch']['deferred']} deferred" in line
-        assert f"{pipeline['writeback']['flushed']} async flushes" in line
-        assert "pipeline overlap" not in out and "span overhead" not in out
-
     def test_chaos_unified_metrics_dump(self, capsys, tmp_path):
         assert main([
             "chaos", "--steps", "6", "--seed", "0",
@@ -168,6 +118,24 @@ class TestCli:
         assert captured.out == ""
         assert not workdir.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--batch", "0"],
+        ["plan", "--servers", "0"],
+        ["check", "--schedule", "--batch", "0"],
+        ["check", "--protocol", "--depth", "-1"],
+        ["check", "--protocol", "--depth", "0"],
+        ["check", "--protocol", "--workers", "0"],
+        ["top", "WORKDIR", "--refresh", "-1"],
+        ["top", "WORKDIR", "--once", "--refresh", "0"],
+    ])
+    def test_bad_input_exits_2_with_one_line(self, argv, capsys, tmp_path):
+        argv = [str(tmp_path) if arg == "WORKDIR" else arg for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"{argv[0]}: "), lines
+        assert captured.out == ""
+
     def test_chaos_fault_free_run(self, capsys, tmp_path):
         assert main([
             "chaos", "--steps", "4", "--transient-rate", "0",
@@ -179,44 +147,69 @@ class TestCli:
 
 
 class TestReportCli:
-    def _profile(self, outdir, steps=2):
-        assert main([
-            "profile", "--steps", str(steps), "--outdir", str(outdir),
-        ]) == 0
+    RESULT = {
+        "header": {"nproc": 2, "repeats": 1, "seconds": 0.8},
+        "workloads": {"page_ladder": {
+            "correct": True, "failed_frac": 0.0,
+            "end_to_end": {"ops_per_s": {
+                "unit": "1/s", "values": [5.0e4], "n": 1,
+                "median": 5.0e4, "q1": 5.0e4, "q3": 5.0e4,
+            }},
+            "per_layer": {"ladder.moved_gb_per_s": {"value": 4.8,
+                                                    "unit": "GB/s"}},
+            "exact": {"ladder.pages_moved": 4096},
+        }},
+    }
+    TRACE = {"traceEvents": [
+        {"name": "thread_name", "ph": "M", "args": {"name": "MainThread"}},
+        {"name": "move_pages", "ph": "X", "ts": 0, "dur": 3},
+    ]}
 
-    def test_profile_with_report_writes_run_report(self, capsys, tmp_path):
-        assert main([
-            "profile", "--steps", "3", "--report",
-            "--outdir", str(tmp_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "watchdog alerts" in out  # tight defaults always fire
-        assert "run_report.md" in out
-        markdown = (tmp_path / "run_report.md").read_text()
-        assert "## Memory waterfall" in markdown
-        assert "## Tier traffic" in markdown
-        assert "## Anomalies" in markdown
-        assert "No watchdog alerts fired." not in markdown
-        assert (tmp_path / "run_report.html").exists()
+    def test_report_build_renders_cluster_report(self, capsys, tmp_path):
+        import json
 
-    def test_report_build_from_bench_and_trace(self, capsys, tmp_path):
-        self._profile(tmp_path)
-        capsys.readouterr()
-        assert main([
-            "report", "build",
-            "--bench", str(tmp_path / "BENCH_telemetry.json"),
-            "--trace", str(tmp_path / "telemetry_trace.json"),
-            "--html",
-        ]) == 0
+        report = {
+            "rollup": {"per_source": {"w0i0": {
+                "role": "rank", "tenant": None, "last_step": 4,
+                "alignment": "anchor", "skipped_lines": 0,
+            }}},
+            "rank_lanes": ["w0i0"],
+            "alerts": [{"rule": "worker_liveness", "severity": "CRITICAL",
+                        "step": 2, "message": "rank 1 silent"}],
+        }
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        assert main(["report", "build", str(tmp_path / "report.json")]) == 0
         assert "run_report.md" in capsys.readouterr().out
         markdown = (tmp_path / "run_report.md").read_text()
-        assert "## Summary" in markdown and "## Trace" in markdown
-        html = (tmp_path / "run_report.html").read_text()
+        assert "## Per-rank timeline" in markdown
+        assert "| `w0i0` | rank | - | 4 | anchor | 0 |" in markdown
+        assert "| 2 | CRITICAL | `worker_liveness` | rank 1 silent |" in markdown
+        assert not (tmp_path / "run_report.html").exists()
+
+    def test_report_build_from_bench_and_trace(self, capsys, tmp_path):
+        import json
+
+        (tmp_path / "result.json").write_text(json.dumps(self.RESULT))
+        (tmp_path / "trace.json").write_text(json.dumps(self.TRACE))
+        (tmp_path / "out").mkdir()
+        assert main([
+            "report", "build", str(tmp_path / "result.json"),
+            "--trace", str(tmp_path / "trace.json"),
+            "--out", str(tmp_path / "out" / "ladder.md"), "--html",
+        ]) == 0
+        assert "ladder.html" in capsys.readouterr().out
+        markdown = (tmp_path / "out" / "ladder.md").read_text()
+        assert "### page_ladder" in markdown
+        assert "| ops_per_s | 5e+04 | [5e+04, 5e+04] | 1 | 1/s |" in markdown
+        assert "| ladder.moved_gb_per_s | 4.8 | GB/s |" in markdown
+        assert "| ladder.pages_moved | 4096 |" in markdown
+        assert "1 slices across 1 tracks (`MainThread`)" in markdown
+        html = (tmp_path / "out" / "ladder.html").read_text()
         assert html.startswith("<!DOCTYPE html>")
 
     def test_report_build_missing_bench(self, capsys, tmp_path):
         assert main([
-            "report", "build", "--bench", str(tmp_path / "missing.json"),
+            "report", "build", str(tmp_path / "missing.json"),
         ]) == 2
         assert "no such file" in capsys.readouterr().err
 
@@ -230,7 +223,7 @@ class TestReportCli:
                                              trace, message):
         (tmp_path / "bench.json").write_text(bench)
         (tmp_path / "list.json").write_text("[]")
-        argv = ["report", "build", "--bench", str(tmp_path / "bench.json")]
+        argv = ["report", "build", str(tmp_path / "bench.json")]
         if trace is not None:
             argv += ["--trace", str(tmp_path / trace)]
         assert main(argv) == 2

@@ -65,8 +65,6 @@ class TestInitialize:
         # must not silently train synchronously.
         with pytest.raises(ConfigurationError, match="lock_free"):
             AngelConfig(update_interval=4)
-        with pytest.raises(ConfigurationError, match="lock_free"):
-            AngelConfig.from_dict({"lock_free": False, "update_interval": 4})
 
 
 class TestTrainingLoop:

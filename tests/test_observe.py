@@ -26,7 +26,7 @@ from repro.observe import (
     write_report,
 )
 from repro.telemetry import Telemetry
-from repro.units import GiB, KiB, MiB
+from repro.units import KiB, MiB
 
 
 def snap(step, counters=None, gauges=None, memory=None):
@@ -179,7 +179,7 @@ class TestWatchdog:
         assert telemetry.registry.value(
             "watchdog.alerts", rule="staleness_lag", severity="CRITICAL"
         ) == 1
-        # ...and serializable for the BENCH payload.
+        # ...and serializable for the fleet report.
         assert watchdog.payload()[0]["rule"] == "staleness_lag"
 
     def test_disabled_telemetry_still_evaluates_memory_rules(self):
@@ -251,7 +251,6 @@ class TestForensics:
         for step in range(10):
             recorder.sample(step, {"gpu": {"used_bytes": step}})
         assert [s.step for s in recorder.timeline] == [6, 7, 8, 9]
-        assert recorder.timeline_payload()[0]["tiers"]["gpu"]["used_bytes"] == 6
 
     def test_engine_oom_on_unevictable_allocation(self):
         """An engine-level OOM (nothing evictable) explains itself."""
@@ -284,45 +283,47 @@ class TestForensics:
             engine.close()
 
 
-def make_bench(steps_per_second=10.0, alerts=(), timeline=()):
+def make_result(traced=True):
+    """A ``python3 -m bench run`` result.json, built by hand."""
+    entry = {
+        "correct": True, "attempted": 120, "failed": 0, "failed_frac": 0.0,
+        "end_to_end": {
+            "ops_per_s": {"unit": "1/s", "values": [38.0, 40.0, 43.0],
+                          "n": 3, "median": 40.0, "q1": 39.0, "q3": 41.5},
+            "peak_rss_mib": {"unit": "MiB", "values": [77.6] * 3,
+                             "n": 3, "median": 77.6, "q1": 77.6, "q3": 77.6},
+        },
+    }
+    if traced:
+        entry["per_layer"] = {
+            "engine.step_p50_ms": {"value": 25.5, "unit": "ms"},
+            "pool.oom_per_step": {"value": 0.0, "unit": "count"},
+        }
+        entry["exact"] = {"engine.gpu_peak_pages": 16}
     return {
-        "benchmark": "telemetry_profile",
-        "train": {
-            "steps": 4, "elapsed_seconds": 4 / steps_per_second,
-            "steps_per_second": steps_per_second, "final_loss": 3.2,
-        },
-        "simulated": {
-            "model": "gpt3-13b", "samples_per_second": 2.0,
-            "iteration_time_seconds": 2.0,
-        },
-        "per_tier_edge_bytes": {
-            "pages.moved_bytes{dst=gpu,src=cpu}": 4 * MiB,
-            "pages.moved_bytes{dst=cpu,src=gpu}": 3 * MiB,
-        },
-        "memory_timeline": list(timeline),
-        "alerts": list(alerts),
-        "telemetry": {
-            "metrics": {
-                "counters": {
-                    "pages.moves{dst=gpu,src=cpu}": 64,
-                    "pages.moves{dst=cpu,src=gpu}": 48,
-                },
-                "gauges": {}, "histograms": {},
-            },
-            "spans": {
-                "fwd": {"count": 4, "total_seconds": 0.2, "max_seconds": 0.06},
-            },
-        },
+        "header": {"nproc": 2, "python": "3.11.7", "numpy": "2.0.0",
+                   "git_commit": "abc123", "seconds": 8, "repeats": 3},
+        "workloads": {"gpu_tight": entry},
     }
 
 
-SAMPLE_TIMELINE = [
-    {"step": step, "tiers": {
-        "gpu": {"used_bytes": used * KiB, "free_bytes": (64 - used) * KiB},
-        "cpu": {"used_bytes": 128 * KiB, "free_bytes": 128 * KiB},
-    }}
-    for step, used in enumerate([16, 48, 60])
-]
+def make_cluster_report(alerts=()):
+    """A ``repro cluster --report`` JSON, cut to what the report reads."""
+    return {
+        "complete": True,
+        "rollup": {"per_source": {
+            "supervisor": {"role": "supervisor", "tenant": None,
+                           "last_step": 1, "alignment": "wall",
+                           "skipped_lines": 0},
+            "w0i0": {"role": "rank", "tenant": None, "last_step": 4,
+                     "alignment": "anchor", "skipped_lines": 0},
+            "w1i0": {"role": "rank", "tenant": None, "last_step": 4,
+                     "alignment": "anchor", "skipped_lines": 2},
+        }},
+        "rank_lanes": ["w0i0", "w1i0"],
+        "alerts": list(alerts),
+    }
+
 
 SAMPLE_ALERT = {
     "rule": "waterline", "severity": "WARNING", "step": 2,
@@ -333,27 +334,42 @@ SAMPLE_ALERT = {
 
 class TestReport:
     def test_markdown_has_all_sections(self):
-        markdown = render_markdown(make_bench(
-            alerts=[SAMPLE_ALERT], timeline=SAMPLE_TIMELINE
-        ))
-        assert "## Summary" in markdown
-        assert "## Memory waterfall" in markdown
-        assert "### gpu (capacity 64.00KiB)" in markdown
-        assert "## Tier traffic" in markdown
-        assert "`pages.moved_bytes{dst=gpu,src=cpu}` | 4.00MiB | 64" in markdown
+        markdown = render_markdown(make_result())
+        assert "## Workloads" in markdown
+        assert "on 2 CPU(s), Python 3.11.7" in markdown
+        assert "### gpu_tight" in markdown
+        assert "correct: true, failed_frac: 0.0" in markdown
+        assert "| ops_per_s | 40 | [39, 41.5] | 3 | 1/s |" in markdown
+        assert "| peak_rss_mib | 77.6 | [77.6, 77.6] | 3 | MiB |" in markdown
+        # The traced pass: measured per-layer values, then exact counts.
+        assert "| engine.step_p50_ms | 25.5 | ms |" in markdown
+        assert "pool.oom_per_step" not in markdown
+        assert "| engine.gpu_peak_pages | 16 |" in markdown
+        # A bench result is not a cluster run: no watchdog section.
+        assert "## Anomalies" not in markdown
+
+    def test_untraced_result_has_no_per_layer_table(self):
+        markdown = render_markdown(make_result(traced=False))
+        assert "| ops_per_s | 40 |" in markdown
+        assert "Per-layer" not in markdown and "Exact counts" not in markdown
+
+    def test_cluster_report_renders_ranks_and_anomalies(self):
+        markdown = render_markdown(make_cluster_report(alerts=[SAMPLE_ALERT]))
+        assert "## Per-rank timeline" in markdown
+        assert "| `w1i0` | rank | - | 4 | anchor | 2 |" in markdown
+        assert "Rank lanes in the merged trace: `w0i0`, `w1i0`." in markdown
         assert "## Anomalies" in markdown
         assert "`waterline`" in markdown and "OOM near-miss" in markdown
-        assert "## Span breakdown" in markdown
+        assert "## Workloads" not in markdown
 
     def test_empty_payload_degrades_gracefully(self):
-        markdown = render_markdown({"benchmark": "x"})
+        markdown = render_markdown({})
         assert "No watchdog alerts fired." in markdown
-        assert "_No residency timeline in this payload._" in markdown
-        assert "_No page traffic recorded._" in markdown
+        assert "## Per-rank timeline" not in markdown
 
     def test_write_report_markdown_and_html(self, tmp_path):
-        bench = make_bench(alerts=[SAMPLE_ALERT], timeline=SAMPLE_TIMELINE)
-        written = write_report(bench, tmp_path / "run_report.md", html=True)
+        report = make_cluster_report(alerts=[SAMPLE_ALERT])
+        written = write_report(report, tmp_path / "run_report.md", html=True)
         assert [p.rsplit(".", 1)[1] for p in written] == ["md", "html"]
         html = (tmp_path / "run_report.html").read_text()
         assert html.startswith("<!DOCTYPE html>")
@@ -365,65 +381,36 @@ class TestReport:
         assert "<td>&lt;x&gt;</td>" in html
         assert "<pre>" in html and "bar" in html
 
-    def test_payload_keys_the_profile_no_longer_writes_are_ignored(self):
-        """A BENCH_telemetry.json written before the comparison re-runs
-        were removed still renders; its stale sections are not shown."""
-        bench = make_bench()
-        bench["overhead"] = {"overhead_fraction": -0.028}
-        bench["page_throughput"] = {"edges": {"cpu->gpu": {"copy_calls": 1}}}
-        bench["pipeline"] = {"enabled": False, "stall_seconds": 0.0}
-        markdown = render_markdown(bench)
-        assert "## Summary" in markdown
-        assert "overhead" not in markdown
-        assert "## Pipelined runtime" not in markdown
 
+class TestEngineIntegration:
+    def test_tight_engine_fires_alerts_and_samples_timeline(self):
+        """A tight GPU pool under ``Watchdog.observe_engine``: the
+        waterline and/or cache rules fire, and are counted back into the
+        registry the watchdog reads."""
+        from repro.engine.angel import AngelConfig
+        from repro.fleet.factory import JobFactory, JobWorkload
 
-class TestProfileIntegration:
-    def test_tight_profile_fires_alerts_and_samples_timeline(self):
-        from repro.observe.report import render_markdown
-        from repro.telemetry.bench import ProfileConfig, run_profile
-
-        report, telemetry = run_profile(ProfileConfig(steps=5))
-        # The deliberately tight GPU pool (16 pages) makes the watchdog's
-        # job easy: the waterline and/or cache rules must fire.
-        assert report["alerts"], "tight profile must fire >= 1 alert"
-        assert report["memory_timeline"]
-        assert {"gpu", "cpu"} <= set(report["memory_timeline"][0]["tiers"])
-        markdown = render_markdown(report)
-        assert "### gpu" in markdown  # waterfall rendered per tier
-        assert "| `pages.moved_bytes{" in markdown  # traffic table
-        assert "## Anomalies" in markdown
-        assert "No watchdog alerts fired." not in markdown
-        # Fired alerts are also counted back into the registry.
-        counters = report["telemetry"]["metrics"]["counters"]
-        assert any(k.startswith("watchdog.alerts") for k in counters)
-
-    def test_pipelined_profile_reports_its_own_overlap(self):
-        from repro.observe.report import render_markdown
-        from repro.telemetry.bench import ProfileConfig, run_profile
-
-        report, _ = run_profile(ProfileConfig(
-            steps=4, pipeline=True, watch=False
+        telemetry = Telemetry()
+        watchdog = Watchdog(telemetry=telemetry)
+        factory = JobFactory(JobWorkload(
+            vocab_size=32, layers=2, seq_len=16, batch_size=8, lr=2e-3,
         ))
-        pipeline = report["pipeline"]
-        assert pipeline["enabled"]
-        markdown = render_markdown(report)
-        assert "## Pipelined runtime" in markdown
-        assert (f"{pipeline['prefetch']['abandoned']} abandoned to the "
-                f"demand path") in markdown
-        assert (f"{pipeline['writeback']['flushed']} state flushes"
-                in markdown)
-
-        sync, _ = run_profile(ProfileConfig(steps=2, watch=False))
-        assert not sync["pipeline"]["enabled"]
-        assert "## Pipelined runtime" not in render_markdown(sync)
-
-    def test_watch_off_keeps_payload_shape(self):
-        from repro.telemetry.bench import ProfileConfig, run_profile
-
-        report, _ = run_profile(ProfileConfig(steps=2, watch=False))
-        assert report["alerts"] == []
-        assert report["memory_timeline"]  # engine samples regardless
+        with factory.engine(AngelConfig(
+            gpu_memory_bytes=1 * MiB, cpu_memory_bytes=64 * MiB,
+            ssd_bytes=32 * MiB, page_bytes=64 * KiB, telemetry=telemetry,
+        )) as engine:
+            for step, batch in enumerate(factory.batches(5)):
+                loss = engine(batch)
+                engine.backward(loss)
+                engine.step()
+                watchdog.observe_engine(engine, step=step + 1)
+            timeline = engine.forensics.timeline
+        assert watchdog.alerts, "a 16-page GPU pool must fire >= 1 alert"
+        assert len(timeline) == 5
+        assert {"gpu", "cpu"} <= set(timeline[0].tiers)
+        counters = telemetry.dump()["metrics"]["counters"]
+        assert sum(value for key, value in counters.items()
+                   if key.startswith("watchdog.alerts")) == len(watchdog.alerts)
 
 
 class TestResilienceIntegration:
@@ -451,45 +438,3 @@ class TestResilienceIntegration:
         assert telemetry.registry.value(
             "watchdog.alerts", rule="retry_storm", severity="WARNING"
         ) >= 1
-
-
-class TestVerificationSection:
-    def _verification(self, ok=True):
-        violations = [] if ok else [{
-            "invariant": "use-before-fetch", "trigger_id": 7,
-            "layer_index": 2, "page_id": 1, "tensor_id": -1,
-            "message": "all-gather of layer 2 before page(s) [1] arrived",
-            "provenance": [],
-        }]
-        return {
-            "ok": ok, "model": "gpt3-13b",
-            "invariants": [
-                {"name": "use-before-fetch", "violations": len(violations)},
-                {"name": "oom-at-trigger", "violations": 0},
-            ],
-            "violations": violations,
-            "stats": {
-                "peak_live_bytes": 2.0 * GiB,
-                "gpu_budget_bytes": 4 * GiB,
-            },
-        }
-
-    def test_verified_schedule_renders_verdict(self):
-        bench = make_bench()
-        bench["verification"] = self._verification(ok=True)
-        markdown = render_markdown(bench)
-        assert "## Verification" in markdown
-        assert "schedule verified: 2 invariants, 0 violations" in markdown
-        assert "`use-before-fetch`" in markdown
-        assert "2.00GiB" in markdown and "50.0%" in markdown
-
-    def test_violations_render_as_counterexample_table(self):
-        bench = make_bench()
-        bench["verification"] = self._verification(ok=False)
-        markdown = render_markdown(bench)
-        assert "**schedule INVALID**: 1 violation(s)" in markdown
-        assert "| `use-before-fetch` | 7 | 2 | 1 |" in markdown
-
-    def test_payload_without_verification_degrades(self):
-        markdown = render_markdown({"benchmark": "x"})
-        assert "_No schedule verification in this payload._" in markdown

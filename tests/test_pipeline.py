@@ -1027,26 +1027,3 @@ class TestPrefetchWorker:
                 worker.finish_iteration()
         finally:
             worker.stop()
-
-
-class TestConfigRoundTrip:
-    def test_to_dict_from_dict(self):
-        config = AngelConfig(
-            gpu_memory_bytes=2 * MiB, pipeline=True, lock_free=True,
-            update_interval=3,
-        )
-        rebuilt = AngelConfig.from_dict(config.to_dict())
-        assert rebuilt == config
-        assert len(config.to_dict()) == 9
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown engine fields"):
-            AngelConfig.from_dict({"gpu_memory_byte": 1})
-
-    def test_collaborators_not_serialized(self):
-        config = AngelConfig(retry_policy=RetryPolicy())
-        assert "retry_policy" not in config.to_dict()
-
-    def test_validation_shared_with_post_init(self):
-        with pytest.raises(ConfigurationError, match="update_interval"):
-            AngelConfig.from_dict({"update_interval": 0})

@@ -526,59 +526,3 @@ class TestSharedChromeSerialization:
             assert meta and all(e["ph"] == "M" for e in meta)
         assert named_tracks(sim_trace)[0] == "compute"
         assert named_tracks(span_trace) == ["compute"]
-
-
-class TestProfileHarness:
-    def test_run_profile_report_shape(self):
-        from repro.telemetry.bench import ProfileConfig, run_profile
-
-        config = ProfileConfig(steps=2)
-        report, telemetry = run_profile(config)
-        assert report["train"]["steps_per_second"] > 0
-        assert report["train"]["final_loss"] is not None
-        # The tight GPU pool forces evictions, so page traffic crosses
-        # the GPU<->CPU edge in both directions.
-        edges = report["per_tier_edge_bytes"]
-        assert "pages.moved_bytes{dst=gpu,src=cpu}" in edges
-        assert "pages.moved_bytes{dst=cpu,src=gpu}" in edges
-        assert all(v > 0 for v in edges.values())
-        counters = report["telemetry"]["metrics"]["counters"]
-        assert counters["pages.evictions"] > 0
-        assert counters["engine.steps"] == config.steps
-        assert any(k.startswith("io.read_bytes") for k in counters)
-        assert report["simulated"]["samples_per_second"] > 0
-        # The analytic simulator ran on the same telemetry, so its
-        # planning spans share the trace with the functional engine's.
-        tracks = named_tracks(telemetry.tracer.to_chrome_trace())
-        assert {"train", "updater", "pcie", "scheduler"} <= set(tracks)
-        json.dumps(report)  # BENCH payload must serialize as-is
-
-    def test_run_profile_is_one_run(self, monkeypatch):
-        """Timing comparisons belong to ``bench/``: no re-runs, no keys."""
-        from repro.fleet.factory import JobFactory
-        from repro.telemetry.bench import ProfileConfig, run_profile
-
-        built = []
-        build = JobFactory.engine
-
-        def counting(self, config):
-            built.append(config)
-            return build(self, config)
-
-        monkeypatch.setattr(JobFactory, "engine", counting)
-        report, _ = run_profile(ProfileConfig(steps=2))
-        assert len(built) == 1
-        assert set(report) == {
-            "benchmark", "config", "train", "simulated", "verification",
-            "protocol_verification", "per_tier_edge_bytes", "pipeline",
-            "memory_timeline", "alerts", "telemetry",
-        }
-
-    def test_profile_config_is_six_knobs(self):
-        import dataclasses
-
-        from repro.telemetry.bench import ProfileConfig
-
-        assert [f.name for f in dataclasses.fields(ProfileConfig)] == [
-            "steps", "layers", "seed", "lock_free", "pipeline", "watch",
-        ]
