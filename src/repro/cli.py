@@ -342,7 +342,11 @@ def _cmd_report_build(args: argparse.Namespace) -> int:
         payloads.append(payload)
     payload, trace = payloads
     out = Path(args.out) if args.out else payload_path.parent / "run_report.md"
-    written = write_report(payload, out, trace=trace, html=args.html)
+    try:
+        written = write_report(payload, out, trace=trace, html=args.html)
+    except OSError as exc:
+        print(f"report: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     for path in written:
         print(f"wrote {path}")
     return 0

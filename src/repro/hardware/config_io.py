@@ -35,8 +35,9 @@ _SERVER_FIELDS = {
 def reject_unknown_fields(mapping: dict, known, what: str) -> None:
     """Schema guard: fail loudly on fields no consumer reads.
 
-    :func:`cluster_from_dict` checks the ``server`` object with it, so
-    a typoed server field is an error instead of a silently ignored knob.
+    :func:`cluster_from_dict` checks both the top-level object and its
+    ``server`` object with it, so a typoed field at either level is an
+    error instead of a silently ignored knob.
     """
     if not isinstance(mapping, dict):
         raise ConfigurationError(f"{what} config must be a JSON object")
@@ -50,9 +51,13 @@ def reject_unknown_fields(mapping: dict, known, what: str) -> None:
 
 def cluster_from_dict(config: dict) -> ClusterSpec:
     """Build a cluster from a parsed JSON object."""
-    if not isinstance(config, dict):
-        raise ConfigurationError("cluster config must be a JSON object")
+    reject_unknown_fields(config, ("num_servers", "server"), "cluster")
     num_servers = config.get("num_servers", 1)
+    if (not isinstance(num_servers, int) or isinstance(num_servers, bool)
+            or num_servers < 1):
+        raise ConfigurationError(
+            f"num_servers must be an integer >= 1, got {num_servers!r}"
+        )
     server_config = config.get("server", {})
     reject_unknown_fields(server_config, _SERVER_FIELDS, "server")
     kwargs = {}

@@ -26,7 +26,13 @@ from repro.nn.layers import (
 from repro.nn.optim import Adam, MixedPrecisionAdam
 from repro.nn.recompute import checkpoint
 from repro.nn.data import Batch, copy_task_batches, lm_synthetic_batches
-from repro.nn.functional import cross_entropy, gelu, layer_norm, softmax
+from repro.nn.functional import (
+    causal_attention,
+    cross_entropy,
+    gelu,
+    layer_norm,
+    softmax,
+)
 
 __all__ = [
     "Tensor",
@@ -47,6 +53,7 @@ __all__ = [
     "Batch",
     "copy_task_batches",
     "lm_synthetic_batches",
+    "causal_attention",
     "cross_entropy",
     "gelu",
     "layer_norm",

@@ -3,6 +3,8 @@
 The module tree mirrors the paper's layer anatomy — Linear(Q,K,V),
 ScaledMaskSoftmax, residual Add + LayerNorm, the two-FC GELU FFN — plus a
 top-1-routed MoE FFN (Switch-Transformer style) for the T5-MoE experiments.
+The attention from the head split to the head merge, LayerNorm and GELU
+each run as one fused kernel of :mod:`repro.nn.functional`.
 Under mixed precision, ``Linear`` computes with its weight rounded through
 FP16 (:meth:`~repro.nn.tensor.Tensor.cast_fp16`).
 Forward hooks let the functional Angel engine trace parameter accesses the
@@ -16,7 +18,7 @@ import math
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.nn.functional import gelu, layer_norm, softmax
+from repro.nn.functional import causal_attention, gelu, layer_norm, softmax
 from repro.nn.tensor import Tensor
 
 
@@ -137,27 +139,19 @@ class MultiHeadAttention(Module):
         super().__init__()
         if d_model % num_heads:
             raise ConfigurationError("d_model must be divisible by num_heads")
-        self.d_model = d_model
         self.num_heads = num_heads
-        self.d_head = d_model // num_heads
         self.wq = Linear(d_model, d_model, rng, bias=False)
         self.wk = Linear(d_model, d_model, rng, bias=False)
         self.wv = Linear(d_model, d_model, rng, bias=False)
         self.wo = Linear(d_model, d_model, rng, bias=False)
 
-    def _split(self, x: Tensor, batch: int, seq: int) -> Tensor:
-        return x.reshape(batch, seq, self.num_heads, self.d_head).transpose(0, 2, 1, 3)
-
     def forward(self, x: Tensor, mixed_precision: bool = False) -> Tensor:
-        batch, seq, _ = x.shape
-        q = self._split(self.wq(x, mixed_precision), batch, seq)
-        k = self._split(self.wk(x, mixed_precision), batch, seq)
-        v = self._split(self.wv(x, mixed_precision), batch, seq)
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.d_head))
-        mask = np.triu(np.full((seq, seq), -1e9, dtype=np.float32), k=1)
-        scores = scores + Tensor(mask)
-        attn = softmax(scores, axis=-1)
-        context = (attn @ v).transpose(0, 2, 1, 3).reshape(batch, seq, self.d_model)
+        context = causal_attention(
+            self.wq(x, mixed_precision),
+            self.wk(x, mixed_precision),
+            self.wv(x, mixed_precision),
+            self.num_heads,
+        )
         return self.wo(context, mixed_precision)
 
 
@@ -195,7 +189,7 @@ class MoEFFN(Module):
     def forward(self, x: Tensor, mixed_precision: bool = False) -> Tensor:
         batch, seq, dim = x.shape
         flat = x.reshape(batch * seq, dim)
-        gate = softmax(self.router(flat, mixed_precision), axis=-1)
+        gate = softmax(self.router(flat, mixed_precision))
         choice = gate.data.argmax(axis=-1)
         out = None
         for index, expert in enumerate(self.experts):

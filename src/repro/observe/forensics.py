@@ -88,10 +88,6 @@ class ForensicRecorder:
         """Record one per-tier residency sample (a ``memory_report()``)."""
         self._timeline.append(ResidencySample(step=step, tiers=memory_report))
 
-    @property
-    def timeline(self) -> list[ResidencySample]:
-        return list(self._timeline)
-
     # ------------------------------------------------------------------
     # Failure context (set by whoever is driving the allocator)
     # ------------------------------------------------------------------

@@ -523,9 +523,3 @@ class Watchdog:
     def payload(self) -> list[dict]:
         """The alert log as plain dicts (lands in the fleet report)."""
         return [alert.to_dict() for alert in self.alerts]
-
-    @property
-    def worst_severity(self) -> Severity | None:
-        if not self.alerts:
-            return None
-        return max(alert.severity for alert in self.alerts)

@@ -127,9 +127,11 @@ class TestCli:
         ["check", "--protocol", "--workers", "0"],
         ["top", "WORKDIR", "--refresh", "-1"],
         ["top", "WORKDIR", "--once", "--refresh", "0"],
+        ["report", "build", "WORKDIR/empty.json", "--out", "WORKDIR/nodir/x.md"],
     ])
     def test_bad_input_exits_2_with_one_line(self, argv, capsys, tmp_path):
-        argv = [str(tmp_path) if arg == "WORKDIR" else arg for arg in argv]
+        (tmp_path / "empty.json").write_text("{}")
+        argv = [arg.replace("WORKDIR", str(tmp_path)) for arg in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()

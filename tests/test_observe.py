@@ -174,7 +174,7 @@ class TestWatchdog:
         fired = watchdog.observe_step(step=1)
         assert [a.rule for a in fired] == ["staleness_lag"]
         assert watchdog.alerts == fired
-        assert watchdog.worst_severity is Severity.CRITICAL
+        assert [a.severity for a in watchdog.alerts] == [Severity.CRITICAL]
         # Counted in the registry it watches...
         assert telemetry.registry.value(
             "watchdog.alerts", rule="staleness_lag", severity="CRITICAL"
@@ -193,7 +193,7 @@ class TestWatchdog:
         watchdog = Watchdog(telemetry=Telemetry())
         for step in range(1, 6):
             assert watchdog.observe_step(step=step) == []
-        assert watchdog.worst_severity is None
+        assert watchdog.alerts == []
 
 
 def build_allocator(gpu_pages=4, page_bytes=1 * KiB, forensics=None):
@@ -248,9 +248,12 @@ class TestForensics:
 
     def test_timeline_is_bounded(self):
         recorder = ForensicRecorder(capacity=4)
+        allocator = build_allocator(forensics=recorder)
         for step in range(10):
             recorder.sample(step, {"gpu": {"used_bytes": step}})
-        assert [s.step for s in recorder.timeline] == [6, 7, 8, 9]
+        dump = recorder.capture(allocator, OutOfMemoryError("gpu-pool", 1024, 0))
+        assert [s["step"] for s in dump.waterline_history] == [6, 7, 8, 9]
+        allocator.close()
 
     def test_engine_oom_on_unevictable_allocation(self):
         """An engine-level OOM (nothing evictable) explains itself."""
@@ -404,10 +407,12 @@ class TestEngineIntegration:
                 engine.backward(loss)
                 engine.step()
                 watchdog.observe_engine(engine, step=step + 1)
-            timeline = engine.forensics.timeline
+            timeline = engine.forensics.capture(
+                engine.allocator, OutOfMemoryError("gpu-pool", 1024, 0)
+            ).waterline_history
         assert watchdog.alerts, "a 16-page GPU pool must fire >= 1 alert"
         assert len(timeline) == 5
-        assert {"gpu", "cpu"} <= set(timeline[0].tiers)
+        assert {"gpu", "cpu"} <= set(timeline[0]["tiers"])
         counters = telemetry.dump()["metrics"]["counters"]
         assert sum(value for key, value in counters.items()
                    if key.startswith("watchdog.alerts")) == len(watchdog.alerts)

@@ -42,6 +42,25 @@ class TestClusterConfigIO:
         with pytest.raises(ConfigurationError):
             cluster_from_dict({"server": {"quantum_links": 5}})
 
+    def test_unknown_top_level_field_rejected(self):
+        with pytest.raises(ConfigurationError, match="num_server"):
+            cluster_from_dict({"num_server": 4})
+
+    @pytest.mark.parametrize("num_servers", ["4", 0, -1, 2.0, True, None])
+    def test_num_servers_must_be_positive_int(self, num_servers):
+        with pytest.raises(ConfigurationError, match="num_servers"):
+            cluster_from_dict({"num_servers": num_servers})
+
+    def test_cli_rejects_bad_cluster_file(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"num_servers": "4"}))
+        assert main(["plan", "--model", "gpt3-1.7b", "--cluster", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("plan: ") and captured.err.count("\n") == 1
+
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
