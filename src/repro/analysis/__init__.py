@@ -18,15 +18,14 @@ Four prongs behind ``repro check``:
   *same* transition-rule table the threaded coordinator dispatches
   (:data:`repro.cluster.rules.RULES`) against the membership invariant
   catalog, with minimal action-trace counterexamples.
-- :mod:`repro.analysis.protocol.collective_verifier` proves multi-rank
-  collective-schedule agreement and replays finished cluster workdirs
-  (membership log + per-rank telemetry) against the fencing discipline.
+- :mod:`repro.analysis.protocol.collective_verifier` replays finished
+  cluster workdirs (membership log + per-rank telemetry) against the
+  fencing discipline and checks the executed collectives agree.
 """
 
 from repro.analysis.baseline import compare, load_baseline, save_baseline
 from repro.analysis.invariants import (
     CLUSTER_REPLAY_INVARIANTS,
-    COLLECTIVE_INVARIANTS,
     LINT_RULES,
     PROTOCOL_INVARIANTS,
     SCHEDULE_INVARIANTS,
@@ -39,13 +38,11 @@ from repro.analysis.protocol import (
     ProtocolExplorer,
     explore_protocol,
     verify_cluster_workdir,
-    verify_collective_programs,
 )
 from repro.analysis.verifier import ScheduleVerifier, verify_plan
 
 __all__ = [
     "CLUSTER_REPLAY_INVARIANTS",
-    "COLLECTIVE_INVARIANTS",
     "ConcurrencyLinter",
     "LINT_RULES",
     "LintFinding",
@@ -62,6 +59,5 @@ __all__ = [
     "load_baseline",
     "save_baseline",
     "verify_cluster_workdir",
-    "verify_collective_programs",
     "verify_plan",
 ]

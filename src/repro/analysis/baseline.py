@@ -11,13 +11,9 @@ churn) and a human reason why the pattern is accepted. ``repro check
 - a baseline entry with no live finding is **resolved** (reported so
   the baseline can be pruned, but never a failure).
 
-With the cross-process rules (SA003-SA005) the accepted entries fall
-into three deliberate classes, each explained in its ``reason``:
+With the cross-process rules (SA004-SA005) the accepted entries fall
+into two deliberate classes, each explained in its ``reason``:
 
-- **interprocedural strips** the single-file AST cannot see — the
-  supervisor builds ``replace(config, telemetry=None, sink=sink_spec)``
-  in ``run_cluster()`` and only the stripped copy ever reaches
-  ``_spawn_worker()``'s ``Process()`` call (SA003);
 - **ownership-by-protocol** — the one attach helper never unlinks
   because the arena's creator does, in its ``close()`` (SA004);
 - **bounded-by-someone-else blocking** — worker/coordinator ``recv()``

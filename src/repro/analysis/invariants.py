@@ -74,17 +74,6 @@ PROTOCOL_INVARIANTS = (
     COMPLETE_IMPLIES_DONE,
 )
 
-#: Multi-rank collective-schedule invariants (prong 3, planned ranks).
-COLLECTIVE_ORDER = "collective-order"    # same op sequence on every rank
-COLLECTIVE_SHAPE = "collective-shape"    # agreeing shard lengths
-COLLECTIVE_WORLD = "collective-world"    # every rank plans the same world
-
-COLLECTIVE_INVARIANTS = (
-    COLLECTIVE_ORDER,
-    COLLECTIVE_SHAPE,
-    COLLECTIVE_WORLD,
-)
-
 #: Post-hoc cluster-workdir replay invariants (membership log + per-rank
 #: telemetry streams from a real run).
 FENCE_DISCIPLINE = "fence-discipline"        # eviction/retire implies fence
@@ -137,8 +126,8 @@ class VerificationResult:
     #: Replay statistics (task/trigger counts, peak live bytes, budget).
     stats: dict = field(default_factory=dict)
     #: What was verified: "schedule" (symbolic replay), "protocol"
-    #: (coordinator model exploration), "collective" (multi-rank plan
-    #: agreement) or "cluster" (post-hoc workdir replay).
+    #: (coordinator model exploration) or "cluster" (post-hoc workdir
+    #: replay).
     kind: str = "schedule"
 
     @property

@@ -8,11 +8,10 @@ builds a **thread-role map** per class and flags:
 
 - ``SA001`` *shared-state race* — an instance attribute written outside
   ``__init__`` whose unmediated accesses span more than one thread role
-  (trainer thread vs. a ``threading.Thread`` target vs. an event-bus
-  callback). Mediation means the access happens under a held lock
-  (``with self._lock:``) or the attribute is itself a thread-safe object
-  (Lock/Event/Queue, a telemetry gauge/counter/histogram, the per-param
-  locked :class:`~repro.lockfree.buffers.GradientBuffers`).
+  (trainer thread vs. a ``threading.Thread`` target). Mediation means the
+  access happens under a held lock (``with self._lock:``) or the
+  attribute is itself a thread-safe object (Lock/Event/Queue, a
+  telemetry gauge/counter/histogram).
 - ``SA002`` *lock-order cycle* — two locks acquired nested in opposite
   orders somewhere in the tree (the classic ABBA deadlock).
 
@@ -23,8 +22,11 @@ shared memory and blocking pipes:
 - ``SA003`` *spawn-boundary pickling* — a config object whose class
   declares a thread/lock/telemetry-typed field reaches a
   ``Process(args=...)`` spawn without that field being stripped via
-  ``dataclasses.replace(...)`` first. This is exactly the bug class the
-  telemetry export work fixed by hand with the picklable ``SinkSpec``.
+  ``dataclasses.replace(...)`` first. No config in the tree declares
+  such a field today: ``ClusterConfig``, the one config pickled into
+  spawned processes, carries the picklable ``SinkSpec`` recipe and takes
+  its live telemetry as a ``run_cluster`` argument, so the rule guards
+  against a field being added back.
 - ``SA004`` *shared-memory lifecycle* — a scope creates or attaches a
   ``SharedMemory`` segment but never calls both ``close()`` and
   ``unlink()``, leaking the segment past the process's life.
@@ -65,7 +67,7 @@ from repro.analysis.invariants import (
 UNPICKLABLE_TYPES = frozenset({
     "Thread", "Lock", "RLock", "Condition", "Event", "Semaphore",
     "BoundedSemaphore", "Barrier", "Queue", "SimpleQueue", "Connection",
-    "Listener", "TelemetryLike", "Telemetry", "EventBus",
+    "Listener", "TelemetryLike", "Telemetry",
 })
 
 #: Blocking receive calls on a cross-process pipe; a ``poll(timeout)``
@@ -76,7 +78,6 @@ RECV_CALLS = frozenset({"recv", "recv_bytes"})
 MEDIATED_CONSTRUCTORS = frozenset({
     "Lock", "RLock", "Condition", "Event", "Semaphore", "BoundedSemaphore",
     "Barrier", "Queue", "SimpleQueue", "LifoQueue", "PriorityQueue",
-    "GradientBuffers",
     # telemetry registry instruments are internally locked
     "gauge", "counter", "histogram",
 })
@@ -84,8 +85,6 @@ MEDIATED_CONSTRUCTORS = frozenset({
 #: Constructors that make an attribute usable as a ``with``-lock.
 LOCK_CONSTRUCTORS = frozenset({"Lock", "RLock", "Condition", "Semaphore"})
 
-#: The role of code reachable only from EventBus callback registration.
-CALLBACK_ROLE = "callback"
 MAIN_ROLE = "main"
 
 
@@ -134,8 +133,6 @@ class _ClassInfo:
     calls: dict = field(default_factory=dict)
     #: methods passed as ``threading.Thread(target=self.m)``
     thread_entries: set = field(default_factory=set)
-    #: methods registered as EventBus callbacks (on_complete / when_all)
-    callback_methods: set = field(default_factory=set)
     accesses: list = field(default_factory=list)
     #: attrs assigned in __init__ from a mediated constructor
     mediated_attrs: set = field(default_factory=set)
@@ -244,13 +241,6 @@ class _ClassScanner:
                     target = _self_attr(keyword.value)
                     if target is not None:
                         info.thread_entries.add(target)
-        # bus.when_all([...], self.m) / event.on_complete(self.m)
-        if name in {"on_complete", "when_all"}:
-            args = list(node.args)
-            for arg in args:
-                target = _self_attr(arg)
-                if target is not None:
-                    info.callback_methods.add(target)
         # self.m(...) -> intra-class call edge
         target = _self_attr(node.func)
         if target is not None:
@@ -301,9 +291,8 @@ def _roles(info: _ClassInfo) -> dict:
     """Fixed-point thread-role propagation over the intra-class calls.
 
     Thread entry methods seed ``thread:<name>``; methods nobody calls
-    seed ``main`` (public API runs on the trainer thread); EventBus
-    callbacks add the ambiguous ``callback`` role. Roles flow from
-    caller to callee until stable.
+    seed ``main`` (public API runs on the trainer thread). Roles flow
+    from caller to callee until stable.
     """
     methods = set(info.calls)
     called = {callee for callees in info.calls.values() for callee in callees}
@@ -313,8 +302,6 @@ def _roles(info: _ClassInfo) -> dict:
             roles[name].add(f"thread:{name}")
         elif name not in called:
             roles[name].add(MAIN_ROLE)
-        if name in info.callback_methods:
-            roles[name].add(CALLBACK_ROLE)
     changed = True
     while changed:
         changed = False

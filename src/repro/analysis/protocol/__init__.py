@@ -8,31 +8,20 @@ Three verifiers extend the PR-4 schedule prong to the distributed layer:
   table as :class:`repro.cluster.coordinator.Coordinator`, explored
   exhaustively to a bounded depth against the membership invariant
   catalog (:data:`repro.analysis.invariants.PROTOCOL_INVARIANTS`);
-- :mod:`~repro.analysis.protocol.collective_verifier` — multi-rank
-  collective-schedule agreement (identical ordered op sequences with
-  agreeing shard lengths on every rank) plus post-hoc replay of a real
-  cluster workdir's membership log and per-rank telemetry streams.
+- :mod:`~repro.analysis.protocol.collective_verifier` — post-hoc replay
+  of a real cluster workdir's membership log and per-rank telemetry
+  streams (fencing discipline, executed collectives agreeing per step).
 """
 
-from repro.analysis.protocol.collective_verifier import (
-    CollectiveOp,
-    collective_program_from_plan,
-    verify_cluster_workdir,
-    verify_collective_programs,
-    worker_collective_program,
-)
+from repro.analysis.protocol.collective_verifier import verify_cluster_workdir
 from repro.analysis.protocol.explorer import ProtocolExplorer, explore_protocol
 from repro.analysis.protocol.model import ProtocolConfig, SystemState, WorkerModel
 
 __all__ = [
-    "CollectiveOp",
     "ProtocolConfig",
     "ProtocolExplorer",
     "SystemState",
     "WorkerModel",
-    "collective_program_from_plan",
     "explore_protocol",
     "verify_cluster_workdir",
-    "verify_collective_programs",
-    "worker_collective_program",
 ]

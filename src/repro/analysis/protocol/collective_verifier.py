@@ -1,39 +1,23 @@
-"""Multi-rank collective-schedule verification.
+"""Post-hoc replay of a finished cluster run (``repro check --cluster``).
 
-Two entry points extend the PR-4 single-rank ``ScheduleVerifier`` to
-the cluster:
-
-- **Planned agreement** (:func:`verify_collective_programs`): every
-  rank's schedule must issue an *identical ordered sequence* of
-  collectives with *agreeing payload sizes*. A rank whose plan gathers
-  in a different order — or with a different shard length — deadlocks
-  the whole group at runtime, because ZeRO collectives match purely by
-  call order. Programs come from the worker step loop
-  (:func:`worker_collective_program`), from any PR-4
-  :class:`~repro.scheduler.unified.IterationPlan`
-  (:func:`collective_program_from_plan`), or hand-built.
-- **Post-hoc replay** (:func:`verify_cluster_workdir`): replay a real
-  run's ``membership_events.jsonl`` and per-rank telemetry streams
-  (PR 8) and verify the fencing discipline actually held — generations
-  monotonic and fenced-never-patched, ranks dense and slot-unique,
-  evicted lives only readmitted with a bumped incarnation, and every
-  rank of a generation having executed byte-identical collective
-  sequences per step (prefixes allowed: a fenced or killed rank stops
-  mid-sequence).
+:func:`verify_cluster_workdir` replays a real run's
+``membership_events.jsonl`` and per-rank telemetry streams and verifies
+the fencing discipline actually held — generations monotonic and
+fenced-never-patched, ranks dense and slot-unique, evicted lives only
+readmitted with a bumped incarnation, and every rank of a generation
+having executed byte-identical collective sequences per step (prefixes
+allowed: a fenced or killed rank stops mid-sequence). ZeRO collectives
+match purely by call order, so two ranks that disagree there deadlock
+the group or reduce the wrong bytes.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from repro.analysis.invariants import (
     CLUSTER_REPLAY_INVARIANTS,
     COLLECTIVE_AGREEMENT,
-    COLLECTIVE_INVARIANTS,
-    COLLECTIVE_ORDER,
-    COLLECTIVE_SHAPE,
-    COLLECTIVE_WORLD,
     COMPLETE_IMPLIES_DONE,
     FENCE_DISCIPLINE,
     GENERATION_MONOTONIC,
@@ -43,13 +27,7 @@ from repro.analysis.invariants import (
     Violation,
 )
 
-__all__ = [
-    "CollectiveOp",
-    "collective_program_from_plan",
-    "verify_cluster_workdir",
-    "verify_collective_programs",
-    "worker_collective_program",
-]
+__all__ = ["verify_cluster_workdir"]
 
 _WORKER_ID = re.compile(r"^w(\d+)i(\d+)$")
 
@@ -57,157 +35,6 @@ _WORKER_ID = re.compile(r"^w(\d+)i(\d+)$")
 _COLLECTIVE_SPANS = frozenset(("reduce_scatter", "all_gather"))
 
 
-@dataclass(frozen=True)
-class CollectiveOp:
-    """One collective call a rank plans (or executed): kind + payload."""
-
-    kind: str      # "all_gather" | "reduce_scatter"
-    nbytes: int    # payload bytes this rank contributes
-    label: str = ""
-
-
-def worker_collective_program(config, world: int, rank: int,
-                              start_step: int = 0,
-                              total_elements: int | None = None) -> list:
-    """The ordered collectives one rank issues in one generation.
-
-    Mirrors ``repro.cluster.worker._run_generation``: per step a
-    gradient ``reduce_scatter`` (full flat fp32 state), a parameter
-    ``all_gather`` (one padded shard), and the float64 loss
-    ``all_gather``; each checkpoint step adds three full-state shard
-    all-gathers (master/m/v). ``rank`` does not change the result —
-    that *is* the invariant — but stays in the signature so per-rank
-    configuration bugs surface as disagreeing programs.
-    """
-    from repro.zero.collectives import shard_length
-
-    if total_elements is None:
-        from repro.cluster.worker import _build_model
-
-        _, params = _build_model(config)
-        total_elements = sum(p.data.size for p in params)
-    shard = shard_length(total_elements, world)
-    program: list[CollectiveOp] = []
-    for step in range(start_step, config.steps):
-        program.append(CollectiveOp(
-            "reduce_scatter", total_elements * 4, f"step{step}/grad"
-        ))
-        program.append(CollectiveOp(
-            "all_gather", shard * 4, f"step{step}/params"
-        ))
-        program.append(CollectiveOp("all_gather", 8, f"step{step}/loss"))
-        completed = step + 1
-        if completed % config.checkpoint_every == 0:
-            for name in ("master", "m", "v"):
-                program.append(CollectiveOp(
-                    "all_gather", shard * 4, f"ckpt{completed}/{name}"
-                ))
-    return program
-
-
-def collective_program_from_plan(plan) -> list:
-    """Extract the ordered collective sequence from an ``IterationPlan``.
-
-    Any PR-4 schedule is admissible input: the communicator tasks
-    (``ALL_GATHER``/``REDUCE_SCATTER``) in schedule order are exactly
-    what each rank would issue, so per-rank plans can be checked for
-    agreement with :func:`verify_collective_programs`.
-    """
-    from repro.scheduler.tasks import Operation
-
-    program: list[CollectiveOp] = []
-    for task in plan.schedule:
-        if task.operation in (Operation.ALL_GATHER, Operation.REDUCE_SCATTER):
-            program.append(CollectiveOp(
-                task.operation.value,
-                int(task.nbytes),
-                f"t{task.trigger_id}/L{task.layer_index}",
-            ))
-    return program
-
-
-def verify_collective_programs(programs: dict) -> VerificationResult:
-    """Check that every rank's program is the same ordered sequence.
-
-    ``programs`` maps rank -> list of :class:`CollectiveOp`. Stops at
-    the first disagreement (one minimal counterexample, mirroring the
-    schedule verifier).
-    """
-    violations: list[Violation] = []
-    ranks = sorted(programs)
-    world = len(ranks)
-    if ranks != list(range(world)):
-        violations.append(Violation(
-            invariant=COLLECTIVE_WORLD,
-            trigger_id=0,
-            message=(
-                f"rank set {ranks} is not the dense 0..{world - 1} the "
-                f"collectives assume"
-            ),
-        ))
-    if not violations and world:
-        reference = programs[ranks[0]]
-        for rank in ranks[1:]:
-            program = programs[rank]
-            if len(program) != len(reference):
-                violations.append(Violation(
-                    invariant=COLLECTIVE_ORDER,
-                    trigger_id=min(len(program), len(reference)),
-                    message=(
-                        f"rank {rank} plans {len(program)} collectives, "
-                        f"rank {ranks[0]} plans {len(reference)} — the "
-                        f"shorter rank deadlocks the group at the first "
-                        f"unmatched call"
-                    ),
-                ))
-                break
-            mismatch = next(
-                (i for i, (a, b) in enumerate(zip(reference, program))
-                 if a.kind != b.kind), None,
-            )
-            if mismatch is not None:
-                a, b = reference[mismatch], program[mismatch]
-                violations.append(Violation(
-                    invariant=COLLECTIVE_ORDER,
-                    trigger_id=mismatch,
-                    message=(
-                        f"collective #{mismatch}: rank {ranks[0]} issues "
-                        f"{a.kind} ({a.label}) but rank {rank} issues "
-                        f"{b.kind} ({b.label}) — order must be identical "
-                        f"on every rank"
-                    ),
-                ))
-                break
-            mismatch = next(
-                (i for i, (a, b) in enumerate(zip(reference, program))
-                 if a.nbytes != b.nbytes), None,
-            )
-            if mismatch is not None:
-                a, b = reference[mismatch], program[mismatch]
-                violations.append(Violation(
-                    invariant=COLLECTIVE_SHAPE,
-                    trigger_id=mismatch,
-                    message=(
-                        f"collective #{mismatch} ({a.kind}, {a.label}): "
-                        f"rank {ranks[0]} contributes {a.nbytes} bytes but "
-                        f"rank {rank} contributes {b.nbytes} — shard "
-                        f"lengths must agree"
-                    ),
-                ))
-                break
-    ops = len(programs[ranks[0]]) if ranks else 0
-    return VerificationResult(
-        model_name=f"collective-programs/w{world}",
-        kind="collective",
-        violations=violations,
-        invariants_checked=COLLECTIVE_INVARIANTS,
-        stats={"world": world, "ops_per_rank": ops},
-    )
-
-
-# ----------------------------------------------------------------------
-# Post-hoc workdir replay
-# ----------------------------------------------------------------------
 def _parse_worker(worker: str) -> tuple | None:
     match = _WORKER_ID.match(worker)
     if match is None:

@@ -29,9 +29,8 @@ def chaos(config=None, workdir=None, telemetry=None):
     """Run the fault-injection harness; returns a ``ChaosReport``.
 
     ``config`` is a :class:`repro.resilience.ChaosConfig`; ``workdir``
-    holds checkpoints. Explicit ``workdir``/``telemetry`` arguments win,
-    then the config's own ``workdir``/``telemetry`` fields, then a fresh
-    temp dir — so a fully-packed config object is honored as-is.
+    holds checkpoints (a fresh temp dir when omitted); ``telemetry``
+    receives fault counters, retry latencies and watchdog alerts.
     """
     from repro.resilience import ChaosConfig, run_chaos
 
@@ -47,8 +46,8 @@ def cluster(config=None, workdir=None, telemetry=None):
     processes, rendezvous coordinator, heartbeat failure detection, and
     (when ``kill_rank``/``kill_at_step`` are set) a SIGKILL mid-step with
     checkpointed recovery. ``workdir`` holds checkpoints and the
-    membership event log. Explicit ``workdir``/``telemetry`` arguments
-    win, then the config's own fields, then a fresh temp dir.
+    membership event log (a fresh temp dir when omitted); ``telemetry``
+    receives the membership and heartbeat gauges.
     """
     from repro.cluster import ClusterConfig, run_cluster
 
@@ -65,8 +64,8 @@ def fleet(config=None, workdir=None, telemetry=None, jobs=None):
     fair-share scheduling, per-tenant page quotas and checkpoint-based
     preemption. ``workdir`` holds per-job preemption snapshots; ``jobs``
     (a list of :class:`repro.fleet.JobSpec`) replaces the generated
-    traffic when given. Resolution order matches :func:`cluster`:
-    explicit argument, then config field, then a fresh temp dir.
+    traffic when given. ``workdir`` resolves explicit argument, then
+    ``config.workdir``, then a fresh temp dir.
     """
     from dataclasses import replace
 

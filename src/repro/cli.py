@@ -352,15 +352,14 @@ def _cmd_report_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_cluster_scenario(args: argparse.Namespace, prog: str,
-                          **membership) -> int:
+def _cmd_cluster(args: argparse.Namespace) -> int:
     """Run an elastic process-cluster scenario and gate on the outcome.
 
-    Shared by ``repro cluster`` and ``repro chaos --kill-rank``: runs the
-    fault-free sequential reference, then the real multi-process run, and
-    returns non-zero unless the run completed every step, its losses
-    track the reference within ``--tolerance``, every child exited on its
-    own and no shared-memory segment of the run is left behind.
+    Runs the fault-free sequential reference, then the real
+    multi-process run, and returns non-zero unless the run completed
+    every step, its losses track the reference within ``--tolerance``,
+    every child exited on its own and no shared-memory segment of the
+    run is left behind.
     """
     import json
     import tempfile
@@ -378,10 +377,12 @@ def _run_cluster_scenario(args: argparse.Namespace, prog: str,
         kill_rank=args.kill_rank,
         kill_at_step=args.at_step if args.at_step is not None
         else args.steps // 2,
-        **membership,
+        step_delay=args.step_delay,
+        rendezvous_grace=args.grace,
+        run_timeout=args.timeout,
     )
     tolerance = args.tolerance
-    report_path = getattr(args, "report", None)
+    report_path = args.report
     workdir = args.workdir or tempfile.mkdtemp(prefix="repro-cluster-")
     reference = run_cluster_reference(config)
     telemetry = Telemetry()
@@ -446,23 +447,10 @@ def _run_cluster_scenario(args: argparse.Namespace, prog: str,
 
     if failures:
         for failure in failures:
-            print(f"{prog}: FAIL: {failure}", file=sys.stderr)
+            print(f"cluster: FAIL: {failure}", file=sys.stderr)
         return 1
     print("verdict         : recovered, losses match reference")
     return 0
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    return _run_cluster_scenario(
-        args, "cluster", step_delay=args.step_delay,
-        rendezvous_grace=args.grace, run_timeout=args.timeout,
-    )
-
-
-#: ``repro chaos``'s engine fault flags and the value an engine run takes
-#: for one not given: they parse to None, so ``--kill-rank`` can refuse them.
-_ENGINE_FAULTS = {"transient_rate": 0.02, "max_transients": 8, "torn_rate": 0.008,
-                  "max_torn": 2, "tier_death_after": None, "rank_failure_at": None}
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -471,29 +459,18 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.resilience import ChaosConfig, run_chaos, run_reference
     from repro.telemetry import Telemetry
 
-    given = [name for name in _ENGINE_FAULTS if getattr(args, name) is not None]
-    if args.kill_rank is not None:
-        # Process-cluster chaos: SIGKILL a real worker mid-step and
-        # demand full recovery (the elastic rendezvous path). The engine
-        # fault plan does not reach those workers.
-        if given:
-            print(f"chaos: --{given[0].replace('_', '-')} does not apply "
-                  "with --kill-rank", file=sys.stderr)
-            return 2
-        return _run_cluster_scenario(args, "chaos")
-    faults = {**_ENGINE_FAULTS, **{name: getattr(args, name) for name in given}}
     config = ChaosConfig(
         steps=args.steps,
         checkpoint_every=args.ckpt_every,
         seed=args.seed,
         layers=args.layers,
-        transient_read_rate=faults["transient_rate"],
-        transient_write_rate=faults["transient_rate"],
-        max_transients=faults["max_transients"],
-        torn_write_rate=faults["torn_rate"],
-        max_torn_writes=faults["max_torn"],
-        die_after_ops=faults["tier_death_after"],
-        rank_failure_at_step=faults["rank_failure_at"],
+        transient_read_rate=args.transient_rate,
+        transient_write_rate=args.transient_rate,
+        max_transients=args.max_transients,
+        torn_write_rate=args.torn_rate,
+        max_torn_writes=args.max_torn,
+        die_after_ops=args.tier_death_after,
+        rank_failure_at_step=args.rank_failure_at,
     )
     reference = run_reference(
         ChaosConfig(steps=args.steps, checkpoint_every=args.ckpt_every,
@@ -677,12 +654,12 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--layers", type=int, default=2)
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--ckpt-every", type=int, default=3)
-    chaos.add_argument("--transient-rate", type=float, default=None,
+    chaos.add_argument("--transient-rate", type=float, default=0.02,
                        help="per-request transient fault probability on the "
-                            "SSD tier (default 0.02; a step issues ~40)")
-    chaos.add_argument("--max-transients", type=int, default=None)
-    chaos.add_argument("--torn-rate", type=float, default=None)
-    chaos.add_argument("--max-torn", type=int, default=None)
+                            "SSD tier (a step issues ~40)")
+    chaos.add_argument("--max-transients", type=int, default=8)
+    chaos.add_argument("--torn-rate", type=float, default=0.008)
+    chaos.add_argument("--max-torn", type=int, default=2)
     chaos.add_argument("--tier-death-after", type=int, default=None,
                        help="kill the SSD tier permanently after N I/O requests")
     chaos.add_argument("--rank-failure-at", type=int, default=None,
@@ -692,14 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--tolerance", type=float, default=0.05,
                        help="max |loss - reference| over every step "
                             "before exit 1")
-    chaos.add_argument("--kill-rank", type=int, default=None,
-                       help="SIGKILL this worker slot in a real "
-                            "multi-process cluster run")
-    chaos.add_argument("--at-step", type=int, default=None,
-                       help="step at which --kill-rank fires "
-                            "(default: steps // 2)")
-    chaos.add_argument("--workers", type=int, default=3,
-                       help="process count for --kill-rank mode")
     chaos.set_defaults(func=_cmd_chaos)
 
     cluster = sub.add_parser(
@@ -714,7 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--kill-rank", type=int, default=None,
                          help="SIGKILL this worker slot mid-step")
     cluster.add_argument("--at-step", type=int, default=None,
-                         help="step at which --kill-rank fires")
+                         help="step at which --kill-rank fires "
+                              "(default: steps // 2)")
     cluster.add_argument("--step-delay", type=float, default=0.0,
                          help="artificial per-step duration (seconds)")
     cluster.add_argument("--grace", type=float, default=1.0,

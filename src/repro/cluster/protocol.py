@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from multiprocessing.connection import Client
 
 from repro.errors import ConfigurationError
-from repro.protocols import TelemetryLike
 from repro.telemetry.export import SinkSpec
 from repro.units import KiB
 
@@ -67,20 +66,11 @@ class ClusterConfig:
     respawn_delay: float = 0.05
     run_timeout: float = 120.0
 
-    # Supervisor-side resources. Both live only in the supervisor
-    # process: ``workdir`` is where checkpoints and the membership event
-    # log land (a fresh temp dir when omitted), and ``telemetry`` is the
-    # sink that membership/heartbeat gauges mirror into. The config is
-    # pickled to spawned coordinator/worker processes, so the supervisor
-    # strips ``telemetry`` (not picklable, and meaningless off-process)
-    # before any spawn.
-    workdir: str | None = None
-    telemetry: TelemetryLike | None = None
-    #: Unlike ``telemetry``, this *does* cross the spawn boundary: a
-    #: picklable recipe (directory + flush interval) each worker opens
-    #: its own per-incarnation event file from, so worker-side spans and
-    #: metrics are exported instead of silently dropped. ``run_cluster``
-    #: fills it from ``workdir`` when unset.
+    #: The config is pickled to the spawned coordinator and workers; this
+    #: picklable recipe (directory + flush interval) is what each worker
+    #: opens its own per-incarnation event file from, so worker-side
+    #: spans and metrics are exported instead of silently dropped.
+    #: ``run_cluster`` fills it from its ``workdir`` when unset.
     sink: SinkSpec | None = None
 
     def __post_init__(self) -> None:

@@ -127,26 +127,21 @@ def _spawn_worker(ctx, config: ClusterConfig, address, authkey: bytes,
 
 
 def run_cluster(config: ClusterConfig, workdir: str | None = None,
-                telemetry=None, watchdog=None) -> ClusterReport:
+                telemetry=None) -> ClusterReport:
     """Run one elastic training job with real worker processes.
 
-    ``workdir``/``telemetry`` resolve explicit argument first, then the
-    matching ``config`` field, then (for ``workdir``) a fresh temp dir —
-    so a caller who packed everything into the config object gets the
-    directory and sink they asked for.
+    ``workdir`` holds checkpoints and the membership event log (a fresh
+    temp dir when omitted); ``telemetry`` is the supervisor's sink, which
+    the membership/heartbeat gauges mirror into and a live watchdog
+    reads.
     """
     if workdir is None:
-        workdir = config.workdir
-    if workdir is None:
         workdir = tempfile.mkdtemp(prefix="repro-cluster-")
-    if telemetry is None:
-        telemetry = config.telemetry
-    # The config crosses the process boundary by pickle; a live telemetry
-    # object must not (it is supervisor state) — but the *sink spec* is a
-    # picklable recipe, so every worker opens its own event file under
-    # workdir/telemetry/ instead of running blind.
+    # The config crosses the process boundary by pickle; the *sink spec*
+    # is a picklable recipe, so every worker opens its own event file
+    # under workdir/telemetry/ instead of running blind.
     sink_spec = config.sink or SinkSpec(telemetry_dir(workdir))
-    spawn_config = replace(config, telemetry=None, sink=sink_spec)
+    spawn_config = replace(config, sink=sink_spec)
     os.makedirs(workdir, exist_ok=True)
     # AF_UNIX socket paths are length-limited (~108 bytes); anchor the
     # rendezvous address in tmp, scoped by pid + workdir hash.
@@ -157,7 +152,8 @@ def run_cluster(config: ClusterConfig, workdir: str | None = None,
     authkey = os.urandom(16)
     ctx = multiprocessing.get_context("spawn")
 
-    if telemetry is not None and watchdog is None:
+    watchdog = None
+    if telemetry is not None:
         from repro.observe.watchdog import Watchdog
 
         watchdog = Watchdog(telemetry=telemetry)
@@ -238,12 +234,11 @@ def run_cluster(config: ClusterConfig, workdir: str | None = None,
     report.steps_completed = len(report.losses)
     if supervisor_sink is not None:
         supervisor_sink.close()
-    _collect_telemetry(workdir, report, watchdog)
+    _collect_telemetry(workdir, report)
     return report
 
 
-def _collect_telemetry(workdir: str, report: ClusterReport,
-                       watchdog) -> None:
+def _collect_telemetry(workdir: str, report: ClusterReport) -> None:
     """Merge every worker's event stream; re-run the rules cluster-wide.
 
     The live watchdog only ever saw the supervisor's own registry; the
@@ -264,10 +259,7 @@ def _collect_telemetry(workdir: str, report: ClusterReport,
     collected = TraceCollector(workdir).collect()
     report.rollup = collected.rollup
     report.rank_lanes = collected.rank_lanes
-    replay = Watchdog(
-        config=watchdog.config if watchdog is not None else None
-    )
-    report.alerts.extend(replay_watchdog(collected.streams, replay))
+    report.alerts.extend(replay_watchdog(collected.streams, Watchdog()))
 
 
 def _mirror(stats: dict, telemetry) -> None:

@@ -372,7 +372,6 @@ def run_cluster_in_process(config: ClusterConfig, world: int,
     if not 1 <= world <= config.num_data_shards:
         raise ConfigurationError(f"world {world} outside [1, {config.num_data_shards}]")
     os.makedirs(workdir, exist_ok=True)
-    telemetry = config.telemetry or NULL_TELEMETRY
     group = InProcessGroup(world, page_bytes=config.page_bytes)
     batches = make_batches(config)
     losses: list[float] = []
@@ -385,7 +384,7 @@ def run_cluster_in_process(config: ClusterConfig, world: int,
             state = load_rank_state(config, workdir, params, rank, world)
             for step in range(state.start, config.steps):
                 zero_step(config, model, params, batches[step], transport,
-                          state, telemetry)
+                          state)
                 if (step + 1) % config.checkpoint_every == 0:
                     _save_group_checkpoint(workdir, transport, state, step + 1)
             if rank == 0:

@@ -39,9 +39,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, GradientError
 from repro.hardware.device import DeviceKind
-from repro.lockfree.buffers import GradientBuffers
 from repro.memory.allocator import PageAllocator, PageQuota
 from repro.memory.pool import DevicePool
 from repro.memory.tensor import PagedTensor, gather, scatter
@@ -129,6 +128,62 @@ class _Managed:
     moment2: PagedTensor  # FP32 second moment (v32)
     last_access: int = -1
     first_access: int = -1
+
+
+class GradientBuffers:
+    """Algorithm 2's CPU-side gradient buffers ``g'16``.
+
+    The backward pass deposits every parameter's gradient (line 15) and
+    the update sweep drains what accumulated (lines 5 + 12). Only the
+    training thread touches them: backward, the sweep and checkpoint
+    capture/restore; neither background worker sees them, so they take
+    no lock.
+    """
+
+    def __init__(self, params: list[Tensor]):
+        self._params = list(params)
+        self._buffers = [np.zeros_like(p.data) for p in self._params]
+        self._counts = [0] * len(self._params)
+
+    def __len__(self) -> int:
+        return len(self._buffers)
+
+    def accumulate(self, index: int, grad: np.ndarray) -> None:
+        """``g'16 <- g'16 + g16``: the float32 sum rounded to its nearest
+        float16 value (``round_fp16``, bit-identical to a float16 store),
+        mirroring the buffer's half precision. ``grad`` must be float32.
+        """
+        if grad.shape != self._buffers[index].shape:
+            raise GradientError(
+                f"gradient shape {grad.shape} does not match buffer "
+                f"{self._buffers[index].shape}"
+            )
+        self._buffers[index] = round_fp16(self._buffers[index] + grad)
+        self._counts[index] += 1
+
+    def accumulate_all(self) -> None:
+        """Deposit every parameter's ``.grad`` (the GPU's offload step)."""
+        for index, param in enumerate(self._params):
+            if param.grad is not None:
+                self.accumulate(index, param.grad)
+
+    def drain(self, index: int) -> tuple[np.ndarray, int]:
+        """Take the accumulated gradient (now the caller's) and the
+        iterations folded in, and clear the buffer."""
+        grad = self._buffers[index]
+        count = self._counts[index]
+        self._buffers[index] = np.zeros(grad.shape, grad.dtype)
+        self._counts[index] = 0
+        return grad, count
+
+    def peek(self, index: int) -> tuple[np.ndarray, int]:
+        """The accumulated gradient (a copy) and its count, left in place."""
+        return self._buffers[index].copy(), self._counts[index]
+
+    def load(self, index: int, grad: np.ndarray, count: int) -> None:
+        """Replace the accumulated gradient and its count (a restore)."""
+        self._buffers[index][...] = grad
+        self._counts[index] = count
 
 
 class AngelModel:
@@ -560,7 +615,7 @@ class AngelModel:
             self.module.zero_grad()
             loss.backward()
             # Offload gradients to the CPU buffers (Algorithm 2, line 24).
-            self._buffers.accumulate_all([m.param for m in self._managed])
+            self._buffers.accumulate_all()
         if self._pipeline is not None:
             # Backward is complete: every backward-phase trigger is due
             # (op convention: backward of layer i is op 2L - 1 - i).

@@ -127,14 +127,6 @@ class RankFailedError(ReproError):
         super().__init__(f"rank {rank} failed{at}")
 
 
-class QueueClosedError(ConfigurationError):
-    """Work was submitted to (or awaited on) a queue that is closed.
-
-    Subclasses :class:`ConfigurationError` so pre-existing call sites that
-    caught the broad class keep working; new code can assert precisely.
-    """
-
-
 class ClusterError(ReproError):
     """Base class for multi-process cluster membership failures."""
 

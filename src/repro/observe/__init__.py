@@ -26,7 +26,6 @@ from repro.observe.watchdog import (
     StepSnapshot,
     TierBandwidthRule,
     Watchdog,
-    WatchdogConfig,
     WaterlineRule,
     WorkerLivenessRule,
     default_rules,
@@ -48,7 +47,6 @@ __all__ = [
     "StepSnapshot",
     "TierBandwidthRule",
     "Watchdog",
-    "WatchdogConfig",
     "WaterlineRule",
     "WorkerLivenessRule",
     "default_rules",

@@ -43,39 +43,6 @@ class StepSnapshot:
     memory: dict = field(default_factory=dict)
 
 
-@dataclass
-class WatchdogConfig:
-    """Thresholds for the default rule set."""
-
-    #: The engine's configured staleness budget (iterations per sweep).
-    update_interval: int = 1
-    #: Fire when the updater lags more than ``tolerance * interval``.
-    staleness_tolerance: float = 1.5
-    cache_window: int = 8
-    cache_warmup_steps: int = 3
-    cache_hit_rate_floor: float = 0.5
-    cache_hit_rate_critical: float = 0.2
-    edge_budget_bytes_per_step: int = 32 * MiB
-    bandwidth_window: int = 4
-    waterline_margin: float = 0.10
-    waterline_critical: float = 0.02
-    waterline_history: int = 16
-    retry_window: int = 8
-    retry_storm_threshold: int = 6
-    retry_storm_critical: int = 16
-    #: Missed heartbeats before a cluster worker alerts (warn / critical).
-    liveness_missed_warning: int = 1
-    liveness_missed_critical: int = 2
-
-    def __post_init__(self) -> None:
-        if self.update_interval < 1:
-            raise ConfigurationError("update_interval must be >= 1")
-        if not 0 <= self.waterline_critical <= self.waterline_margin < 1:
-            raise ConfigurationError(
-                "need 0 <= waterline_critical <= waterline_margin < 1"
-            )
-
-
 class Rule:
     """One streaming detector; subclasses implement :meth:`check`.
 
@@ -119,9 +86,14 @@ class StalenessLagRule(Rule):
 
     name = "staleness_lag"
 
-    def __init__(self, interval: int, tolerance: float, **kw):
+    def __init__(self, interval: int = 1, tolerance: float = 1.5, **kw):
         super().__init__(**kw)
-        self.interval = max(1, interval)
+        if interval < 1:
+            raise ConfigurationError("update_interval must be >= 1")
+        #: The engine's configured staleness budget (iterations per
+        #: sweep); fire when the updater lags more than
+        #: ``tolerance * interval``.
+        self.interval = interval
         self.tolerance = tolerance
 
     def check(self, snapshot: StepSnapshot) -> Alert | None:
@@ -164,8 +136,8 @@ class CacheThrashRule(Rule):
 
     name = "cache_thrash"
 
-    def __init__(self, window: int, warmup_steps: int, floor: float,
-                 critical: float, **kw):
+    def __init__(self, window: int = 8, warmup_steps: int = 3,
+                 floor: float = 0.5, critical: float = 0.2, **kw):
         kw.setdefault("cooldown_steps", window)
         super().__init__(**kw)
         self.window = window
@@ -213,7 +185,8 @@ class TierBandwidthRule(Rule):
     name = "tier_bandwidth"
     _PREFIX = "pages.moved_bytes{"
 
-    def __init__(self, budget_bytes_per_step: int, window: int, **kw):
+    def __init__(self, budget_bytes_per_step: int = 32 * MiB,
+                 window: int = 4, **kw):
         kw.setdefault("cooldown_steps", window)
         super().__init__(**kw)
         self.budget = budget_bytes_per_step
@@ -280,8 +253,13 @@ class WaterlineRule(Rule):
 
     name = "waterline"
 
-    def __init__(self, margin: float, critical: float, history: int, **kw):
+    def __init__(self, margin: float = 0.10, critical: float = 0.02,
+                 history: int = 16, **kw):
         super().__init__(**kw)
+        if not 0 <= critical <= margin < 1:
+            raise ConfigurationError(
+                "need 0 <= waterline critical <= margin < 1"
+            )
         self.margin = margin
         self.critical = critical
         self._history: dict[str, deque[float]] = {}
@@ -333,7 +311,8 @@ class RetryStormRule(Rule):
 
     name = "retry_storm"
 
-    def __init__(self, window: int, threshold: int, critical: int, **kw):
+    def __init__(self, window: int = 8, threshold: int = 6,
+                 critical: int = 16, **kw):
         kw.setdefault("cooldown_steps", window)
         super().__init__(**kw)
         self.window = window
@@ -381,11 +360,11 @@ class WorkerLivenessRule(Rule):
     name = "worker_liveness"
     _PREFIX = "cluster.heartbeat.missed{"
 
-    def __init__(self, warning: int, critical: int, **kw):
+    def __init__(self, warning: int = 1, critical: int = 2, **kw):
         super().__init__(**kw)
         if not 1 <= warning <= critical:
             raise ConfigurationError(
-                "need 1 <= liveness_missed_warning <= liveness_missed_critical"
+                "need 1 <= warning <= critical missed heartbeats"
             )
         self.warning = warning
         self.critical = critical
@@ -428,36 +407,22 @@ class WorkerLivenessRule(Rule):
         )
 
 
-def default_rules(config: WatchdogConfig) -> list[Rule]:
-    """The standard detector set, thresholds from ``config``."""
+def default_rules() -> list[Rule]:
+    """The standard detector set at its default thresholds."""
     return [
-        StalenessLagRule(config.update_interval, config.staleness_tolerance),
-        CacheThrashRule(
-            config.cache_window, config.cache_warmup_steps,
-            config.cache_hit_rate_floor, config.cache_hit_rate_critical,
-        ),
-        TierBandwidthRule(
-            config.edge_budget_bytes_per_step, config.bandwidth_window
-        ),
-        WaterlineRule(
-            config.waterline_margin, config.waterline_critical,
-            config.waterline_history,
-        ),
-        RetryStormRule(
-            config.retry_window, config.retry_storm_threshold,
-            config.retry_storm_critical,
-        ),
-        WorkerLivenessRule(
-            config.liveness_missed_warning, config.liveness_missed_critical,
-        ),
+        StalenessLagRule(),
+        CacheThrashRule(),
+        TierBandwidthRule(),
+        WaterlineRule(),
+        RetryStormRule(),
+        WorkerLivenessRule(),
     ]
 
 
 class Watchdog:
     """Evaluates the rule set at step boundaries and publishes alerts."""
 
-    def __init__(self, telemetry=None, config: WatchdogConfig | None = None,
-                 rules: list[Rule] | None = None):
+    def __init__(self, telemetry=None, rules: list[Rule] | None = None):
         if telemetry is None:
             from repro.telemetry.core import NULL_TELEMETRY
 
@@ -465,8 +430,8 @@ class Watchdog:
         #: The telemetry whose registry the watchdog both reads (rule
         #: inputs) and writes (``watchdog.alerts`` counters).
         self.telemetry = telemetry
-        self.config = config or WatchdogConfig()
-        self.rules = rules if rules is not None else default_rules(self.config)
+        #: The detectors; pass ``rules`` to set thresholds.
+        self.rules = rules if rules is not None else default_rules()
         self.alerts: list[Alert] = []
 
     # ------------------------------------------------------------------

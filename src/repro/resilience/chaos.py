@@ -19,7 +19,6 @@ from repro.engine.angel import AngelConfig
 from repro.errors import ConfigurationError
 from repro.fleet.factory import JobFactory, JobWorkload
 from repro.metrics import FaultCounters
-from repro.protocols import TelemetryLike
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.trainer import ChaosReport, ResilientTrainer
@@ -52,12 +51,6 @@ class ChaosConfig:
     latency_seconds: float = 0.0
     die_after_ops: int | None = None
     rank_failure_at_step: int | None = None
-    # Harness resources (both optional). ``workdir`` is the checkpoint
-    # directory (a fresh temp dir when omitted); ``telemetry`` the live
-    # sink for fault counters and retry latencies. Explicit arguments to
-    # ``run_chaos`` take precedence over these fields.
-    workdir: str | None = None
-    telemetry: "TelemetryLike | None" = None
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -153,11 +146,8 @@ def run_chaos(
 ) -> ChaosReport:
     """Run the scenario under supervision; returns the ChaosReport.
 
-    ``checkpoint_dir``/``telemetry`` resolve explicit argument first,
-    then the matching ``config`` field (``workdir``/``telemetry``), then
-    (for the directory) a fresh temp dir.
-
-    When ``telemetry`` is given, fault counters and retry latencies flow
+    Checkpoints land in ``checkpoint_dir`` (a fresh temp dir when
+    omitted). When ``telemetry`` is given, fault counters and retry latencies flow
     through its metrics registry — ``telemetry.dump()`` afterwards is one
     unified view of ``faults.*``, ``retry.*`` and any span breakdowns —
     and a :class:`~repro.observe.watchdog.Watchdog` (built automatically
@@ -165,13 +155,9 @@ def run_chaos(
     ``report.alerts``.
     """
     if checkpoint_dir is None:
-        checkpoint_dir = config.workdir
-    if checkpoint_dir is None:
         import tempfile
 
         checkpoint_dir = tempfile.mkdtemp(prefix="repro-chaos-")
-    if telemetry is None:
-        telemetry = config.telemetry
     plan = make_fault_plan(config)
     policy = RetryPolicy(
         max_attempts=6, base_delay=1e-4, max_delay=2e-3, seed=config.seed,

@@ -37,10 +37,10 @@ training thread at the next step boundary.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError, QueueClosedError, SchedulingError, join_or_raise
-from repro.lockfree.queues import WorkQueue
+from repro.errors import ConfigurationError, SchedulingError, join_or_raise
 from repro.scheduler.tasks import Operation, Schedule
 
 
@@ -320,31 +320,37 @@ class PrefetchWorker:
             }
 
 
+#: Default bound on ``WritebackQueue.wait``/``barrier``: a state I/O
+#: thread that died without recording an error surfaces as
+#: :class:`TimeoutError` at the next sweep instead of a permanent hang.
+WAIT_TIMEOUT = 60.0
+
+
 class WritebackQueue:
     """The state I/O thread: FP32-state reads ahead, writes behind.
 
     ``submit(key, fn)`` enqueues one state write and ``submit_read(key,
     fn)`` one state read; a single daemon thread executes both, in FIFO
     order, through ``io_fn`` (which applies the engine's retry policy).
-    The queue is bounded, so a dying SSD tier backpressures the sweep
-    instead of ballooning host memory.
+    An entry is *pending* from its submit until it has run, so
+    ``wait(key)``/``barrier()`` cover the entry in flight as well as the
+    queued ones. The queue is unbounded: the sweep calls ``barrier()``
+    before it submits, so at most one read and one write per off-GPU
+    layer are ever queued.
     """
 
-    def __init__(self, io_fn, telemetry=None, maxsize: int = 64,
-                 wait_timeout: float | None = 60.0):
+    def __init__(self, io_fn, telemetry=None):
         if telemetry is None:
             from repro.telemetry.core import NULL_TELEMETRY
 
             telemetry = NULL_TELEMETRY
         self.telemetry = telemetry
         self._io_fn = io_fn
-        #: Default bound on wait()/barrier(): a writer thread that died
-        #: without closing the queue surfaces as TimeoutError at the
-        #: next sweep instead of a permanent hang.
-        self._wait_timeout = wait_timeout
-        self._queue = WorkQueue(maxsize=maxsize)
-        #: Guards the error slot and counters (repro check --self).
+        #: Guards every cross-thread field below (repro check --self).
         self._cond = threading.Condition()
+        self._items: deque = deque()  # (key, fn, is_read), FIFO
+        self._pending: dict = {}  # key -> entries submitted, not yet run
+        self._closed = False
         self._error: BaseException | None = None
         self.flushed = 0  # state writes landed
         self.read_ahead = 0  # state reads landed
@@ -360,33 +366,41 @@ class WritebackQueue:
     def _run(self) -> None:
         clock = self.telemetry.clock
         while True:
-            entry = self._queue.get()
-            if entry is None:
-                return
-            key, (fn, is_read) = entry
+            with self._cond:
+                while not self._items and not self._closed:
+                    self._cond.wait()
+                if not self._items:
+                    return  # closed and drained
+                key, fn, is_read = self._items.popleft()
             try:
                 started = clock.perf()
                 self._io_fn(fn)
                 self._seconds.observe(clock.perf() - started)
-                with self._cond:
-                    if is_read:
-                        self.read_ahead += 1
-                    else:
-                        self.flushed += 1
             except BaseException as exc:
+                # Queued I/O can no longer be trusted to land: record the
+                # error, drop the queue and wake every waiter, in one step,
+                # so no waiter can miss the error and no submit can slip
+                # in behind it.
                 with self._cond:
                     self._error = exc
-                # Queued I/O can no longer be trusted to land. Close first,
-                # so no submit can slip in behind the abort, then drop the
-                # queue so barrier()/wait() callers wake and see the error
-                # instead of hanging on a dead thread.
-                self._queue.close()
-                self._queue.abort()
-                self._queue.task_done(key)
+                    self._items.clear()
+                    self._pending.clear()
+                    self._cond.notify_all()
+                self._depth.set(0)
                 return
-            finally:
-                self._depth.set(len(self._queue))
-            self._queue.task_done(key)
+            with self._cond:
+                if is_read:
+                    self.read_ahead += 1
+                else:
+                    self.flushed += 1
+                left = self._pending[key] - 1
+                if left:
+                    self._pending[key] = left
+                else:
+                    del self._pending[key]
+                depth = len(self._items)
+                self._cond.notify_all()
+            self._depth.set(depth)
 
     # ------------------------------------------------------------------
     # Engine side
@@ -396,56 +410,58 @@ class WritebackQueue:
 
     def submit(self, key, fn) -> None:
         """Queue one state write; raises the thread's error, if any."""
-        self.raise_if_failed()
-        self._put(key, fn, is_read=False)
+        if not self._put(key, fn, is_read=False):
+            self.raise_if_failed()
+            raise SchedulingError("state write submitted after close()")
 
     def submit_read(self, key, fn) -> bool:
         """Queue one state read ahead of the sweep that consumes it.
 
-        Never raises for a failed thread (it closed the queue): returns
-        False, queuing nothing, and the error surfaces where the engine
-        checks, at ``step()``.
+        Never raises for a failed thread: returns False, queuing
+        nothing, and the error surfaces where the engine checks, at
+        ``step()``.
         """
-        try:
-            self._put(key, fn, is_read=True)
-        except QueueClosedError:
-            return False
-        return True
+        return self._put(key, fn, is_read=True)
 
-    def _put(self, key, fn, is_read: bool) -> None:
-        self._queue.put(key, (fn, is_read))
-        self._depth.set(len(self._queue))
+    def _put(self, key, fn, is_read: bool) -> bool:
+        with self._cond:
+            if self._error is not None or self._closed:
+                return False
+            self._items.append((key, fn, is_read))
+            self._pending[key] = self._pending.get(key, 0) + 1
+            depth = len(self._items)
+            self._cond.notify_all()
+        self._depth.set(depth)
+        return True
 
     def wait(self, key, timeout: float | None = None) -> None:
         """Block until ``key``'s queued reads and writes landed.
 
-        Bounded by ``timeout`` (default: the queue's ``wait_timeout``);
-        raises :class:`TimeoutError` instead of hanging on a dead writer.
+        Raises the thread's error, if any, and :class:`TimeoutError`
+        after ``timeout`` seconds (default :data:`WAIT_TIMEOUT`) instead
+        of hanging on a dead thread.
         """
-        try:
-            self._queue.wait_key(
-                key, timeout if timeout is not None else self._wait_timeout
-            )
-        except TimeoutError:
-            self.raise_if_failed()  # a captured writer error is the cause
-            raise
-        self.raise_if_failed()
+        self._await(lambda: key not in self._pending, timeout,
+                    f"the state I/O of {key!r}")
 
     def barrier(self, timeout: float | None = None) -> None:
         """Block until every queued read and write landed (the sweep's
-        start, checkpoints, close).
+        start, checkpoints, close). Raises like :meth:`wait`."""
+        self._await(lambda: not self._pending, timeout,
+                    "the state I/O queue to drain")
 
-        Bounded like :meth:`wait`; raises :class:`TimeoutError` instead
-        of hanging forever.
-        """
-        try:
-            self._queue.wait_idle(
-                timeout if timeout is not None else self._wait_timeout
+    def _await(self, landed, timeout: float | None, what: str) -> None:
+        if timeout is None:
+            timeout = WAIT_TIMEOUT
+        with self._cond:
+            done = self._cond.wait_for(
+                lambda: landed() or self._error is not None, timeout
             )
-        except TimeoutError:
-            self.raise_if_failed()
-            raise
-        self.raise_if_failed()
+            error = self._error
+        if error is not None:
+            raise error
+        if not done:
+            raise TimeoutError(f"timed out after {timeout}s waiting for {what}")
 
     def raise_if_failed(self) -> None:
         with self._cond:
@@ -454,10 +470,13 @@ class WritebackQueue:
             raise error
 
     def close(self, timeout: float = 30.0) -> None:
-        self._queue.close()
+        """Stop accepting work; the thread drains the queue, then exits."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
         join_or_raise(self._thread, timeout, "stuck state flush?")
 
     def stats(self) -> dict:
         with self._cond:
             return {"flushed": self.flushed, "read_ahead": self.read_ahead,
-                    "queued": len(self._queue)}
+                    "queued": len(self._items)}

@@ -573,11 +573,13 @@ class TestClusterCli:
         assert code == 1
         assert "diverged from reference" in captured.err
 
-    def test_chaos_kill_rank_validates_slot(self, capsys, tmp_path):
+    def test_cluster_kill_rank_validates_slot(self, capsys, tmp_path):
         from repro.cli import main
 
         code = main([
-            "chaos", "--kill-rank", "7", "--workers", "3",
-            "--workdir", str(tmp_path),
+            "cluster", "--kill-rank", "7", "--workers", "3",
+            "--workdir", str(tmp_path / "run"),
         ])
         assert code == 2
+        assert "kill_rank" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()

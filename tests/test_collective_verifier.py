@@ -1,149 +1,17 @@
-"""Multi-rank collective agreement + post-hoc cluster-workdir replay."""
+"""Post-hoc cluster-workdir replay: membership log + rank streams."""
 
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 from repro.analysis.invariants import (
     COLLECTIVE_AGREEMENT,
-    COLLECTIVE_ORDER,
-    COLLECTIVE_SHAPE,
-    COLLECTIVE_WORLD,
     FENCE_DISCIPLINE,
     GENERATION_MONOTONIC,
     INCARNATION_BUMP,
 )
-from repro.analysis.protocol import (
-    CollectiveOp,
-    collective_program_from_plan,
-    verify_cluster_workdir,
-    verify_collective_programs,
-    worker_collective_program,
-)
-
-CONFIG = SimpleNamespace(steps=3, checkpoint_every=2)
+from repro.analysis.protocol import verify_cluster_workdir
 
 
-def _program(world=2, rank=0):
-    return worker_collective_program(
-        CONFIG, world, rank, total_elements=1000
-    )
-
-
-# ----------------------------------------------------------------------
-# Planned agreement
-# ----------------------------------------------------------------------
-class TestWorkerPrograms:
-    def test_identical_across_ranks(self):
-        programs = {rank: _program(rank=rank) for rank in range(2)}
-        result = verify_collective_programs(programs)
-        assert result.ok
-        assert result.kind == "collective"
-        assert result.stats["world"] == 2
-        assert result.stats["ops_per_rank"] == len(programs[0])
-
-    def test_checkpoint_steps_add_state_gathers(self):
-        program = _program()
-        # steps 0..2, checkpoint after step 2 (completed == 2): per step
-        # grad reduce_scatter + param all_gather + loss all_gather, plus
-        # 3 shard gathers for master/m/v at the checkpoint.
-        per_step = 3 * CONFIG.steps
-        assert len(program) == per_step + 3
-        assert [op.kind for op in program[:3]] == [
-            "reduce_scatter", "all_gather", "all_gather",
-        ]
-        ckpt = [op for op in program if op.label.startswith("ckpt")]
-        assert [op.label for op in ckpt] == [
-            "ckpt2/master", "ckpt2/m", "ckpt2/v",
-        ]
-
-    def test_shard_lengths_are_padded_equal(self):
-        # 1000 elements over 3 ranks pads to ceil shards: every rank
-        # contributes the same nbytes, which is what makes the programs
-        # rank-invariant.
-        programs = {rank: worker_collective_program(
-            CONFIG, 3, rank, total_elements=1000
-        ) for rank in range(3)}
-        assert verify_collective_programs(programs).ok
-
-
-class TestDisagreements:
-    def test_sparse_rank_set(self):
-        result = verify_collective_programs({0: _program(), 2: _program()})
-        assert not result.ok
-        assert result.violations[0].invariant == COLLECTIVE_WORLD
-
-    def test_length_mismatch_names_the_deadlocking_rank(self):
-        programs = {0: _program(), 1: _program()[:-1]}
-        result = verify_collective_programs(programs)
-        assert not result.ok
-        assert len(result.violations) == 1
-        violation = result.violations[0]
-        assert violation.invariant == COLLECTIVE_ORDER
-        assert "rank 1" in violation.message
-
-    def test_reordered_collectives(self):
-        swapped = list(_program())
-        swapped[0], swapped[1] = swapped[1], swapped[0]
-        result = verify_collective_programs({0: _program(), 1: swapped})
-        assert not result.ok
-        assert len(result.violations) == 1
-        violation = result.violations[0]
-        assert violation.invariant == COLLECTIVE_ORDER
-        assert violation.trigger_id == 0
-
-    def test_disagreeing_shard_length(self):
-        # Rank 1 computes its shard over a different world size: same
-        # op order, different payload bytes.
-        programs = {
-            0: _program(world=2),
-            1: worker_collective_program(
-                CONFIG, 3, 1, total_elements=1000
-            ),
-        }
-        result = verify_collective_programs(programs)
-        assert not result.ok
-        assert len(result.violations) == 1
-        assert result.violations[0].invariant == COLLECTIVE_SHAPE
-
-
-class TestPlanExtraction:
-    def test_from_fake_plan(self):
-        from repro.scheduler.tasks import Operation
-
-        tasks = [
-            SimpleNamespace(operation=Operation.MOVE_TO_GPU, trigger_id=0,
-                            layer_index=0, nbytes=64),
-            SimpleNamespace(operation=Operation.ALL_GATHER, trigger_id=0,
-                            layer_index=0, nbytes=4096),
-            SimpleNamespace(operation=Operation.COMPUTE, trigger_id=0,
-                            layer_index=0, nbytes=0),
-            SimpleNamespace(operation=Operation.REDUCE_SCATTER,
-                            trigger_id=9, layer_index=0, nbytes=4096),
-        ]
-        program = collective_program_from_plan(
-            SimpleNamespace(schedule=tasks)
-        )
-        assert program == [
-            CollectiveOp("all_gather", 4096, "t0/L0"),
-            CollectiveOp("reduce_scatter", 4096, "t9/L0"),
-        ]
-
-    def test_real_plans_agree_across_identical_ranks(self):
-        from repro.hardware.cluster import a100_cluster
-        from repro.models import get_model
-        from repro.scheduler.unified import UnifiedScheduler
-
-        scheduler = UnifiedScheduler(a100_cluster(1))
-        plan = scheduler.plan(get_model("gpt3-13b"), 4, seq_len=2048)
-        program = collective_program_from_plan(plan)
-        assert program, "the bench plan must issue collectives"
-        assert verify_collective_programs({0: program, 1: program}).ok
-
-
-# ----------------------------------------------------------------------
-# Post-hoc workdir replay
-# ----------------------------------------------------------------------
 def _write_membership(workdir, events, torn_tail=False):
     lines = [json.dumps(event) for event in events]
     text = "\n".join(lines) + "\n"

@@ -60,7 +60,8 @@ def test_figure1_six_step_workflow(engine):
 
     # (3) backward sends gradients to the CPU buffers.
     engine.backward(loss)
-    assert engine._buffers.has_uncleared
+    assert all(engine._buffers.peek(i)[1] == 1
+               for i in range(len(engine._buffers)))
 
     # (4)-(6): the update sweep loads FP32 states from SSD, updates on
     # CPU, and stores them back. Capture SSD contents before and after.
@@ -76,7 +77,8 @@ def test_figure1_six_step_workflow(engine):
             after.astype(np.float16).astype(np.float32),
         )
     # Gradient buffers were consumed by the sweep.
-    assert not engine._buffers.has_uncleared
+    assert not any(engine._buffers.peek(i)[1]
+                   for i in range(len(engine._buffers)))
 
 
 def test_iteration_is_repeatable(engine):

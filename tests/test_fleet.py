@@ -229,46 +229,26 @@ class TestFleetBench:
 
 
 class TestApiThreading:
-    """api.chaos/api.cluster honor config-carried workdir/telemetry."""
+    """api.chaos/api.cluster thread their workdir/telemetry arguments."""
 
-    def test_chaos_config_workdir_and_telemetry(self, tmp_path):
+    def test_chaos_workdir_and_telemetry(self, tmp_path):
         from repro.resilience import ChaosConfig
 
         telemetry = Telemetry()
-        config = ChaosConfig(
-            steps=4, checkpoint_every=2,
-            workdir=str(tmp_path), telemetry=telemetry,
-        )
-        report = api.chaos(config)
+        config = ChaosConfig(steps=4, checkpoint_every=2)
+        report = api.chaos(config, workdir=str(tmp_path), telemetry=telemetry)
         assert len(report.losses) == 4
-        # Checkpoints landed in the config's workdir, not a temp dir.
+        # Checkpoints landed in the given workdir, not a temp dir.
         assert any(p.name.startswith("ckpt-") for p in tmp_path.iterdir())
-        # The config's telemetry saw the run.
+        # The given telemetry saw the run.
         assert telemetry.dump()["metrics"]["counters"]
 
-    def test_chaos_explicit_workdir_wins(self, tmp_path):
-        from repro.resilience import ChaosConfig
-
-        config_dir = tmp_path / "from-config"
-        explicit_dir = tmp_path / "explicit"
-        config_dir.mkdir()
-        explicit_dir.mkdir()
-        config = ChaosConfig(
-            steps=2, checkpoint_every=1, workdir=str(config_dir)
-        )
-        api.chaos(config, workdir=str(explicit_dir))
-        assert any(explicit_dir.iterdir())
-        assert not any(config_dir.iterdir())
-
-    def test_cluster_config_workdir_and_telemetry(self, tmp_path):
+    def test_cluster_workdir_and_telemetry(self, tmp_path):
         from repro.cluster import ClusterConfig
 
         telemetry = Telemetry()
-        config = ClusterConfig(
-            world_size=1, steps=2, checkpoint_every=1,
-            workdir=str(tmp_path), telemetry=telemetry,
-        )
-        report = api.cluster(config)
+        config = ClusterConfig(world_size=1, steps=2, checkpoint_every=1)
+        report = api.cluster(config, workdir=str(tmp_path), telemetry=telemetry)
         assert report.complete
         assert report.workdir == str(tmp_path)
         assert (tmp_path / "membership_events.jsonl").exists()

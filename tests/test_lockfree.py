@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.engine import AngelConfig, initialize
+from repro.engine.angel import GradientBuffers
 from repro.errors import ConfigurationError, GradientError
-from repro.lockfree import GradientBuffers
 from repro.nn import (
     MixedPrecisionAdam, Tensor, TinyTransformerLM, cross_entropy, lm_synthetic_batches,
 )
@@ -61,7 +61,7 @@ class TestGradientBuffers:
         grad, count = buffers.drain(0)
         np.testing.assert_allclose(grad, 2.0)
         assert count == 2
-        assert buffers.pending(0) == 0
+        assert buffers.peek(0)[1] == 0
 
     def test_drain_clears_buffer(self):
         params = self._params()
@@ -72,14 +72,18 @@ class TestGradientBuffers:
         assert count == 0
         np.testing.assert_allclose(grad, 0.0)
 
-    def test_has_uncleared_tracks_pending(self):
-        params = self._params()
-        buffers = GradientBuffers(params)
-        assert not buffers.has_uncleared
+    def test_peek_leaves_the_buffer_and_load_restores_it(self):
+        buffers = GradientBuffers(self._params())
         buffers.accumulate(1, np.ones((2, 2), dtype=np.float32))
-        assert buffers.has_uncleared
+        grad, count = buffers.peek(1)
+        grad += 5.0  # a copy: the buffer is untouched
+        assert count == 1
+        np.testing.assert_array_equal(buffers.peek(1)[0], 1.0)
         buffers.drain(1)
-        assert not buffers.has_uncleared
+        buffers.load(1, np.full((2, 2), 3.0, dtype=np.float32), 2)
+        grad, count = buffers.drain(1)
+        np.testing.assert_array_equal(grad, 3.0)
+        assert count == 2
 
     def test_shape_mismatch_rejected(self):
         buffers = GradientBuffers(self._params())
@@ -90,9 +94,9 @@ class TestGradientBuffers:
         params = self._params()
         params[0].grad = np.ones(4, dtype=np.float32)
         buffers = GradientBuffers(params)
-        buffers.accumulate_all(params)
-        assert buffers.pending(0) == 1
-        assert buffers.pending(1) == 0
+        buffers.accumulate_all()
+        assert buffers.peek(0)[1] == 1
+        assert buffers.peek(1)[1] == 0
 
     def test_fp16_rounding_in_buffer(self):
         params = [Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)]
@@ -188,7 +192,8 @@ class TestStalenessLoop:
             # iteration's gradients stay buffered for the next sweep.
             assert [i for i, ran in enumerate(swept, start=1) if ran] == [3, 6, 9]
             assert engine._pending == 1
-            assert engine._buffers.has_uncleared
+            assert all(engine._buffers.peek(i)[1] == 1
+                       for i in range(len(engine._buffers)))
 
     def test_both_modes_learn(self):
         for interval in (1, 4):

@@ -18,14 +18,6 @@ SRC = ROOT / "src" / "repro"
 ALLOWLIST = {
     "telemetry.clock.ManualClock":
         "a test fake: the deterministic clock tests inject",
-    "analysis.protocol.collective_verifier.worker_collective_program":
-        "ROADMAP item 6 checks the replayed collective order against the "
-        "plan with it",
-    "analysis.protocol.collective_verifier.collective_program_from_plan":
-        "ROADMAP item 6 gives it its first live caller",
-    "analysis.protocol.collective_verifier.verify_collective_programs":
-        "ROADMAP item 6 checks the replayed collective order against the "
-        "plan with it",
 }
 
 

@@ -18,7 +18,6 @@ from repro.observe import (
     StepSnapshot,
     TierBandwidthRule,
     Watchdog,
-    WatchdogConfig,
     WaterlineRule,
     WorkerLivenessRule,
     render_html,
@@ -161,9 +160,9 @@ class TestRules:
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            WatchdogConfig(update_interval=0)
+            StalenessLagRule(interval=0)
         with pytest.raises(ConfigurationError):
-            WatchdogConfig(waterline_margin=0.01, waterline_critical=0.05)
+            WaterlineRule(margin=0.01, critical=0.05)
 
 
 class TestWatchdog:
@@ -430,9 +429,9 @@ class TestResilienceIntegration:
         )
         # A storm-sensitive watchdog: a couple of retries in-window is
         # already a storm, so a modest fault rate reliably trips it.
-        watchdog = Watchdog(telemetry=telemetry, config=WatchdogConfig(
-            retry_window=8, retry_storm_threshold=2, retry_storm_critical=500,
-        ))
+        watchdog = Watchdog(telemetry=telemetry, rules=[
+            RetryStormRule(window=8, threshold=2, critical=500),
+        ])
         report = run_chaos(
             config, str(tmp_path), telemetry=telemetry, watchdog=watchdog
         )

@@ -8,16 +8,18 @@ injected fault plan makes the SSD tier misbehave under retries.
 """
 
 import sys
+from functools import partial
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import AngelConfig, initialize
 from repro.errors import ConfigurationError, SchedulingError
 from repro.hardware.device import DeviceKind
-from repro.lockfree import WorkQueue
 from repro.nn import MixedPrecisionAdam, TinyTransformerLM, lm_synthetic_batches
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.runtime import MoveGroup, PrefetchWorker, WritebackQueue, coalesce_schedule
@@ -726,85 +728,6 @@ class TestCoalescing:
         assert report.bytes_moved == 0
 
 
-class TestWorkQueue:
-    def test_fifo_and_per_key_pending(self):
-        queue = WorkQueue()
-        queue.put("a", 1)
-        queue.put("b", 2)
-        assert len(queue) == 2
-        key, item = queue.get()
-        assert (key, item) == ("a", 1)
-        # Pending until task_done, so read-your-writes waits cover
-        # items a worker has dequeued but not finished.
-        done = threading.Event()
-
-        def waiter():
-            queue.wait_key("a")
-            done.set()
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        time.sleep(0.02)
-        assert not done.is_set()
-        queue.task_done("a")
-        thread.join(timeout=5)
-        assert done.is_set()
-        queue.close()
-
-    def test_get_returns_none_when_closed_and_drained(self):
-        queue = WorkQueue()
-        queue.put("a", 1)
-        queue.close()
-        assert queue.get() is not None
-        queue.task_done("a")
-        assert queue.get() is None
-
-    def test_put_after_close_raises(self):
-        queue = WorkQueue()
-        queue.close()
-        with pytest.raises(ConfigurationError):
-            queue.put("a", 1)
-
-    def test_abort_drops_queued_and_wakes_waiters(self):
-        queue = WorkQueue()
-        queue.put("a", 1)
-        queue.put("a", 2)
-        dropped = queue.abort()
-        assert [item for _, item in dropped] == [1, 2]
-        queue.wait_key("a")  # returns immediately: nothing pending
-        queue.close()
-
-    def test_wait_key_times_out_on_dead_consumer(self):
-        queue = WorkQueue()
-        queue.put("a", 1)
-        with pytest.raises(TimeoutError, match="completion of 'a'"):
-            queue.wait_key("a", timeout=0.05)
-        queue.close()
-
-    def test_put_times_out_when_full(self):
-        queue = WorkQueue(maxsize=1)
-        queue.put("a", 1)
-        with pytest.raises(TimeoutError, match="queue capacity"):
-            queue.put("b", 2, timeout=0.05)
-        queue.close()
-
-    def test_wait_idle_times_out_then_succeeds(self):
-        queue = WorkQueue()
-        queue.put("a", 1)
-        with pytest.raises(TimeoutError):
-            queue.wait_idle(timeout=0.05)
-        queue.get()
-        queue.task_done("a")
-        queue.wait_idle(timeout=5)
-        queue.close()
-
-    def test_negative_timeout_rejected(self):
-        queue = WorkQueue()
-        with pytest.raises(ConfigurationError):
-            queue.wait_idle(timeout=-1)
-        queue.close()
-
-
 class TestWritebackQueue:
     def test_flushes_and_barrier(self):
         landed = []
@@ -870,6 +793,193 @@ class TestWritebackQueue:
         with pytest.raises(SchedulingError, match="tier on fire"):
             queue.raise_if_failed()
         queue.close()
+
+    def test_wait_covers_the_entry_in_flight(self):
+        """An entry stays pending while it runs, not just while queued."""
+        started, gate = threading.Event(), threading.Event()
+
+        def slow_io(fn):
+            started.set()
+            gate.wait(timeout=5)
+            fn()
+
+        landed = []
+        queue = WritebackQueue(slow_io)
+        queue.start()
+        queue.submit("a", lambda: landed.append("a"))
+        assert started.wait(timeout=5)
+        assert queue.stats()["queued"] == 0  # dequeued, still running
+        with pytest.raises(TimeoutError, match="'a'"):
+            queue.wait("a", timeout=0.02)
+        gate.set()
+        queue.wait("a", timeout=5)
+        assert landed == ["a"]
+        queue.close()
+
+    def test_barrier_times_out_then_succeeds(self):
+        gate = threading.Event()
+        queue = WritebackQueue(lambda fn: gate.wait(timeout=5) and fn())
+        queue.start()
+        queue.submit("a", lambda: None)
+        with pytest.raises(TimeoutError, match="drain"):
+            queue.barrier(timeout=0.02)
+        gate.set()
+        queue.barrier(timeout=5)
+        queue.close()
+
+    def test_close_drains_queued_work_first(self):
+        landed = []
+        queue = WritebackQueue(lambda fn: fn())
+        for i in range(3):  # queued before the thread even starts
+            queue.submit(i, lambda i=i: landed.append(i))
+        queue.start()
+        queue.close(timeout=5)
+        assert landed == [0, 1, 2]
+        assert queue.stats() == {"flushed": 3, "read_ahead": 0, "queued": 0}
+
+    def test_submit_after_close_raises(self):
+        queue = WritebackQueue(lambda fn: fn())
+        queue.start()
+        queue.close()
+        with pytest.raises(SchedulingError, match="after close"):
+            queue.submit("a", lambda: None)
+        assert not queue.submit_read("a", lambda: None)
+
+    def test_error_drops_queued_work_and_wakes_waiters(self):
+        gate = threading.Event()
+        landed = []
+
+        def io(fn):
+            gate.wait(timeout=5)
+            fn()
+
+        def explode():
+            raise SchedulingError("tier on fire")
+
+        queue = WritebackQueue(io)
+        queue.start()
+        queue.submit("a", explode)
+        queue.submit("b", lambda: landed.append("b"))
+        woke = []
+
+        def waiter():
+            try:
+                queue.wait("b", timeout=5)
+            except SchedulingError as exc:
+                woke.append(exc)
+
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        gate.set()
+        thread.join(timeout=5)
+        assert [str(exc) for exc in woke] == ["tier on fire"]
+        assert landed == []  # dropped, never run
+        assert queue.stats()["queued"] == 0
+        queue.close()
+
+
+#: One engine-side call on the state I/O queue: (operation, key).
+_QUEUE_CALLS = st.one_of(
+    st.tuples(st.sampled_from(["submit", "submit_read", "wait"]),
+              st.integers(0, 2)),
+    st.tuples(st.just("barrier"), st.none()),
+)
+
+
+#: Bound on each wait in the interleaving test; a lost wakeup shows up
+#: as a wait that took this long.
+_WAIT = 2.0
+
+
+def _replay_queue_calls(calls, fail_at):
+    """Drive one WritebackQueue through ``calls``; the ``fail_at``-th
+    queued I/O op (if any) raises. Checks order and fail-closed."""
+    error = RuntimeError("injected state I/O failure")
+    ran = []
+    keys = []  # key of each queued op, by its number
+
+    def io_op(number):
+        def run():
+            ran.append(number)
+            if number == fail_at:
+                raise error
+        return run
+
+    def failed():
+        return fail_at is not None and fail_at < len(keys)
+
+    def must_raise(key):
+        """An op of ``key`` (any key: None) at or after the failing one
+        is queued: it can never land, so the wait must raise."""
+        return failed() and any(
+            key is None or k == key for k in keys[fail_at:])
+
+    queue = WritebackQueue(lambda fn: fn())
+    queue.start()
+    try:
+        for call, key in calls:
+            if call == "submit":
+                try:
+                    queue.submit(key, io_op(len(keys)))
+                except RuntimeError as exc:
+                    assert exc is error and failed()
+                else:
+                    keys.append(key)
+            elif call == "submit_read":
+                if queue.submit_read(key, io_op(len(keys))):
+                    keys.append(key)
+                else:
+                    assert failed()
+                    with pytest.raises(RuntimeError) as info:
+                        queue.raise_if_failed()
+                    assert info.value is error
+            else:
+                wait = queue.barrier if call == "barrier" else partial(queue.wait, key)
+                started = time.monotonic()
+                try:
+                    wait(timeout=_WAIT)
+                except RuntimeError as exc:  # TimeoutError is a failure
+                    assert exc is error and failed()
+                    # Woken by the failure, not by running out of time.
+                    assert time.monotonic() - started < _WAIT
+                else:
+                    assert not must_raise(key)
+                    # Read-your-writes: every op of the key has landed.
+                    assert {n for n, k in enumerate(keys)
+                            if key is None or k == key} <= set(ran)
+            # FIFO: what ran is a prefix of submission order.
+            assert ran == list(range(len(ran)))
+        if failed():
+            with pytest.raises(RuntimeError) as info:
+                queue.barrier(timeout=_WAIT)
+            assert info.value is error
+            # The failing op ran last; nothing queued behind it did.
+            assert ran == list(range(fail_at + 1))
+            assert not queue.submit_read(0, io_op(len(keys)))
+            assert queue.stats()["queued"] == 0
+        else:
+            queue.barrier(timeout=_WAIT)
+            assert ran == list(range(len(keys)))
+    finally:
+        queue.close(timeout=5)
+    assert not queue._thread.is_alive()
+
+
+@settings(max_examples=80, deadline=None)
+@given(calls=st.lists(_QUEUE_CALLS, max_size=12),
+       fail_at=st.none() | st.integers(0, 11))
+def test_state_io_thread_interleavings(calls, fail_at):
+    """Any interleaving of submit/submit_read/wait/barrier with at most
+    one failing op: ops run in submission order up to the failure; after
+    it nothing queued runs, every wait raises the recorded error within
+    its timeout, submit_read returns False and close() joins. A tiny
+    switch interval lets the thread preempt between any two bytecodes."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _replay_queue_calls(calls, fail_at)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestPrefetchWorker:

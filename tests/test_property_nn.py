@@ -65,7 +65,7 @@ def test_layer_norm_output_standardized(x):
 )
 def test_gradient_buffer_accumulation_matches_fp16_sum(grads):
     """Buffered accumulation equals an FP16-rounded running sum."""
-    from repro.lockfree import GradientBuffers
+    from repro.engine.angel import GradientBuffers
 
     param = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
     buffers = GradientBuffers([param])

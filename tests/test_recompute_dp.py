@@ -8,11 +8,12 @@ import pytest
 
 from repro import nn
 from repro.checkpoint.snapshot import latest_good_snapshot
-from repro.cluster import ClusterConfig, run_cluster_in_process, run_cluster_reference
+from repro.cluster import (
+    ClusterConfig, run_cluster, run_cluster_in_process, run_cluster_reference,
+)
 from repro.cluster import worker as worker_module
 from repro.cluster.worker import _build_model, load_rank_state, make_batches, zero_step
 from repro.errors import ConfigurationError, GradientError
-from repro.telemetry import Telemetry
 from repro.zero.collectives import InProcessGroup
 from repro.nn import (
     FFN,
@@ -194,14 +195,15 @@ class TestZeroDataParallel:
 
     def test_communication_volume_accounting(self, tmp_path):
         """Per step, every rank reduce-scatters the full gradient and
-        all-gathers its FP16 parameter slice."""
+        all-gathers its FP16 parameter slice (counted by the worker
+        processes' own telemetry, summed in the run's rollup)."""
         world, steps = 2, 3
-        telemetry = Telemetry()
-        config = zero_config(steps=steps, telemetry=telemetry)
-        run_cluster_in_process(config, world, str(tmp_path))
+        config = zero_config(world_size=world, steps=steps)
+        report = run_cluster(config, str(tmp_path))
+        assert report.complete
         _, params = _build_model(config)
         size = sum(p.data.size for p in params)
-        counters = telemetry.dump()["metrics"]["counters"]
+        counters = report.rollup["counters"]
         assert counters["collective.reduce_scatter_bytes"] == steps * world * 4 * size
         assert counters["collective.all_gather_bytes"] == (
             steps * world * 4 * -(-size // world)

@@ -142,7 +142,6 @@ def test_engine_bytes_match_numpy_cast(monkeypatch, interval):
     from repro.engine import angel
     from repro.engine.angel import AngelConfig
     from repro.fleet.factory import JobFactory, JobWorkload
-    from repro.lockfree import buffers
     from repro.nn import optim, tensor
     from repro.units import KiB, MiB
 
@@ -170,7 +169,7 @@ def test_engine_bytes_match_numpy_cast(monkeypatch, interval):
         calls.append(x.size)
         return numpy_fp16(x)
 
-    for module in (tensor, optim, buffers, angel):
+    for module in (tensor, optim, angel):
         monkeypatch.setattr(module, "round_fp16", counted)
     ref_losses, ref_arrays = run()
     assert max(calls) >= FP16_KERNEL_MIN_SIZE  # the kernel path was replaced

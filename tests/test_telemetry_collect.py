@@ -8,7 +8,7 @@ import pytest
 from repro import api
 from repro.errors import ConfigurationError
 from repro.observe.watchdog import Watchdog
-from repro.telemetry import ManualClock, Telemetry
+from repro.telemetry import ManualClock
 from repro.telemetry.collect import (
     TraceCollector,
     align_streams,
@@ -395,18 +395,15 @@ class TestTraceCollectCli:
 
 class TestSupervisorSink:
     def test_supervisor_spawn_config_carries_spec(self, tmp_path):
-        """The spawn config carries a picklable SinkSpec, never the live
-        telemetry object — the bug this PR fixes was workers getting
-        ``telemetry=None`` and exporting nothing."""
+        """The spawn config carries a picklable SinkSpec recipe, so each
+        worker opens its own event file instead of exporting nothing."""
         from dataclasses import replace
 
         from repro.cluster.protocol import ClusterConfig
 
         config = ClusterConfig(world_size=2)
         spec = SinkSpec(telemetry_dir(str(tmp_path)))
-        spawn = replace(config, telemetry=Telemetry(enabled=True),
-                        sink=spec)
-        clone = pickle.loads(pickle.dumps(replace(spawn, telemetry=None)))
+        clone = pickle.loads(pickle.dumps(replace(config, sink=spec)))
         assert clone.sink == spec
         assert clone.sink.path_for("w0i0").endswith(
             "telemetry/w0i0.jsonl"
