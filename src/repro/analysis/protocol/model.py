@@ -94,9 +94,6 @@ class ProtocolConfig:
     max_respawns: int = 1
     max_expiries: int = 1
     rendezvous_grace: float = 1.0
-    heartbeat_interval: float = 0.05
-    suspect_after: float = 0.25
-    evict_after: float = 0.75
 
     def __post_init__(self):
         if self.world_size < 1:

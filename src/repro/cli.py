@@ -8,16 +8,39 @@ Entry points a downstream adopter needs without writing Python::
     python -m repro.cli train --steps 100 --lock-free --ssd
     python -m repro.cli check --schedule           # static verification
     python -m repro.cli experiment table5          # any table/figure
+
+Every command parses, makes one library call and renders its result.
+Every flag changes the run: one that cannot apply to the run asked for
+exits 2 with one line on stderr, before anything runs
+(``tests/test_cli_flags.py`` keeps it so).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
 
-from repro.units import KiB, MiB
+from repro.errors import ConfigurationError
+from repro.units import MiB
+
+
+def _refuse(args: argparse.Namespace, flags, reason: str) -> None:
+    """Exit 2 (via ``main``) if any of ``flags`` was given: it cannot
+    apply, so the run would silently ignore it."""
+    used = sorted(args.given & set(flags))
+    if used:
+        raise ConfigurationError(f"{', '.join(used)} {reason}")
+
+
+def _print_alerts(alerts) -> None:
+    if alerts:
+        print("watchdog alerts :")
+    for alert in alerts:
+        print(f"  [{alert.severity.name}] {alert.rule} "
+              f"@ step {alert.step}: {alert.message}")
 
 
 def _cmd_models(args: argparse.Namespace) -> int:
@@ -34,14 +57,15 @@ def _cmd_models(args: argparse.Namespace) -> int:
 
 
 def _resolve_cluster(args: argparse.Namespace):
-    """Build the cluster from --cluster FILE if given, else --servers."""
-    if getattr(args, "cluster", None):
-        from repro.hardware.config_io import load_cluster
+    """The cluster from --cluster FILE if given, else --servers A100s."""
+    if args.cluster is None:
+        from repro.hardware.cluster import a100_cluster
 
-        return load_cluster(args.cluster)
-    from repro.hardware.cluster import a100_cluster
+        return a100_cluster(args.servers)
+    _refuse(args, ["--servers"], "does not apply with --cluster")
+    from repro.hardware.config_io import load_cluster
 
-    return a100_cluster(args.servers)
+    return load_cluster(args.cluster)
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -53,10 +77,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     config = get_model(args.model)
     print(f"cluster: {cluster.num_servers} server(s), {cluster.num_gpus} GPUs")
     for system in ("deepspeed", "angel-ptm"):
-        layers = planner.max_layers(config, system, use_ssd=args.ssd)
+        layers = planner.max_layers(config, system, seq_len=args.seq_len,
+                                    use_ssd=args.ssd)
         scaled = config.with_layers(layers)
         params = scaled.build(1, args.seq_len).param_count
-        batch = planner.max_micro_batch(scaled, system, use_ssd=args.ssd)
+        batch = planner.max_micro_batch(scaled, system, seq_len=args.seq_len,
+                                        use_ssd=args.ssd)
         print(f"  {system:<10} max depth {layers:4d} layers "
               f"({params / 1e9:6.1f}B), max micro-batch {batch}")
     return 0
@@ -94,46 +120,33 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.engine.angel import AngelConfig
-    from repro.fleet.factory import JobFactory, JobWorkload
+    from repro.fleet.factory import JobFactory, JobWorkload, engine_config
 
     for flag, value in (("--steps", args.steps), ("--gpu-mib", args.gpu_mib)):
         if value < 1:
-            print(f"train: {flag} must be >= 1", file=sys.stderr)
-            return 2
+            raise ConfigurationError(f"{flag} must be >= 1")
     factory = JobFactory(
         JobWorkload(layers=args.layers, lr=args.lr, seed=args.seed)
     )
-    config = AngelConfig(
-        gpu_memory_bytes=args.gpu_mib * MiB,
-        cpu_memory_bytes=64 * MiB,
-        ssd_bytes=32 * MiB if args.ssd else 0,
-        page_bytes=64 * KiB,
-        lock_free=args.lock_free,
-        update_interval=4 if args.lock_free else 1,
-        pipeline=args.pipeline,
-    )
-    engine = factory.engine(config)
-    losses = []
-    for step, batch in enumerate(factory.batches(args.steps)):
-        loss = engine(batch)
-        engine.backward(loss)
-        engine.step()
-        losses.append(loss.item())
-        if step % max(1, args.steps // 5) == 0:
-            print(f"step {step:4d}  loss {np.mean(losses[-10:]):.4f}")
+    config = engine_config(args.gpu_mib * MiB, ssd=args.ssd,
+                           lock_free=args.lock_free, pipeline=args.pipeline)
+    with factory.engine(config) as engine:
+        losses = factory.train(engine, args.steps)
+        memory = engine.memory_report()
+        pipeline = engine.pipeline_report()
+    for step in range(0, args.steps, max(1, args.steps // 5)):
+        print(f"step {step:4d}  loss "
+              f"{np.mean(losses[max(0, step - 9):step + 1]):.4f}")
     print(f"final loss {np.mean(losses[-10:]):.4f} "
           f"(from {np.mean(losses[:10]):.4f})")
-    for tier, stats in engine.memory_report().items():
+    for tier, stats in memory.items():
         print(f"  {tier}: peak {stats['peak_pages']} pages")
     if args.pipeline:
-        pipeline = engine.pipeline_report()
         prefetch = pipeline.get("prefetch", {})
         print(f"pipeline: stalled {pipeline['stall_seconds']*1e3:.1f}ms, "
               f"{prefetch.get('prefetched_groups', 0)} groups prefetched "
               f"({prefetch.get('prefetched_bytes', 0) / MiB:.1f} MiB), "
               f"{pipeline.get('cached_layers_live', 0)} layers GPU-cached")
-    engine.close()
     return 0
 
 
@@ -148,35 +161,63 @@ def _repo_root():
     return here
 
 
-def _live_engine_plan():
-    """Train the tiny pipelined workload and return (plan, gpu_budget).
+# Each prong returns ``(ok, payload, lines)``: its ``--json`` payload,
+# and the text under its header (the first line beside it).
+def _verified(result, subject: str, detail: str = ""):
+    """A verifier prong's result, its violations listed last."""
+    lines = [subject, result.summary() + detail]
+    for violation in result.violations:
+        lines.append(f"[{violation.invariant}] trigger "
+                     f"{violation.trigger_id}: {violation.message}")
+        lines += [f"    provenance: trigger {trigger}: {event}"
+                  for trigger, event in violation.provenance]
+    return result.ok, result.to_dict(), lines
 
-    The returned plan is ``engine.executed_plan()`` — the exact object
-    the live prefetch worker consumed, not a re-plan — so the verifier
-    certifies what actually ran.
-    """
-    from repro.engine.angel import AngelConfig
-    from repro.fleet.factory import JobFactory
 
-    factory = JobFactory()
-    config = AngelConfig(
-        gpu_memory_bytes=4 * MiB, cpu_memory_bytes=64 * MiB,
-        page_bytes=64 * KiB, pipeline=True,
+def _check_self(args: argparse.Namespace):
+    """Concurrency-lint the repo against the baseline."""
+    from pathlib import Path
+
+    import repro
+    from repro.analysis.baseline import (
+        DEFAULT_BASELINE_NAME, compare, load_baseline, save_baseline,
     )
-    with factory.engine(config) as engine:
-        for batch in factory.batches(3):
-            loss = engine(batch)
-            engine.backward(loss)
-            engine.step()
-        return engine.executed_plan(), config.gpu_memory_bytes
+    from repro.analysis.lint import lint_tree
+
+    baseline_path = (
+        Path(args.baseline) if args.baseline
+        else _repo_root() / DEFAULT_BASELINE_NAME
+    )
+    findings = lint_tree(Path(repro.__file__).parent)
+    if args.update_baseline:
+        save_baseline(baseline_path, findings, load_baseline(baseline_path))
+        payload = {"updated": True, "findings": [f.to_dict() for f in findings]}
+        return True, payload, [f"baseline updated with {len(findings)} "
+                               f"finding(s) -> {baseline_path}"]
+    verdict = compare(findings, load_baseline(baseline_path))
+    payload = {
+        "new": [f.to_dict() for f in verdict["new"]],
+        "accepted": [f.fingerprint for f in verdict["accepted"]],
+        "resolved": verdict["resolved"],
+    }
+    lines = [f"{len(findings)} finding(s), {len(verdict['accepted'])} "
+             f"accepted by baseline, {len(verdict['new'])} new"]
+    for finding in verdict["new"]:
+        lines += [f"[{finding.rule}] {finding.path}: {finding.subject}",
+                  f"    {finding.message}"]
+    lines += [f"resolved (prune from baseline): {fingerprint}"
+              for fingerprint in verdict["resolved"]]
+    return not verdict["new"], payload, lines
 
 
-def _check_schedule(args: argparse.Namespace, payload: dict) -> int:
-    """Prong 1: statically verify the Algorithm-1 schedule."""
+def _check_schedule(args: argparse.Namespace):
+    """Statically verify the Algorithm-1 schedule."""
     from repro.analysis.verifier import verify_plan
 
     if args.live:
-        plan, gpu_budget = _live_engine_plan()
+        from repro.engine.liveplan import run_live_plan
+
+        plan, gpu_budget = run_live_plan()
         workload = "live functional engine (pipelined)"
     else:
         from repro.hardware.cluster import a100_cluster
@@ -190,130 +231,74 @@ def _check_schedule(args: argparse.Namespace, payload: dict) -> int:
         gpu_budget = scheduler.gpu_budget
         workload = (f"{args.model}, {args.servers} server(s), "
                     f"micro-batch {args.batch}")
-    result = verify_plan(plan, gpu_budget)
-    payload["schedule"] = result.to_dict()
-    if not args.json:
-        print(f"schedule check  : {workload}")
-        print(f"  {result.summary()}")
-        _print_violations(result)
-    return 0 if result.ok else 1
+    return _verified(verify_plan(plan, gpu_budget), workload)
 
 
-def _print_violations(result) -> None:
-    for violation in result.violations:
-        print(f"  [{violation.invariant}] trigger "
-              f"{violation.trigger_id}: {violation.message}")
-        for trigger, event in violation.provenance:
-            print(f"      provenance: trigger {trigger}: {event}")
-
-
-def _check_protocol(args: argparse.Namespace, payload: dict) -> int:
-    """Prong 3: model-check the coordinator membership protocol."""
+def _check_protocol(args: argparse.Namespace):
+    """Model-check the coordinator membership protocol."""
     from repro.analysis.protocol import ProtocolConfig, explore_protocol
 
-    config = ProtocolConfig(world_size=args.workers)
-    result = explore_protocol(depth=args.depth, config=config)
-    payload["protocol"] = result.to_dict()
-    if not args.json:
-        stats = result.stats
-        print(f"protocol check  : {result.model_name}")
-        print(f"  {result.summary()} ({stats['states']} states, "
-              f"{stats['transitions']} transitions explored, "
-              f"{stats['terminal_complete']} complete terminal state(s))")
-        _print_violations(result)
-    return 0 if result.ok else 1
+    result = explore_protocol(
+        depth=args.depth, config=ProtocolConfig(world_size=args.workers)
+    )
+    stats = result.stats
+    return _verified(result, result.model_name,
+                     f" ({stats['states']} states, {stats['transitions']} "
+                     f"transitions explored, {stats['terminal_complete']} "
+                     f"complete terminal state(s))")
 
 
-def _check_cluster(args: argparse.Namespace, payload: dict) -> int:
-    """Prong 4: replay a real cluster workdir against the protocol."""
+def _check_cluster(args: argparse.Namespace):
+    """Replay a real cluster workdir against the protocol."""
     from repro.analysis.protocol import verify_cluster_workdir
 
     result = verify_cluster_workdir(args.cluster)
-    payload["cluster"] = result.to_dict()
-    if not args.json:
-        stats = result.stats
-        print(f"cluster check   : {args.cluster}")
-        print(f"  {result.summary()} ({stats['membership_events']} "
-              f"membership event(s), {stats['rank_streams']} rank "
-              f"stream(s), {stats['collectives_observed']} collective(s))")
-        _print_violations(result)
-    return 0 if result.ok else 1
+    stats = result.stats
+    return _verified(result, args.cluster,
+                     f" ({stats['membership_events']} membership event(s), "
+                     f"{stats['rank_streams']} rank stream(s), "
+                     f"{stats['collectives_observed']} collective(s))")
 
 
-def _check_self(args: argparse.Namespace, payload: dict) -> int:
-    """Prong 2: concurrency-lint the repo against the baseline."""
-    from pathlib import Path
-
-    import repro
-    from repro.analysis.baseline import (
-        DEFAULT_BASELINE_NAME, compare, load_baseline, save_baseline,
-    )
-    from repro.analysis.lint import lint_tree
-
-    root = Path(repro.__file__).parent
-    baseline_path = (
-        Path(args.baseline) if args.baseline
-        else _repo_root() / DEFAULT_BASELINE_NAME
-    )
-    findings = lint_tree(root)
-    if args.update_baseline:
-        save_baseline(baseline_path, findings, load_baseline(baseline_path))
-        if not args.json:
-            print(f"self check      : baseline updated with "
-                  f"{len(findings)} finding(s) -> {baseline_path}")
-        payload["self"] = {
-            "updated": True,
-            "findings": [f.to_dict() for f in findings],
-        }
-        return 0
-    verdict = compare(findings, load_baseline(baseline_path))
-    payload["self"] = {
-        "new": [f.to_dict() for f in verdict["new"]],
-        "accepted": [f.fingerprint for f in verdict["accepted"]],
-        "resolved": verdict["resolved"],
-    }
-    if not args.json:
-        print(f"self check      : {len(findings)} finding(s), "
-              f"{len(verdict['accepted'])} accepted by baseline, "
-              f"{len(verdict['new'])} new")
-        for finding in verdict["new"]:
-            print(f"  [{finding.rule}] {finding.path}: {finding.subject}")
-            print(f"      {finding.message}")
-        for fingerprint in verdict["resolved"]:
-            print(f"  resolved (prune from baseline): {fingerprint}")
-    return 0 if not verdict["new"] else 1
+#: ``check``'s prongs in run order: (flag, runner, header, the flags only
+#: that prong reads). No prong flag runs every prong but ``--cluster``,
+#: which needs a finished run.
+_PRONGS = (
+    ("--self", _check_self, "self check", ("--baseline", "--update-baseline")),
+    ("--schedule", _check_schedule, "schedule check",
+     ("--live", "--model", "--servers", "--batch", "--seq-len")),
+    ("--protocol", _check_protocol, "protocol check", ("--depth", "--workers")),
+    ("--cluster", _check_cluster, "cluster check", ()),
+)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     import json
 
-    # No explicit prong selected: run every workdir-free prong (the CI
-    # gate's default). --cluster needs a finished run, so it only ever
-    # runs when asked for.
-    explicit = (
-        args.self_lint or args.schedule or args.protocol
-        or bool(args.cluster)
-    )
-    run_self = args.self_lint or not explicit
-    run_schedule = args.schedule or not explicit
-    run_protocol = args.protocol or not explicit
+    prongs = ([p for p in _PRONGS if p[0] in args.given]
+              or [p for p in _PRONGS if p[0] != "--cluster"])
+    for prong in _PRONGS:
+        if prong not in prongs:
+            _refuse(args, prong[3], f"does not apply: {prong[0]} does not run")
+    if args.live:
+        _refuse(args, ["--model", "--servers", "--batch", "--seq-len"],
+                "does not apply with --live")
     payload: dict = {}
-    status = 0
-    if run_self:
-        status = max(status, _check_self(args, payload))
-    if run_schedule:
-        status = max(status, _check_schedule(args, payload))
-    if run_protocol:
-        status = max(status, _check_protocol(args, payload))
-    if args.cluster:
-        status = max(status, _check_cluster(args, payload))
+    ok = True
+    for flag, runner, header, _ in prongs:
+        passed, payload[flag[2:]], lines = runner(args)
+        ok = ok and passed
+        if not args.json:
+            print(f"{header:<16}: {lines[0]}")
+            for line in lines[1:]:
+                print(f"  {line}")
     if args.json:
         print(json.dumps(payload, indent=2))
-    elif status == 0:
+    elif ok:
         print("check           : OK")
     else:
         print("check           : FAILED", file=sys.stderr)
-    return status
+    return 0 if ok else 1
 
 
 def _cmd_report_build(args: argparse.Namespace) -> int:
@@ -321,51 +306,51 @@ def _cmd_report_build(args: argparse.Namespace) -> int:
 
     from repro.observe.report import load_payload, write_report
 
-    payload_path = Path(args.payload)
-    payloads = []
-    for path in (payload_path, args.trace):
-        if path is None:
-            payloads.append(None)
-            continue
+    def load(path):
         if not Path(path).exists():
-            print(f"report: no such file {path}", file=sys.stderr)
-            return 2
+            raise ConfigurationError(f"no such file {path}")
         try:
             payload = load_payload(path)
         except ValueError as exc:
-            print(f"report: {path} is not JSON ({exc})", file=sys.stderr)
-            return 2
+            raise ConfigurationError(f"{path} is not JSON ({exc})") from None
         if not isinstance(payload, dict):
-            print(f"report: {path} holds a JSON {type(payload).__name__}, "
-                  f"not an object", file=sys.stderr)
-            return 2
-        payloads.append(payload)
-    payload, trace = payloads
-    out = Path(args.out) if args.out else payload_path.parent / "run_report.md"
+            raise ConfigurationError(f"{path} holds a JSON "
+                                     f"{type(payload).__name__}, not an object")
+        return payload
+
+    payload = load(args.payload)
+    trace = None if args.trace is None else load(args.trace)
+    out = Path(args.out or Path(args.payload).parent / "run_report.md")
     try:
         written = write_report(payload, out, trace=trace, html=args.html)
     except OSError as exc:
-        print(f"report: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(
+            f"cannot write {out}: {exc.strerror or exc}") from None
     for path in written:
         print(f"wrote {path}")
     return 0
 
 
+def _gate(command: str, failures: list[str], verdict: str) -> int:
+    """Exit 1 with one stderr line per failure, else print the verdict."""
+    for failure in failures:
+        print(f"{command}: FAIL: {failure}", file=sys.stderr)
+    if failures:
+        return 1
+    print(f"verdict         : {verdict}")
+    return 0
+
+
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    """Run an elastic process-cluster scenario and gate on the outcome.
-
-    Runs the fault-free sequential reference, then the real
-    multi-process run, and returns non-zero unless the run completed
-    every step, its losses track the reference within ``--tolerance``,
-    every child exited on its own and no shared-memory segment of the
-    run is left behind.
-    """
+    """Run the fault-free reference, then the real multi-process run,
+    and gate on :func:`repro.resilience.chaos.verdict`."""
     import json
-    import tempfile
 
-    from repro.cluster import ClusterConfig, run_cluster, run_cluster_reference
+    from repro.cluster.protocol import ClusterConfig
+    from repro.cluster.supervisor import run_cluster
+    from repro.cluster.worker import run_cluster_reference
     from repro.memory.arena import segment_names, session_token
+    from repro.resilience.chaos import verdict
     from repro.telemetry import Telemetry
 
     config = ClusterConfig(
@@ -375,18 +360,16 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         seed=args.seed,
         layers=args.layers,
         kill_rank=args.kill_rank,
-        kill_at_step=args.at_step if args.at_step is not None
-        else args.steps // 2,
+        kill_at_step=args.at_step,
         step_delay=args.step_delay,
         rendezvous_grace=args.grace,
         run_timeout=args.timeout,
     )
-    tolerance = args.tolerance
-    report_path = args.report
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-cluster-")
     reference = run_cluster_reference(config)
-    telemetry = Telemetry()
-    report = run_cluster(config, workdir, telemetry=telemetry)
+    report = run_cluster(config, args.workdir, telemetry=Telemetry())
+    leaked = segment_names(session_token(report.workdir))
+    delta, failures = verdict(report.losses, reference, report.complete,
+                              report.unclean_exits, leaked)
 
     print(f"workers         : {config.world_size} process(es), "
           f"{config.steps} steps")
@@ -401,62 +384,26 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                   if k not in ("type", "time", "generation")}
         print(f"  gen {event.get('generation', '?')}: "
               f"{event['type']} {detail}")
-    if report.alerts:
-        print("watchdog alerts :")
-        for alert in report.alerts:
-            print(f"  [{alert.severity.name}] {alert.rule} "
-                  f"@ step {alert.step}: {alert.message}")
-
-    failures = []
-    if not report.complete:
-        failures.append("run did not complete")
-    if report.steps_completed < config.steps:
-        failures.append(
-            f"only {report.steps_completed}/{config.steps} steps finished"
-        )
-    delta = None
-    if report.losses and len(report.losses) == len(reference):
-        delta = max(abs(a - b) for a, b in zip(reference, report.losses))
+    _print_alerts(report.alerts)
+    if delta is not None:
         print(f"final loss      : {report.losses[-1]:.4f} "
               f"(fault-free {reference[-1]:.4f}, max |delta| {delta:.2e})")
-        if delta > tolerance:
-            failures.append(
-                f"diverged from reference: max |delta| {delta:.2e} "
-                f"> tolerance {tolerance:.2e}"
-            )
-    elif not failures:
-        failures.append("no losses reported")
-    if report.unclean_exits:
-        failures.append(
-            f"killed after shutdown: {', '.join(report.unclean_exits)}"
-        )
-    leaked = segment_names(session_token(workdir))
-    if leaked:
-        failures.append(f"leaked shared memory: {', '.join(leaked)}")
-
-    if report_path:
+    if args.report:
         payload = report.to_dict()
-        payload["leaked_segments"] = leaked
-        payload["reference"] = reference
-        payload["tolerance"] = tolerance
-        payload["max_delta"] = delta
-        payload["failures"] = failures
-        with open(report_path, "w", encoding="utf-8") as handle:
+        payload.update(leaked_segments=leaked, reference=reference,
+                       max_delta=delta, failures=failures)
+        with open(args.report, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
-        print(f"report          : {report_path}")
-
-    if failures:
-        for failure in failures:
-            print(f"cluster: FAIL: {failure}", file=sys.stderr)
-        return 1
-    print("verdict         : recovered, losses match reference")
-    return 0
+        print(f"report          : {args.report}")
+    return _gate("cluster", failures, "recovered, losses match reference")
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from repro.resilience import ChaosConfig, run_chaos, run_reference
+    """Run the fault-free reference, then the supervised faulty run, and
+    gate on :func:`repro.resilience.chaos.verdict`."""
+    from repro.resilience.chaos import (
+        ChaosConfig, run_chaos, run_reference, verdict,
+    )
     from repro.telemetry import Telemetry
 
     config = ChaosConfig(
@@ -472,16 +419,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         die_after_ops=args.tier_death_after,
         rank_failure_at_step=args.rank_failure_at,
     )
-    reference = run_reference(
-        ChaosConfig(steps=args.steps, checkpoint_every=args.ckpt_every,
-                    seed=args.seed, layers=args.layers)
-    )
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-chaos-")
+    reference = run_reference(config)
     telemetry = Telemetry()
-    report = run_chaos(config, workdir, telemetry=telemetry)
+    report = run_chaos(config, args.workdir, telemetry=telemetry)
+    delta, failures = verdict(report.losses, reference)
+
     print(f"steps completed : {report.steps_completed} "
           f"({report.step_attempts} attempts)")
-    print(f"tier deaths     : {report.counters.tier_deaths}")
+    print(f"tier deaths     : {report.counters['tier_deaths']}")
     print(f"recoveries at   : {report.recovery_steps or '-'}")
     print("injected faults :")
     for record in report.fault_log:
@@ -500,31 +445,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     for name, summary in sorted(dump["histograms"].items()):
         print(f"  {name:<24} n={summary['count']} "
               f"mean={summary['mean']:.2e}s p95={summary['p95']:.2e}s")
-    if report.alerts:
-        print("watchdog alerts :")
-        for alert in report.alerts:
-            print(f"  [{alert.severity.name}] {alert.rule} "
-                  f"@ step {alert.step}: {alert.message}")
-    delta = max(abs(a - b) for a, b in zip(reference, report.losses))
-    print(f"final loss      : {report.final_loss:.4f} "
-          f"(fault-free {reference[-1]:.4f}, max |delta| {delta:.2e})")
-    failures = []
-    if report.steps_completed < args.steps:
-        failures.append(
-            f"unhealed faults: only {report.steps_completed}/{args.steps} "
-            "steps completed"
-        )
-    if delta > args.tolerance:
-        failures.append(
-            f"diverged from reference: max |delta| {delta:.2e} "
-            f"> tolerance {args.tolerance:.2e}"
-        )
-    if failures:
-        for failure in failures:
-            print(f"chaos: FAIL: {failure}", file=sys.stderr)
-        return 1
-    print("verdict         : healed, losses match reference")
-    return 0
+    _print_alerts(report.alerts)
+    if delta is not None:
+        print(f"final loss      : {report.final_loss:.4f} "
+              f"(fault-free {reference[-1]:.4f}, max |delta| {delta:.2e})")
+    return _gate("chaos", failures, "healed, losses match reference")
 
 
 def _cmd_trace_collect(args: argparse.Namespace) -> int:
@@ -533,8 +458,7 @@ def _cmd_trace_collect(args: argparse.Namespace) -> int:
     from repro.telemetry.collect import TraceCollector
 
     if not os.path.isdir(args.workdir):
-        print(f"trace: no such workdir {args.workdir}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(f"no such workdir {args.workdir}")
     collected = TraceCollector(args.workdir).collect()
     out = args.out or os.path.join(args.workdir, "cluster_trace.json")
     rollup_path = args.rollup or os.path.join(
@@ -572,12 +496,12 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
     from repro.telemetry.collect import render_top, tail_state
 
+    if args.once:
+        _refuse(args, ["--refresh"], "does not apply with --once")
     if args.refresh <= 0:
-        print(f"top: --refresh must be > 0, got {args.refresh}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(f"--refresh must be > 0, got {args.refresh}")
     if not os.path.isdir(args.workdir):
-        print(f"top: no such workdir {args.workdir}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(f"no such workdir {args.workdir}")
     try:
         while True:
             state = tail_state(args.workdir)
@@ -598,9 +522,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
     name = args.name.replace("-", "_")
     if name not in experiments.__all__:
-        print(f"unknown experiment {args.name!r}; choose from: "
-              f"{', '.join(experiments.__all__)}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(f"unknown experiment {args.name!r}; choose "
+                                 f"from: {', '.join(experiments.__all__)}")
     module = getattr(experiments, name)
     print(module.format_report(module.run()))
     return 0
@@ -610,7 +533,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Angel-PTM reproduction toolkit"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # No abbreviations: ``main`` reads which flags were given from argv.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser,
+                                       allow_abbrev=False),
+    )
 
     sub.add_parser("models", help="list the Table 4 model zoo").set_defaults(
         func=_cmd_models
@@ -666,9 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="crash a rank at this step (restore from checkpoint)")
     chaos.add_argument("--workdir", default=None,
                        help="checkpoint directory (default: fresh temp dir)")
-    chaos.add_argument("--tolerance", type=float, default=0.05,
-                       help="max |loss - reference| over every step "
-                            "before exit 1")
     chaos.set_defaults(func=_cmd_chaos)
 
     cluster = sub.add_parser(
@@ -691,8 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="rendezvous straggler grace window (seconds)")
     cluster.add_argument("--timeout", type=float, default=120.0,
                          help="hard wall-clock limit for the whole run")
-    cluster.add_argument("--tolerance", type=float, default=0.05,
-                         help="max loss delta vs fault-free reference")
     cluster.add_argument("--workdir", default=None,
                          help="checkpoint + event-log directory")
     cluster.add_argument("--report", default=None,
@@ -813,9 +736,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.errors import ConfigurationError
-
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.given = {arg.split("=", 1)[0] for arg in argv if arg.startswith("--")}
     try:
         return args.func(args)
     except ConfigurationError as exc:

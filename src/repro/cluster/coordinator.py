@@ -12,8 +12,8 @@ One process (or thread, in tests) owns the cluster's membership truth:
   still missing fails *all* waiters with a fenced reply.
 - **Failure detection.** Each worker heartbeats on a dedicated
   connection. The monitor thread walks the membership every half
-  interval: a heartbeat older than ``suspect_after`` marks the worker
-  suspect, older than ``evict_after`` evicts it. A control-connection
+  interval: a heartbeat older than ``rules.SUSPECT_AFTER`` marks the
+  worker suspect, older than ``rules.EVICT_AFTER`` evicts it. A control-connection
   EOF (SIGKILL closes the socket immediately) evicts without waiting
   for the deadline. Eviction fences the generation — survivors' next
   barrier fails, they re-join, and the next generation forms.
@@ -53,7 +53,7 @@ from repro.cluster.protocol import (
     OP_STATS,
     ClusterConfig,
 )
-from repro.cluster.rules import EVENT_REPORT, MembershipState
+from repro.cluster.rules import EVENT_REPORT, HEARTBEAT_INTERVAL, MembershipState
 from repro.errors import join_or_raise
 
 _CLOSE = object()
@@ -346,7 +346,7 @@ class Coordinator:
     def _monitor(self) -> None:
         with self._cond:
             while not self._closing:
-                self._cond.wait(timeout=self.config.heartbeat_interval / 2)
+                self._cond.wait(timeout=HEARTBEAT_INTERVAL / 2)
                 if self._closing:
                     return
                 now = self.clock()
@@ -367,7 +367,7 @@ class Coordinator:
     def _check_liveness(self, now: float) -> None:
         """Advance the missed counters and the suspect/evict ladder."""
         with self._cond:
-            events = self.rules["liveness"](self._state, now, self.config)
+            events = self.rules["liveness"](self._state, now)
             self._apply(events)
             if events:
                 self._cond.notify_all()

@@ -48,22 +48,18 @@ class ClusterConfig:
     #: joiners a window to be admitted mid-run in tests and demos.
     step_delay: float = 0.0
 
-    # Membership / failure detection.
-    heartbeat_interval: float = 0.05
-    #: Heartbeat age that marks a worker suspect.
-    suspect_after: float = 0.25
-    #: Heartbeat age that evicts a worker and fences its generation.
-    evict_after: float = 0.75
+    # Membership (failure-detector timing: repro.cluster.rules).
     #: How long rendezvous waits for stragglers before forming a smaller
     #: generation (it forms immediately once world_size workers pend).
     rendezvous_grace: float = 1.0
     min_world: int = 1
 
     # Fault injection + supervision.
+    #: SIGKILL this worker slot mid-step at ``kill_at_step`` (default
+    #: ``steps // 2``); ``kill_at_step`` needs a ``kill_rank``.
     kill_rank: int | None = None
     kill_at_step: int | None = None
     max_respawns: int = 2
-    respawn_delay: float = 0.05
     run_timeout: float = 120.0
 
     #: The config is pickled to the spawned coordinator and workers; this
@@ -74,6 +70,8 @@ class ClusterConfig:
     sink: SinkSpec | None = None
 
     def __post_init__(self) -> None:
+        if self.kill_rank is not None and self.kill_at_step is None:
+            object.__setattr__(self, "kill_at_step", self.steps // 2)
         for ok, rule in (
             (self.steps >= 1, "steps >= 1"),
             (self.world_size >= 1, "world_size >= 1"),
@@ -85,6 +83,8 @@ class ClusterConfig:
              "kill_rank to be None or a slot in [0, world_size)"),
             (self.kill_at_step is None or self.kill_at_step in range(self.steps),
              "kill_at_step to be None or a step in [0, steps)"),
+            (self.kill_at_step is None or self.kill_rank is not None,
+             "kill_rank to be set when kill_at_step is"),
         ):
             if not ok:
                 raise ConfigurationError(f"ClusterConfig needs {rule}")

@@ -41,6 +41,12 @@ EVENT_RETIRED = "retired"
 EVENT_REPORT = "report"
 EVENT_COMPLETE = "complete"
 
+#: Failure-detector timing, in seconds: how often a worker beats, and the
+#: heartbeat ages at which :func:`liveness` marks it suspect and evicts it.
+HEARTBEAT_INTERVAL = 0.05
+SUSPECT_AFTER = 0.25
+EVICT_AFTER = 0.75
+
 
 @dataclass
 class MemberInfo:
@@ -298,25 +304,24 @@ def disconnect(state: MembershipState, worker: str, now: float) -> list:
     return evict(state, worker, "control connection lost", now)
 
 
-def liveness(state: MembershipState, now: float, config) -> list:
+def liveness(state: MembershipState, now: float) -> list:
     """Advance the missed counters and the suspect/evict ladder."""
     if state.generation == 0:
         return []
     events = []
-    interval = config.heartbeat_interval
     for worker in list(state.members):
         member = state.members[worker]
         if member.done:
             continue
         age = max(0.0, now - member.last_beat)
-        member.missed = int(age / interval)
+        member.missed = int(age / HEARTBEAT_INTERVAL)
         if state.fenced or state.complete:
             continue  # fenced generations are already torn down
-        if age >= config.suspect_after and not member.suspect:
+        if age >= SUSPECT_AFTER and not member.suspect:
             member.suspect = True
             events.append((EVENT_SUSPECT,
                            {"worker": worker, "age": round(age, 4)}))
-        if age >= config.evict_after:
+        if age >= EVICT_AFTER:
             events.extend(
                 evict(state, worker, f"heartbeat silent for {age:.3f}s", now)
             )

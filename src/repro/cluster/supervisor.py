@@ -42,6 +42,7 @@ from repro.cluster.protocol import (
     ClusterConfig,
     dial,
 )
+from repro.cluster.rules import HEARTBEAT_INTERVAL
 from repro.cluster.worker import worker_entry
 from repro.errors import ClusterError, ConfigurationError
 from repro.memory.arena import session_token
@@ -50,6 +51,8 @@ from repro.telemetry.export import SinkSpec, telemetry_dir
 #: How long children get to exit on their own once shutdown was asked
 #: for. A constant, not a knob: a healthy run exits in well under it.
 EXIT_GRACE = 5.0
+#: Pause before a dead worker's slot is respawned.
+RESPAWN_DELAY = 0.05
 
 
 @dataclass
@@ -209,7 +212,7 @@ def run_cluster(config: ClusterConfig, workdir: str | None = None,
                 ctx, spawn_config, address, authkey, workdir,
                 workers, incarnations, report,
             )
-            time.sleep(config.heartbeat_interval)
+            time.sleep(HEARTBEAT_INTERVAL)
     finally:
         try:
             supervisor_conn.send({"op": OP_SHUTDOWN, "worker": "supervisor"})
@@ -283,7 +286,8 @@ def _respawn_dead(ctx, config: ClusterConfig, address, authkey: bytes,
             continue  # running, or exited cleanly (workload done for it)
         if incarnations[slot] >= config.max_respawns:
             continue
-        time.sleep(config.respawn_delay)
+        process.close()  # exited: is_alive() above already reaped it
+        time.sleep(RESPAWN_DELAY)
         incarnations[slot] += 1
         report.respawns += 1
         workers[slot] = _spawn_worker(
@@ -295,7 +299,9 @@ def _respawn_dead(ctx, config: ClusterConfig, address, authkey: bytes,
 def _reap(processes: list) -> list[str]:
     """One wait over every child's sentinel, bounded by
     :data:`EXIT_GRACE`; what is still alive then is killed and returned
-    by name — reported, never silently cleaned up."""
+    by name — reported, never silently cleaned up. Every child is closed
+    on return, so its sentinel fd does not wait for the garbage
+    collector."""
     deadline = time.monotonic() + EXIT_GRACE
     alive = [p for p in processes if p.is_alive()]
     while alive and time.monotonic() < deadline:
@@ -307,4 +313,8 @@ def _reap(processes: list) -> list[str]:
     for process in alive:
         process.kill()
         process.join(timeout=EXIT_GRACE)
-    return [process.name for process in alive]
+    unclean = [process.name for process in alive]
+    for process in processes:
+        if process.exitcode is not None:  # reaped, so close() cannot fail
+            process.close()
+    return unclean

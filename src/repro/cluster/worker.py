@@ -60,6 +60,7 @@ from repro.cluster.protocol import (
     dial,
     worker_id,
 )
+from repro.cluster.rules import HEARTBEAT_INTERVAL
 from repro.cluster.transport import SharedMemoryTransport
 from repro.errors import (
     ConfigurationError,
@@ -244,8 +245,8 @@ def run_cluster_reference(config: ClusterConfig) -> list[float]:
 
     One process, no transport: gradients of all data shards accumulate
     in shard order, which is the same order a ``world == num_data_shards``
-    cluster reduces rank slots in — so the fault-free cluster run matches
-    this bit for bit, and degraded runs within tolerance.
+    cluster reduces rank slots in — so a cluster run at full strength
+    matches this bit for bit.
     """
     model, params = _build_model(config)
     master = _flatten_params(params)
@@ -485,7 +486,7 @@ def run_worker(config: ClusterConfig, address, authkey: bytes, workdir: str,
     me = worker_id(slot, incarnation)
     try:
         client = CoordinatorClient(address, authkey, me)
-        pump = HeartbeatPump(address, authkey, me, config.heartbeat_interval)
+        pump = HeartbeatPump(address, authkey, me, HEARTBEAT_INTERVAL)
     except (EOFError, OSError):
         return 3  # coordinator already gone (e.g. respawned post-completion)
     pump.start()
@@ -527,7 +528,7 @@ def run_worker(config: ClusterConfig, address, authkey: bytes, workdir: str,
             except GenerationFencedError:
                 # Survivor of a fenced generation: back to rendezvous.
                 # Brief pause lets the coordinator settle the eviction.
-                time.sleep(config.heartbeat_interval)
+                time.sleep(HEARTBEAT_INTERVAL)
                 continue
             finally:
                 transport.close()

@@ -85,10 +85,6 @@ class AngelConfig:
     #: page acquisitions against (requires ``owner``); exceeding the
     #: tenant's share raises a typed QuotaExceededError. Live-only.
     quota: "PageQuota | None" = None
-    #: Optional pre-built repro.scheduler.IterationPlan to execute instead
-    #: of planning from the engine's own recorded trace — the same plan
-    #: object can flow simulator -> live engine -> verifier.
-    plan: "IterationPlan | None" = None
     #: Optional repro.resilience.FaultPlan injected into the SSD tier's
     #: physical backend (chaos testing, Section 3.1's failure model).
     fault_plan: FaultPlanLike | None = None
@@ -285,7 +281,7 @@ class AngelModel:
         # iteration completes (see _start_pipeline).
         self._pipeline = None
         self._writeback = None
-        self._live_plan: "IterationPlan | None" = config.plan
+        self._live_plan: "IterationPlan | None" = None
         self._layer_modules: list[Module] = []
         self._layer_managed: list[list[_Managed]] = []
         self._layer_of_module: dict[int, int] = {}
@@ -457,10 +453,9 @@ class AngelModel:
         """Plan the recorded iteration and start the background workers.
 
         Runs once, at the end of the first (recording) step. The plan is
-        either the one injected via ``config.plan`` or built from the
-        engine's own trace through the unified planning pipeline; both go
-        through the same :class:`IterationPlan` currency the simulator
-        and ``repro check --schedule`` consume.
+        built from the engine's own trace through the unified planning
+        pipeline, in the same :class:`IterationPlan` currency the
+        simulator and ``repro check --schedule`` consume.
         """
         # Deferred imports: liveplan pulls in the scheduler stack, which
         # builds on this engine.
@@ -472,15 +467,8 @@ class AngelModel:
         )
 
         modules = live_layer_modules(self)
-        plan = self.config.plan
-        if plan is None:
-            telemetry = self.telemetry if self.telemetry.enabled else None
-            plan = build_live_plan(self, telemetry=telemetry)
-        if plan.trace.num_layers != len(modules):
-            raise ConfigurationError(
-                f"injected plan covers {plan.trace.num_layers} layers but the "
-                f"engine recorded {len(modules)} parameterized modules"
-            )
+        telemetry = self.telemetry if self.telemetry.enabled else None
+        plan = build_live_plan(self, telemetry=telemetry)
         self._live_plan = plan
         self._layer_modules = modules
         self._layer_of_module = {id(m): i for i, m in enumerate(modules)}

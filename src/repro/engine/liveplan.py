@@ -153,3 +153,20 @@ def build_live_plan(engine, telemetry=None) -> IterationPlan:
         use_recompute=False,
         telemetry=telemetry,
     )
+
+
+def run_live_plan() -> tuple[IterationPlan, int]:
+    """Train ``repro train --pipeline``'s workload for three steps;
+    returns ``(plan, gpu_budget_bytes)``.
+
+    The plan is ``engine.executed_plan()``, the exact object the live
+    prefetch worker consumed rather than a re-plan, so a verifier
+    certifies what actually ran.
+    """
+    from repro.fleet.factory import JobFactory, engine_config
+
+    factory = JobFactory()
+    config = engine_config(pipeline=True)
+    with factory.engine(config) as engine:
+        factory.train(engine, 3)
+        return engine.executed_plan(), config.gpu_memory_bytes

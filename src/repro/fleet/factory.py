@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.nn import MixedPrecisionAdam, TinyTransformerLM, lm_synthetic_batches
+from repro.units import KiB, MiB
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,17 @@ class JobFactory:
         model = self.model()
         return initialize(model, self.optimizer(model), config)
 
+    def train(self, engine, steps: int) -> list[float]:
+        """Run the Figure-6 loop over the first ``steps`` batches; returns
+        the per-step losses."""
+        losses = []
+        for batch in self.batches(steps):
+            loss = engine(batch)
+            engine.backward(loss)
+            engine.step()
+            losses.append(loss.item())
+        return losses
+
     def batches(self, steps: int) -> list:
         """The job's deterministic batch stream (seed+1, every driver)."""
         w = self.workload
@@ -91,4 +103,22 @@ class JobFactory:
         return pages
 
 
-__all__ = ["JobFactory", "JobWorkload"]
+def engine_config(gpu_bytes: int = 4 * MiB, ssd: bool = False,
+                  lock_free: bool = False, pipeline: bool = False):
+    """The engine setting ``repro train`` runs a workload under: 64 MiB
+    of CPU memory and 64 KiB pages, plus a 32 MiB SSD tier with ``ssd``
+    and an update sweep every 4 steps with ``lock_free``."""
+    from repro.engine.angel import AngelConfig
+
+    return AngelConfig(
+        gpu_memory_bytes=gpu_bytes,
+        cpu_memory_bytes=64 * MiB,
+        ssd_bytes=32 * MiB if ssd else 0,
+        page_bytes=64 * KiB,
+        lock_free=lock_free,
+        update_interval=4 if lock_free else 1,
+        pipeline=pipeline,
+    )
+
+
+__all__ = ["JobFactory", "JobWorkload", "engine_config"]

@@ -22,7 +22,6 @@ from repro.observe.watchdog import (
     CacheThrashRule,
     RetryStormRule,
     Rule,
-    StalenessLagRule,
     StepSnapshot,
     TierBandwidthRule,
     Watchdog,
@@ -43,7 +42,6 @@ __all__ = [
     "CacheThrashRule",
     "RetryStormRule",
     "Rule",
-    "StalenessLagRule",
     "StepSnapshot",
     "TierBandwidthRule",
     "Watchdog",

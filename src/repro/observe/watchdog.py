@@ -1,8 +1,8 @@
 """Streaming anomaly detectors over the telemetry registry.
 
-Angel-PTM's scheduler is driven by observed runtime state — tensor
-lifetimes, per-tier waterlines, SSD bandwidth, the lock-free updater's
-sweep lag — and the :class:`Watchdog` watches exactly those signals.
+Angel-PTM's scheduler is driven by observed runtime state — cache hit
+rates, per-tier waterlines, SSD bandwidth, retries and heartbeats — and
+the :class:`Watchdog` watches exactly those signals.
 Callers invoke :meth:`Watchdog.observe_step` at step boundaries; each
 :class:`Rule` keeps its own sliding window over the registry's cumulative
 counters and emits :class:`~repro.observe.alerts.Alert` records, which are
@@ -11,7 +11,6 @@ kept in :attr:`Watchdog.alerts` and counted in the registry itself
 
 Detectors shipped by :func:`default_rules`:
 
-- ``staleness_lag`` — lock-free updater falling behind the GPU loop;
 - ``cache_thrash`` — windowed GPU-cache hit-rate collapse;
 - ``tier_bandwidth`` — per-(src, dst) edge traffic above budget;
 - ``waterline`` — GPU/tier headroom below margin (OOM near-miss);
@@ -74,55 +73,6 @@ class Rule:
 
     def check(self, snapshot: StepSnapshot) -> Alert | None:
         raise NotImplementedError
-
-
-class StalenessLagRule(Rule):
-    """Lock-free updater sweep lag vs the configured update interval.
-
-    Reads the ``updater.lag_iterations`` gauge (set by the engine and the
-    threaded trainer) or, failing that, derives the lag from the
-    ``engine.steps`` / ``engine.update_sweeps`` counters.
-    """
-
-    name = "staleness_lag"
-
-    def __init__(self, interval: int = 1, tolerance: float = 1.5, **kw):
-        super().__init__(**kw)
-        if interval < 1:
-            raise ConfigurationError("update_interval must be >= 1")
-        #: The engine's configured staleness budget (iterations per
-        #: sweep); fire when the updater lags more than
-        #: ``tolerance * interval``.
-        self.interval = interval
-        self.tolerance = tolerance
-
-    def check(self, snapshot: StepSnapshot) -> Alert | None:
-        lag = snapshot.gauges.get("updater.lag_iterations")
-        if lag is None:
-            steps = snapshot.counters.get("engine.steps", 0)
-            sweeps = snapshot.counters.get("engine.update_sweeps", 0)
-            lag = steps - sweeps * self.interval
-        budget = self.interval * self.tolerance
-        if lag <= budget:
-            return None
-        severity = (
-            Severity.CRITICAL if lag > 2 * self.interval * self.tolerance
-            else Severity.WARNING
-        )
-        return Alert(
-            rule=self.name,
-            severity=severity,
-            step=snapshot.step,
-            message=(
-                f"updater lags {lag:.0f} iterations behind the GPU loop "
-                f"(budget {budget:.1f} at update_interval={self.interval})"
-            ),
-            evidence={
-                "lag_iterations": float(lag),
-                "update_interval": self.interval,
-                "budget_iterations": budget,
-            },
-        )
 
 
 class CacheThrashRule(Rule):
@@ -410,7 +360,6 @@ class WorkerLivenessRule(Rule):
 def default_rules() -> list[Rule]:
     """The standard detector set at its default thresholds."""
     return [
-        StalenessLagRule(),
         CacheThrashRule(),
         TierBandwidthRule(),
         WaterlineRule(),

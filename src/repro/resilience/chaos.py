@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from repro.engine.angel import AngelConfig
 from repro.errors import ConfigurationError
 from repro.fleet.factory import JobFactory, JobWorkload
-from repro.metrics import FaultCounters
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.trainer import ChaosReport, ResilientTrainer
@@ -124,23 +123,41 @@ def engine_factory(config: ChaosConfig, plan: FaultPlan | None, policy: RetryPol
 
 def run_reference(config: ChaosConfig) -> list[float]:
     """The fault-free run: same model, seed and batches, no supervision."""
-    engine = engine_factory(config, plan=None, policy=None)(use_ssd=True)
-    losses = []
-    try:
-        for batch in make_batches(config):
-            loss = engine(batch)
-            engine.backward(loss)
-            engine.step()
-            losses.append(loss.item())
-    finally:
-        engine.close()
-    return losses
+    with engine_factory(config, plan=None, policy=None)(use_ssd=True) as engine:
+        return JobFactory(make_workload(config)).train(engine, config.steps)
+
+
+def verdict(losses: list[float], reference: list[float], complete: bool = True,
+            unclean_exits=(), leaked=()) -> tuple[float | None, list[str]]:
+    """The gate of ``repro chaos`` and ``repro cluster``: exact replay.
+
+    Every recovery restores a checkpoint and replays deterministic
+    batches, so a healed run completes every step and its losses equal
+    the fault-free ``reference`` element for element; any difference is
+    a failure, however small. A process cluster must also have
+    ``complete``d, killed no child after shutdown (``unclean_exits``) and
+    left no shared-memory segment behind (``leaked``). Returns
+    ``(max_delta, failures)``, ``max_delta`` over the steps both ran.
+    """
+    max_delta = max((abs(a - b) for a, b in zip(reference, losses)),
+                    default=None)
+    failures = []
+    if not complete:
+        failures.append("run did not complete")
+    if len(losses) < len(reference):
+        failures.append(f"only {len(losses)}/{len(reference)} steps completed")
+    elif losses != reference:
+        failures.append(f"diverged from reference: max |delta| {max_delta:.2e}")
+    if unclean_exits:
+        failures.append(f"killed after shutdown: {', '.join(unclean_exits)}")
+    if leaked:
+        failures.append(f"leaked shared memory: {', '.join(leaked)}")
+    return max_delta, failures
 
 
 def run_chaos(
     config: ChaosConfig,
     checkpoint_dir: str | None = None,
-    counters: FaultCounters | None = None,
     telemetry=None,
     watchdog=None,
 ) -> ChaosReport:
@@ -163,8 +180,6 @@ def run_chaos(
         max_attempts=6, base_delay=1e-4, max_delay=2e-3, seed=config.seed,
         telemetry=telemetry,
     )
-    if telemetry is not None and counters is None:
-        counters = FaultCounters(registry=telemetry.registry)
     if telemetry is not None and watchdog is None:
         from repro.observe.watchdog import Watchdog
 
@@ -174,7 +189,7 @@ def run_chaos(
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=config.checkpoint_every,
         fault_plan=plan,
-        counters=counters,
+        registry=telemetry.registry if telemetry is not None else None,
         retry_policy=policy,
         watchdog=watchdog,
     )

@@ -16,8 +16,9 @@ fault-tolerance ladder the paper claims in production:
    :func:`repro.cluster.worker.load_rank_state`.)
 
 Checkpoints are taken every ``checkpoint_every`` steps through the
-crash-consistent ``checkpoint.snapshot`` path; every cure is counted in
-:class:`~repro.metrics.FaultCounters`.
+crash-consistent ``checkpoint.snapshot`` path; every fault and cure is
+a ``faults.*`` counter in a
+:class:`~repro.telemetry.registry.MetricsRegistry`.
 """
 
 from __future__ import annotations
@@ -40,8 +41,24 @@ from repro.errors import (
     RetryExhaustedError,
     TierFailedError,
 )
-from repro.metrics import FaultCounters
+from repro.resilience.faults import FaultKind
 from repro.resilience.retry import RetryPolicy
+from repro.telemetry.registry import MetricsRegistry
+
+#: The fault/cure vocabulary; each is the counter ``faults.<name>``.
+FAULT_COUNTERS = (
+    "retries", "transient_faults", "torn_writes",
+    "latency_injections", "tier_deaths",
+    "rank_failures", "recoveries",
+    "checkpoints_saved", "checkpoints_restored",
+)
+
+#: The counters a fault plan's injection log folds into at the end of a run.
+_INJECTED = (
+    ("transient_faults", (FaultKind.TRANSIENT_READ, FaultKind.TRANSIENT_WRITE)),
+    ("torn_writes", (FaultKind.TORN_WRITE,)),
+    ("latency_injections", (FaultKind.LATENCY,)),
+)
 
 
 @dataclass
@@ -51,7 +68,9 @@ class ChaosReport:
     losses: list[float] = field(default_factory=list)
     steps_completed: int = 0
     step_attempts: int = 0
-    counters: FaultCounters = field(default_factory=FaultCounters)
+    #: ``faults.*`` counts at the end of the run, keyed without the
+    #: prefix (``counters["tier_deaths"]``).
+    counters: dict[str, int] = field(default_factory=dict)
     recovery_steps: list[int] = field(default_factory=list)
     fault_log: list = field(default_factory=list)
     #: Watchdog alerts fired during the supervised run (repro.observe).
@@ -73,7 +92,7 @@ class ResilientTrainer:
         checkpoint_dir: str,
         checkpoint_every: int = 10,
         fault_plan=None,
-        counters: FaultCounters | None = None,
+        registry: MetricsRegistry | None = None,
         retry_policy: RetryPolicy | None = None,
         max_recoveries: int = 8,
         keep_checkpoints: int = 3,
@@ -87,7 +106,11 @@ class ResilientTrainer:
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
         self.plan = fault_plan
-        self.counters = counters if counters is not None else FaultCounters()
+        #: The ``faults.*`` counters live here: the run's telemetry
+        #: registry when given, else a private one.
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self._faults = {name: self.registry.counter(f"faults.{name}")
+                        for name in FAULT_COUNTERS}
         self._retry = retry_policy or RetryPolicy()
         self.max_recoveries = max_recoveries
         self.keep_checkpoints = keep_checkpoints
@@ -105,7 +128,7 @@ class ResilientTrainer:
         snapshot = self._retry.run(lambda: capture_engine_state(engine, step=step))
         path = snapshot_path(self.checkpoint_dir, step)
         save_snapshot(snapshot, path)
-        self.counters.checkpoints_saved += 1
+        self._faults["checkpoints_saved"].inc()
         self._prune_checkpoints()
         return path
 
@@ -148,7 +171,7 @@ class ResilientTrainer:
     def _tier_died(self) -> None:
         """The SSD tier is gone for good: every later engine is CPU-only."""
         self._ssd_alive = False
-        self.counters.tier_deaths += 1
+        self._faults["tier_deaths"].inc()
 
     @staticmethod
     def _discard(engine) -> None:
@@ -165,13 +188,13 @@ class ResilientTrainer:
         Re-raises ``error`` once ``max_recoveries`` are spent. Returns
         ``(engine, step)`` — the fresh engine and the step to replay from.
         """
-        if self.counters.recoveries >= self.max_recoveries:
+        if self._faults["recoveries"].value >= self.max_recoveries:
             self._discard(engine)  # nobody else holds it to close it
             raise error
-        self.counters.recoveries += 1
+        self._faults["recoveries"].inc()
         self._discard(engine)
         snapshot, step = self.latest_good_checkpoint()
-        self.counters.checkpoints_restored += 1
+        self._faults["checkpoints_restored"].inc()
         # The restore writes through the (possibly still-faulty) tier
         # backends; a full re-restore heals any torn/transient write.
         engine = self._build(lambda fresh: self._retry.run(
@@ -190,13 +213,13 @@ class ResilientTrainer:
         from the restored step.
         """
         batches = list(batches)
-        report = ChaosReport(counters=self.counters)
+        report = ChaosReport()
         # An initial checkpoint makes even a step-0 crash recoverable.
         engine = self._build(lambda fresh: self.save_checkpoint(fresh, 0))
         step = 0
         while step < len(batches):
             if self.plan is not None and self.plan.take_rank_failure(step):
-                self.counters.rank_failures += 1
+                self._faults["rank_failures"].inc()
                 engine, step = self._recover(
                     engine, report, RankFailedError(step=step))
                 continue
@@ -216,8 +239,11 @@ class ResilientTrainer:
                     self._tier_died()
                 engine, step = self._recover(engine, report, exc)
         if self.plan is not None:
-            self.counters.absorb_plan(self.plan)
-        self.counters.retries += self._retry.retries
+            for name, kinds in _INJECTED:
+                self._faults[name].inc(sum(self.plan.count(k) for k in kinds))
+        self._faults["retries"].inc(self._retry.retries)
+        report.counters = {name: counter.value
+                           for name, counter in self._faults.items()}
         report.steps_completed = step
         self._final_engine = engine
         return report

@@ -61,11 +61,6 @@ class Counter:
             self._value += amount
             return self._value
 
-    def _force(self, value) -> None:
-        """Set the absolute value (compatibility shims only)."""
-        with self._lock:
-            self._value = value
-
 
 class Gauge:
     """A value that goes up and down (pages in use, cache bytes)."""

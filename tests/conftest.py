@@ -10,9 +10,23 @@ returns, so the check polls for a short grace period before it fails.
 import os
 import threading
 import time
+import warnings
 from multiprocessing import active_children, resource_tracker
 
 import pytest
+
+# A falsified Hypothesis property is reported through Hypothesis's
+# explain/patch step, which imports libcst; that import warns
+# (mypy_extensions.TypedDict is deprecated), and under
+# ``filterwarnings = ["error"]`` the warning would turn the report into a
+# pytest INTERNALERROR. Importing libcst once here, with that warning
+# silenced, leaves the later import a no-op.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass  # CI installs only numpy, pytest and hypothesis
 
 #: How long a module's threads, children and segments get to go away.
 GRACE_S = 5.0

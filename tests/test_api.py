@@ -70,7 +70,7 @@ class TestFacade:
         config = ChaosConfig(steps=4, checkpoint_every=2)
         result = api.chaos(config, workdir=str(tmp_path))
         assert result.steps_completed == 4
-        assert result.counters.tier_deaths == 0
+        assert result.counters["tier_deaths"] == 0
         assert result.recovery_steps == []
         assert result.losses == run_reference(config)
 

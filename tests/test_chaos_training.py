@@ -10,7 +10,6 @@ bit — with every retry/recovery observable in the counters.
 import pytest
 
 from repro.errors import RankFailedError
-from repro.metrics import FaultCounters
 from repro.resilience import (
     ChaosConfig,
     FaultKind,
@@ -45,11 +44,11 @@ class TestTransientFaultsHealBitForBit:
         reference = reference_losses(seed=1)
         report = run_chaos(config, str(tmp_path))
         assert report.losses == reference  # bit-for-bit
-        assert report.counters.transient_faults == 12
-        assert report.counters.torn_writes == 4
-        assert report.counters.retries >= 12
-        assert report.counters.tier_deaths == 0
-        assert report.counters.recoveries == 0
+        assert report.counters["transient_faults"] == 12
+        assert report.counters["torn_writes"] == 4
+        assert report.counters["retries"] >= 12
+        assert report.counters["tier_deaths"] == 0
+        assert report.counters["recoveries"] == 0
 
     def test_chaos_runs_are_seed_deterministic(self, tmp_path):
         config = ChaosConfig(
@@ -78,24 +77,23 @@ class TestFullRecoveryLadder:
         """The tolerance is zero: both recoveries replay exactly."""
         config = ChaosConfig(**self.CONFIG)
         reference = reference_losses(steps=10, seed=3)
-        counters = FaultCounters()
-        report = run_chaos(config, str(tmp_path), counters=counters)
+        report = run_chaos(config, str(tmp_path))
+        counters = report.counters
 
         # The run completed all steps despite losing the SSD tier and a rank.
         assert report.steps_completed == 10
         assert report.recovery_steps == [3, 6]
 
         # Every rung of the ladder is observable in the counters.
-        assert counters.tier_deaths == 1
-        assert counters.rank_failures == 1
-        assert counters.recoveries == 2
-        assert counters.checkpoints_restored == 2
-        assert counters.retries >= 1
-        assert counters.checkpoints_saved >= 2
+        assert counters["tier_deaths"] == 1
+        assert counters["rank_failures"] == 1
+        assert counters["recoveries"] == 2
+        assert counters["checkpoints_restored"] == 2
+        assert counters["retries"] >= 1
+        assert counters["checkpoints_saved"] >= 2
 
-        # The report carries those counters, one restore step per recovery.
-        assert report.counters is counters
-        assert len(report.recovery_steps) == counters.recoveries
+        # One restore step per recovery.
+        assert len(report.recovery_steps) == counters["recoveries"]
 
         assert report.losses == reference  # bit-for-bit
 
@@ -209,7 +207,7 @@ class TestTierDeathReplaysExactly:
         config = ChaosConfig(die_after_ops=die_after_ops, **self.CONFIG)
         report = run_chaos(config, str(tmp_path))
         assert report.steps_completed == 6
-        assert report.counters.tier_deaths == 1
+        assert report.counters["tier_deaths"] == 1
         assert report.losses == reference
 
     def test_tier_death_during_recovery_restore_rebuilds_on_cpu(
@@ -221,7 +219,7 @@ class TestTierDeathReplaysExactly:
         report = run_chaos(config, str(tmp_path))
         assert [r.kind for r in report.fault_log] == [
             FaultKind.RANK_FAILURE, FaultKind.TIER_DEATH]
-        assert report.counters.recoveries == 1
-        assert report.counters.tier_deaths == 1
+        assert report.counters["recoveries"] == 1
+        assert report.counters["tier_deaths"] == 1
         assert report.recovery_steps == [3]
         assert report.losses == reference

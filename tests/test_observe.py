@@ -14,7 +14,6 @@ from repro.observe import (
     ForensicRecorder,
     RetryStormRule,
     Severity,
-    StalenessLagRule,
     StepSnapshot,
     TierBandwidthRule,
     Watchdog,
@@ -41,25 +40,6 @@ class TestAlerts:
 
 
 class TestRules:
-    def test_staleness_lag_from_gauge(self):
-        rule = StalenessLagRule(interval=4, tolerance=1.5)
-        assert rule.evaluate(snap(1, gauges={"updater.lag_iterations": 5})) == []
-        fired = rule.evaluate(snap(2, gauges={"updater.lag_iterations": 7}))
-        assert fired and fired[0].severity is Severity.WARNING
-        assert fired[0].evidence["lag_iterations"] == 7.0
-
-    def test_staleness_lag_escalates_to_critical(self):
-        rule = StalenessLagRule(interval=1, tolerance=1.5)
-        fired = rule.evaluate(snap(1, gauges={"updater.lag_iterations": 4}))
-        assert fired and fired[0].severity is Severity.CRITICAL
-
-    def test_staleness_lag_falls_back_to_counters(self):
-        rule = StalenessLagRule(interval=1, tolerance=1.0)
-        fired = rule.evaluate(
-            snap(5, counters={"engine.steps": 6, "engine.update_sweeps": 2})
-        )
-        assert fired and "lags 4 iterations" in fired[0].message
-
     def test_cache_thrash_after_warmup(self):
         rule = CacheThrashRule(window=4, warmup_steps=2, floor=0.5, critical=0.2)
         hits, demands = 0, 0
@@ -160,8 +140,6 @@ class TestRules:
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            StalenessLagRule(interval=0)
-        with pytest.raises(ConfigurationError):
             WaterlineRule(margin=0.01, critical=0.05)
 
 
@@ -169,17 +147,17 @@ class TestWatchdog:
     def test_observe_step_publishes_everywhere(self):
         telemetry = Telemetry()
         watchdog = Watchdog(telemetry=telemetry)
-        telemetry.gauge("updater.lag_iterations").set(10)
+        telemetry.record_heartbeat("w1i0", age_seconds=1.0, missed=5)
         fired = watchdog.observe_step(step=1)
-        assert [a.rule for a in fired] == ["staleness_lag"]
+        assert [a.rule for a in fired] == ["worker_liveness"]
         assert watchdog.alerts == fired
         assert [a.severity for a in watchdog.alerts] == [Severity.CRITICAL]
         # Counted in the registry it watches...
         assert telemetry.registry.value(
-            "watchdog.alerts", rule="staleness_lag", severity="CRITICAL"
+            "watchdog.alerts", rule="worker_liveness", severity="CRITICAL"
         ) == 1
         # ...and serializable for the fleet report.
-        assert watchdog.payload()[0]["rule"] == "staleness_lag"
+        assert watchdog.payload()[0]["rule"] == "worker_liveness"
 
     def test_disabled_telemetry_still_evaluates_memory_rules(self):
         watchdog = Watchdog()  # NULL_TELEMETRY: no counters to read

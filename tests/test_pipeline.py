@@ -618,64 +618,6 @@ class TestLivePlan:
         result = verify_plan(plan, facts["gpu_budget"])
         assert result.ok, result.violations
 
-    def test_injected_plan_is_executed_not_replanned(self):
-        """One IterationPlan flows planner -> engine -> verifier."""
-        from repro.engine import build_live_plan
-
-        model = tiny_model()
-        opt = MixedPrecisionAdam(model.parameters(), lr=2e-3)
-        config = AngelConfig(
-            gpu_memory_bytes=2 * MiB, cpu_memory_bytes=16 * MiB,
-            page_bytes=32 * KiB, pipeline=True,
-        )
-        with initialize(model, opt, config) as engine:
-            batches = list(lm_synthetic_batches(16, 8, 4, 3, seed=5))
-            loss = engine(batches[0])
-            engine.backward(loss)
-            engine.step()
-            planned = build_live_plan(engine)
-        model = tiny_model()
-        opt = MixedPrecisionAdam(model.parameters(), lr=2e-3)
-        config = AngelConfig(
-            gpu_memory_bytes=2 * MiB, cpu_memory_bytes=16 * MiB,
-            page_bytes=32 * KiB, pipeline=True, plan=planned,
-        )
-        with initialize(model, opt, config) as engine:
-            for batch in batches:
-                loss = engine(batch)
-                engine.backward(loss)
-                engine.step()
-            assert engine.executed_plan() is planned
-
-    def test_plan_layer_mismatch_rejected(self):
-        model = tiny_model()
-        opt = MixedPrecisionAdam(model.parameters(), lr=2e-3)
-        config = AngelConfig(
-            gpu_memory_bytes=2 * MiB, cpu_memory_bytes=16 * MiB,
-            page_bytes=32 * KiB, pipeline=True,
-        )
-        with initialize(model, opt, config) as engine:
-            batch = next(iter(lm_synthetic_batches(16, 8, 4, 1, seed=5)))
-            loss = engine(batch)
-            engine.backward(loss)
-            engine.step()
-            plan = engine.executed_plan()
-        other = tiny_model(num_layers=1)
-        opt = MixedPrecisionAdam(other.parameters(), lr=2e-3)
-        config = AngelConfig(
-            gpu_memory_bytes=2 * MiB, cpu_memory_bytes=16 * MiB,
-            page_bytes=32 * KiB, pipeline=True, plan=plan,
-        )
-        engine = initialize(other, opt, config)
-        try:
-            batch = next(iter(lm_synthetic_batches(16, 8, 4, 1, seed=5)))
-            loss = engine(batch)
-            engine.backward(loss)
-            with pytest.raises(ConfigurationError, match="recorded"):
-                engine.step()
-        finally:
-            engine.close()
-
 
 class TestCoalescing:
     def test_groups_by_trigger_layer_direction(self):

@@ -16,7 +16,6 @@ from repro.errors import (
 from repro.hardware.device import DeviceKind
 from repro.memory.allocator import PageAllocator
 from repro.memory.pool import DevicePool
-from repro.metrics import FaultCounters
 from repro.nn import MixedPrecisionAdam, TinyTransformerLM, lm_synthetic_batches
 from repro.resilience import (
     FaultKind,
@@ -371,11 +370,16 @@ class TestEngineDegradation:
 
 
 class TestFaultCounters:
-    def test_absorb_plan_folds_injection_log(self):
-        plan = FaultPlan(seed=0, transient_read_rate=1.0, max_transients=2)
-        for _ in range(2):
-            with pytest.raises(TransientIOError):
-                plan.on_io("ssd", "read", 8)
-        counters = FaultCounters()
-        counters.absorb_plan(plan)
-        assert counters.transient_faults == 2
+    def test_absorb_plan_folds_injection_log(self, tmp_path):
+        """The trainer folds its plan's injection log into ``faults.*``."""
+        from repro.resilience import ChaosConfig, run_chaos
+
+        config = ChaosConfig(steps=2, checkpoint_every=2,
+                             transient_read_rate=1.0, max_transients=2)
+        report = run_chaos(config, str(tmp_path))
+        injected = [r for r in report.fault_log
+                    if r.kind in (FaultKind.TRANSIENT_READ,
+                                  FaultKind.TRANSIENT_WRITE)]
+        assert len(injected) == 2
+        assert report.counters["transient_faults"] == 2
+        assert report.counters["torn_writes"] == 0

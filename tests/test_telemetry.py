@@ -314,31 +314,19 @@ class TestTelemetryFacade:
 
 
 class TestFaultCountersCompat:
-    def test_kwargs_init_and_attribute_access(self):
-        from repro.metrics import FaultCounters
-
-        counters = FaultCounters(retries=3, recoveries=1)
-        assert counters.retries == 3
-        assert counters.recoveries == 1
-        assert counters.torn_writes == 0
-        counters.retries += 1
-        assert counters.retries == 4
-        assert counters.as_dict()["retries"] == 4
-
-    def test_unknown_field_rejected(self):
-        from repro.metrics import FaultCounters
-
-        with pytest.raises(ConfigurationError):
-            FaultCounters(bogus=1)
-
-    def test_shares_registry_with_telemetry(self):
-        from repro.metrics import FaultCounters
+    def test_shares_registry_with_telemetry(self, tmp_path):
+        """A trainer given the run's registry counts ``faults.*`` there."""
+        from repro.resilience import ResilientTrainer
+        from repro.resilience.trainer import FAULT_COUNTERS
 
         telemetry = Telemetry(clock=ManualClock())
-        counters = FaultCounters(registry=telemetry.registry)
-        counters.transient_faults = 5
+        trainer = ResilientTrainer(lambda use_ssd=True: None, str(tmp_path),
+                                   registry=telemetry.registry)
+        trainer._tier_died()
         dump = telemetry.dump()["metrics"]["counters"]
-        assert dump["faults.transient_faults"] == 5
+        assert {f"faults.{name}" for name in FAULT_COUNTERS} <= set(dump)
+        assert dump["faults.tier_deaths"] == 1
+        assert dump["faults.recoveries"] == 0
 
 
 class TestRetryWithManualClock:
