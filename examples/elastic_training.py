@@ -47,7 +47,7 @@ def main() -> None:
         print(f"step {step:3d}  loss {losses[step]:.4f}  "
               f"(reference {reference[step]:.4f})")
     print(f"final loss {losses[-1]:.4f}; max |delta| vs the 1-process "
-          f"reference {delta:.2e} (rank-order summation only)")
+          f"reference {delta:.2e} (shards sum in shard order at any world)")
 
 
 if __name__ == "__main__":

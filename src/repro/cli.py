@@ -367,9 +367,15 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     )
     reference = run_cluster_reference(config)
     report = run_cluster(config, args.workdir, telemetry=Telemetry())
+    delta, failures = verdict(report.losses, reference)
+    if not report.complete:
+        failures.append("run did not complete")
+    if report.unclean_exits:
+        failures.append(
+            f"killed after shutdown: {', '.join(report.unclean_exits)}")
     leaked = segment_names(session_token(report.workdir))
-    delta, failures = verdict(report.losses, reference, report.complete,
-                              report.unclean_exits, leaked)
+    if leaked:
+        failures.append(f"leaked shared memory: {', '.join(leaked)}")
 
     print(f"workers         : {config.world_size} process(es), "
           f"{config.steps} steps")

@@ -286,7 +286,6 @@ def _respawn_dead(ctx, config: ClusterConfig, address, authkey: bytes,
             continue  # running, or exited cleanly (workload done for it)
         if incarnations[slot] >= config.max_respawns:
             continue
-        process.close()  # exited: is_alive() above already reaped it
         time.sleep(RESPAWN_DELAY)
         incarnations[slot] += 1
         report.respawns += 1
@@ -294,6 +293,9 @@ def _respawn_dead(ctx, config: ClusterConfig, address, authkey: bytes,
             ctx, config, address, authkey, workdir,
             slot, incarnations[slot],
         )
+        # Closed only once replaced: if the spawn raised, ``_reap``
+        # still finds (and closes) the exited process in ``workers``.
+        process.close()  # exited: is_alive() above already reaped it
 
 
 def _reap(processes: list) -> list[str]:

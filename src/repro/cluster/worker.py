@@ -5,12 +5,13 @@ The ZeRO step (:func:`zero_step`) trains a tiny transformer LM:
 1. compute gradients for the **data shards this rank owns** (shard ``s``
    belongs to rank ``s % world``; the shard count is fixed at the launch
    world size, so the global batch never changes when the world shrinks);
-2. ``reduce_scatter`` the summed gradient — each rank keeps its slice of
-   the rank-order sum, bit-identical to the sequential reference when
-   ``world == num_data_shards``;
+2. ``reduce_scatter`` them, one row per shard: each rank keeps its slice
+   of the sum taken in shard order, so at every world size it is
+   bit-identical to the sequential reference's;
 3. apply Adam to the FP32 master/moment shards this rank owns and
    refresh FP16 parameters via ``all_gather``;
-4. ``all_gather`` the per-rank float64 loss sums for the global loss.
+4. ``all_gather`` the per-shard float64 losses and sum them in shard
+   order for the global loss.
 
 Two drivers run it. :func:`run_worker` is one OS process: it joins a
 generation, builds a :class:`SharedMemoryTransport`, and trains until the
@@ -217,14 +218,19 @@ def _assign_params(params, flat: np.ndarray) -> None:
 
 
 def _shard_grads(model, params, batch, config: ClusterConfig, rank: int,
-                 world: int) -> tuple[float, np.ndarray]:
-    """Gradient sum and float64 loss sum over this rank's data shards."""
+                 world: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 losses and FP32 gradients of this rank's data shards.
+
+    Row ``j`` is shard ``j * world + rank``: term ``j * world + rank`` of
+    the transport's reduction, which therefore sums the shards in shard
+    order whatever the world. A rank owning one shard fewer than
+    ``ceil(num_data_shards / world)`` leaves its last row zero.
+    """
+    rows = -(-config.num_data_shards // world)
     total = sum(p.data.size for p in params)
-    grad = np.zeros(total, dtype=np.float32)
-    loss_sum = 0.0
-    for shard in range(config.num_data_shards):
-        if shard % world != rank:
-            continue
+    losses = np.zeros(rows, dtype=np.float64)
+    grads = np.zeros((rows, total), dtype=np.float32)
+    for row, shard in enumerate(range(rank, config.num_data_shards, world)):
         lo = shard * config.shard_batch
         hi = lo + config.shard_batch
         logits = model(batch.inputs[lo:hi], mixed_precision=True)
@@ -234,19 +240,19 @@ def _shard_grads(model, params, batch, config: ClusterConfig, rank: int,
         offset = 0
         for param in params:
             if param.grad is not None:
-                grad[offset:offset + param.data.size] += param.grad.reshape(-1)
+                grads[row, offset:offset + param.data.size] = param.grad.reshape(-1)
             offset += param.data.size
-        loss_sum += loss.item()
-    return loss_sum, grad
+        losses[row] = loss.item()
+    return losses, grads
 
 
 def run_cluster_reference(config: ClusterConfig) -> list[float]:
     """Fault-free sequential run of the exact worker math.
 
     One process, no transport: gradients of all data shards accumulate
-    in shard order, which is the same order a ``world == num_data_shards``
-    cluster reduces rank slots in — so a cluster run at full strength
-    matches this bit for bit.
+    in shard order, which is the order every cluster generation reduces
+    them in — so a cluster run matches this bit for bit, whatever world
+    sizes its generations trained at.
     """
     model, params = _build_model(config)
     master = _flatten_params(params)
@@ -255,12 +261,15 @@ def run_cluster_reference(config: ClusterConfig) -> list[float]:
     adam = MixedPrecisionAdam([], lr=config.lr)
     losses: list[float] = []
     for step, batch in enumerate(make_batches(config)):
-        loss_sum, grad = _shard_grads(model, params, batch, config, 0, 1)
+        shard_losses, grads = _shard_grads(model, params, batch, config, 0, 1)
+        grad = np.zeros_like(master)
+        for row in grads:
+            grad += row
         grad /= config.num_data_shards
         adam.t = step + 1
         adam._apply(master, grad, moment_m, moment_v)
         _assign_params(params, round_fp16(master))
-        losses.append(loss_sum / config.num_data_shards)
+        losses.append(sum(shard_losses.tolist()) / config.num_data_shards)
     return losses
 
 
@@ -309,20 +318,20 @@ def zero_step(config: ClusterConfig, model, params, batch, transport,
     """One ZeRO step on this rank; appends the global loss to ``state``.
 
     Gradients of the data shards this rank owns, ``reduce_scatter`` of
-    their sum, Adam on this rank's state slice, ``all_gather`` of the
-    FP16-rounded slices into every replica, then ``all_gather`` of the
-    per-rank float64 loss sums. ``before_reduce`` runs between the
+    them in shard order, Adam on this rank's state slice, ``all_gather``
+    of the FP16-rounded slices into every replica, then ``all_gather`` of
+    the per-shard float64 losses. ``before_reduce`` runs between the
     gradients and the first collective (the worker's kill window).
     """
     with telemetry.span("grads", track="train"):
-        loss_sum, grad = _shard_grads(
+        shard_losses, grads = _shard_grads(
             model, params, batch, config, transport.rank, transport.world
         )
     if before_reduce is not None:
         before_reduce()
-    with telemetry.span("reduce_scatter", track="train", nbytes=grad.nbytes):
-        grad_shard = transport.reduce_scatter(grad)
-    telemetry.record_collective("reduce_scatter", grad.nbytes)
+    with telemetry.span("reduce_scatter", track="train", nbytes=grads.nbytes):
+        grad_shard = transport.reduce_scatter(grads)
+    telemetry.record_collective("reduce_scatter", grads.nbytes)
     grad_shard /= config.num_data_shards
     state.adam.t += 1
     with telemetry.span("adam", track="train"):
@@ -333,10 +342,9 @@ def zero_step(config: ClusterConfig, model, params, batch, transport,
         flat = np.concatenate(transport.all_gather(param_shard))
     telemetry.record_collective("all_gather", param_shard.nbytes)
     _assign_params(params, flat)
-    sums = transport.all_gather(np.array([loss_sum], dtype=np.float64))
-    # Ascending rank order == shard order.
-    step_loss = sum(float(partial[0]) for partial in sums)
-    state.losses.append(step_loss / config.num_data_shards)
+    # Rank-major rows, transposed: shard order (then the zero rows).
+    by_shard = np.stack(transport.all_gather(shard_losses)).T.reshape(-1)
+    state.losses.append(sum(by_shard.tolist()) / config.num_data_shards)
 
 
 def _save_group_checkpoint(workdir: str, transport, state: RankState,
@@ -365,9 +373,8 @@ def run_cluster_in_process(config: ClusterConfig, world: int,
 
     The ranks share one :class:`InProcessGroup` and resume from and
     checkpoint into ``workdir`` as a process generation does, so a run
-    at one world size resumes at another. At ``world ==
-    num_data_shards`` (and 1) the losses equal
-    :func:`run_cluster_reference` bit for bit. A rank that raises aborts
+    at one world size resumes at another. At every world the losses
+    equal :func:`run_cluster_reference` bit for bit. A rank that raises aborts
     the group, and its error is re-raised here.
     """
     if not 1 <= world <= config.num_data_shards:
@@ -510,14 +517,15 @@ def run_worker(config: ClusterConfig, address, authkey: bytes, workdir: str,
                             world=world)
             pump.configure(generation, 0)
             model, params = _build_model(config)
-            # The largest vector a rank publishes is the zero-padded flat
-            # FP32 state (the reduce-scatter's gradient).
+            # The largest payload a rank publishes is the reduce-scatter's
+            # stack of zero-padded FP32 gradients, one row per owned shard.
             state_size = sum(p.data.size for p in params)
+            rows = -(-config.num_data_shards // world)
             transport = SharedMemoryTransport(
                 rank, world, generation, session,
                 barrier=lambda name, g=generation: client.barrier(name, g),
                 page_bytes=config.page_bytes,
-                capacity=shard_length(state_size, world) * world * 4,
+                capacity=rows * shard_length(state_size, world) * world * 4,
             )
             try:
                 if _run_generation(

@@ -127,32 +127,23 @@ def run_reference(config: ChaosConfig) -> list[float]:
         return JobFactory(make_workload(config)).train(engine, config.steps)
 
 
-def verdict(losses: list[float], reference: list[float], complete: bool = True,
-            unclean_exits=(), leaked=()) -> tuple[float | None, list[str]]:
-    """The gate of ``repro chaos`` and ``repro cluster``: exact replay.
+def verdict(losses: list[float],
+            reference: list[float]) -> tuple[float | None, list[str]]:
+    """Exact replay: the shared gate of ``repro chaos`` and ``repro cluster``.
 
     Every recovery restores a checkpoint and replays deterministic
     batches, so a healed run completes every step and its losses equal
     the fault-free ``reference`` element for element; any difference is
-    a failure, however small. A process cluster must also have
-    ``complete``d, killed no child after shutdown (``unclean_exits``) and
-    left no shared-memory segment behind (``leaked``). Returns
-    ``(max_delta, failures)``, ``max_delta`` over the steps both ran.
+    a failure, however small. Returns ``(max_delta, failures)``,
+    ``max_delta`` over the steps both ran.
     """
     max_delta = max((abs(a - b) for a, b in zip(reference, losses)),
                     default=None)
-    failures = []
-    if not complete:
-        failures.append("run did not complete")
     if len(losses) < len(reference):
-        failures.append(f"only {len(losses)}/{len(reference)} steps completed")
-    elif losses != reference:
-        failures.append(f"diverged from reference: max |delta| {max_delta:.2e}")
-    if unclean_exits:
-        failures.append(f"killed after shutdown: {', '.join(unclean_exits)}")
-    if leaked:
-        failures.append(f"leaked shared memory: {', '.join(leaked)}")
-    return max_delta, failures
+        return max_delta, [f"only {len(losses)}/{len(reference)} steps completed"]
+    if losses != reference:
+        return max_delta, [f"diverged from reference: max |delta| {max_delta:.2e}"]
+    return max_delta, []
 
 
 def run_chaos(

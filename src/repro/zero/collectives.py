@@ -12,7 +12,7 @@ Two halves of Section 5's Communicator live here:
 - :class:`Transport` — the *data* side: the pluggable collective
   interface trainer ranks actually exchange bytes through. Transfers are
   page-granular (the unit of inter-process traffic, per §4.1 and
-  PatrickStar), and reductions sum rank slots in ascending rank order so
+  PatrickStar), and reductions sum rank slots in ascending order so
   every implementation is deterministic. :class:`InProcessGroup` backs
   ranks that are threads of one process;
   :class:`repro.cluster.transport.SharedMemoryTransport` carries the same
@@ -148,10 +148,14 @@ class Transport(abc.ABC):
     - ``all_gather(shard)`` — every rank contributes an equal-length 1-D
       array and receives the list of all ranks' arrays, indexed by rank.
     - ``reduce_scatter(full)`` — every rank contributes a full-length
-      vector; rank ``r`` receives the elementwise sum of everyone's
-      ``r``-th even-split slice (zero-padded tail, matching
-      :func:`repro.checkpoint.reshard.split_even`). Summation runs in
-      ascending rank order, so results are bit-reproducible.
+      vector, or a stack of ``k`` of them (the same ``k`` everywhere);
+      rank ``r`` receives the elementwise sum of everyone's ``r``-th
+      even-split slice (zero-padded tail, matching
+      :func:`repro.checkpoint.reshard.split_even`). Rank ``q``'s row
+      ``j`` is term ``j * world + q``, and summation runs in ascending
+      term order, so results are bit-reproducible — and a step that
+      deals shard ``s`` to rank ``s % world`` sums its shards in shard
+      order at every world size.
 
     Both are written once, over :meth:`_exchange`; an implementation
     supplies only the byte board (in-process slots, shared-memory
@@ -209,24 +213,31 @@ class Transport(abc.ABC):
         return gathered
 
     def reduce_scatter(self, full: np.ndarray) -> np.ndarray:
-        """Return this rank's shard of the elementwise sum of ``full``."""
-        if full.ndim != 1:
-            raise CommunicationError("transports operate on flat vectors")
-        length = shard_length(full.size, self.world)
-        padded = np.zeros(length * self.world, dtype=full.dtype)
-        padded[:full.size] = full
-        lo, hi = self.rank * length, (self.rank + 1) * length
+        """Return this rank's shard of the elementwise sum of ``full``'s
+        rows (one row when ``full`` is a vector) over every rank."""
+        if full.ndim not in (1, 2):
+            raise CommunicationError(
+                "transports operate on flat vectors or stacks of them"
+            )
+        rows = full.reshape(-1, full.shape[-1])
+        length = shard_length(rows.shape[1], self.world)
+        stride = length * self.world
+        padded = np.zeros((rows.shape[0], stride), dtype=full.dtype)
+        padded[:, :rows.shape[1]] = rows
 
         def read_slices(views) -> tuple:
             acc = np.zeros(length, dtype=padded.dtype)
+            staged = np.empty(length, dtype=padded.dtype)
             pages = 0
-            for rank in range(self.world):  # ascending: deterministic sum
-                staged = np.empty(length, dtype=padded.dtype)
-                pages += copy_pages(staged, views[rank][lo:hi], self.page_bytes)
-                acc += staged
+            # Ascending term order (row-major over ranks): deterministic.
+            for lo in range(self.rank * length, padded.size, stride):
+                for rank in range(self.world):
+                    pages += copy_pages(staged, views[rank][lo:lo + length],
+                                        self.page_bytes)
+                    acc += staged
             return acc, pages
 
-        acc, pages = self._exchange(padded, read_slices)
+        acc, pages = self._exchange(padded.reshape(-1), read_slices)
         self._account("reduce_scatter", full.nbytes, pages)
         return acc
 

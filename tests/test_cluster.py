@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import sys
 import tempfile
 import threading
 import time
@@ -114,6 +115,35 @@ class TestInProcessCollectives:
                 shard, padded[rank * length:(rank + 1) * length],
                 rtol=0, atol=1e-6,
             )
+
+
+    def test_stacked_rows_sum_in_term_order(self):
+        """Rank ``q``'s row ``j`` is term ``j * world + q``: five terms on
+        two ranks (rank 1's last row zero) sum exactly as the sequential
+        fold ``((t0 + t1) + t2) + ...`` does, not as per-rank partials."""
+        world, terms = 2, 5
+        group = InProcessGroup(world, page_bytes=1 * KiB)
+        rng = np.random.default_rng(1)
+        # Magnitudes far apart, so a regrouped FP32 sum rounds differently.
+        values = [(rng.normal(size=10) * 10.0 ** (3 * (t % 3)))
+                  .astype(np.float32) for t in range(terms)]
+        stacks = [np.zeros((3, 10), dtype=np.float32) for _ in range(world)]
+        for t, value in enumerate(values):
+            stacks[t % world][t // world] = value
+        fold = np.zeros(10, dtype=np.float32)
+        for value in values:
+            fold += value
+        partials = [np.sum(stack, axis=0) for stack in stacks]
+        assert (partials[0] + partials[1]).tobytes() != fold.tobytes()
+        length = shard_length(10, world)
+        padded = np.zeros(length * world, dtype=np.float32)
+        padded[:10] = fold
+        results = self._run_ranks(
+            group, lambda t, rank: t.reduce_scatter(stacks[rank])
+        )
+        for rank, shard in enumerate(results):
+            expected = padded[rank * length:(rank + 1) * length]
+            assert shard.tobytes() == expected.tobytes()
 
 
 class TestSharedMemoryTransport:
@@ -413,6 +443,30 @@ class TestReap:
             with pytest.raises(ValueError, match="closed"):
                 process.is_alive()
         assert 0.3 <= elapsed < 3.0
+
+    def test_failed_respawn_leaves_the_dead_child_reapable(self,
+                                                           monkeypatch):
+        def no_fds(*args, **kwargs):
+            raise OSError(24, "Too many open files")
+
+        monkeypatch.setattr(supervisor, "RESPAWN_DELAY", 0.0)
+        monkeypatch.setattr(supervisor, "_spawn_worker", no_fds)
+        ctx = multiprocessing.get_context("spawn")
+        dead = ctx.Process(target=sys.exit, args=(1,), name="crashed")
+        dead.start()
+        dead.join()
+        workers = {0: dead}
+        with pytest.raises(OSError, match="Too many open files"):
+            supervisor._respawn_dead(
+                ctx, ClusterConfig(world_size=1), None, b"", "", workers,
+                {0: 0}, supervisor.ClusterReport(),
+            )
+        assert workers[0] is dead
+        # The supervisor's teardown still reaps it: nothing unclean, and
+        # the process ends closed rather than raising on is_alive().
+        assert supervisor._reap(list(workers.values())) == []
+        with pytest.raises(ValueError, match="closed"):
+            dead.is_alive()
 
 
 class TestClusterIntegration:
