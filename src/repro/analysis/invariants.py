@@ -62,6 +62,7 @@ NO_SPLIT_BRAIN = "no-split-brain"
 INCARNATION_BUMP = "incarnation-bump"
 RENDEZVOUS_CONVERGENCE = "rendezvous-convergence"
 COMPLETE_IMPLIES_DONE = "complete-implies-done"
+SURVIVORS_REJOIN = "survivors-rejoin"
 
 PROTOCOL_INVARIANTS = (
     GENERATION_MONOTONIC,
@@ -72,6 +73,7 @@ PROTOCOL_INVARIANTS = (
     INCARNATION_BUMP,
     RENDEZVOUS_CONVERGENCE,
     COMPLETE_IMPLIES_DONE,
+    SURVIVORS_REJOIN,
 )
 
 #: Post-hoc cluster-workdir replay invariants (membership log + per-rank

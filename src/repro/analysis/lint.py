@@ -24,8 +24,8 @@ shared memory and blocking pipes:
   ``Process(args=...)`` spawn without that field being stripped via
   ``dataclasses.replace(...)`` first. No config in the tree declares
   such a field today: ``ClusterConfig``, the one config pickled into
-  spawned processes, carries the picklable ``SinkSpec`` recipe and takes
-  its live telemetry as a ``run_cluster`` argument, so the rule guards
+  spawned processes, holds only plain values; each process opens its
+  own telemetry sink from the workdir it is given, so the rule guards
   against a field being added back.
 - ``SA004`` *shared-memory lifecycle* — a scope creates or attaches a
   ``SharedMemory`` segment but never calls both ``close()`` and
@@ -460,8 +460,9 @@ def _spawn_findings(path: str, tree: ast.Module,
     direct construction, and through ``dataclasses.replace`` chains
     (every keyword override clears that field). Any such name appearing
     in a ``Process(... args=(...))`` payload with a hazardous field
-    still live is flagged. The clean idiom is the supervisor's
-    ``replace(config, telemetry=None, sink=sink_spec)`` strip.
+    still live is flagged. The clean idiom is to keep such fields off
+    the config, or to strip them with ``replace(config, telemetry=None)``
+    before the spawn.
     """
     findings = []
     seen: set = set()

@@ -36,12 +36,14 @@ from repro.analysis.invariants import (
     NO_SPLIT_BRAIN,
     PROTOCOL_INVARIANTS,
     RENDEZVOUS_CONVERGENCE,
+    SURVIVORS_REJOIN,
     UNIQUE_RANK_PER_SLOT,
     VerificationResult,
     Violation,
 )
 from repro.analysis.protocol.model import (
     COORDINATOR_RULES,
+    LIVE_PHASES,
     ProtocolConfig,
     apply_action,
     enabled_actions,
@@ -119,6 +121,20 @@ def check_transition(before, action, after, info, trace: tuple):
                 f"after '{label}': slot {slot} was admitted with "
                 f"incarnation {incarnation} after already reaching "
                 f"{previous}",
+            )
+
+    if info["formed"] and b.fenced:
+        left_out = sorted(
+            w for w, m in b.members.items()
+            if not m.done and w not in a.members
+            and before.workers[w].phase in LIVE_PHASES
+        )
+        if left_out:
+            return _violation(
+                SURVIVORS_REJOIN, trace,
+                f"after '{label}': generation {a.generation} formed "
+                f"without {left_out}, live members of generation "
+                f"{b.generation} fenced by '{b.fence_reason}'",
             )
 
     for generation, name in info["released"]:

@@ -79,8 +79,8 @@ CRASHABLE_PHASES = frozenset(
 class ProtocolConfig:
     """One bounded exploration scenario.
 
-    ``world_size``/``min_world``/``rendezvous_grace`` feed the shared
-    rule table verbatim; ``slots`` is how many supervisor slots exist
+    ``world_size``/``rendezvous_grace`` feed the shared rule table
+    verbatim; ``slots`` is how many supervisor slots exist
     (defaults to ``world_size``; fewer slots than ``world_size`` forces
     every formation through the grace path). The ``max_*`` knobs bound
     the fault nondeterminism so the state space stays finite.
@@ -88,7 +88,6 @@ class ProtocolConfig:
 
     world_size: int = 2
     slots: int | None = None
-    min_world: int = 1
     steps: int = 2
     max_crashes: int = 1
     max_respawns: int = 1
@@ -272,7 +271,6 @@ def enabled_actions(system: SystemState, config: ProtocolConfig,
         and coord.pending
         and not coord.complete
         and (coord.generation == 0 or coord.fenced)
-        and len(coord.pending) >= config.min_world
         and rules["formation_due"](coord, NOW, config) is None
     ):
         actions.append(Action("grace elapses", "grace"))

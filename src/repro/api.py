@@ -84,10 +84,11 @@ def trace_collect(workdir, out=None, rollup=None):
 
     ``workdir`` is any cluster or fleet run directory whose processes
     exported telemetry under ``workdir/telemetry/``. The result bundles
-    the merged Chrome trace (one lane per rank incarnation / job, clock
-    offsets solved from generation anchors), the fleet-wide metrics
-    rollup and per-tenant traffic totals; ``out``/``rollup`` paths write
-    the two artifacts, same as ``repro trace collect``.
+    the merged Chrome trace (one lane per rank incarnation / job, every
+    span at its own timestamp on the host's one monotonic clock), the
+    fleet-wide metrics rollup and per-tenant traffic totals;
+    ``out``/``rollup`` paths write the two artifacts, same as
+    ``repro trace collect``.
     """
     from repro.telemetry.collect import TraceCollector
 

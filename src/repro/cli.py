@@ -376,6 +376,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     leaked = segment_names(session_token(report.workdir))
     if leaked:
         failures.append(f"leaked shared memory: {', '.join(leaked)}")
+    if config.kill_rank is not None and not (
+            report.evictions and report.respawns):
+        failures.append(
+            f"--kill-rank {config.kill_rank} never took effect "
+            f"({report.evictions} evictions, {report.respawns} respawns)")
 
     print(f"workers         : {config.world_size} process(es), "
           f"{config.steps} steps")
@@ -429,6 +434,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     telemetry = Telemetry()
     report = run_chaos(config, args.workdir, telemetry=telemetry)
     delta, failures = verdict(report.losses, reference)
+    if config.die_after_ops is not None and not report.counters["tier_deaths"]:
+        failures.append(
+            f"--tier-death-after {config.die_after_ops} never took effect "
+            "(0 tier deaths)")
 
     print(f"steps completed : {report.steps_completed} "
           f"({report.step_attempts} attempts)")
@@ -479,7 +488,7 @@ def _cmd_trace_collect(args: argparse.Namespace) -> int:
         collected.rollup.get("per_source", {}).items()
     ):
         print(f"  {source:<14} role={info['role']:<10} "
-              f"last_step={info['last_step']} align={info['alignment']}")
+              f"last_step={info['last_step']}")
     traffic = collected.rollup.get("tenant_traffic") or {}
     if traffic:
         print("tenant traffic  :")

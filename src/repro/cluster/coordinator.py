@@ -4,8 +4,9 @@ One process (or thread, in tests) owns the cluster's membership truth:
 
 - **Rendezvous.** Workers ``join`` and block until a generation forms.
   A generation forms the moment ``world_size`` workers are pending, or
-  once no new joiner has arrived for ``rendezvous_grace`` seconds and at
-  least ``min_world`` are pending. Ranks are assigned by ascending slot.
+  once no new joiner has arrived for ``rendezvous_grace`` seconds and
+  every live member of a fenced generation is pending again. Ranks are
+  assigned by ascending slot.
 - **Barriers.** Named, generation-scoped. A barrier that completes
   before a fence replies ``ok`` to every member (the collective's data
   is fully published, so it may finish); a fence while any member is

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from multiprocessing.connection import Client
 
 from repro.errors import ConfigurationError
-from repro.telemetry.export import SinkSpec
 from repro.units import KiB
 
 
@@ -52,22 +51,13 @@ class ClusterConfig:
     #: How long rendezvous waits for stragglers before forming a smaller
     #: generation (it forms immediately once world_size workers pend).
     rendezvous_grace: float = 1.0
-    min_world: int = 1
 
     # Fault injection + supervision.
     #: SIGKILL this worker slot mid-step at ``kill_at_step`` (default
     #: ``steps // 2``); ``kill_at_step`` needs a ``kill_rank``.
     kill_rank: int | None = None
     kill_at_step: int | None = None
-    max_respawns: int = 2
     run_timeout: float = 120.0
-
-    #: The config is pickled to the spawned coordinator and workers; this
-    #: picklable recipe (directory + flush interval) is what each worker
-    #: opens its own per-incarnation event file from, so worker-side
-    #: spans and metrics are exported instead of silently dropped.
-    #: ``run_cluster`` fills it from its ``workdir`` when unset.
-    sink: SinkSpec | None = None
 
     def __post_init__(self) -> None:
         if self.kill_rank is not None and self.kill_at_step is None:
@@ -77,8 +67,6 @@ class ClusterConfig:
             (self.world_size >= 1, "world_size >= 1"),
             (self.checkpoint_every >= 1, "checkpoint_every >= 1"),
             (self.shard_batch >= 1, "shard_batch >= 1"),
-            (1 <= self.min_world <= self.world_size,
-             "1 <= min_world <= world_size"),
             (self.kill_rank in (None, *range(self.world_size)),
              "kill_rank to be None or a slot in [0, world_size)"),
             (self.kill_at_step is None or self.kill_at_step in range(self.steps),

@@ -152,8 +152,12 @@ def formation_due(state: MembershipState, now: float, config) -> str | None:
     """Why the next generation should form now — or ``None``.
 
     Returns ``"quorum"`` (``world_size`` pending) or ``"grace"`` (the
-    rendezvous grace expired with at least ``min_world`` pending).
-    Formation is only legal while no unfenced generation is running.
+    rendezvous grace expired with someone pending). Formation is only
+    legal while no unfenced generation is running. After a fence, grace
+    also waits until every member of the fenced generation that is
+    still there (not evicted, not disconnected, not done) is pending
+    again: a survivor that is slower to rejoin than a waiting joiner
+    must not be left out of the generation that joiner triggered.
     """
     if state.complete or not state.pending:
         return None
@@ -161,13 +165,13 @@ def formation_due(state: MembershipState, now: float, config) -> str | None:
         return None  # an unfenced generation is running; joiners wait
     if len(state.pending) >= config.world_size:
         return "quorum"
-    if (
-        state.last_join is not None
-        and now - state.last_join >= config.rendezvous_grace
-        and len(state.pending) >= config.min_world
-    ):
-        return "grace"
-    return None
+    if (state.last_join is None
+            or now - state.last_join < config.rendezvous_grace):
+        return None
+    if any(worker not in state.pending and not member.done
+           for worker, member in state.members.items()):
+        return None  # a survivor of the fenced generation is still coming
+    return "grace"
 
 
 def form(state: MembershipState, now: float) -> list:
@@ -296,10 +300,17 @@ def fence(state: MembershipState, reason: str, now: float) -> list:
 
 
 def disconnect(state: MembershipState, worker: str, now: float) -> list:
-    """Control EOF: a SIGKILLed worker is evicted without a deadline."""
+    """Control EOF: a SIGKILLed worker is evicted without a deadline.
+
+    In a fenced generation there is nothing left to evict from; the
+    worker only stops being one the next formation waits for.
+    """
     state.pending.pop(worker, None)
+    if state.fenced:
+        state.members.pop(worker, None)
+        return []
     member = state.members.get(worker)
-    if member is None or member.done or state.complete or state.fenced:
+    if member is None or member.done or state.complete:
         return []
     return evict(state, worker, "control connection lost", now)
 

@@ -9,7 +9,7 @@ coordinator's ``stats`` RPC to:
   the ``worker_liveness`` watchdog rule, ``cluster.membership.*`` the
   run report);
 - respawn dead workers into the same **slot** with a bumped
-  **incarnation**, up to ``max_respawns`` times — the replacement joins
+  **incarnation**, up to :data:`MAX_RESPAWNS` times — the replacement joins
   the coordinator's pending set and is admitted at the next rescale
   boundary;
 - enforce ``run_timeout`` as a hard stop so a protocol bug can never
@@ -32,7 +32,7 @@ import multiprocessing
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing import connection
 
 from repro.cluster.coordinator import coordinator_main
@@ -46,13 +46,15 @@ from repro.cluster.rules import HEARTBEAT_INTERVAL
 from repro.cluster.worker import worker_entry
 from repro.errors import ClusterError, ConfigurationError
 from repro.memory.arena import session_token
-from repro.telemetry.export import SinkSpec, telemetry_dir
+from repro.telemetry.export import TelemetrySink
 
 #: How long children get to exit on their own once shutdown was asked
 #: for. A constant, not a knob: a healthy run exits in well under it.
 EXIT_GRACE = 5.0
 #: Pause before a dead worker's slot is respawned.
 RESPAWN_DELAY = 0.05
+#: Respawns per slot before a dead worker's slot stays empty.
+MAX_RESPAWNS = 2
 
 
 @dataclass
@@ -140,11 +142,6 @@ def run_cluster(config: ClusterConfig, workdir: str | None = None,
     """
     if workdir is None:
         workdir = tempfile.mkdtemp(prefix="repro-cluster-")
-    # The config crosses the process boundary by pickle; the *sink spec*
-    # is a picklable recipe, so every worker opens its own event file
-    # under workdir/telemetry/ instead of running blind.
-    sink_spec = config.sink or SinkSpec(telemetry_dir(workdir))
-    spawn_config = replace(config, sink=sink_spec)
     os.makedirs(workdir, exist_ok=True)
     # AF_UNIX socket paths are length-limited (~108 bytes); anchor the
     # rendezvous address in tmp, scoped by pid + workdir hash.
@@ -166,13 +163,13 @@ def run_cluster(config: ClusterConfig, workdir: str | None = None,
     # same file format the workers write.
     supervisor_sink = None
     if telemetry is not None and getattr(telemetry, "enabled", False):
-        supervisor_sink = sink_spec.open(
-            "supervisor", role="supervisor", telemetry=telemetry
+        supervisor_sink = TelemetrySink(
+            workdir, "supervisor", role="supervisor", telemetry=telemetry
         )
 
     coordinator = ctx.Process(
         target=coordinator_main,
-        args=(spawn_config, address, authkey, workdir),
+        args=(config, address, authkey, workdir),
         name="cluster-coordinator",
         daemon=True,
     )
@@ -188,7 +185,7 @@ def run_cluster(config: ClusterConfig, workdir: str | None = None,
         for slot in range(config.world_size):
             incarnations[slot] = 0
             workers[slot] = _spawn_worker(
-                ctx, spawn_config, address, authkey, workdir, slot, 0
+                ctx, config, address, authkey, workdir, slot, 0
             )
 
         while time.monotonic() < deadline:
@@ -209,7 +206,7 @@ def run_cluster(config: ClusterConfig, workdir: str | None = None,
             if stats.get("complete"):
                 break
             _respawn_dead(
-                ctx, spawn_config, address, authkey, workdir,
+                ctx, config, address, authkey, workdir,
                 workers, incarnations, report,
             )
             time.sleep(HEARTBEAT_INTERVAL)
@@ -284,7 +281,7 @@ def _respawn_dead(ctx, config: ClusterConfig, address, authkey: bytes,
     for slot, process in list(workers.items()):
         if process.is_alive() or process.exitcode == 0:
             continue  # running, or exited cleanly (workload done for it)
-        if incarnations[slot] >= config.max_respawns:
+        if incarnations[slot] >= MAX_RESPAWNS:
             continue
         time.sleep(RESPAWN_DELAY)
         incarnations[slot] += 1

@@ -43,8 +43,8 @@ class SharedMemoryTransport(Transport):
     """
 
     def __init__(self, rank: int, world: int, generation: int, session: str,
-                 barrier, page_bytes: int, capacity: int, telemetry=None):
-        super().__init__(rank, world, page_bytes, telemetry)
+                 barrier, page_bytes: int, capacity: int):
+        super().__init__(rank, world, page_bytes)
         self.generation = generation
         self.session = session
         self.capacity = capacity
@@ -70,7 +70,7 @@ class SharedMemoryTransport(Transport):
             self._fenced = True
             raise
 
-    def _exchange(self, payload: np.ndarray, reader) -> tuple:
+    def _exchange(self, payload: np.ndarray, reader):
         if payload.nbytes > self.capacity:
             raise ClusterError(
                 f"{payload.nbytes}-byte payload exceeds the "
@@ -85,7 +85,7 @@ class SharedMemoryTransport(Transport):
             views[self.rank] = np.frombuffer(
                 self._arena.view(0, 0, payload.nbytes), dtype=payload.dtype
             )
-            pages = copy_pages(views[self.rank], payload, self.page_bytes)
+            copy_pages(views[self.rank], payload, self.page_bytes)
             self.barrier(f"c{seq}-publish")
             for rank in range(self.world):
                 if rank == self.rank:
@@ -96,9 +96,9 @@ class SharedMemoryTransport(Transport):
                     self._peers[rank].buf, dtype=payload.dtype,
                     count=payload.size,
                 )
-            result, pages_read = reader(views)
+            result = reader(views)
             self.barrier(f"c{seq}-drain")
-            return result, pages + pages_read
+            return result
         finally:
             views.clear()
 

@@ -73,6 +73,7 @@ from repro.memory.arena import session_token
 from repro.nn import MixedPrecisionAdam, round_fp16
 from repro.nn.functional import cross_entropy
 from repro.telemetry.core import NULL_TELEMETRY
+from repro.telemetry.export import TelemetrySink
 from repro.zero.collectives import InProcessGroup, shard_length
 
 
@@ -417,7 +418,7 @@ def run_cluster_in_process(config: ClusterConfig, world: int,
 # The worker process
 # ----------------------------------------------------------------------
 def _maybe_kill(config: ClusterConfig, slot: int, incarnation: int,
-                step: int, sink=None) -> None:
+                step: int, sink) -> None:
     """SIGKILL mid-step if this life is the configured victim."""
     if (
         config.kill_rank is not None
@@ -426,17 +427,16 @@ def _maybe_kill(config: ClusterConfig, slot: int, incarnation: int,
         and incarnation == 0
         and step == config.kill_at_step
     ):
-        if sink is not None:
-            # Flush completed events, then leave the truncated tail a
-            # real mid-write SIGKILL would — the collector must skip it.
-            sink.tear()
+        # Flush completed events, then leave the truncated tail a real
+        # mid-write SIGKILL would — the collector must skip it.
+        sink.tear()
         os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _run_generation(config: ClusterConfig, workdir: str,
                     client: CoordinatorClient, pump: HeartbeatPump,
                     transport, model, params, slot: int, incarnation: int,
-                    sink=None) -> bool:
+                    sink) -> bool:
     """Train within one generation. True = workload complete.
 
     Every barrier goes through ``transport.barrier`` so the transport
@@ -444,7 +444,7 @@ def _run_generation(config: ClusterConfig, workdir: str,
     """
     generation, rank = transport.generation, transport.rank
     world = transport.world
-    telemetry = sink.telemetry if sink is not None else NULL_TELEMETRY
+    telemetry = sink.telemetry
     steps_counter = telemetry.counter("worker.steps")
     step_gauge = telemetry.gauge("worker.step")
     batches = make_batches(config)
@@ -470,8 +470,7 @@ def _run_generation(config: ClusterConfig, workdir: str,
         if completed % config.checkpoint_every == 0 or rejoin:
             with telemetry.span("checkpoint", track="train", step=completed):
                 _save_group_checkpoint(workdir, transport, state, completed)
-        if sink is not None:
-            sink.step(completed)
+        sink.step(completed)
         if rejoin:
             # A joiner is waiting: checkpointed above, now re-form.
             client.call(OP_RETIRE, generation=generation)
@@ -500,7 +499,7 @@ def run_worker(config: ClusterConfig, address, authkey: bytes, workdir: str,
     session = session_token(workdir)
     # One event file per *life*: a killed w1i0 and its respawn w1i1 get
     # separate lanes in the collected trace.
-    sink = config.sink.open(me, role="rank") if config.sink else None
+    sink = TelemetrySink(workdir, me, role="rank")
     try:
         while True:
             reply = client.join(slot, incarnation)
@@ -510,11 +509,6 @@ def run_worker(config: ClusterConfig, address, authkey: bytes, workdir: str,
             generation = int(reply["generation"])
             rank = int(reply["rank"])
             world = int(reply["world"])
-            if sink is not None:
-                # The clock-alignment anchor: the coordinator logged this
-                # same generation forming in wall time.
-                sink.anchor(f"generation:{generation}", rank=rank,
-                            world=world)
             pump.configure(generation, 0)
             model, params = _build_model(config)
             # The largest payload a rank publishes is the reduce-scatter's
@@ -541,8 +535,7 @@ def run_worker(config: ClusterConfig, address, authkey: bytes, workdir: str,
             finally:
                 transport.close()
     finally:
-        if sink is not None:
-            sink.close()
+        sink.close()
         pump.stop()
         client.close()
 

@@ -41,7 +41,7 @@ from repro.fleet.scheduler import FairShareScheduler, FleetNode
 from repro.fleet.traffic import TrafficConfig, generate_jobs
 from repro.memory.allocator import PageQuota
 from repro.protocols import TelemetryLike
-from repro.telemetry.export import SinkSpec, telemetry_dir
+from repro.telemetry.export import TelemetrySink
 from repro.telemetry.registry import nearest_rank
 from repro.units import KiB, MiB
 
@@ -180,13 +180,12 @@ class FleetGateway:
         #: Fleet-wide watchdog: every job's engine is observed at quantum
         #: boundaries, so alerts from all tenants roll up in one place.
         self.watchdog = Watchdog(telemetry=telemetry)
-        #: Event-file recipe under workdir/telemetry/: one stream per job
+        #: Event streams under workdir/telemetry/: one per job
         #: (tenant-labelled, feeding the per-tenant traffic rollup) plus
         #: the gateway's own (queue depth, quota gauges, alerts).
-        self.sink_spec = SinkSpec(telemetry_dir(self.workdir))
         self._sinks: dict[int, object] = {}
-        self._gateway_sink = self.sink_spec.open(
-            "gateway", role="gateway", telemetry=telemetry
+        self._gateway_sink = TelemetrySink(
+            self.workdir, "gateway", role="gateway", telemetry=telemetry
         )
         self._tick = 0
         self._engines: dict[int, object] = {}
@@ -323,8 +322,9 @@ class FleetGateway:
         spec = record.spec
         sink = self._sinks.get(spec.job_id)
         if sink is None:
-            sink = self._sinks[spec.job_id] = self.sink_spec.open(
-                f"job-{spec.job_id:04d}", role="job", tenant=spec.tenant
+            sink = self._sinks[spec.job_id] = TelemetrySink(
+                self.workdir, f"job-{spec.job_id:04d}", role="job",
+                tenant=spec.tenant,
             )
         return sink
 

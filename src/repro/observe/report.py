@@ -80,23 +80,21 @@ def _rank_timeline_section(bench: dict) -> list[str]:
     Renders for any payload carrying a collected ``rollup`` (the
     ``repro cluster --report`` payload): one row per event stream — every
     rank *incarnation* gets its own row, so a killed-and-respawned
-    worker shows both lives — with how its clock was aligned and how
-    many truncated lines the collector skipped.
+    worker shows both lives — with how many truncated lines the
+    collector skipped.
     """
     rollup = bench.get("rollup") or {}
     per_source = rollup.get("per_source") or {}
     if not per_source:
         return []
     lines = ["## Per-rank timeline", "",
-             "| stream | role | tenant | last step | clock | "
-             "skipped lines |",
-             "|---|---|---|---|---|---|"]
+             "| stream | role | tenant | last step | skipped lines |",
+             "|---|---|---|---|---|"]
     for source, info in sorted(per_source.items()):
         lines.append(
             f"| `{source}` | {info.get('role', '?')} "
             f"| {info.get('tenant') or '-'} "
             f"| {info.get('last_step') if info.get('last_step') is not None else '-'} "
-            f"| {info.get('alignment', '?')} "
             f"| {info.get('skipped_lines', 0)} |"
         )
     lines.append("")

@@ -12,7 +12,7 @@ collector that merges a run's per-process event streams into one trace
 from repro.telemetry.clock import WALL_CLOCK, Clock, ManualClock
 from repro.telemetry.collect import CollectedTrace, TraceCollector
 from repro.telemetry.core import NULL_TELEMETRY, Telemetry
-from repro.telemetry.export import SinkSpec, TelemetrySink
+from repro.telemetry.export import TelemetrySink
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -34,7 +34,6 @@ __all__ = [
     "NULL_INSTRUMENT",
     "NULL_SPAN",
     "NULL_TELEMETRY",
-    "SinkSpec",
     "SpanRecord",
     "SpanTracer",
     "Telemetry",

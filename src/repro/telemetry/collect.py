@@ -3,8 +3,7 @@
 The dual of :mod:`repro.telemetry.export`: every process wrote its own
 JSONL stream under ``workdir/telemetry/``; :class:`TraceCollector` reads
 them all back (tolerantly — a SIGKILLed writer's truncated tail line is
-skipped, complete events kept), aligns their local monotonic clocks onto
-one global axis, and emits
+skipped, complete events kept), and emits
 
 - one Chrome trace with a lane per rank incarnation / fleet job, the
   coordinator's ``membership_events.jsonl`` entries rendered as instant
@@ -16,13 +15,11 @@ one global axis, and emits
   :class:`~repro.observe.watchdog.Watchdog`, so retry-storm and liveness
   rules fire over the *cluster's* counters, not one process's.
 
-Clock alignment: each stream carries anchor events (``generation:<g>``)
-stamped with the local ``perf()`` clock, and the coordinator's membership
-log records the same moments in wall time. Matching the two gives each
-stream an offset onto the global axis; streams with no matching anchor
-fall back to the wall/perf readings taken at open — and the first such
-stream publishes *its* anchors so purely-relative streams (two skewed
-``ManualClock`` tests, single-process runs) still align to each other.
+One clock: every process of a run shares one host, and ``perf()`` there
+is the host's monotonic clock, so spans, metrics and alerts are placed
+by their own timestamps. Only the coordinator's membership log is in
+wall time; it moves onto the same axis by one ``wall - perf`` offset,
+read from the first stream's meta line.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from repro.errors import ConfigurationError
 from repro.telemetry.chrome import TraceSlice, build_chrome_trace, save_chrome_trace_json
 from repro.telemetry.export import (
     EVENT_ALERT,
-    EVENT_ANCHOR,
     EVENT_META,
     EVENT_METRICS,
     EVENT_SPAN,
@@ -101,19 +97,14 @@ def parse_metric_key(key: str) -> tuple[str, dict]:
 
 @dataclass
 class EventStream:
-    """One process's parsed telemetry file, pre-alignment."""
+    """One process's parsed telemetry file."""
 
     path: str
     meta: dict
     spans: list[dict] = field(default_factory=list)
-    anchors: list[dict] = field(default_factory=list)
     metrics: list[dict] = field(default_factory=list)
     alerts: list[dict] = field(default_factory=list)
     skipped_lines: int = 0
-    #: Seconds to add to local perf times to land on the global axis.
-    offset: float = 0.0
-    #: How the offset was derived: "anchor" or "wall".
-    alignment: str = "wall"
 
     @property
     def source(self) -> str:
@@ -151,7 +142,6 @@ def load_stream(path: str) -> EventStream | None:
     stream = EventStream(path=path, meta=meta, skipped_lines=skipped)
     buckets = {
         EVENT_SPAN: stream.spans,
-        EVENT_ANCHOR: stream.anchors,
         EVENT_METRICS: stream.metrics,
         EVENT_ALERT: stream.alerts,
     }
@@ -181,62 +171,6 @@ def load_membership(workdir: str) -> list[dict]:
     return events
 
 
-def membership_anchors(membership: list[dict]) -> dict[str, float]:
-    """Global anchor table from the coordinator's generation events.
-
-    ``generation_formed`` is logged exactly once per generation and every
-    member of that generation records a matching ``generation:<g>``
-    anchor when it joins — the coordinator's wall time is the global
-    truth the per-stream offsets are solved against.
-    """
-    anchors: dict[str, float] = {}
-    for event in membership:
-        if event.get("type") == "generation_formed":
-            name = f"generation:{event.get('generation')}"
-            anchors.setdefault(name, float(event.get("time", 0.0)))
-    return anchors
-
-
-def align_streams(streams: list[EventStream],
-                  global_anchors: dict[str, float] | None = None) -> None:
-    """Solve each stream's local->global clock offset, in place.
-
-    Streams whose anchors match the global table align exactly; each
-    newly aligned stream publishes its remaining anchors, so alignment
-    propagates transitively. When no stream can make progress the first
-    unaligned one (sorted by source — deterministic) falls back to its
-    meta ``wall - perf`` offset and publishes its anchors, which is what
-    lets anchor-sharing streams with no coordinator (unit tests,
-    single-node runs) still coincide.
-    """
-    table = dict(global_anchors or {})
-    pending = sorted(streams, key=lambda s: s.source)
-    while pending:
-        progressed = False
-        for stream in list(pending):
-            local = {a["name"]: float(a["t"]) for a in stream.anchors}
-            match = next((n for n in sorted(local) if n in table), None)
-            if match is None:
-                continue
-            stream.offset = table[match] - local[match]
-            stream.alignment = "anchor"
-            for name, t in local.items():
-                table.setdefault(name, t + stream.offset)
-            pending.remove(stream)
-            progressed = True
-        if progressed:
-            continue
-        stream = pending.pop(0)
-        stream.offset = float(stream.meta.get("wall", 0.0)) - float(
-            stream.meta.get("perf", 0.0)
-        )
-        stream.alignment = "wall"
-        for anchor in stream.anchors:
-            table.setdefault(
-                anchor["name"], float(anchor["t"]) + stream.offset
-            )
-
-
 @dataclass
 class CollectedTrace:
     """The merged artifact: one Chrome trace + one fleet-wide rollup."""
@@ -264,7 +198,6 @@ class TraceCollector:
     def collect(self) -> CollectedTrace:
         streams = load_streams(self.workdir)
         membership = load_membership(self.workdir)
-        align_streams(streams, membership_anchors(membership))
 
         slices: list[TraceSlice] = []
         rank_lanes: list[str] = []
@@ -272,45 +205,37 @@ class TraceCollector:
             if stream.role == "rank":
                 rank_lanes.append(stream.source)
             for span in stream.spans:
-                start = span["start"] + stream.offset
                 slices.append(TraceSlice(
                     name=span["name"],
                     track=stream.lane_for(span.get("track")),
-                    start_us=start * 1e6,
+                    start_us=span["start"] * 1e6,
                     dur_us=(span["end"] - span["start"]) * 1e6,
                     args=span.get("args") or {},
-                ))
-            for anchor in stream.anchors:
-                slices.append(TraceSlice(
-                    name=anchor["name"],
-                    track=stream.source,
-                    start_us=(anchor["t"] + stream.offset) * 1e6,
-                    dur_us=0.0,
-                    category="anchor",
-                    args=anchor.get("args") or {},
                 ))
             for alert in stream.alerts:
                 slices.append(TraceSlice(
                     name=f"alert/{alert['alert'].get('rule', '?')}",
                     track=stream.source,
-                    start_us=(alert["t"] + stream.offset) * 1e6,
+                    start_us=alert["t"] * 1e6,
                     dur_us=0.0,
                     category="alert",
                     args=alert.get("alert") or {},
                 ))
+        # The coordinator logs wall time; one offset puts it on perf.
+        meta = streams[0].meta if streams else {}
+        offset = float(meta.get("wall", 0.0)) - float(meta.get("perf", 0.0))
         for event in membership:
             slices.append(TraceSlice(
                 name=event.get("type", "event"),
                 track="coordinator",
-                start_us=float(event.get("time", 0.0)) * 1e6,
+                start_us=(float(event.get("time", 0.0)) - offset) * 1e6,
                 dur_us=0.0,
                 category="membership",
                 args={k: v for k, v in event.items()
                       if k not in ("type", "time")},
             ))
 
-        # Rebase onto t=0 so wall-epoch timestamps don't push the viewer
-        # out to 1.7 billion seconds.
+        # Rebase onto t=0 so the trace starts at its first event.
         if slices:
             t0 = min(s.start_us for s in slices)
             slices = [
@@ -338,10 +263,6 @@ class TraceCollector:
                 "workdir": self.workdir,
                 "streams": len(streams),
                 "skipped_lines": sum(s.skipped_lines for s in streams),
-                "alignment": {
-                    s.source: {"offset": s.offset, "method": s.alignment}
-                    for s in streams
-                },
             },
         )
         return CollectedTrace(
@@ -372,7 +293,6 @@ def merge_rollup(streams: list[EventStream]) -> dict:
             "tenant": stream.tenant,
             "last_step": None if last is None else last.get("step"),
             "skipped_lines": stream.skipped_lines,
-            "alignment": stream.alignment,
         }
         if last is None:
             continue
@@ -574,10 +494,8 @@ __all__ = [
     "EventStream",
     "MEMBERSHIP_FILENAME",
     "TraceCollector",
-    "align_streams",
     "load_stream",
     "load_streams",
-    "membership_anchors",
     "merge_rollup",
     "nearest_rank",
     "parse_metric_key",

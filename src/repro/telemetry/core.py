@@ -100,12 +100,6 @@ class Telemetry:
                 pages / seconds
             )
 
-    def record_io(self, tier: str, op: str, nbytes: int) -> None:
-        """Physical backend I/O on one tier (``op`` is read/write)."""
-        if not self.enabled:
-            return
-        self.registry.counter(f"io.{op}_bytes", tier=tier).inc(nbytes)
-
     def record_collective(self, kind: str, nbytes: int) -> None:
         """Bytes entering one collective (all_gather, all_reduce, ...)."""
         if not self.enabled:

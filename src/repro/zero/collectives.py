@@ -121,23 +121,20 @@ def shard_length(num_elements: int, world: int) -> int:
     return -(-num_elements // world)  # ceil
 
 
-def copy_pages(dst: np.ndarray, src: np.ndarray, page_bytes: int) -> int:
+def copy_pages(dst: np.ndarray, src: np.ndarray, page_bytes: int) -> None:
     """Copy ``src`` into ``dst`` one page-sized chunk at a time.
 
     Pages are the unit of inter-process traffic (§4.1): every transport
-    moves data through this loop so accounting and chunking stay uniform
-    regardless of the backing medium. Returns the number of pages moved.
+    moves data through this loop so chunking stays uniform regardless
+    of the backing medium.
     """
     if dst.shape != src.shape:
         raise CommunicationError(
             f"page copy shape mismatch: {dst.shape} vs {src.shape}"
         )
     per_page = max(1, page_bytes // max(1, dst.itemsize))
-    pages = 0
     for start in range(0, dst.size, per_page):
         dst[start:start + per_page] = src[start:start + per_page]
-        pages += 1
-    return pages
 
 
 class Transport(abc.ABC):
@@ -159,37 +156,29 @@ class Transport(abc.ABC):
 
     Both are written once, over :meth:`_exchange`; an implementation
     supplies only the byte board (in-process slots, shared-memory
-    arenas). Data moves page by page (:func:`copy_pages`); traffic is
-    reported through the shared telemetry vocabulary
-    (``collective.*_bytes`` plus ``transport.pages``).
+    arenas). Data moves page by page (:func:`copy_pages`); the ZeRO step
+    that calls a transport records its ``collective.*_bytes``.
     """
 
-    def __init__(self, rank: int, world: int, page_bytes: int = 64 * KiB,
-                 telemetry=None):
+    def __init__(self, rank: int, world: int, page_bytes: int = 64 * KiB):
         if world <= 0 or not 0 <= rank < world:
             raise CommunicationError(
                 f"rank {rank} outside a world of {world}"
             )
         if page_bytes <= 0:
             raise CommunicationError("page_bytes must be positive")
-        if telemetry is None:
-            from repro.telemetry.core import NULL_TELEMETRY
-
-            telemetry = NULL_TELEMETRY
         self.rank = rank
         self.world = world
         self.page_bytes = page_bytes
-        self.telemetry = telemetry
 
     @abc.abstractmethod
-    def _exchange(self, payload: np.ndarray, reader) -> tuple:
+    def _exchange(self, payload: np.ndarray, reader):
         """Publish ``payload``; run ``reader`` over every rank's vector.
 
         Copy ``payload`` onto this rank's slot page by page, wait until
         every rank has published, call ``reader(views)`` (``views[r]``
-        is rank ``r``'s vector, valid only during the call; returns
-        ``(result, pages_read)``), wait until every rank has read.
-        Returns ``(result, pages)``, the publish counted too.
+        is rank ``r``'s vector, valid only during the call), wait until
+        every rank has read. Returns what ``reader`` returned.
         """
 
     def close(self) -> None:  # pragma: no cover - default no-op
@@ -200,17 +189,15 @@ class Transport(abc.ABC):
         if shard.ndim != 1:
             raise CommunicationError("transports operate on flat vectors")
 
-        def read_all(views) -> tuple:
-            gathered, pages = [], 0
+        def read_all(views) -> list[np.ndarray]:
+            gathered = []
             for rank in range(self.world):
                 out = np.empty_like(views[rank])
-                pages += copy_pages(out, views[rank], self.page_bytes)
+                copy_pages(out, views[rank], self.page_bytes)
                 gathered.append(out)
-            return gathered, pages
+            return gathered
 
-        gathered, pages = self._exchange(shard, read_all)
-        self._account("all_gather", shard.nbytes * self.world, pages)
-        return gathered
+        return self._exchange(shard, read_all)
 
     def reduce_scatter(self, full: np.ndarray) -> np.ndarray:
         """Return this rank's shard of the elementwise sum of ``full``'s
@@ -225,27 +212,18 @@ class Transport(abc.ABC):
         padded = np.zeros((rows.shape[0], stride), dtype=full.dtype)
         padded[:, :rows.shape[1]] = rows
 
-        def read_slices(views) -> tuple:
+        def read_slices(views) -> np.ndarray:
             acc = np.zeros(length, dtype=padded.dtype)
             staged = np.empty(length, dtype=padded.dtype)
-            pages = 0
             # Ascending term order (row-major over ranks): deterministic.
             for lo in range(self.rank * length, padded.size, stride):
                 for rank in range(self.world):
-                    pages += copy_pages(staged, views[rank][lo:lo + length],
-                                        self.page_bytes)
+                    copy_pages(staged, views[rank][lo:lo + length],
+                               self.page_bytes)
                     acc += staged
-            return acc, pages
+            return acc
 
-        acc, pages = self._exchange(padded.reshape(-1), read_slices)
-        self._account("reduce_scatter", full.nbytes, pages)
-        return acc
-
-    def _account(self, kind: str, nbytes: int, pages: int) -> None:
-        if not self.telemetry.enabled:
-            return
-        self.telemetry.record_collective(kind, nbytes)
-        self.telemetry.counter("transport.pages", kind=kind).inc(pages)
+        return self._exchange(padded.reshape(-1), read_slices)
 
 
 class InProcessGroup:
@@ -260,18 +238,17 @@ class InProcessGroup:
     """
 
     def __init__(self, world: int, page_bytes: int = 64 * KiB,
-                 telemetry=None, timeout: float | None = 30.0):
+                 timeout: float | None = 30.0):
         if world <= 0:
             raise CommunicationError("world must be positive")
         self.world = world
         self.page_bytes = page_bytes
-        self.telemetry = telemetry
         self.timeout = timeout
         self._slots: list = [None] * world
         self._barrier = threading.Barrier(world)
 
     def transport(self, rank: int) -> "InProcessTransport":
-        return InProcessTransport(rank, self, self.page_bytes, self.telemetry)
+        return InProcessTransport(rank, self, self.page_bytes)
 
     def abort(self) -> None:
         """Break the barrier: every waiting and later collective raises."""
@@ -292,20 +269,19 @@ class InProcessTransport(Transport):
     #: A group never re-forms, so it has one membership generation.
     generation = 0
 
-    def __init__(self, rank: int, group: InProcessGroup, page_bytes: int,
-                 telemetry=None):
-        super().__init__(rank, group.world, page_bytes, telemetry)
+    def __init__(self, rank: int, group: InProcessGroup, page_bytes: int):
+        super().__init__(rank, group.world, page_bytes)
         self._group = group
 
     def barrier(self, name: str) -> None:
         """Meet every rank of the group (``name`` is only a label)."""
         self._group._sync()
 
-    def _exchange(self, payload: np.ndarray, reader) -> tuple:
+    def _exchange(self, payload: np.ndarray, reader):
         staged = np.empty_like(payload)
-        pages = copy_pages(staged, payload, self.page_bytes)
+        copy_pages(staged, payload, self.page_bytes)
         self._group._slots[self.rank] = staged
         self._group._sync()  # every slot published
-        result, pages_read = reader(self._group._slots)
+        result = reader(self._group._slots)
         self._group._sync()  # every rank done reading; slots reusable
-        return result, pages + pages_read
+        return result

@@ -532,8 +532,9 @@ class TestRealTree:
 
     def test_no_spawned_config_carries_an_unpicklable_field(self):
         # ClusterConfig, the one config pickled into spawned processes,
-        # carries only picklable fields (its sink is a SinkSpec recipe),
-        # so SA003 has no finding and needs no baseline entry.
+        # carries only plain fields (each process opens its own sink
+        # from its workdir), so SA003 has no finding and needs no
+        # baseline entry.
         root = Path(repro.__file__).parent
         sa003 = [f.fingerprint for f in lint_tree(root) if f.rule == SPAWN_PICKLE]
         assert sa003 == []

@@ -169,7 +169,7 @@ class TestReportCli:
         report = {
             "rollup": {"per_source": {"w0i0": {
                 "role": "rank", "tenant": None, "last_step": 4,
-                "alignment": "anchor", "skipped_lines": 0,
+                "skipped_lines": 0,
             }}},
             "rank_lanes": ["w0i0"],
             "alerts": [{"rule": "worker_liveness", "severity": "CRITICAL",
@@ -180,7 +180,7 @@ class TestReportCli:
         assert "run_report.md" in capsys.readouterr().out
         markdown = (tmp_path / "run_report.md").read_text()
         assert "## Per-rank timeline" in markdown
-        assert "| `w0i0` | rank | - | 4 | anchor | 0 |" in markdown
+        assert "| `w0i0` | rank | - | 4 | 0 |" in markdown
         assert "| 2 | CRITICAL | `worker_liveness` | rank 1 silent |" in markdown
         assert not (tmp_path / "run_report.html").exists()
 
@@ -294,7 +294,7 @@ class TestCheckCli:
     def test_check_protocol_explores_clean_model(self, capsys):
         assert main(["check", "--protocol", "--depth", "5"]) == 0
         out = capsys.readouterr().out
-        assert "protocol verified: 8 invariants, 0 violations" in out
+        assert "protocol verified: 9 invariants, 0 violations" in out
         assert "states" in out
 
     def test_check_protocol_json_carries_stats(self, capsys):

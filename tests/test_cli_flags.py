@@ -15,6 +15,7 @@ workdir is made.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 from pathlib import Path
@@ -402,6 +403,40 @@ def test_flag_that_cannot_apply_exits_2(argv, workspace, monkeypatch, capsys):
     assert captured.out == ""
     assert not (workspace / "run").exists()
     assert not any(spy.called for spy in spies.values())
+
+
+@pytest.mark.parametrize("evictions,respawns,code", [
+    (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 0),
+])
+def test_cluster_kill_that_never_took_effect_fails(
+        evictions, respawns, code, workspace, monkeypatch, capsys):
+    def report():
+        return dataclasses.replace(
+            _cluster_report(), evictions=evictions, respawns=respawns)
+
+    install(monkeypatch, "cluster", {"run": report})
+    assert main(["cluster", "--kill-rank", "1"]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ([] if code == 0 else [
+        f"cluster: FAIL: --kill-rank 1 never took effect "
+        f"({evictions} evictions, {respawns} respawns)"])
+
+
+@pytest.mark.parametrize("tier_deaths,code", [(0, 1), (1, 0)])
+def test_chaos_tier_death_that_never_happened_fails(
+        tier_deaths, code, workspace, monkeypatch, capsys):
+    from repro.resilience.trainer import ChaosReport
+
+    def report():
+        return ChaosReport(losses=[1.0], steps_completed=1,
+                           counters={"tier_deaths": tier_deaths})
+
+    install(monkeypatch, "chaos", {"run": report})
+    assert main(["chaos", "--tier-death-after", "100000"]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ([] if code == 0 else [
+        "chaos: FAIL: --tier-death-after 100000 never took effect "
+        "(0 tier deaths)"])
 
 
 @pytest.mark.parametrize("command", ["chaos", "cluster"])

@@ -293,12 +293,11 @@ def make_cluster_report(alerts=()):
         "complete": True,
         "rollup": {"per_source": {
             "supervisor": {"role": "supervisor", "tenant": None,
-                           "last_step": 1, "alignment": "wall",
-                           "skipped_lines": 0},
+                           "last_step": 1, "skipped_lines": 0},
             "w0i0": {"role": "rank", "tenant": None, "last_step": 4,
-                     "alignment": "anchor", "skipped_lines": 0},
+                     "skipped_lines": 0},
             "w1i0": {"role": "rank", "tenant": None, "last_step": 4,
-                     "alignment": "anchor", "skipped_lines": 2},
+                     "skipped_lines": 2},
         }},
         "rank_lanes": ["w0i0", "w1i0"],
         "alerts": list(alerts),
@@ -336,7 +335,7 @@ class TestReport:
     def test_cluster_report_renders_ranks_and_anomalies(self):
         markdown = render_markdown(make_cluster_report(alerts=[SAMPLE_ALERT]))
         assert "## Per-rank timeline" in markdown
-        assert "| `w1i0` | rank | - | 4 | anchor | 2 |" in markdown
+        assert "| `w1i0` | rank | - | 4 | 2 |" in markdown
         assert "Rank lanes in the merged trace: `w0i0`, `w1i0`." in markdown
         assert "## Anomalies" in markdown
         assert "`waterline`" in markdown and "OOM near-miss" in markdown

@@ -18,6 +18,7 @@ from repro.analysis.invariants import (
     NO_SPLIT_BRAIN,
     PROTOCOL_INVARIANTS,
     RENDEZVOUS_CONVERGENCE,
+    SURVIVORS_REJOIN,
     UNIQUE_RANK_PER_SLOT,
 )
 from repro.analysis.protocol import (
@@ -255,12 +256,103 @@ class TestSeededMutants:
         ]
 
 
+    def test_grace_formation_that_leaves_out_a_retired_survivor(self):
+        def no_survivor_wait(state, now, config):
+            # Mutation: after a fence, grace forms around whoever is
+            # pending, without waiting for the fenced generation's
+            # surviving members to re-join.
+            if state.complete or not state.pending:
+                return None
+            if state.generation > 0 and not state.fenced:
+                return None
+            if len(state.pending) >= config.world_size:
+                return "quorum"
+            if (state.last_join is not None
+                    and now - state.last_join >= config.rendezvous_grace):
+                return "grace"
+            return None
+
+        result = ProtocolExplorer(
+            rules=_mutant(formation_due=no_survivor_wait)
+        ).explore(depth=8)
+        trace = _one_violation(result, SURVIVORS_REJOIN)
+        assert trace == [
+            "join w0i0", "grace elapses", "form grace", "join w1i0",
+            "barrier w0i0 step0", "retire w0i0", "grace elapses",
+            "form grace",
+        ]
+
+    def test_fenced_disconnect_left_in_the_wait_deadlocks(self):
+        def keep_fenced_member(state, worker, now):
+            # Mutation: a worker lost while its generation is fenced
+            # stays a member, so grace formation waits for it forever.
+            state.pending.pop(worker, None)
+            member = state.members.get(worker)
+            if member is None or member.done or state.complete or state.fenced:
+                return []
+            return R.evict(state, worker, "control connection lost", now)
+
+        config = ProtocolConfig(
+            world_size=2, steps=2, max_crashes=1, max_respawns=0,
+            max_expiries=1,
+        )
+        result = ProtocolExplorer(
+            config=config, rules=_mutant(disconnect=keep_fenced_member)
+        ).explore(depth=8)
+        trace = _one_violation(result, RENDEZVOUS_CONVERGENCE)
+        assert trace == [
+            "join w0i0", "join w1i0", "form quorum", "expire w0i0",
+            "barrier w0i0 step0", "crash w1i0", "join w0i0",
+            "grace elapses",
+        ]
+
+
+class TestRendezvousAfterFence:
+    """The rule table at ``rendezvous_grace=0``, driven step by step:
+    a rescale re-forms the whole world, not the first half to arrive."""
+
+    CONFIG = ProtocolConfig(world_size=3, rendezvous_grace=0.0)
+
+    def _first_generation_then_retire(self):
+        """w0 forms generation 1 alone; w1 and w2 join behind it; the
+        step barrier votes to rescale and w0 retires, fencing it."""
+        state = R.MembershipState()
+        RULES["join"](state, "w0i0", 0, 0, now=0.0)
+        assert RULES["formation_due"](state, 0.0, self.CONFIG) == "grace"
+        RULES["form"](state, 0.0)
+        RULES["join"](state, "w1i0", 1, 0, now=0.1)
+        RULES["join"](state, "w2i0", 2, 0, now=0.1)
+        status, _ = RULES["barrier_arrive"](state, "w0i0", "step0", 1)
+        assert status == "released"
+        assert state.barriers[(1, "step0")].rejoin
+        RULES["retire"](state, "w0i0", 1, now=0.2)
+        assert state.fenced
+        return state
+
+    def test_grace_waits_for_the_retired_survivor(self):
+        state = self._first_generation_then_retire()
+        assert RULES["formation_due"](state, 5.0, self.CONFIG) is None
+        RULES["join"](state, "w0i0", 0, 0, now=0.3)
+        assert RULES["formation_due"](state, 0.3, self.CONFIG) == "quorum"
+        RULES["form"](state, 0.3)
+        assert state.generation == 2
+        assert sorted(state.members) == ["w0i0", "w1i0", "w2i0"]
+
+    def test_a_fenced_disconnect_leaves_the_wait(self):
+        state = self._first_generation_then_retire()
+        assert RULES["disconnect"](state, "w0i0", now=0.3) == []
+        assert state.evictions == 0
+        assert RULES["formation_due"](state, 0.3, self.CONFIG) == "grace"
+        RULES["form"](state, 0.3)
+        assert sorted(state.members) == ["w1i0", "w2i0"]
+
+
 class TestFenceResetsGrace:
     """Regression: the PR-6 fence-resets-grace-clock behavior is both
     reachable and invariant-clean in the model."""
 
     CONFIG = ProtocolConfig(
-        world_size=3, slots=2, min_world=1, steps=1,
+        world_size=3, slots=2, steps=1,
         max_crashes=1, max_respawns=1, max_expiries=0,
     )
 

@@ -280,7 +280,6 @@ class TestTelemetryFacade:
         assert telemetry.gauge("g") is NULL_INSTRUMENT
         assert telemetry.histogram("h") is NULL_INSTRUMENT
         telemetry.record_page_move("cpu", "gpu", 4096)
-        telemetry.record_io("ssd", "read", 1)
         telemetry.record_collective("all_gather", 1)
         dump = telemetry.dump()
         assert dump["metrics"]["counters"] == {}
@@ -294,12 +293,10 @@ class TestTelemetryFacade:
         telemetry = Telemetry(clock=ManualClock())
         telemetry.record_page_move("gpu", "cpu", 4096)
         telemetry.record_page_move("gpu", "cpu", 4096)
-        telemetry.record_io("ssd", "write", 100)
         telemetry.record_collective("all_reduce", 640)
         counters = telemetry.dump()["metrics"]["counters"]
         assert counters["pages.moved_bytes{dst=cpu,src=gpu}"] == 8192
         assert counters["pages.moves{dst=cpu,src=gpu}"] == 2
-        assert counters["io.write_bytes{tier=ssd}"] == 100
         assert counters["collective.all_reduce_bytes"] == 640
 
     def test_dump_is_unified(self):

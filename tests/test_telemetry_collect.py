@@ -1,7 +1,7 @@
 """Distributed telemetry: per-process export + cluster trace collection."""
 
 import json
-import pickle
+import multiprocessing
 
 import pytest
 
@@ -11,10 +11,8 @@ from repro.observe.watchdog import Watchdog
 from repro.telemetry import ManualClock
 from repro.telemetry.collect import (
     TraceCollector,
-    align_streams,
     load_stream,
     load_streams,
-    membership_anchors,
     merge_rollup,
     parse_metric_key,
     read_jsonl,
@@ -23,21 +21,16 @@ from repro.telemetry.collect import (
     tail_state,
     tenant_traffic,
 )
-from repro.telemetry.export import SinkSpec, telemetry_dir
+from repro.telemetry.export import TelemetrySink
 from repro.telemetry.registry import Histogram, nearest_rank
 
 TORN_TAIL = '{"kind": "metrics", "step": 4, "counters": {"tru'
 
 
-def _anchor_events(trace):
-    return [e for e in trace["traceEvents"] if e.get("cat") == "anchor"]
-
-
 def _span_events(trace, lane=None):
     events = [
         e for e in trace["traceEvents"]
-        if e.get("ph") == "X" and e.get("cat") not in
-        ("anchor", "alert", "membership")
+        if e.get("ph") == "X" and e.get("cat") not in ("alert", "membership")
     ]
     if lane is None:
         return events
@@ -78,8 +71,7 @@ class TestNearestRank:
 
 class TestSinkFormat:
     def test_meta_is_first_line_and_flushed_at_open(self, tmp_path):
-        spec = SinkSpec(str(tmp_path / "telemetry"))
-        sink = spec.open("w0i0", role="rank", tenant="ads")
+        sink = TelemetrySink(str(tmp_path), "w0i0", role="rank", tenant="ads")
         # Before any step/flush the meta line is already on disk.
         events, skipped = read_jsonl(sink.path)
         assert skipped == 0
@@ -92,8 +84,7 @@ class TestSinkFormat:
 
     def test_spans_metrics_and_alerts_roundtrip(self, tmp_path):
         clock = ManualClock(100.0)
-        spec = SinkSpec(str(tmp_path / "telemetry"))
-        with spec.open("w0i0", clock=clock) as sink:
+        with TelemetrySink(str(tmp_path), "w0i0", clock=clock) as sink:
             telemetry = sink.telemetry
             with telemetry.span("step0", track="train", step=0):
                 clock.advance(0.25)
@@ -101,38 +92,19 @@ class TestSinkFormat:
             telemetry.gauge("worker.step").set(1)
             telemetry.histogram("step.seconds").observe(0.25)
             sink.step(0)
-        events, skipped = read_jsonl(spec.path_for("w0i0"))
+        events, skipped = read_jsonl(sink.path)
         assert skipped == 0
         kinds = [e["kind"] for e in events]
         assert kinds[0] == "meta"
         span = next(e for e in events if e["kind"] == "span")
-        # Span times are absolute local perf seconds (tracer epoch added
-        # back), so the collector only needs one offset per stream.
+        # Span times are absolute perf seconds (tracer epoch added back):
+        # the collector places them as they are.
         assert span["start"] == pytest.approx(100.0)
         assert span["end"] == pytest.approx(100.25)
         metrics = next(e for e in events if e["kind"] == "metrics")
         assert metrics["counters"]["worker.steps"] == 1
         assert metrics["gauges"]["worker.step"] == 1
         assert metrics["histograms"]["step.seconds"] == [0.25]
-
-    def test_anchor_flushes_immediately(self, tmp_path):
-        spec = SinkSpec(str(tmp_path / "telemetry"))
-        sink = spec.open("w1i0", clock=ManualClock(5.0))
-        sink.anchor("generation:1", rank=1)
-        # No close, no step: the anchor must already be durable.
-        events, _ = read_jsonl(sink.path)
-        assert any(
-            e["kind"] == "anchor" and e["name"] == "generation:1"
-            for e in events
-        )
-        sink.close()
-
-    def test_spec_is_picklable_and_validates(self, tmp_path):
-        spec = SinkSpec(str(tmp_path), flush_interval=3)
-        clone = pickle.loads(pickle.dumps(spec))
-        assert clone == spec
-        with pytest.raises(ConfigurationError):
-            SinkSpec(str(tmp_path), flush_interval=0)
 
     def test_parse_metric_key(self):
         assert parse_metric_key("a.b") == ("a.b", {})
@@ -144,8 +116,7 @@ class TestCrashTolerance:
     """A SIGKILLed writer leaves a truncated tail the collector skips."""
 
     def test_torn_tail_skipped_complete_events_kept(self, tmp_path):
-        spec = SinkSpec(str(tmp_path / "telemetry"))
-        sink = spec.open("w1i0", clock=ManualClock(0.0))
+        sink = TelemetrySink(str(tmp_path), "w1i0", clock=ManualClock(0.0))
         sink.telemetry.counter("worker.steps").inc(4)
         sink.step(3)
         sink.tear()  # what _maybe_kill does right before SIGKILL
@@ -172,48 +143,56 @@ class TestCrashTolerance:
             load_stream(str(path))
 
 
-def _two_skewed_streams(tmp_path):
-    """Two sinks whose ManualClocks disagree by thousands of seconds.
+def _two_streams(tmp_path):
+    """Two rank sinks on one clock, one step span pair each."""
+    clock = ManualClock(1000.0)
+    for source in ("w0i0", "w1i0"):
+        with TelemetrySink(str(tmp_path), source, clock=clock) as sink:
+            for name in ("step0", "step1"):
+                with sink.telemetry.span(name, track="train"):
+                    clock.advance(0.5)
+            sink.step(1)
 
-    Both record the same ``generation:1`` moment, then one span each —
-    the satellite scenario: anchors must coincide in the merged trace and
-    span order inside each lane must survive alignment.
-    """
-    spec = SinkSpec(str(tmp_path / "telemetry"))
-    clock_a = ManualClock(1000.0)
-    with spec.open("w0i0", clock=clock_a) as a:
-        a.anchor("generation:1", rank=0)
-        with a.telemetry.span("step0", track="train"):
-            clock_a.advance(0.5)
-        with a.telemetry.span("step1", track="train"):
-            clock_a.advance(0.5)
-        a.step(1)
-    clock_b = ManualClock(5.0)  # skewed ~995s against clock_a
-    with spec.open("w1i0", clock=clock_b) as b:
-        b.anchor("generation:1", rank=1)
-        with b.telemetry.span("step0", track="train"):
-            clock_b.advance(0.5)
-        with b.telemetry.span("step1", track="train"):
-            clock_b.advance(0.5)
-        b.step(1)
-    return spec
+
+class _WallAhead(ManualClock):
+    """A host whose wall clock reads 5000 s ahead of its perf clock."""
+
+    def wall(self) -> float:
+        return self.now + 5000.0
+
+
+def _spawned_span(workdir: str) -> None:
+    with TelemetrySink(workdir, "child") as sink:
+        with sink.telemetry.span("child", track="train"):
+            pass
+        sink.step(0)
 
 
 class TestClockAlignment:
-    def test_skewed_clocks_coincide_on_anchor(self, tmp_path):
-        _two_skewed_streams(tmp_path)
-        collected = TraceCollector(str(tmp_path)).collect()
-        assert collected.rank_lanes == ["w0i0", "w1i0"]
-        # One stream aligned by wall fallback published its anchors; the
-        # other matched them.
-        methods = sorted(s.alignment for s in collected.streams)
-        assert methods == ["anchor", "wall"]
-        anchors = _anchor_events(collected.trace)
-        assert len(anchors) == 2
-        assert anchors[0]["ts"] == pytest.approx(anchors[1]["ts"], abs=1e-6)
+    def test_spawned_child_span_lands_between_parent_spans(self, tmp_path):
+        """A real spawned process shares the parent's perf clock: its
+        span, written between two of the parent's, merges between them."""
+        workdir = str(tmp_path)
+        with TelemetrySink(workdir, "parent") as sink:
+            with sink.telemetry.span("before", track="train"):
+                pass
+            child = multiprocessing.get_context("spawn").Process(
+                target=_spawned_span, args=(workdir,)
+            )
+            child.start()
+            child.join(timeout=60)
+            exitcode = child.exitcode
+            child.close()
+            assert exitcode == 0
+            with sink.telemetry.span("after", track="train"):
+                pass
+            sink.step(0)
+        spans = _span_events(TraceCollector(workdir).collect().trace)
+        order = [e["name"] for e in sorted(spans, key=lambda e: e["ts"])]
+        assert order == ["before", "child", "after"]
 
     def test_span_order_preserved_per_lane(self, tmp_path):
-        _two_skewed_streams(tmp_path)
+        _two_streams(tmp_path)
         collected = TraceCollector(str(tmp_path)).collect()
         for lane in ("w0i0", "w1i0"):
             spans = _span_events(collected.trace, lane)
@@ -221,26 +200,26 @@ class TestClockAlignment:
                      sorted(spans, key=lambda e: e["ts"])]
             assert names == ["step0", "step1"]
 
-    def test_membership_anchors_take_precedence(self, tmp_path):
-        spec = SinkSpec(str(tmp_path / "telemetry"))
-        clock = ManualClock(50.0)
-        with spec.open("w0i0", clock=clock) as sink:
-            sink.anchor("generation:1")
-        # Coordinator wall truth: generation 1 formed at t=1234.0.
+    def test_membership_moves_by_the_first_streams_offset(self, tmp_path):
+        clock = _WallAhead(50.0)
+        with TelemetrySink(str(tmp_path), "w0i0", clock=clock) as sink:
+            with sink.telemetry.span("step0", track="train"):
+                clock.advance(1.0)
+            sink.step(0)
+        # The coordinator logged a generation forming, in wall time, at
+        # the moment the span began (perf 50.0).
         (tmp_path / "membership_events.jsonl").write_text(json.dumps(
-            {"type": "generation_formed", "generation": 1, "time": 1234.0,
-             "members": {"w0i0": {}}}
+            {"type": "generation_formed", "generation": 1, "time": 5050.0,
+             "members": {}}
         ) + "\n")
-        streams = load_streams(str(tmp_path))
-        from repro.telemetry.collect import load_membership
-        align_streams(
-            streams, membership_anchors(load_membership(str(tmp_path)))
-        )
-        assert streams[0].alignment == "anchor"
-        assert streams[0].offset == pytest.approx(1234.0 - 50.0)
+        trace = TraceCollector(str(tmp_path)).collect().trace
+        formed = next(e for e in trace["traceEvents"]
+                      if e.get("cat") == "membership")
+        span = next(e for e in _span_events(trace) if e["name"] == "step0")
+        assert formed["ts"] == pytest.approx(span["ts"])
 
     def test_membership_lane_in_trace(self, tmp_path):
-        _two_skewed_streams(tmp_path)
+        _two_streams(tmp_path)
         (tmp_path / "membership_events.jsonl").write_text(json.dumps(
             {"type": "generation_formed", "generation": 1, "time": 7.0,
              "members": {}}
@@ -252,9 +231,10 @@ class TestClockAlignment:
 
 
 class TestRollup:
-    def _write(self, spec, source, tenant, counters, gauges=None,
+    def _write(self, workdir, source, tenant, counters, gauges=None,
                hist=None):
-        with spec.open(source, role="job", tenant=tenant) as sink:
+        with TelemetrySink(str(workdir), source, role="job",
+                           tenant=tenant) as sink:
             for key, value in counters.items():
                 sink.telemetry.counter(key).inc(value)
             for key, value in (gauges or {}).items():
@@ -264,10 +244,9 @@ class TestRollup:
             sink.step(1)
 
     def test_counters_sum_gauges_max_histograms_merge(self, tmp_path):
-        spec = SinkSpec(str(tmp_path / "telemetry"))
-        self._write(spec, "job-0001", "ads", {"pages.moved_bytes": 100},
+        self._write(tmp_path, "job-0001", "ads", {"pages.moved_bytes": 100},
                     gauges={"mem.used": 7}, hist=[1.0, 2.0])
-        self._write(spec, "job-0002", "nlp", {"pages.moved_bytes": 50},
+        self._write(tmp_path, "job-0002", "nlp", {"pages.moved_bytes": 50},
                     gauges={"mem.used": 3}, hist=[10.0])
         streams = load_streams(str(tmp_path))
         rollup = merge_rollup(streams)
@@ -279,14 +258,13 @@ class TestRollup:
         assert rollup["per_source"]["job-0002"]["last_step"] == 1
 
     def test_tenant_traffic_totals(self, tmp_path):
-        spec = SinkSpec(str(tmp_path / "telemetry"))
-        self._write(spec, "job-0001", "ads",
+        self._write(tmp_path, "job-0001", "ads",
                     {"pages.moved_bytes": 100, "pages.moves": 2,
                      "io.read_bytes": 10})
-        self._write(spec, "job-0002", "ads", {"pages.moved_bytes": 40})
-        self._write(spec, "job-0003", "nlp", {"io.write_bytes": 5})
+        self._write(tmp_path, "job-0002", "ads", {"pages.moved_bytes": 40})
+        self._write(tmp_path, "job-0003", "nlp", {"io.write_bytes": 5})
         # Untenanted streams (supervisor, ranks) don't pollute totals.
-        self._write(spec, "gateway", None, {"pages.moved_bytes": 999})
+        self._write(tmp_path, "gateway", None, {"pages.moved_bytes": 999})
         traffic = tenant_traffic(load_streams(str(tmp_path)))
         assert set(traffic) == {"ads", "nlp"}
         assert traffic["ads"]["pages_moved_bytes"] == 140
@@ -297,9 +275,8 @@ class TestRollup:
     def test_replay_fires_on_fleet_totals_not_per_stream(self, tmp_path):
         # Each stream's retry counter alone stays below the storm
         # threshold (6); the merged sum crosses it.
-        spec = SinkSpec(str(tmp_path / "telemetry"))
         for source in ("w0i0", "w1i0"):
-            with spec.open(source) as sink:
+            with TelemetrySink(str(tmp_path), source) as sink:
                 counter = sink.telemetry.counter("retry.attempts")
                 sink.step(0)
                 counter.inc(4)
@@ -314,14 +291,14 @@ class TestRollup:
 
 class TestTop:
     def test_tail_state_and_render(self, tmp_path):
-        spec = SinkSpec(str(tmp_path / "telemetry"))
-        with spec.open("w0i0") as sink:
+        with TelemetrySink(str(tmp_path), "w0i0") as sink:
             sink.telemetry.counter("pages.moved_bytes").inc(2048)
             sink.telemetry.gauge(
                 "cluster.heartbeat.missed", worker="w1i0"
             ).set(2)
             sink.step(5)
-        with spec.open("job-0001", role="job", tenant="ads") as sink:
+        with TelemetrySink(str(tmp_path), "job-0001", role="job",
+                           tenant="ads") as sink:
             sink.telemetry.gauge("quota.pages_in_use", tenant="ads").set(9)
             sink.telemetry.counter("quota.rejections", tenant="ads").inc()
             sink.telemetry.counter("pages.moved_bytes").inc(4096)
@@ -338,8 +315,7 @@ class TestTop:
     def test_cli_top_once(self, tmp_path, capsys):
         from repro.cli import main
 
-        spec = SinkSpec(str(tmp_path / "telemetry"))
-        with spec.open("w0i0") as sink:
+        with TelemetrySink(str(tmp_path), "w0i0") as sink:
             sink.step(1)
         assert main(["top", str(tmp_path), "--once"]) == 0
         out = capsys.readouterr().out
@@ -357,7 +333,7 @@ class TestTraceCollectCli:
     def test_collect_writes_artifacts_and_gates(self, tmp_path, capsys):
         from repro.cli import main
 
-        _two_skewed_streams(tmp_path)
+        _two_streams(tmp_path)
         code = main([
             "trace", "collect", str(tmp_path), "--min-rank-lanes", "2",
         ])
@@ -365,7 +341,7 @@ class TestTraceCollectCli:
         assert code == 0
         assert "rank lanes" in out
         trace = json.loads((tmp_path / "cluster_trace.json").read_text())
-        assert any(e.get("cat") == "anchor" for e in trace["traceEvents"])
+        assert len(_span_events(trace, "w0i0")) == 2
         rollup = json.loads(
             (tmp_path / "telemetry_rollup.json").read_text()
         )
@@ -374,7 +350,7 @@ class TestTraceCollectCli:
     def test_collect_fails_below_min_lanes(self, tmp_path, capsys):
         from repro.cli import main
 
-        _two_skewed_streams(tmp_path)
+        _two_streams(tmp_path)
         assert main([
             "trace", "collect", str(tmp_path), "--min-rank-lanes", "3",
         ]) == 1
@@ -385,26 +361,9 @@ class TestTraceCollectCli:
         assert main(["trace", "collect", str(tmp_path / "nope")]) == 2
 
     def test_api_trace_collect(self, tmp_path):
-        _two_skewed_streams(tmp_path)
+        _two_streams(tmp_path)
         out = tmp_path / "trace.json"
         collected = api.trace_collect(str(tmp_path), out=str(out))
         assert out.exists()
         assert collected.rank_lanes == ["w0i0", "w1i0"]
         assert collected.skipped_lines == 0
-
-
-class TestSupervisorSink:
-    def test_supervisor_spawn_config_carries_spec(self, tmp_path):
-        """The spawn config carries a picklable SinkSpec recipe, so each
-        worker opens its own event file instead of exporting nothing."""
-        from dataclasses import replace
-
-        from repro.cluster.protocol import ClusterConfig
-
-        config = ClusterConfig(world_size=2)
-        spec = SinkSpec(telemetry_dir(str(tmp_path)))
-        clone = pickle.loads(pickle.dumps(replace(config, sink=spec)))
-        assert clone.sink == spec
-        assert clone.sink.path_for("w0i0").endswith(
-            "telemetry/w0i0.jsonl"
-        )
